@@ -17,8 +17,9 @@ discipline):
 * **never block the emitter** — when the drainer falls behind, the ring
   overwrites the oldest unread events and the subscription counts them as
   drops (exact accounting, surfaced per exporter).  Recording stays one
-  lock + one slot store; the hot path cannot tell whether an exporter is
-  attached.
+  lock + one slot store; an exporter that keeps up also keeps the bus's
+  own drop counter at zero, because overwriting delivered events is not a
+  loss.
 * **own drainer thread** — batches of up to ``batch_size`` events are
   rendered to plain dicts and written to every sink; a failing sink is
   counted (``export_sink_errors_total``) and skipped for that batch, never

@@ -4,7 +4,9 @@ A :class:`Telemetry` instance is what the runtime's instrumentation hooks
 talk to.  It owns a :class:`~repro.telemetry.trace.TraceBus` and a
 :class:`~repro.telemetry.metrics.MetricsRegistry`; :meth:`Telemetry.emit`
 buffers the event and folds it into the matching metric series in one call,
-so hooks never need to know about metric names.
+so hooks never need to know about metric names.  Which series an event moves
+is data: :data:`_FOLDS` maps each event class to its fold, :data:`_SERIES`
+lists every series a fold may address.
 
 Telemetry is **off by default** and attached per
 :class:`~repro.metadata.registry.MetadataSystem` via
@@ -24,15 +26,11 @@ Human-facing views:
 
 from __future__ import annotations
 
-from typing import Any, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from repro.common.clock import Clock
 from repro.telemetry import events as ev
-from repro.telemetry.metrics import (
-    DURATION_BOUNDS,
-    MetricsRegistry,
-    SIZE_BOUNDS,
-)
+from repro.telemetry.metrics import MetricsRegistry, SIZE_BOUNDS
 from repro.telemetry.trace import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (export -> hub)
@@ -40,6 +38,205 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (export -> hub)
     from repro.telemetry.sinks import ExportSink
 
 __all__ = ["Telemetry", "render_dashboard", "explain_refresh", "format_span"]
+
+
+class _BoundInstruments(dict[Any, Any]):
+    """One hub's instruments, keyed the way folds address them.
+
+    A key is the series name (unlabelled series) or ``(series, *label
+    values)`` in the label order of :data:`_SERIES`.  A missing key is bound
+    through the registry's public get-or-create, so a series appears in
+    snapshots exactly when its first event is folded; from then on a fold
+    never calls get-or-create — it pays one dict lookup plus ``inc`` /
+    ``observe``.  (Two threads missing the same key both receive the
+    registry's one instrument, so the race is benign.)
+    """
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        super().__init__()
+        self._metrics = metrics
+
+    def __missing__(self, key: Any) -> Any:
+        name, *values = key if isinstance(key, tuple) else (key,)
+        kind, label_names, *bounds = _SERIES[name]
+        labels = dict(zip(label_names, values, strict=True))
+        create = getattr(self._metrics, kind)
+        instrument = self[key] = create(name, labels, *bounds)
+        return instrument
+
+
+#: Every series the hub aggregates: ``name -> (kind, label names[, bounds])``,
+#: where ``kind`` names the registry's get-or-create method.
+_SERIES: dict[str, tuple[Any, ...]] = {
+    "trace_events_dropped_total": ("counter", ()),
+    # subscription lifecycle
+    "subscribes_total": ("counter", ("node",)),
+    "unsubscribes_total": ("counter", ("node",)),
+    "includes_total": ("counter", ("node", "shared")),
+    "excludes_total": ("counter", ("node",)),
+    "handlers_created_total": ("counter", ("node", "mechanism")),
+    "handlers_retired_total": ("counter", ("node", "mechanism")),
+    "handlers_live": ("gauge", ()),
+    "handler_refreshes_total": ("counter", ("node",)),
+    "refresh_duration_seconds": ("histogram", ()),
+    "probes_active": ("gauge", ()),
+    # propagation waves
+    "waves_total": ("counter", ()),
+    "wave_size": ("histogram", (), SIZE_BOUNDS),
+    "shard_waves_total": ("counter", ("shard",)),
+    "wave_queue_depth": ("histogram", (), SIZE_BOUNDS),
+    "waves_coalesced_total": ("counter", ()),
+    "drain_handoffs_total": ("counter", ()),
+    "wave_hops_total": ("counter", ()),
+    "wave_refreshes_total": ("counter", ("node",)),
+    "wave_errors_total": ("counter", ("node",)),
+    "wave_suppressed_total": ("counter", ("reason",)),
+    "wave_poisoned_total": ("counter", ("reason",)),
+    "wave_duration_seconds": ("histogram", ()),
+    "cross_shard_hops_total": ("counter", ("from_shard", "to_shard")),
+    "cross_shard_poison_hops_total": ("counter", ()),
+    # periodic scheduling
+    "scheduler_refreshes_total": ("counter", ("node",)),
+    "shard_scheduler_refreshes_total": ("counter", ("shard",)),
+    "scheduler_queue_latency": ("histogram", ()),
+    "scheduler_run_duration_seconds": ("histogram", ()),
+    "scheduler_errors_total": ("counter", ("node",)),
+    "scheduler_refresh_errors_total": ("counter", ("mode",)),
+    "scheduler_cancels_total": ("counter", ()),
+    "scheduler_cancel_races_total": ("counter", ()),
+    "scheduler_cancel_timeouts_total": ("counter", ()),
+    # reliability
+    "handler_failures_total": ("counter", ("node",)),
+    "handler_deadline_exceeded_total": ("counter", ()),
+    "handler_retries_total": ("counter", ()),
+    "circuits_opened_total": ("counter", ()),
+    "circuits_open": ("gauge", ()),
+    "circuit_probes_total": ("counter", ()),
+    "circuits_closed_total": ("counter", ()),
+    # static analysis
+    "analysis_findings_total": ("counter", ("code",)),
+}
+
+
+_Fold = Callable[[_BoundInstruments, Any], None]
+
+
+def _fold_exclude(b: _BoundInstruments, e: ev.ExcludeEvent) -> None:
+    if e.removed:
+        b["excludes_total", e.node].inc()
+
+
+def _fold_handler_created(b: _BoundInstruments, e: ev.HandlerCreated) -> None:
+    b["handlers_created_total", e.node, e.mechanism].inc()
+    b["handlers_live"].inc()
+
+
+def _fold_handler_retired(b: _BoundInstruments, e: ev.HandlerRetired) -> None:
+    b["handlers_retired_total", e.node, e.mechanism].inc()
+    b["handlers_live"].dec()
+
+
+def _fold_handler_refresh(b: _BoundInstruments, e: ev.HandlerRefresh) -> None:
+    b["handler_refreshes_total", e.node].inc()
+    b["refresh_duration_seconds"].observe(e.duration)
+
+
+def _fold_wave_start(b: _BoundInstruments, e: ev.WaveStart) -> None:
+    b["waves_total"].inc()
+    b["wave_size"].observe(e.wave_size)
+    if e.shard >= 0:
+        b["shard_waves_total", e.shard].inc()
+
+
+def _fold_wave_refresh(b: _BoundInstruments, e: ev.WaveRefresh) -> None:
+    b["wave_refreshes_total", e.node].inc()
+    b["refresh_duration_seconds"].observe(e.duration)
+    if e.error:
+        b["wave_errors_total", e.node].inc()
+
+
+def _fold_cross_shard_hop(b: _BoundInstruments, e: ev.CrossShardHop) -> None:
+    b["cross_shard_hops_total", e.from_shard, e.to_shard].inc()
+    if e.poisoned:
+        b["cross_shard_poison_hops_total"].inc()
+
+
+def _fold_scheduler_refresh(b: _BoundInstruments, e: ev.SchedulerRefresh) -> None:
+    b["scheduler_refreshes_total", e.node].inc()
+    if e.shard >= 0:
+        b["shard_scheduler_refreshes_total", e.shard].inc()
+    b["scheduler_queue_latency"].observe(e.queue_latency)
+    b["scheduler_run_duration_seconds"].observe(e.duration)
+    if e.error:
+        b["scheduler_errors_total", e.node].inc()
+        b["scheduler_refresh_errors_total", e.mode or "unknown"].inc()
+
+
+def _fold_scheduler_cancel(b: _BoundInstruments, e: ev.SchedulerCancel) -> None:
+    b["scheduler_cancels_total"].inc()
+    if e.in_flight:
+        b["scheduler_cancel_races_total"].inc()
+    if e.timed_out:
+        b["scheduler_cancel_timeouts_total"].inc()
+
+
+def _fold_handler_failure(b: _BoundInstruments, e: ev.HandlerFailure) -> None:
+    b["handler_failures_total", e.node].inc()
+    if e.deadline_exceeded:
+        b["handler_deadline_exceeded_total"].inc()
+
+
+def _fold_circuit_open(b: _BoundInstruments, e: ev.CircuitOpen) -> None:
+    b["circuits_opened_total"].inc()
+    # A reopen (failed probe) never left the open family, so the gauge is
+    # only moved on first opens; CircuitClose decrements.
+    if not e.reopened:
+        b["circuits_open"].inc()
+
+
+def _fold_circuit_close(b: _BoundInstruments, e: ev.CircuitClose) -> None:
+    b["circuits_closed_total"].inc()
+    b["circuits_open"].dec()
+
+
+def _fold_nothing(b: _BoundInstruments, e: ev.TraceEvent) -> None:
+    """Fold of an event class the hub keeps no series for."""
+
+
+#: The aggregation spec: event class -> ``fold(bound, event)``, which moves
+#: that event's series.  :meth:`Telemetry.emit` dispatches on
+#: ``type(event)``; a subclass of a listed class resolves to its nearest
+#: listed base once per hub, anything else to ``_fold_nothing``.
+_FOLDS: dict[type, _Fold] = {
+    ev.SubscribeEvent: lambda b, e: b["subscribes_total", e.node].inc(),
+    ev.UnsubscribeEvent: lambda b, e: b["unsubscribes_total", e.node].inc(),
+    ev.IncludeEvent: lambda b, e: b[
+        "includes_total", e.node, "true" if e.shared else "false"].inc(),
+    ev.ExcludeEvent: _fold_exclude,
+    ev.HandlerCreated: _fold_handler_created,
+    ev.HandlerRetired: _fold_handler_retired,
+    ev.HandlerRefresh: _fold_handler_refresh,
+    ev.ProbeActivated: lambda b, e: b["probes_active"].inc(),
+    ev.ProbeDeactivated: lambda b, e: b["probes_active"].dec(),
+    ev.WaveEnqueued: lambda b, e: b["wave_queue_depth"].observe(e.pending),
+    ev.DrainHandoff: lambda b, e: b["drain_handoffs_total"].inc(),
+    ev.WaveCoalesced: lambda b, e: b["waves_coalesced_total"].inc(),
+    ev.WaveStart: _fold_wave_start,
+    ev.WaveHop: lambda b, e: b["wave_hops_total"].inc(),
+    ev.WaveRefresh: _fold_wave_refresh,
+    ev.WaveSuppressed: lambda b, e: b["wave_suppressed_total", e.reason].inc(),
+    ev.WavePoisoned: lambda b, e: b["wave_poisoned_total", e.reason].inc(),
+    ev.WaveEnd: lambda b, e: b["wave_duration_seconds"].observe(e.duration),
+    ev.CrossShardHop: _fold_cross_shard_hop,
+    ev.SchedulerRefresh: _fold_scheduler_refresh,
+    ev.SchedulerCancel: _fold_scheduler_cancel,
+    ev.HandlerFailure: _fold_handler_failure,
+    ev.RetryScheduled: lambda b, e: b["handler_retries_total"].inc(),
+    ev.CircuitOpen: _fold_circuit_open,
+    ev.CircuitHalfOpen: lambda b, e: b["circuit_probes_total"].inc(),
+    ev.CircuitClose: _fold_circuit_close,
+    ev.AnalysisFinding: lambda b, e: b["analysis_findings_total", e.code].inc(),
+}
 
 
 class Telemetry:
@@ -55,13 +252,16 @@ class Telemetry:
         self.metrics = MetricsRegistry(prefix)
         #: Export pipelines attached via :meth:`attach_exporter`.
         self.exporters: list[TelemetryExporter] = []
+        self._bound = _BoundInstruments(self.metrics)
+        # Starts as the spec; grows one entry per other event class seen.
+        self._folds = dict(_FOLDS)
         # Ring overwrites were previously visible only on the bus object;
         # mirroring them into a counter puts overload on every dashboard
         # and wire-format export.
         self.bus.on_drop = self._count_ring_drop
 
     def _count_ring_drop(self) -> None:
-        self.metrics.counter("trace_events_dropped_total").inc()
+        self._bound["trace_events_dropped_total"].inc()
 
     # -- export pipelines ---------------------------------------------------
 
@@ -106,110 +306,16 @@ class Telemetry:
     def emit(self, event: ev.TraceEvent) -> None:
         """Buffer ``event`` and fold it into the metric series."""
         self.bus.record(event)
-        self._aggregate(event)
+        fold = self._folds.get(type(event))
+        if fold is None:
+            fold = self._resolve_fold(type(event))
+        fold(self._bound, event)
 
-    def _aggregate(self, event: ev.TraceEvent) -> None:
-        m = self.metrics
-        if isinstance(event, ev.WaveRefresh):
-            m.counter("wave_refreshes_total", {"node": event.node}).inc()
-            m.histogram("refresh_duration_seconds").observe(event.duration)
-            if event.error:
-                m.counter("wave_errors_total", {"node": event.node}).inc()
-        elif isinstance(event, ev.WaveHop):
-            m.counter("wave_hops_total").inc()
-        elif isinstance(event, ev.WaveSuppressed):
-            m.counter("wave_suppressed_total", {"reason": event.reason}).inc()
-        elif isinstance(event, ev.WavePoisoned):
-            m.counter("wave_poisoned_total", {"reason": event.reason}).inc()
-        elif isinstance(event, ev.WaveStart):
-            m.counter("waves_total").inc()
-            m.histogram("wave_size", bounds=SIZE_BOUNDS).observe(event.wave_size)
-            if event.shard >= 0:
-                m.counter("shard_waves_total",
-                          {"shard": str(event.shard)}).inc()
-        elif isinstance(event, ev.CrossShardHop):
-            m.counter("cross_shard_hops_total",
-                      {"from_shard": str(event.from_shard),
-                       "to_shard": str(event.to_shard)}).inc()
-            if event.poisoned:
-                m.counter("cross_shard_poison_hops_total").inc()
-        elif isinstance(event, ev.WaveEnd):
-            m.histogram("wave_duration_seconds").observe(event.duration)
-        elif isinstance(event, ev.WaveEnqueued):
-            m.histogram("wave_queue_depth", bounds=SIZE_BOUNDS).observe(event.pending)
-        elif isinstance(event, ev.WaveCoalesced):
-            m.counter("waves_coalesced_total").inc()
-        elif isinstance(event, ev.DrainHandoff):
-            m.counter("drain_handoffs_total").inc()
-        elif isinstance(event, ev.SchedulerRefresh):
-            m.counter("scheduler_refreshes_total", {"node": event.node}).inc()
-            if event.shard >= 0:
-                m.counter("shard_scheduler_refreshes_total",
-                          {"shard": str(event.shard)}).inc()
-            m.histogram("scheduler_queue_latency").observe(event.queue_latency)
-            m.histogram("scheduler_run_duration_seconds").observe(event.duration)
-            if event.error:
-                m.counter("scheduler_errors_total", {"node": event.node}).inc()
-                m.counter("scheduler_refresh_errors_total",
-                          {"mode": event.mode or "unknown"}).inc()
-        elif isinstance(event, ev.SchedulerCancel):
-            m.counter("scheduler_cancels_total").inc()
-            if event.in_flight:
-                m.counter("scheduler_cancel_races_total").inc()
-            if event.timed_out:
-                m.counter("scheduler_cancel_timeouts_total").inc()
-        elif isinstance(event, ev.HandlerRefresh):
-            m.counter("handler_refreshes_total", {"node": event.node}).inc()
-            m.histogram("refresh_duration_seconds").observe(event.duration)
-        elif isinstance(event, ev.SubscribeEvent):
-            m.counter("subscribes_total", {"node": event.node}).inc()
-        elif isinstance(event, ev.UnsubscribeEvent):
-            m.counter("unsubscribes_total", {"node": event.node}).inc()
-        elif isinstance(event, ev.IncludeEvent):
-            m.counter(
-                "includes_total",
-                {"node": event.node, "shared": str(event.shared).lower()},
-            ).inc()
-        elif isinstance(event, ev.ExcludeEvent):
-            if event.removed:
-                m.counter("excludes_total", {"node": event.node}).inc()
-        elif isinstance(event, ev.HandlerCreated):
-            m.counter(
-                "handlers_created_total",
-                {"node": event.node, "mechanism": event.mechanism},
-            ).inc()
-            m.gauge("handlers_live").inc()
-        elif isinstance(event, ev.HandlerRetired):
-            m.counter(
-                "handlers_retired_total",
-                {"node": event.node, "mechanism": event.mechanism},
-            ).inc()
-            m.gauge("handlers_live").dec()
-        elif isinstance(event, ev.ProbeActivated):
-            m.gauge("probes_active").inc()
-        elif isinstance(event, ev.ProbeDeactivated):
-            m.gauge("probes_active").dec()
-        elif isinstance(event, ev.HandlerFailure):
-            m.counter("handler_failures_total", {"node": event.node}).inc()
-            if event.deadline_exceeded:
-                m.counter("handler_deadline_exceeded_total").inc()
-        elif isinstance(event, ev.RetryScheduled):
-            m.counter("handler_retries_total").inc()
-        elif isinstance(event, ev.CircuitOpen):
-            m.counter("circuits_opened_total").inc()
-            # A reopen (failed probe) never left the open family, so the
-            # gauge is only moved on first opens; CircuitClose decrements.
-            if not event.reopened:
-                m.gauge("circuits_open").inc()
-        elif isinstance(event, ev.CircuitHalfOpen):
-            m.counter("circuit_probes_total").inc()
-        elif isinstance(event, ev.CircuitClose):
-            m.counter("circuits_closed_total").inc()
-            m.gauge("circuits_open").dec()
-        elif isinstance(event, ev.AnalysisFinding):
-            m.counter(
-                "analysis_findings_total", {"code": event.code}
-            ).inc()
+    def _resolve_fold(self, cls: type[ev.TraceEvent]) -> _Fold:
+        fold = next((_FOLDS[base] for base in cls.__mro__ if base in _FOLDS),
+                    _fold_nothing)
+        self._folds[cls] = fold
+        return fold
 
     # -- introspection ------------------------------------------------------
 
@@ -266,7 +372,7 @@ def render_dashboard(telemetry: Telemetry, width: int = 68,
         lines.append(
             f"  !! ring overflow: {telemetry.bus.dropped} events overwritten "
             f"unread (trace_events_dropped_total) — raise the capacity or "
-            f"attach an exporter"
+            f"attach an exporter that keeps up"
         )
     if telemetry.exporters:
         lines.append("")

@@ -54,12 +54,14 @@ __all__ = [
 Record = dict[str, Any]
 
 
+# One encoder for every batch: ``json.dumps`` with non-default arguments
+# builds a fresh ``JSONEncoder`` per call, i.e. per record.
+_encode = json.JSONEncoder(default=str, separators=(",", ":")).encode
+
+
 def encode_lines(records: list[Record]) -> str:
     """Render a batch as newline-terminated compact JSON lines."""
-    return "".join(
-        json.dumps(record, default=str, separators=(",", ":")) + "\n"
-        for record in records
-    )
+    return "".join([_encode(record) + "\n" for record in records])
 
 
 class ExportSink:

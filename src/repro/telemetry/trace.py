@@ -9,9 +9,9 @@ leak; when full, the *oldest* events are dropped and counted.
 
 Design constraints, in the spirit of the paper's probes (Section 4.4.1):
 
-* recording must be cheap (one lock, one slot store — no I/O, no
-  formatting), because it runs inside propagation waves and scheduler
-  workers;
+* recording must be cheap — three stamps, one lock, one slot store, about
+  1 µs per event; no I/O, no formatting, no copy of the listener list —
+  because it runs inside propagation waves and scheduler workers;
 * when telemetry is disabled nothing in this module runs at all — the hooks
   in the runtime check a single ``telemetry is None`` before building any
   event.
@@ -24,10 +24,13 @@ Two consumption styles share the one bounded buffer:
 * **pull** — :meth:`TraceBus.subscribe` returns a
   :class:`TraceSubscription`: a cursor over the ring that a drainer thread
   (the export pipeline, :mod:`repro.telemetry.export`) pops batches from.
-  A subscription adds *zero* cost to ``record`` — it is just a sequence
-  number; when the ring laps a slow subscriber, the overwritten events are
-  counted as that subscriber's drops.  Emitters are never blocked, the same
-  load-shedding discipline the ring itself follows.
+  A subscription is just a sequence number: it costs ``record`` one
+  cursor comparison per overwrite once the ring is full, nothing before.
+  When the ring laps a slow subscriber, the overwritten events are counted
+  as that subscriber's drops — and as the bus's (:attr:`TraceBus.dropped`)
+  only then: overwriting an event every open subscription has already read
+  loses nothing.  Emitters are never blocked, the same load-shedding
+  discipline the ring itself follows.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import json
 import logging
 import threading
 import time
-from typing import Callable, IO
+from typing import Callable, IO, cast
 
 from repro.common.clock import Clock
 from repro.telemetry.events import TraceEvent, event_to_dict
@@ -45,6 +48,10 @@ from repro.telemetry.events import TraceEvent, event_to_dict
 __all__ = ["TraceBus", "TraceSubscription", "jsonl_writer"]
 
 log = logging.getLogger(__name__)
+
+# One encoder for every listener: ``json.dumps(..., default=str)`` builds a
+# fresh ``JSONEncoder`` per call, i.e. per event.
+_encode = json.JSONEncoder(default=str).encode
 
 
 class TraceBus:
@@ -73,13 +80,18 @@ class TraceBus:
         # and span 0 is reserved for "no span" (telemetry-disabled paths).
         self._spans = itertools.count(1)
         self.emitted = 0
+        #: Events the ring overwrote before they were consumed: every
+        #: overwrite while no pull subscription is open, and otherwise only
+        #: the overwrites of events some open subscription had not read yet.
         self.dropped = 0
-        #: Called (outside the bus lock) each time the ring overwrites an
-        #: unconsumed event.  The telemetry hub points this at the
+        #: Called (outside the bus lock) each time :attr:`dropped` moves.
+        #: The telemetry hub points this at the
         #: ``trace_events_dropped_total`` counter so overload is visible in
         #: the metric series, not only in :attr:`dropped`.
         self.on_drop: Callable[[], None] | None = None
-        self._listeners: list[Callable[[TraceEvent], None]] = []
+        # Replaced, never mutated, by listen()/detach(), so record() reads
+        # it without copying.
+        self._listeners: tuple[Callable[[TraceEvent], None], ...] = ()
         self._subscriptions: list[TraceSubscription] = []
 
     # -- spans -------------------------------------------------------------
@@ -101,17 +113,26 @@ class TraceBus:
         event.mono = time.monotonic()
         event.ts = self._clock.now() if self._clock is not None else event.mono
         event.thread = threading.get_ident()
-        overwrote = False
+        dropped = False
         with self._lock:
-            if self._size == self.capacity:
-                self.dropped += 1
-                overwrote = True
+            emitted, capacity = self.emitted, self.capacity
+            if self._size == capacity:
+                # The slot holds event ``emitted - capacity``.  Losing it is
+                # a drop unless every open subscription has read past it.
+                overwritten = emitted - capacity
+                dropped = not self._subscriptions
+                for subscription in self._subscriptions:
+                    if subscription._next_seq <= overwritten:
+                        dropped = True
+                        break
+                if dropped:
+                    self.dropped += 1
             else:
                 self._size += 1
-            self._ring[self.emitted % self.capacity] = event
-            self.emitted += 1
-            listeners = tuple(self._listeners)
-        if overwrote and self.on_drop is not None:
+            self._ring[emitted % capacity] = event
+            self.emitted = emitted + 1
+            listeners = self._listeners
+        if dropped and self.on_drop is not None:
             self.on_drop()
         for listener in listeners:
             listener(event)
@@ -120,14 +141,16 @@ class TraceBus:
     def listen(self, listener: Callable[[TraceEvent], None]) -> Callable[[], None]:
         """Stream every subsequent event to ``listener``; returns a detacher."""
         with self._lock:
-            self._listeners.append(listener)
+            self._listeners += (listener,)
 
         def detach() -> None:
             with self._lock:
+                listeners = list(self._listeners)
                 try:
-                    self._listeners.remove(listener)
+                    listeners.remove(listener)
                 except ValueError:
-                    pass
+                    return
+                self._listeners = tuple(listeners)
 
         return detach
 
@@ -156,13 +179,15 @@ class TraceBus:
     # -- query -------------------------------------------------------------
 
     def _snapshot_locked(self, start_seq: int, count: int) -> list[TraceEvent]:
+        # In-range slots are always populated, hence the cast.
         ring, capacity = self._ring, self.capacity
-        out: list[TraceEvent] = []
-        for seq in range(start_seq, start_seq + count):
-            event = ring[seq % capacity]
-            assert event is not None  # in-range slots are always populated
-            out.append(event)
-        return out
+        first = start_seq % capacity
+        last = first + count
+        if last <= capacity:
+            events = ring[first:last]
+        else:
+            events = ring[first:] + ring[:last - capacity]
+        return cast("list[TraceEvent]", events)
 
     def events(
         self, kind: str | None = None, span: int | None = None
@@ -313,7 +338,7 @@ def jsonl_writer(
 
     def write(event: TraceEvent) -> None:
         try:
-            line = json.dumps(event_to_dict(event), default=str)
+            line = _encode(event_to_dict(event))
             with lock:
                 stream.write(line + "\n")
         except Exception as exc:

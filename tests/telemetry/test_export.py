@@ -626,3 +626,44 @@ class TestRingDropCounter:
         tel.emit(WaveStart(node="n"))
         snapshot = tel.metrics.snapshot()
         assert "trace_events_dropped_total" not in snapshot["counters"]
+
+    def test_overwrites_of_delivered_events_are_not_drops(self):
+        # 100 events through a ring of 8 overwrite 92 slots, but a consumer
+        # that keeps up has read every one of them first.
+        tel = Telemetry(capacity=8)
+        sub = tel.bus.subscribe("keeps-up")
+        for i in range(100):
+            tel.emit(WaveStart(node=f"n{i}"))
+            if i % 4 == 3:
+                sub.pop_batch()
+        assert (sub.delivered, sub.dropped, sub.pending()) == (100, 0, 0)
+        assert tel.bus.dropped == 0
+        assert "trace_events_dropped_total" not in tel.metrics.snapshot()["counters"]
+        assert "ring overflow" not in render_dashboard(tel)
+
+    def test_overwrites_ahead_of_any_open_cursor_are_drops(self):
+        tel = Telemetry(capacity=8)
+        fast, stalled = tel.bus.subscribe("fast"), tel.bus.subscribe("stalled")
+        for i in range(100):
+            tel.emit(WaveStart(node=f"n{i}"))
+            if i % 4 == 3:
+                fast.pop_batch()
+        assert fast.dropped == 0
+        assert tel.bus.dropped == 92
+        assert tel.metrics.counter("trace_events_dropped_total").value == 92
+        assert len(stalled.pop_batch()) == 8
+        assert stalled.dropped == tel.bus.dropped
+        assert stalled.delivered + stalled.dropped == tel.bus.emitted
+
+    def test_closing_the_stalled_cursor_stops_the_count(self):
+        bus = TraceBus(capacity=4)
+        fast, stalled = bus.subscribe("fast"), bus.subscribe("stalled")
+        for _ in range(6):
+            bus.record(WaveStart())
+            fast.pop_batch()
+        assert bus.dropped == 2
+        stalled.close()
+        for _ in range(6):
+            bus.record(WaveStart())
+            fast.pop_batch()
+        assert bus.dropped == 2
