@@ -1,45 +1,42 @@
 #!/usr/bin/env python3
-"""Fault-tolerance overhead gate — no policy must mean (almost) no cost.
+"""Failure-policy overhead — what a healthy circuit breaker costs per wave.
 
-The reliability layer promises that handlers *without* a failure policy
-pay for nothing: on the cached-plan fast path every circuit check reduces
-to a single ``breaker is None`` test and the poison bookkeeping to one
-``if poisoned`` over an empty set.  This benchmark *enforces* that promise
-in CI by timing triggered-propagation waves through three configurations:
+Handlers *without* a failure policy carry no breaker at all: a wave plan
+none of whose members has one skips the breaker reads entirely (the plan's
+``guarded`` flag), and the poison bookkeeping is one ``if poisoned`` over an
+empty set.  This benchmark records what attaching a policy costs, by timing
+triggered-propagation waves through the stock engine twice:
 
-* ``noreliability`` — a :class:`PropagationEngine` subclass whose
-  ``_execute_plan_fast`` is a verbatim copy of the pre-reliability body
-  (no breaker checks, no poison set, no planned accounting): the true
-  baseline;
-* ``nopolicy``      — the stock engine with no failure policies anywhere
-  (the shipped default); and
-* ``policy``        — the stock engine with a live :class:`FailurePolicy`
-  on every chain item and zero injected faults, for context (not gated:
-  a healthy breaker legitimately costs one state check per refresh).
+* ``nopolicy`` — no failure policies anywhere (the shipped default, and the
+  base of the ratio); and
+* ``policy``   — a live :class:`FailurePolicy` on every chain item and zero
+  injected faults (a healthy breaker legitimately costs one state check
+  and one guarded attempt per refresh).
 
-Rounds are interleaved (noreliability, nopolicy, policy, ...) so clock
-drift and cache warmth hit all three equally.  The gated overhead is the
-*median of per-round paired ratios*: each round times the configurations
-back to back, so interference hits both timings of a pair and cancels in
-the ratio, and the median discards the rounds a noise spike still skewed.
-Rounds are deliberately many and short (and the garbage collector is
-paused while timing) so most pairs land inside one quiet window.
+Rounds are interleaved (nopolicy, policy, ...) so clock drift and cache
+warmth hit both equally.  The reported overhead is the *median of per-round
+paired ratios*: each round times the configurations back to back, so
+interference hits both timings of a pair and cancels in the ratio, and the
+median discards the rounds a noise spike still skewed.  Rounds are
+deliberately many and short (and the garbage collector is paused while
+timing) so most pairs land inside one quiet window.
 
 One interpreter is still one sample: code/dict layout fixed at process
 start biases identical engines against each other by a few percent either
-way (measurable by benchmarking ``NoReliabilityEngine`` against itself).
-``measure()`` therefore re-runs itself in ``PROCESS_SAMPLES`` fresh
-subprocesses and gates on the median overhead *across processes*, which
+way.  ``measure()`` therefore re-runs itself in ``PROCESS_SAMPLES`` fresh
+subprocesses and reports the median overhead *across processes*, which
 centers that per-process bias out.
+
+Regressions of the policy-free path itself are caught where they can be
+measured against something real — the parent-vs-change run of
+``benchmarks/e2e`` (``wave_storm`` carries DAGs with and without policies).
 
 Usage::
 
-    python benchmarks/bench_fault_overhead.py --check \
-        --output BENCH_fault.json
+    python benchmarks/bench_fault_overhead.py --check --output BENCH_fault.json
 
-``--check`` exits non-zero when the nopolicy-vs-noreliability overhead
-exceeds the gate (default 3%).  The JSON report is uploaded as a CI
-artifact.
+``--check`` exits non-zero when the two configurations disagree on the
+propagation work done or anything failed.
 
 The module is a standalone script on purpose — it is not collected by the
 tier-1 pytest run (``testpaths = ["tests"]``).
@@ -53,127 +50,31 @@ import json
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.common.clock import VirtualClock
-from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
+# The same 16-deep always-changing chain the telemetry benchmark times —
+# the hottest path the reliability checks touch.
+from bench_telemetry_overhead import CHAIN_DEPTH, build_workload, run_round
+
 from repro.metadata.propagation import PropagationEngine
-from repro.metadata.registry import MetadataRegistry, MetadataSystem
-from repro.metadata.scheduling import VirtualTimeScheduler
 from repro.reliability import FailurePolicy
 
-CHAIN_DEPTH = 16
 WAVES_PER_ROUND = 500
 ROUNDS = 15
 PROCESS_SAMPLES = 5
-DEFAULT_THRESHOLD_PCT = 3.0
-
-SRC = MetadataKey("bench.src")
-
-
-class NoReliabilityEngine(PropagationEngine):
-    """The pre-reliability cached-plan fast path, byte-for-byte.
-
-    ``_execute_plan_fast`` is the exact body the engine had before the
-    failure-policy hooks landed (no ``breaker`` reads, no poison set, no
-    planned/skipped accounting), so timing it answers "what would waves
-    cost if the reliability code did not exist?".
-    """
-
-    def _execute_plan_fast(self, entries: list, source,
-                           guarded: bool = True,
-                           boundary: tuple = ()) -> None:
-        # ``boundary`` is always empty here (single-shard workload); the
-        # parameter only keeps the engine's call signature satisfied.
-        changed: set[int] = {id(source)}
-        members: set[int] = {id(source)}
-        for handler, preds in entries[1:]:
-            member_preds = [p for p in preds if id(p) in members]
-            if not member_preds:
-                continue
-            wanted = False
-            for pred in member_preds:
-                if handler.on_dependency_changed(pred):
-                    wanted = True
-            if not wanted:
-                continue
-            members.add(id(handler))
-            if handler.removed:
-                continue
-            for pred in member_preds:
-                if id(pred) in changed:
-                    break
-            else:
-                # Refresh only when an in-wave dependency actually changed.
-                self.suppressed_count += 1
-                continue
-            self.refresh_count += 1
-            if self._recompute(handler):
-                changed.add(id(handler))
-
-
-class Owner:
-    """Minimal registry owner (no query graph needed for pure waves)."""
-
-    name = "bench"
-
-
-def build_workload(engine: PropagationEngine,
-                   policy: FailurePolicy | None = None):
-    """One registry, an on-demand source and a CHAIN_DEPTH triggered chain.
-
-    Every ``notify_changed(SRC)`` starts a wave that refreshes the whole
-    chain (values strictly increase, so nothing is suppressed) — the
-    hottest path the reliability checks touch.  ``policy`` attaches a
-    failure policy (and hence a live circuit breaker) to every chain item.
-    """
-    clock = VirtualClock()
-    system = MetadataSystem(clock, VirtualTimeScheduler(clock),
-                            propagation=engine)
-    owner = Owner()
-    registry = MetadataRegistry(owner, system)
-    state = {"value": 0}
-    registry.define(MetadataDefinition(
-        SRC, Mechanism.ON_DEMAND, compute=lambda ctx: state["value"],
-    ))
-    previous = SRC
-    for i in range(CHAIN_DEPTH):
-        key = MetadataKey(f"bench.t{i}")
-        registry.define(MetadataDefinition(
-            key, Mechanism.TRIGGERED,
-            compute=lambda ctx, dep=previous: ctx.value(dep) + 1,
-            dependencies=[SelfDep(previous)],
-            failure_policy=policy,
-        ))
-        previous = key
-    subscription = registry.subscribe(previous)
-    return registry, state, subscription
-
-
-def run_round(registry, state, waves: int) -> float:
-    """Time ``waves`` full propagation waves; returns seconds."""
-    notify = registry.notify_changed
-    t0 = time.perf_counter()
-    for _ in range(waves):
-        state["value"] += 1
-        notify(SRC)
-    return time.perf_counter() - t0
 
 
 def measure_sample() -> dict:
     """One in-process sample: interleaved rounds, paired-ratio medians."""
-    setups = {
-        "noreliability": lambda: build_workload(NoReliabilityEngine()),
-        "nopolicy": lambda: build_workload(PropagationEngine()),
-        "policy": lambda: build_workload(
+    workloads = {
+        "nopolicy": build_workload(PropagationEngine()),
+        "policy": build_workload(
             PropagationEngine(),
             policy=FailurePolicy(max_retries=1, jitter=0.0)),
     }
-
-    workloads = {name: setup() for name, setup in setups.items()}
     # Warmup: one short burst per engine so allocator and bytecode caches
     # are hot before the first timed round.
     for registry, state, _ in workloads.values():
@@ -198,12 +99,7 @@ def measure_sample() -> dict:
 
     best = {name: min(rounds) for name, rounds in timings.items()}
 
-    def overhead_pct(name: str) -> float:
-        base = timings["noreliability"]
-        return statistics.median(
-            100.0 * (t - b) / b for t, b in zip(timings[name], base))
-
-    # Sanity: all three engines did identical propagation work, nothing
+    # Sanity: both engines did identical propagation work, nothing
     # ever failed, and no wave was poisoned anywhere.
     stats = {name: wl[0].system.stats() for name, wl in workloads.items()}
     work_keys = ("waves", "refreshes", "suppressed", "errors")
@@ -216,13 +112,14 @@ def measure_sample() -> dict:
     return {
         "seconds_best": best,
         "seconds_all_rounds": timings,
-        "fault_overhead_pct": overhead_pct("nopolicy"),
-        "policy_overhead_pct": overhead_pct("policy"),
+        "policy_overhead_pct": statistics.median(
+            100.0 * (t - b) / b
+            for t, b in zip(timings["policy"], timings["nopolicy"])),
         "work_consistent": consistent,
     }
 
 
-def measure(threshold_pct: float = DEFAULT_THRESHOLD_PCT) -> dict:
+def measure() -> dict:
     """Median overhead across PROCESS_SAMPLES fresh interpreters."""
     samples = []
     for _ in range(PROCESS_SAMPLES):
@@ -233,13 +130,10 @@ def measure(threshold_pct: float = DEFAULT_THRESHOLD_PCT) -> dict:
 
     best = {
         name: min(s["seconds_best"][name] for s in samples)
-        for name in ("noreliability", "nopolicy", "policy")
+        for name in ("nopolicy", "policy")
     }
-    fault_overhead_pct = statistics.median(
-        s["fault_overhead_pct"] for s in samples)
     policy_overhead_pct = statistics.median(
         s["policy_overhead_pct"] for s in samples)
-    consistent = all(s["work_consistent"] for s in samples)
 
     return {
         "benchmark": "fault_overhead",
@@ -247,22 +141,16 @@ def measure(threshold_pct: float = DEFAULT_THRESHOLD_PCT) -> dict:
         "waves_per_round": WAVES_PER_ROUND,
         "rounds": ROUNDS,
         "process_samples": PROCESS_SAMPLES,
-        "threshold_pct": threshold_pct,
         "seconds_best": best,
         "waves_per_second_best": {
             name: WAVES_PER_ROUND / seconds for name, seconds in best.items()
         },
-        "overhead_pct_per_sample": {
-            "nopolicy": [s["fault_overhead_pct"] for s in samples],
-            "policy": [s["policy_overhead_pct"] for s in samples],
-        },
+        "overhead_pct_per_sample": [s["policy_overhead_pct"] for s in samples],
         "metrics": {
-            "fault_overhead_pct": fault_overhead_pct,
             "policy_overhead_pct": policy_overhead_pct,
             "fault_waves_per_second": WAVES_PER_ROUND / best["nopolicy"],
         },
-        "work_consistent": consistent,
-        "passed": consistent and fault_overhead_pct <= threshold_pct,
+        "passed": all(s["work_consistent"] for s in samples),
     }
 
 
@@ -271,12 +159,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default="BENCH_fault.json",
                         help="path of the JSON report (default: %(default)s)")
     parser.add_argument("--check", action="store_true",
-                        help="exit non-zero when the no-policy overhead "
-                             "exceeds the threshold")
-    parser.add_argument("--threshold-pct", type=float,
-                        default=DEFAULT_THRESHOLD_PCT,
-                        help="maximum tolerated no-policy overhead "
-                             "(percent, default: %(default)s)")
+                        help="exit non-zero when the configurations "
+                             "disagree on the propagation work done")
     parser.add_argument("--sample", action="store_true",
                         help=argparse.SUPPRESS)  # internal: one subprocess
     args = parser.parse_args(argv)
@@ -285,30 +169,24 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(measure_sample()))
         return 0
 
-    result = measure(args.threshold_pct)
+    result = measure()
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
 
-    print(f"fault-tolerance overhead benchmark "
+    print(f"failure-policy overhead benchmark "
           f"({CHAIN_DEPTH}-deep chain, {WAVES_PER_ROUND} waves/round, "
           f"{ROUNDS} rounds x {PROCESS_SAMPLES} processes)")
-    for name in ("noreliability", "nopolicy", "policy"):
+    for name in ("nopolicy", "policy"):
         print(f"  {name:<14} {result['seconds_best'][name] * 1e3:8.2f} ms  "
               f"({result['waves_per_second_best'][name]:,.0f} waves/s)")
     per_sample = ", ".join(f"{v:+.2f}%" for v in
-                           result["overhead_pct_per_sample"]["nopolicy"])
-    print(f"  no-policy overhead: "
-          f"{result['metrics']['fault_overhead_pct']:+.2f}% "
-          f"(gate: {args.threshold_pct:.1f}%; samples: {per_sample})")
+                           result["overhead_pct_per_sample"])
     print(f"  healthy-breaker overhead: "
-          f"{result['metrics']['policy_overhead_pct']:+.2f}% "
-          f"(informational)")
+          f"{result['metrics']['policy_overhead_pct']:+.2f}% of the "
+          f"policy-free path (informational; samples: {per_sample})")
     print(f"  report: {args.output}")
 
     if args.check and not result["passed"]:
-        reason = ("engines disagreed on propagation work"
-                  if not result["work_consistent"]
-                  else "no-policy overhead exceeds the gate")
-        print(f"FAIL: {reason}", file=sys.stderr)
+        print("FAIL: engines disagreed on propagation work", file=sys.stderr)
         return 1
     print("PASS" if result["passed"] else "(informational run, no --check)")
     return 0

@@ -14,13 +14,17 @@ inputs observed mid-propagation.
   all of its in-wave dependencies: **0 glitches, O(n) refreshes**.
 * The naive recursion (ablation) refreshes once per dependency path:
   **O(2^k) refreshes** on a k-diamond ladder and glitches at every level.
+
+The ablation is :class:`NaiveRecursion` below — the anti-pattern the paper
+warns about, written against the public :class:`PropagationBackend`
+interface.  It lives here, with its only caller, not in the product.
 """
 
 from __future__ import annotations
 
 from repro.common.clock import VirtualClock
 from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
-from repro.metadata.propagation import PropagationEngine
+from repro.metadata.propagation import PropagationBackend, PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import VirtualTimeScheduler
 
@@ -31,10 +35,42 @@ class _Owner:
     name = "ladder"
 
 
+class NaiveRecursion(PropagationBackend):
+    """Unordered depth-first triggering: every change recurses straight
+    into the dependents, so a diamond's bottom recomputes once per path and
+    reads one fresh and one stale input in between."""
+
+    def __init__(self) -> None:
+        self.telemetry = None
+        self.refresh_count = 0
+
+    def value_changed(self, source) -> None:
+        for dependent in source.dependents():
+            if dependent.on_dependency_changed(source):
+                self.refresh_count += 1
+                if dependent.recompute_for_propagation():
+                    self.value_changed(dependent)
+
+    event_fired = value_changed
+
+    def events_fired(self, sources) -> None:
+        for source in sources:
+            self.value_changed(source)
+
+    topology_epoch = 0
+
+    def bump_topology(self) -> int:
+        return 0
+
+    def stats(self) -> dict[str, int]:
+        return {"refreshes": self.refresh_count}
+
+
 def build_ladder(depth: int, ordered: bool):
     clock = VirtualClock()
-    system = MetadataSystem(clock, VirtualTimeScheduler(clock),
-                            propagation=PropagationEngine(ordered=ordered))
+    system = MetadataSystem(
+        clock, VirtualTimeScheduler(clock),
+        propagation=PropagationEngine() if ordered else NaiveRecursion())
     owner = _Owner()
     registry = MetadataRegistry(owner, system)
     owner.metadata = registry

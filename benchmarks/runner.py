@@ -119,9 +119,6 @@ SUITES: dict[str, dict] = {
         "source": "benchmarks/bench_fault_overhead.py",
         "report": "BENCH_fault.json",
         "metrics": {
-            "fault_overhead_pct": {
-                "direction": "lower_is_better", "unit": "percent",
-                "compare": False, "gate_max": 3.0},
             "policy_overhead_pct": {
                 "direction": "lower_is_better", "unit": "percent",
                 "compare": False},

@@ -110,7 +110,8 @@ class MetadataHandler:
         self._compare_warned = False
         # Handlers without a failure policy carry no breaker at all: the
         # refresh hot path then pays one `is None` check, mirroring the
-        # telemetry discipline (gated by bench_fault_overhead.py).
+        # telemetry discipline (bench_fault_overhead.py records what a
+        # breaker costs on top).
         policy = definition.failure_policy
         self.breaker: CircuitBreaker | None = (
             CircuitBreaker(policy, registry.clock,

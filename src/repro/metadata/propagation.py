@@ -10,55 +10,54 @@ implements: "(i) updates have to be performed in the right order, and (ii)
 updates need to be synchronized.  The update order is basically determined by
 the inverted dependency graph."
 
-The engine therefore does **not** refresh dependents by naive recursion —
-that would recompute diamond-shaped dependents once per path, transiently
-exposing inconsistent values.  Instead a change starts a *wave*:
+Naive recursion would recompute diamond-shaped dependents once per path,
+transiently exposing inconsistent values (the ablation lives in
+``benchmarks/bench_propagation_ordering.py``).  Every change therefore
+starts a *wave*, and every wave is the same two steps:
 
-1. collect the closure of triggered handlers reachable over dependent edges,
-2. order it topologically (a handler refreshes only after every in-wave
-   handler it depends on),
-3. refresh each handler at most once, and only if at least one of its
-   dependencies actually changed in this wave (unchanged values cut the
-   propagation short, saving work).
-
-Manual event notifications (Section 3.2.3, for on-demand sources whose state
-change must be reflected immediately) enter through :meth:`event_fired`: the
-source is treated as changed without being recomputed, and its on-demand
-``get`` recomputes lazily when a refreshed dependent reads it.
-
-Cached wave plans
------------------
-
-Dependency wiring changes only on subscription-graph structure operations
+**Plan** (:meth:`PropagationEngine._build_plan`, the only walker of
+dependent edges) — the closure of handlers reachable from the wave's seeds,
+topologically ordered, each entry carrying its in-plan predecessors.  A plan
+is pure *structure*: it changes only on subscription-graph operations
 (include / exclude / define / undefine), while waves fire on every metadata
-change — orders of magnitude more often in steady state.  The engine
-therefore memoizes, per source handler, the topologically ordered structural
-closure of its dependents (the *wave plan*), keyed by a monotonically
-increasing **topology epoch** that :class:`~repro.metadata.registry
-.MetadataRegistry` bumps through :meth:`bump_topology` on every wiring
-change.  A wave whose source has a fresh plan skips the longest-path
-relaxation of :meth:`_collect_wave` entirely and runs a single linear pass
-over the plan.
+change.  Single-seed plans are therefore memoized per seed under a
+monotonically increasing **topology epoch** that
+:class:`~repro.metadata.registry.MetadataRegistry` bumps through
+:meth:`~PropagationEngine.bump_topology` on every wiring change.
+``plan_cache=False`` is the same engine building the plan and not storing it.
 
-The plan caches only *structure*.  Reaction hooks
-(``on_dependency_changed``) are dynamic, so they are still evaluated once
-per edge on every wave; membership of the effective wave (which plan
-entries actually refresh) is re-derived from those hook results each time.
-Cached and uncached execution are therefore equivalent: identical
-``refresh_count`` / ``suppressed_count`` accounting on identical workloads
-(pinned by the equivalence stress tests).
+**Loop** (:meth:`PropagationEngine._wave`, the only caller of a recompute) —
+one forward pass over the plan deciding, per entry and from its
+predecessors' outcomes alone:
 
-Wave coalescing
----------------
+1. *membership*: reaction hooks (``on_dependency_changed``) are dynamic, so
+   they are evaluated on every wave, once per edge out of a wave member;
+2. *poison*: a member whose input kept a stale value (failed recompute,
+   quarantined circuit, poisoned cross-shard arrival) is skipped and
+   poisons its own dependents — fault containment with the exact law
+   ``planned == refreshes + skipped_poisoned``;
+3. *change cut*: a member none of whose inputs changed is ``suppressed``
+   (unchanged values cut the propagation short, saving work);
+4. otherwise the handler recomputes, exactly once per wave.
 
-When the drainer finds several queued sources, it merges them into one
-**multi-source wave**: the union closure is ordered once and every shared
-dependent recomputes once, reading all merged source values — instead of
-once per source.  This preserves glitch-freedom across sources (dependents
-never observe half of a batch) and is the batching analogue of incremental
-view maintenance.  ``wave_count`` still counts *sources processed* (exact
-lost-wave accounting survives coalescing); ``drain_count`` counts physical
-passes and ``coalesced_source_count`` the sources that shared one.
+What differs between kinds of wave is only where the seeds come from:
+
+* a **source wave** has one seed, changed by fiat (its notification said
+  so).  Manual event notifications (Section 3.2.3, for on-demand sources
+  whose state change must be reflected immediately) enter through
+  :meth:`~PropagationEngine.event_fired`: the source is not recomputed, its
+  on-demand ``get`` recomputes lazily when a refreshed dependent reads it;
+* a **coalesced wave** has several: when the drainer finds more than one
+  queued source it merges them, so every shared dependent recomputes once
+  reading all merged source values — glitch-freedom across sources, the
+  batching analogue of incremental view maintenance.  A seed downstream of
+  another seed recomputes only if that one changed an input of it.
+  ``wave_count`` still counts *sources processed* (exact lost-wave
+  accounting survives coalescing); ``drain_count`` counts physical passes
+  and ``coalesced_source_count`` the sources that shared one;
+* a **continuation wave** is seeded by cross-shard *arrivals* (below): its
+  seeds are ordinary members whose extra input, the foreign origin, arrived
+  changed or poisoned.
 
 Thread safety
 -------------
@@ -67,8 +66,9 @@ Section 3.2.3 requires that triggered updates are "synchronized", and
 Section 4.3 runs periodic refreshes — which feed this engine — on a pool of
 worker threads.  The engine therefore serializes waves across threads:
 
-* every :meth:`value_changed` / :meth:`event_fired` call enqueues exactly one
-  wave source on a mutex-guarded deque,
+* every :meth:`~PropagationEngine.value_changed` /
+  :meth:`~PropagationEngine.event_fired` call enqueues exactly one wave
+  source on a mutex-guarded deque,
 * at most one thread at a time (the *drainer*) pops sources and runs waves,
   run-to-completion, in FIFO order,
 * the drainer role is handed off under the mutex: a thread only gives the
@@ -77,8 +77,8 @@ worker threads.  The engine therefore serializes waves across threads:
   or its enqueuer becomes the next drainer — no wave can be lost.
 
 Waves fired from within a running wave (a refresh that calls
-``notify_changed``) are queued behind the current wave, preserving the
-original single-threaded run-to-completion semantics.
+``notify_changed``) are queued behind the current wave, preserving
+single-threaded run-to-completion semantics.
 
 Shard boundaries
 ----------------
@@ -87,14 +87,13 @@ Under a sharded metadata system (:mod:`repro.metadata.sharding`) every
 shard owns one engine.  The engine then carries a :attr:`router` and a
 :attr:`shard_index`; plan construction records dependent edges whose far
 end lives on a *foreign* shard as **boundary edges** instead of walking
-them, and wave execution forwards each changed (or poisoned) boundary
-crossing to the destination shard's engine through
-:meth:`remote_enqueued` — an enqueue, never a lock acquisition, so no
-thread ever holds two shards' structures mid-wave.  Remote arrivals are
-drained by the destination shard's own drainer as *continuation waves*
-(:meth:`_run_remote`), which preserve the originating span id for causal
-traces and keep the fault-containment law ``planned == refreshes +
-skipped_poisoned`` exact per shard (and therefore globally).
+them, and the wave forwards each changed (or poisoned) boundary crossing to
+the destination shard's engine through
+:meth:`~PropagationEngine.remote_enqueued` — an enqueue, never a lock
+acquisition, so no thread ever holds two shards' structures mid-wave.  The
+destination's own drainer runs the arrivals as a continuation wave, which
+carries the originating span id for causal traces and keeps ``planned ==
+refreshes + skipped_poisoned`` exact per shard (and therefore globally).
 """
 
 from __future__ import annotations
@@ -182,11 +181,96 @@ class PropagationBackend:
         """Attach/detach the telemetry hub (fans out on multi-engine backends)."""
         self.telemetry = telemetry
 
-#: One memoized wave-plan entry: the handler and its (deduplicated)
-#: structural predecessors *within the plan*.  Predecessors always precede
-#: the entry in plan order, so one forward pass can decide membership and
-#: changed-ness incrementally.
-_PlanEntry = "tuple[MetadataHandler, tuple[MetadataHandler, ...]]"
+
+#: What :meth:`PropagationEngine._recompute` returns in place of the changed
+#: flag when the recompute did not complete.
+_FAILED, _EXCLUDED = "failed", "excluded"
+
+#: A wave plan ``(entries, guarded, boundary)``.  ``entries`` lists
+#: ``(handler, predecessors)`` in topological order, predecessors being the
+#: entry's (deduplicated) dependencies *within the plan* — they always
+#: precede it, so one forward pass can decide everything incrementally.
+#: ``guarded`` records whether any entry carries a circuit breaker.  A
+#: breaker exists exactly when the definition had a failure policy, fixed
+#: at handler creation — so the flag is as stable as the plan and lets the
+#: loop skip breaker reads entirely on policy-free topologies (the common
+#: case).  ``boundary`` holds the ``(local, foreign)`` dependent edges that
+#: leave the shard — equally stable: attaching or detaching a cross-shard
+#: dependent bumps the epoch like any other wiring change.
+_Plan = tuple[list, bool, tuple]
+
+
+class _WaveTrace:
+    """Trace recorder of one wave: the only emitter of in-wave events, and
+    the keeper of the tallies ``wave.end`` reports.
+
+    It exists only while telemetry is attached; the wave loop guards every
+    call with ``trace is not None``, so an untraced wave pays one local
+    check per hook and the counters are byte-identical traced or not.
+    """
+
+    __slots__ = ("_emit", "_span", "_spans", "_started", "_stopwatch",
+                 "_refreshed", "_suppressed", "_errors", "_poisoned")
+
+    def __init__(self, tel: "Telemetry", span: int, arrivals: Sequence[tuple],
+                 first: "MetadataHandler", size: int, sources: int,
+                 shard: int) -> None:
+        self._emit = tel.emit
+        self._span = span
+        #: Events of a cross-shard arrival carry the span it travelled under
+        #: (the first, if it arrived more than once), not the wave's.
+        self._spans = {id(a[0]): a[2] for a in reversed(arrivals)}
+        self._refreshed = self._suppressed = self._errors = self._poisoned = 0
+        self._started = self._stopwatch = time.monotonic()
+        self._emit(WaveStart(span=span, node=node_of(first),
+                             key=key_of(first.key), wave_size=size,
+                             sources=sources, shard=shard))
+
+    def suppressed(self, handler: "MetadataHandler", reason: str) -> None:
+        self._suppressed += 1
+        self._emit(WaveSuppressed(
+            span=self._spans.get(id(handler), self._span),
+            node=node_of(handler), key=key_of(handler.key), reason=reason))
+
+    def poisoned(self, handler: "MetadataHandler", reason: str) -> None:
+        self._poisoned += 1
+        self._emit(WavePoisoned(
+            span=self._spans.get(id(handler), self._span),
+            node=node_of(handler), key=key_of(handler.key), reason=reason))
+
+    def refreshing(self, handler: "MetadataHandler", changed_preds: list) -> None:
+        """``handler`` is about to recompute: record each dependency edge
+        the wave crossed into it and start the stopwatch."""
+        span = self._spans.get(id(handler), self._span)
+        for dep in changed_preds:
+            self._emit(WaveHop(span=span, from_node=node_of(dep),
+                               from_key=key_of(dep.key),
+                               to_node=node_of(handler),
+                               to_key=key_of(handler.key)))
+        self._stopwatch = time.monotonic()
+
+    def refreshed(self, handler: "MetadataHandler", outcome: "bool | str",
+                  is_source: bool) -> None:
+        duration = time.monotonic() - self._stopwatch
+        if outcome is _EXCLUDED:
+            self.suppressed(handler, "excluded")
+            return
+        error = outcome is _FAILED
+        if error:
+            self._errors += 1
+            if not is_source:
+                self.poisoned(handler, "compute-failed")
+        self._refreshed += 1
+        self._emit(WaveRefresh(
+            span=self._spans.get(id(handler), self._span),
+            node=node_of(handler), key=key_of(handler.key),
+            changed=outcome is True, error=error, duration=duration))
+
+    def end(self) -> None:
+        self._emit(WaveEnd(span=self._span, refreshed=self._refreshed,
+                           suppressed=self._suppressed, errors=self._errors,
+                           poisoned=self._poisoned,
+                           duration=time.monotonic() - self._started))
 
 
 class PropagationEngine(PropagationBackend):
@@ -198,21 +282,13 @@ class PropagationEngine(PropagationBackend):
     exchangeable-module registries transparently.
     """
 
-    def __init__(self, ordered: bool = True, plan_cache: bool = True,
-                 coalesce: bool = True) -> None:
-        #: ``ordered=False`` switches to naive depth-first recursion — the
-        #: anti-pattern Section 3.2.3 warns about ("updates have to be
-        #: performed in the right order").  It recomputes diamond-shaped
-        #: dependents once per path and transiently exposes inconsistent
-        #: values; it exists only as the ablation baseline of experiment E12.
-        self.ordered = ordered
-        #: Memoize per-source wave plans keyed by the topology epoch.
-        #: ``False`` re-runs the longest-path relaxation on every wave — the
-        #: pre-cache behaviour, kept as the benchmark baseline.
+    def __init__(self, plan_cache: bool = True, coalesce: bool = True) -> None:
+        #: Memoize single-seed wave plans keyed by the topology epoch.
+        #: ``False`` rebuilds the plan on every wave — the reference for
+        #: cache staleness and the benchmark baseline.
         self.plan_cache = plan_cache
         #: Merge simultaneously queued sources into one multi-source wave so
-        #: shared dependents recompute once per batch.  Only effective with
-        #: ``ordered=True``.
+        #: shared dependents recompute once per batch.
         self.coalesce = coalesce
         # Counters are mutated only by the active drainer thread; the drainer
         # role is handed off under ``_mutex``, which orders those mutations.
@@ -225,25 +301,23 @@ class PropagationEngine(PropagationBackend):
         self.error_count = 0       # recomputes that raised (handler keeps old value)
         # Fault-containment accounting.  Every member a wave intended to
         # recompute counts as *planned*; it then either recomputes
-        # (refresh_count) or is skipped because its subtree is poisoned —
-        # an in-wave dependency failed, or its own circuit is quarantined
-        # (skipped_poisoned_count).  The conservation law
-        # ``planned == refreshes_delta + skipped_poisoned`` is exact and
-        # pinned by tests/metadata/test_wave_poisoning.py, the same way
-        # PR 1 pinned lost-wave accounting.
+        # (refresh_count) or is skipped because its subtree is poisoned
+        # (skipped_poisoned_count).  ``planned == refreshes +
+        # skipped_poisoned`` is exact, pinned by
+        # tests/metadata/test_wave_poisoning.py.
         self.planned_count = 0
         self.skipped_poisoned_count = 0
         self.plan_hits = 0         # waves that reused a fresh cached plan
-        self.plan_misses = 0       # waves that (re)built their plan
+        self.plan_misses = 0       # waves that (re)built their cached plan
         # Cross-shard accounting: entries this engine forwarded to foreign
         # shards and entries it received from them.  At quiescence the sums
         # across all shards balance (sum(remote_out) == sum(remote_in)).
         self.remote_out_count = 0
         self.remote_in_count = 0
-        self.remote_wave_count = 0  # continuation waves run for remote seeds
+        self.remote_wave_count = 0  # continuation waves an arrival carried on into
         #: Sharding hooks, wired by ``ShardedPropagationBackend``.  ``None``
-        #: router = unsharded: every dependent is local and the boundary
-        #: machinery below compiles out to an always-empty tuple.
+        #: router = unsharded: every dependent is local and every plan's
+        #: boundary is the empty tuple.
         self.router: "ShardRouter | None" = None
         self.shard_index = 0
         #: Telemetry hub attached by ``MetadataSystem.enable_telemetry``;
@@ -262,28 +336,45 @@ class PropagationEngine(PropagationBackend):
         self._remote: deque[tuple["MetadataHandler", "MetadataHandler",
                                   int, bool]] = deque()
         self._drainer: int | None = None  # ident of the thread running waves
-        # Wave-plan cache: id(source) -> (epoch, entries, guarded, boundary).
-        # Guarded by ``_mutex``; cleared eagerly on every epoch bump so stale
-        # plans never pin excluded handlers in memory.
+        # Plan cache: id(seed) -> (epoch, plan).  Guarded by ``_mutex``;
+        # cleared eagerly on every epoch bump so stale plans never pin
+        # excluded handlers in memory.
         self._topology_epoch = 0
-        self._plans: dict[int, tuple[int, list, bool, tuple]] = {}
+        self._plans: dict[int, tuple[int, _Plan]] = {}
 
     # -- public entry points -------------------------------------------------
 
     def value_changed(self, source: "MetadataHandler") -> None:
         """A handler's stored value changed; refresh dependents in order."""
-        self._start([source])
+        self._enqueue([source])
 
     def event_fired(self, source: "MetadataHandler") -> None:
         """A manual event notification for ``source`` (Section 3.2.3)."""
-        self._start([source])
+        self._enqueue([source])
 
     def events_fired(self, sources: Sequence["MetadataHandler"]) -> None:
         """Batch form of :meth:`event_fired`: enqueue all sources under one
         mutex acquisition so a coalescing drainer merges them into a single
         multi-source wave (shared dependents recompute once per batch)."""
         if sources:
-            self._start(list(sources))
+            self._enqueue(sources)
+
+    def remote_enqueued(self, handler: "MetadataHandler",
+                        origin: "MetadataHandler", span: int,
+                        poisoned: bool) -> None:
+        """Cross-shard arrival: a wave on ``origin``'s shard reached the
+        foreign ``handler`` owned by this engine's shard.
+
+        Called by the :class:`~repro.metadata.sharding.ShardRouter` from the
+        *sending* shard's drainer thread, which holds none of this engine's
+        locks — so the same drainer hand-off as a local change applies:
+        enqueue under the mutex, then either this thread becomes the
+        drainer (and runs the continuation wave inline) or the active
+        drainer is guaranteed to see the entry before retiring.  Re-entrant
+        routing (a continuation wave routing straight back) therefore
+        enqueues and returns — no lock cycles, no lost waves.
+        """
+        self._enqueue((), (handler, origin, span, poisoned))
 
     @property
     def topology_epoch(self) -> int:
@@ -305,100 +396,73 @@ class PropagationEngine(PropagationBackend):
                 self._plans.clear()
             return self._topology_epoch
 
-    # -- wave machinery ----------------------------------------------------------
+    # -- queueing and the drainer hand-off ---------------------------------------
 
-    def _start(self, sources: "list[MetadataHandler]") -> None:
+    def _enqueue(self, sources: Sequence["MetadataHandler"],
+                 arrival: "tuple | None" = None) -> None:
+        """Queue local ``sources`` (or one cross-shard ``arrival``) and take
+        the drainer role if it is free — the one entry into the engine."""
         tel = self.telemetry
+        entries: "list[tuple[MetadataHandler, int]]" = []
         with self._mutex:
-            if tel is not None:
-                entries = [(s, tel.bus.new_span()) for s in sources]
+            if arrival is not None:
+                self._remote.append(arrival)
+                span = arrival[2]
             else:
-                entries = [(s, 0) for s in sources]
-            self._pending.extend(entries)
-            depth = len(self._pending)
+                entries = [(s, tel.bus.new_span() if tel is not None else 0)
+                           for s in sources]
+                self._pending.extend(entries)
+                span = entries[0][1]
+            depth = len(self._pending) + len(self._remote)
             acquired = self._drainer is None
             if acquired:
                 self._drainer = threading.get_ident()
         if tel is not None:
-            for source, span in entries:
-                tel.emit(WaveEnqueued(span=span, node=node_of(source),
+            for source, source_span in entries:
+                tel.emit(WaveEnqueued(span=source_span, node=node_of(source),
                                       key=key_of(source.key), pending=depth))
             if acquired:
-                tel.emit(DrainHandoff(span=entries[0][1], acquired=True,
-                                      pending=depth))
+                tel.emit(DrainHandoff(span=span, acquired=True, pending=depth))
         if not acquired:
             # A drain loop is active — either on another thread, or on
             # this thread below us in the stack (a refresh inside a
-            # running wave reported a change).  The source is already
+            # running wave reported a change).  The entry is already
             # queued; the drainer is guaranteed to see it because it
             # only retires inside this mutex after observing an empty
             # queue.  Run-to-completion is preserved in both cases.
             return
         self._drain(tel)
 
-    def remote_enqueued(self, handler: "MetadataHandler",
-                        origin: "MetadataHandler", span: int,
-                        poisoned: bool) -> None:
-        """Cross-shard arrival: a wave on ``origin``'s shard reached the
-        foreign ``handler`` owned by this engine's shard.
-
-        Called by the :class:`~repro.metadata.sharding.ShardRouter` from the
-        *sending* shard's drainer thread, which holds none of this engine's
-        locks — so the same drainer-handoff protocol as :meth:`_start`
-        applies: enqueue under the mutex, then either this thread becomes
-        the drainer (and runs the continuation wave inline) or the active
-        drainer is guaranteed to see the entry before retiring.  Re-entrant
-        routing (a continuation wave routing straight back) therefore
-        enqueues and returns — no lock cycles, no lost waves.
-        """
-        with self._mutex:
-            self._remote.append((handler, origin, span, poisoned))
-            acquired = self._drainer is None
-            if acquired:
-                self._drainer = threading.get_ident()
-        if not acquired:
-            return
-        self._drain(self.telemetry)
-
     def _drain(self, tel: "Telemetry | None") -> None:
         """Run waves until both queues are empty, then retire the drainer
-        role atomically with the emptiness check (see :meth:`_start`)."""
-        batching = self.coalesce and self.ordered
+        role atomically with the emptiness check (see :meth:`_enqueue`).
+        ``tel`` is the hub the acquire was reported to, so every traced
+        hand-off pairs an acquire with a release."""
         try:
             while True:
-                remote: "list[tuple[MetadataHandler, MetadataHandler, int, bool]] | None"
-                batch: "list[tuple[MetadataHandler, int]] | None"
                 with self._mutex:
                     if not self._pending and not self._remote:
                         # Retire atomically with the emptiness check: a
-                        # concurrent _start either appended before we got
+                        # concurrent _enqueue either appended before we got
                         # the mutex (we loop again) or will acquire it
                         # after us and become the next drainer itself.
                         self._drainer = None
                         break
+                    arrivals: "list | None" = None
+                    batch: "list | None" = None
                     if self._remote:
-                        remote = list(self._remote)
+                        arrivals = list(self._remote)
                         self._remote.clear()
-                    else:
-                        remote = None
-                    if not self._pending:
-                        batch = None
-                    elif batching:
-                        batch = list(self._pending)
-                        self._pending.clear()
-                    else:
-                        batch = [self._pending.popleft()]
-                if remote is not None:
-                    self._run_remote(remote)
-                if batch is None:
-                    continue
-                if not self.ordered:
-                    for next_source, next_span in batch:
-                        self._run_naive(next_source, next_span)
-                elif len(batch) == 1:
-                    self._run_wave(batch[0][0], batch[0][1])
-                else:
-                    self._run_coalesced(batch)
+                    if self._pending:
+                        if self.coalesce:
+                            batch = list(self._pending)
+                            self._pending.clear()
+                        else:
+                            batch = [self._pending.popleft()]
+                if arrivals is not None:
+                    self._run_arrivals(arrivals)
+                if batch is not None:
+                    self._run_sources(batch)
             if tel is not None:
                 tel.emit(DrainHandoff(acquired=False, pending=0))
         except BaseException:
@@ -409,50 +473,56 @@ class PropagationEngine(PropagationBackend):
                 self._drainer = None
             raise
 
-    def _run_naive(self, source: "MetadataHandler", span: int = 0) -> None:
-        """Ablation baseline: unordered depth-first recursion (see __init__).
-
-        Deliberately untraced beyond the wave count — it exists only as the
-        experiment-E12 baseline, not as an operable configuration.
-        """
-        self.wave_count += 1
+    def _run_sources(self, batch: "list[tuple[MetadataHandler, int]]") -> None:
+        """One wave for every source queued at drain time.  Duplicate
+        sources collapse (a batch of notifications for one item is one
+        refresh of its dependents, each reading the latest state);
+        ``wave_count`` still advances once per queue entry so lost-wave
+        accounting is exact."""
+        self.wave_count += len(batch)
         self.drain_count += 1
-        self._recurse_naive(source)
+        seeds = [batch[0][0]]
+        span = batch[0][1]
+        if len(batch) > 1:
+            seeds = list({id(s): s for s, _ in batch}.values())
+            self.merged_wave_count += 1
+            self.coalesced_source_count += len(batch)
+            tel = self.telemetry
+            if tel is not None:
+                # Attribute the merged wave to every contributing source:
+                # one linkage event per folded source ties its enqueue span
+                # to the span the wave's hops/refreshes will carry.
+                for source, source_span in batch[1:]:
+                    tel.emit(WaveCoalesced(span=span, node=node_of(source),
+                                           key=key_of(source.key),
+                                           source_span=source_span))
+        self._wave(seeds, span)
 
-    def _recurse_naive(self, handler: "MetadataHandler") -> None:
-        router = self.router
-        for dependent in handler.dependents():
-            if router is not None \
-                    and dependent.registry.shard_index != self.shard_index:
-                # Foreign dependent: hand off instead of recursing into
-                # another shard's handlers (the ablation keeps the
-                # enqueue-not-lock rule even though it ignores ordering).
-                self.remote_out_count += 1
-                router.route(dependent, handler, 0, False)
-                continue
-            if dependent.removed or not dependent.on_dependency_changed(handler):
-                continue
-            self.planned_count += 1
-            self.refresh_count += 1
-            if self._recompute(dependent):
-                self._recurse_naive(dependent)
+    def _run_arrivals(self, batch: list) -> None:
+        """One continuation wave for every arrival queued at drain time,
+        seeded by the arrived handlers (several shards, or several waves,
+        may have routed the same one).  ``wave_count`` does not move: the
+        change was counted where it was enqueued."""
+        self.remote_in_count += len(batch)
+        seeds = {}
+        for arrival in batch:
+            seeds[id(arrival[0])] = arrival[0]
+        self._wave(list(seeds.values()), batch[0][2], batch)
 
-    # -- plan construction and caching ------------------------------------------
+    # -- plan ----------------------------------------------------------------------
 
-    def _build_plan(self, seeds: "list[MetadataHandler]") -> "tuple[list, tuple]":
+    def _build_plan(self, seeds: "list[MetadataHandler]") -> _Plan:
         """Structural wave plan: the dependent closure of ``seeds``,
-        topologically ordered, with per-entry predecessor tuples.
+        topologically ordered (see :data:`_Plan`).
 
         Ordering uses longest-path depth over dependent edges, which
         guarantees that within the plan every handler appears after all of
         its in-plan dependencies.  Reaction hooks are *not* consulted — the
-        plan is pure structure; hooks run at execution time, once per edge.
-
-        Returns ``(entries, boundary)``: dependent edges whose far end
-        lives on a foreign shard are *not* walked — they are recorded as
-        ``(local, foreign)`` boundary pairs for :meth:`_route_boundary`, so
-        the plan never contains another shard's handlers.  ``boundary`` is
-        always empty while :attr:`router` is ``None``.
+        plan is pure structure; hooks run in the loop, once per edge.
+        Dependent edges whose far end lives on a foreign shard are *not*
+        walked — they become the plan's boundary, so it never contains
+        another shard's handlers (always empty while :attr:`router` is
+        ``None``).
         """
         router = self.router
         shard = self.shard_index
@@ -485,404 +555,179 @@ class PropagationEngine(PropagationBackend):
         # dict preserves discovery order; the stable sort keeps it for ties.
         order = sorted(handlers, key=lambda h: depth[h])
         return ([(handlers[h], tuple(preds[h].values())) for h in order],
+                any(handlers[h].breaker is not None for h in order),
                 tuple(boundary.values()))
 
-    def _plan_entries(
-        self, source: "MetadataHandler"
-    ) -> "tuple[list, bool, tuple]":
-        """Cached ``(plan, guarded, boundary)`` for ``source``, rebuilt when
-        the topology epoch moved.
-
-        ``guarded`` records whether any plan member carries a circuit
-        breaker.  A breaker exists exactly when the definition had a
-        failure policy, fixed at handler creation — so the flag is as
-        stable as the plan itself and lets the fast path skip per-refresh
-        breaker reads entirely on policy-free topologies (the common case
-        the no-policy overhead gate protects).  ``boundary`` is the plan's
-        cross-shard edge set (see :meth:`_build_plan`), as stable as the
-        plan: attaching or detaching a cross-shard dependent bumps the
-        epoch like any other wiring change.
+    def _plan(self, seeds: "list[MetadataHandler]") -> _Plan:
+        """The plan for ``seeds``: cached per single seed while the topology
+        epoch stands still, built and not stored otherwise (seed
+        combinations are unbounded, and ``plan_cache=False`` asks for it).
         """
-        sid = id(source)
+        if not self.plan_cache or len(seeds) != 1:
+            return self._build_plan(seeds)
+        sid = id(seeds[0])
         with self._mutex:
             epoch = self._topology_epoch
             cached = self._plans.get(sid)
             if cached is not None and cached[0] == epoch:
                 self.plan_hits += 1
-                return cached[1], cached[2], cached[3]
+                return cached[1]
             self.plan_misses += 1
-        entries, boundary = self._build_plan([source])
-        guarded = any(h.breaker is not None for h, _ in entries)
+        plan = self._build_plan(seeds)
         with self._mutex:
             # A concurrent wiring change since the epoch was sampled makes
-            # this plan stale on arrival: run it (same hazard the uncached
-            # engine has between collection and execution) but do not cache.
+            # this plan stale on arrival: run it (any plan can go stale
+            # between construction and execution) but do not cache it.
             if self._topology_epoch == epoch:
-                self._plans[sid] = (epoch, entries, guarded, boundary)
-        return entries, guarded, boundary
+                self._plans[sid] = (epoch, plan)
+        return plan
 
-    def _collect_wave(
-        self, source: "MetadataHandler"
-    ) -> "tuple[list[MetadataHandler], tuple]":
-        """Triggered-handler closure of ``source``, topologically ordered —
-        the uncached path (``plan_cache=False``), kept as the benchmark
-        baseline and the reference semantics.
+    # -- loop ----------------------------------------------------------------------
 
-        Ordering uses longest-path depth from the source over dependent
-        edges, which guarantees that within the wave every handler appears
-        after all of its in-wave dependencies.  Foreign-shard dependents
-        are recorded as boundary edges exactly like :meth:`_build_plan`
-        does — structurally, without consulting their reaction hooks, which
-        run on the owning shard when the routed entry is processed — so
-        cached and uncached execution stay accounting-equivalent.
-        """
-        router = self.router
-        shard = self.shard_index
-        boundary: dict[tuple[int, int], tuple] = {}
-        depth: dict[int, int] = {id(source): 0}
-        handlers: dict[int, "MetadataHandler"] = {id(source): source}
-        # Relaxation revisits a handler's dependents every time its depth
-        # grows; memoize on_dependency_changed per edge so each reaction
-        # hook runs at most once per wave regardless of revisit count.
-        wants_refresh: dict[tuple[int, int], bool] = {}
-        # Repeated relaxation over a DAG; the include machinery rejects
-        # cycles, so this terminates.
-        frontier: list["MetadataHandler"] = [source]
-        while frontier:
-            next_frontier: list["MetadataHandler"] = []
-            for handler in frontier:
-                for dependent in handler.dependents():
-                    edge = (id(handler), id(dependent))
-                    if router is not None \
-                            and dependent.registry.shard_index != shard:
-                        boundary[edge] = (handler, dependent)
-                        continue
-                    wanted = wants_refresh.get(edge)
-                    if wanted is None:
-                        wanted = bool(dependent.on_dependency_changed(handler))
-                        wants_refresh[edge] = wanted
-                    if not wanted:
-                        continue
-                    d = depth[id(handler)] + 1
-                    if id(dependent) not in depth:
-                        depth[id(dependent)] = d
-                        handlers[id(dependent)] = dependent
-                        next_frontier.append(dependent)
-                    elif d > depth[id(dependent)]:
-                        depth[id(dependent)] = d
-                        next_frontier.append(dependent)
-            frontier = next_frontier
-        # dict preserves discovery order; the stable sort keeps it for ties.
-        return ([handlers[h] for h in sorted(handlers, key=lambda h: depth[h])],
-                tuple(boundary.values()))
+    def _wave(self, seeds: "list[MetadataHandler]", span: int,
+              arrivals: "list | None" = None) -> None:
+        """Run one wave: obtain the plan for ``seeds``, pass over it once.
 
-    def _materialize(self, entries: list, seed_ids: "set[int]"):
-        """Effective wave of a structural plan under current hook results.
-
-        Walks the plan once, evaluating ``on_dependency_changed`` exactly
-        once per (member predecessor -> entry) edge — the same edge set the
-        uncached relaxation evaluates — and returns the member handlers in
-        plan order plus their id set.
-        """
-        wave: list["MetadataHandler"] = []
-        members: set[int] = set(seed_ids)
-        for handler, preds in entries:
-            hid = id(handler)
-            if hid in seed_ids:
-                wave.append(handler)
-                continue
-            wanted = False
-            for pred in preds:
-                if id(pred) in members and handler.on_dependency_changed(pred):
-                    wanted = True
-            if wanted:
-                members.add(hid)
-                wave.append(handler)
-        return wave, members
-
-    # -- wave execution -----------------------------------------------------------
-
-    def _run_wave(self, source: "MetadataHandler", span: int = 0) -> None:
-        self.wave_count += 1
-        self.drain_count += 1
-        tel = self.telemetry
-        if self.plan_cache:
-            entries, guarded, boundary = self._plan_entries(source)
-            if tel is None:
-                self._execute_plan_fast(entries, source, guarded, boundary)
-                return
-            wave, in_wave = self._materialize(entries, {id(source)})
-        else:
-            wave, boundary = self._collect_wave(source)
-            in_wave = {id(h) for h in wave}
-        self._execute_wave(wave, in_wave, [source], span, boundary=boundary)
-
-    def _run_coalesced(self, batch: "list[tuple[MetadataHandler, int]]") -> None:
-        """One multi-source wave for every source queued at drain time.
-
-        Duplicate sources collapse (a batch of notifications for one item is
-        one refresh of its dependents, each reading the latest state);
-        ``wave_count`` still advances once per queue entry so lost-wave
-        accounting is exact.  Merged plans are built fresh — the per-source
-        cache only covers single-source waves, and source combinations are
-        unbounded.
-        """
-        self.wave_count += len(batch)
-        self.drain_count += 1
-        self.merged_wave_count += 1
-        self.coalesced_source_count += len(batch)
-        seeds: list["MetadataHandler"] = []
-        seen: set[int] = set()
-        for source, _ in batch:
-            if id(source) not in seen:
-                seen.add(id(source))
-                seeds.append(source)
-        span = batch[0][1]
-        tel = self.telemetry
-        if tel is not None:
-            # Attribute the merged wave to every contributing source: one
-            # linkage event per folded source ties its enqueue span to the
-            # span the wave's hops/refreshes will carry.
-            for source, source_span in batch[1:]:
-                tel.emit(WaveCoalesced(span=span, node=node_of(source),
-                                       key=key_of(source.key),
-                                       source_span=source_span))
-        entries, boundary = self._build_plan(seeds)
-        wave, in_wave = self._materialize(entries, seen)
-        self._execute_wave(wave, in_wave, seeds, span, boundary=boundary)
-
-    def _execute_plan_fast(self, entries: list, source: "MetadataHandler",
-                           guarded: bool = True,
-                           boundary: tuple = ()) -> None:
-        """Untraced single-source execution of a cached plan: one linear
-        pass deciding membership, change-cut suppression and refreshes.
-
-        Accounting-equivalent to :meth:`_execute_wave` over
-        :meth:`_collect_wave` (see the module docstring); hooks still run
-        once per member edge because plan predecessors are deduplicated and
-        each entry is visited once.
+        Without ``arrivals`` the seeds are wave *sources*: changed by fiat
+        (their notification said so) and only recomputed when another
+        merged source changed one of their dependencies first — keeping
+        them consistent within the batch.  With ``arrivals`` (``(seed,
+        origin, span, poisoned)`` as routed) this is a continuation wave:
+        each seed is an ordinary member, and the foreign ``origin`` that
+        changed — or, if ``poisoned``, kept a stale value — on another
+        shard is one more predecessor of it, already decided.
 
         Counters accumulate in locals and flush once per wave (the drainer
         thread owns them, and ``stats()`` reads under the mutex after the
-        drain handoff) — per-refresh attribute writes here are measurable
-        against the no-policy overhead gate in ``bench_fault_overhead.py``.
+        drain handoff) — per-refresh attribute writes are measurable on
+        the wave-storm workload of ``benchmarks/e2e``.
         """
-        changed: set[int] = {id(source)}
-        members: set[int] = {id(source)}
+        entries, guarded, boundary = self._plan(seeds)
+        sources = set(map(id, seeds)) if arrivals is None else set()
+        members = set(sources)
+        changed = set(sources)
         poisoned: set[int] = set()
+        # id(seed) -> its foreign origins, which are already decided:
+        inbound: dict[int, tuple] = {}
+        for seed, origin, _, stale in arrivals or ():
+            # Poison dominates a concurrent change vote, because the poison
+            # check below runs before the change check.
+            (poisoned if stale else changed).add(id(origin))
+            members.add(id(origin))
+            origins = inbound.get(id(seed), ())
+            if origin not in origins:
+                inbound[id(seed)] = origins + (origin,)
+        tel = self.telemetry
+        trace = None if tel is None else _WaveTrace(
+            tel, span, arrivals or (), seeds[0], len(entries), len(seeds),
+            self.shard_index if self.router is not None else -1)
         refreshes = suppressed = skipped = 0
-        errors_seen = self.error_count
         try:
-            for handler, preds in entries[1:]:
-                member_preds = [p for p in preds if id(p) in members]
-                if not member_preds:
-                    continue
-                wanted = False
-                for pred in member_preds:
-                    if handler.on_dependency_changed(pred):
-                        wanted = True
-                if not wanted:
-                    continue
-                members.add(id(handler))
+            for handler, preds in entries:
+                hid = id(handler)
+                if inbound and hid in inbound:
+                    preds += inbound[hid]
+                member_preds = [p for p in preds if id(p) in members] \
+                    if preds else preds
+                is_source = hid in sources
+                if is_source:
+                    if not member_preds:
+                        continue  # nothing upstream of it in this wave
+                else:
+                    # Membership: every hook on an edge out of a member runs
+                    # (no short-circuit), exactly once per wave.
+                    wanted = False
+                    for pred in member_preds:
+                        if handler.on_dependency_changed(pred):
+                            wanted = True
+                    if not wanted:
+                        continue
+                    members.add(hid)
                 if handler.removed:
+                    if trace is not None and not is_source:
+                        trace.suppressed(handler, "removed")
                     continue
-                if poisoned and any(id(p) in poisoned for p in member_preds):
-                    # An in-wave dependency kept its stale value: recomputing
-                    # here would fold a half-updated input view.  The poison
-                    # spreads, skipping exactly this dependent subtree.
+                # Poison spreads before anything else: an input that kept
+                # its stale value makes a recompute here fold a half-updated
+                # view.  Sources are exempt — their own change happened
+                # before the wave and must still reach their dependents.
+                if poisoned and not is_source \
+                        and any(id(p) in poisoned for p in member_preds):
                     skipped += 1
-                    poisoned.add(id(handler))
+                    poisoned.add(hid)
+                    if trace is not None:
+                        trace.poisoned(handler, "poisoned-input")
                     continue
+                # Refresh only when an input actually changed.
                 for pred in member_preds:
                     if id(pred) in changed:
                         break
                 else:
-                    # Refresh only when an in-wave dependency changed.
-                    suppressed += 1
+                    if not is_source:
+                        suppressed += 1
+                        if trace is not None:
+                            trace.suppressed(handler, "unchanged-inputs")
                     continue
-                if guarded and handler.breaker is not None \
+                if guarded and not is_source and handler.breaker is not None \
                         and handler.breaker.attempt_blocked():
                     # Quarantined with no probe due: let it rest; dependents
                     # get its stale last-good value, so their subtree is
                     # poisoned.
                     skipped += 1
-                    poisoned.add(id(handler))
+                    poisoned.add(hid)
+                    if trace is not None:
+                        trace.poisoned(handler, "quarantined")
                     continue
                 refreshes += 1
-                if self._recompute(handler):
-                    changed.add(id(handler))
-                else:
-                    errors_now = self.error_count
-                    if errors_now > errors_seen:
-                        errors_seen = errors_now
-                        poisoned.add(id(handler))
+                if trace is not None:
+                    trace.refreshing(handler, [p for p in member_preds
+                                               if id(p) in changed])
+                outcome = self._recompute(handler)
+                if outcome is True:
+                    changed.add(hid)
+                elif outcome is _FAILED and not is_source:
+                    # The handler keeps its last-good value and its
+                    # dependent subtree is skipped.  Sources stay changed —
+                    # their pre-wave change is still news for dependents.
+                    poisoned.add(hid)
+                if trace is not None:
+                    trace.refreshed(handler, outcome, is_source)
         finally:
             self.refresh_count += refreshes
             self.suppressed_count += suppressed
             self.planned_count += refreshes + skipped
             self.skipped_poisoned_count += skipped
+        if inbound and not (changed.isdisjoint(inbound)
+                            and poisoned.isdisjoint(inbound)):
+            self.remote_wave_count += 1  # an arrival had news for this shard
+        if trace is not None:
+            trace.end()
         # Counters are flushed before routing: a routed entry may drain the
         # destination shard inline on this thread, and that continuation
         # must observe this wave's accounting as complete.
-        self._route_boundary(boundary, changed, poisoned, 0)
+        if boundary:
+            self._route_boundary(boundary, changed, poisoned, span)
 
-    def _execute_wave(self, wave: "list[MetadataHandler]", in_wave: "set[int]",
-                      seeds: "list[MetadataHandler]", span: int = 0,
-                      poisoned_seed_ids: "frozenset[int] | set[int]" = frozenset(),
-                      boundary: tuple = ()) -> None:
-        tel = self.telemetry
-        seed_ids = {id(s) for s in seeds}
-        # Remote continuation waves seed poisoned handlers (their cross-shard
-        # input was poisoned): they are wave members so poison spreads to
-        # their dependents, but they are *not* changed-by-fiat like ordinary
-        # seeds — they kept their stale value.
-        changed_ids = seed_ids - poisoned_seed_ids
-        poisoned: set[int] = set(poisoned_seed_ids)
-        first = seeds[0]
-        if tel is not None:
-            refreshed = suppressed = errors = poisoned_n = 0
-            wave_t0 = time.monotonic()
-            tel.emit(WaveStart(span=span, node=node_of(first),
-                               key=key_of(first.key), wave_size=len(wave),
-                               sources=len(seed_ids),
-                               shard=self.shard_index
-                               if self.router is not None else -1))
-        for handler in wave:
-            is_seed = id(handler) in seed_ids
-            if handler.removed:
-                if is_seed:
-                    continue
-                if tel is not None:
-                    tel.emit(WaveSuppressed(span=span, node=node_of(handler),
-                                            key=key_of(handler.key),
-                                            reason="removed"))
-                continue
-            if is_seed and id(handler) in poisoned:
-                # A poisoned remote seed was already accounted (planned +
-                # skipped_poisoned) by _run_remote; it participates in the
-                # wave only to spread poison to its dependent subtree —
-                # even when another seed changed one of its local inputs,
-                # its cross-shard input is still stale.
-                continue
-            # Poison spreads before anything else: an in-wave dependency that
-            # kept its stale value makes a recompute here read half-updated
-            # inputs.  Seeds are exempt — their own change already happened
-            # before the wave and must still reach their dependents.
-            if poisoned and not is_seed and any(
-                    id(dep) in poisoned
-                    for _, dep in handler.dependency_handlers):
-                self.planned_count += 1
-                self.skipped_poisoned_count += 1
-                poisoned.add(id(handler))
-                if tel is not None:
-                    poisoned_n += 1
-                    tel.emit(WavePoisoned(span=span, node=node_of(handler),
-                                          key=key_of(handler.key),
-                                          reason="poisoned-input"))
-                continue
-            # Refresh only when an in-wave dependency actually changed.  A
-            # seed is changed by fiat (its notification said so) and is only
-            # recomputed when another merged source changed one of its
-            # dependencies first — keeping it consistent within the batch.
-            if tel is None:
-                inputs_changed = any(
-                    id(dep) in changed_ids
-                    for _, dep in handler.dependency_handlers
-                    if id(dep) in in_wave
-                )
-            else:
-                # Traced variant: materialize the changed edges so each
-                # dependency hop the wave crossed is in the span.
-                changed_deps = [
-                    dep for _, dep in handler.dependency_handlers
-                    if id(dep) in in_wave and id(dep) in changed_ids
-                    and id(dep) != id(handler)
-                ]
-                inputs_changed = bool(changed_deps)
-                if not is_seed or inputs_changed:
-                    for dep in changed_deps:
-                        tel.emit(WaveHop(span=span,
-                                         from_node=node_of(dep),
-                                         from_key=key_of(dep.key),
-                                         to_node=node_of(handler),
-                                         to_key=key_of(handler.key)))
-            if is_seed and not inputs_changed:
-                continue
-            if not inputs_changed:
-                self.suppressed_count += 1
-                if tel is not None:
-                    suppressed += 1
-                    tel.emit(WaveSuppressed(span=span, node=node_of(handler),
-                                            key=key_of(handler.key),
-                                            reason="unchanged-inputs"))
-                continue
-            breaker = handler.breaker
-            if breaker is not None and not is_seed \
-                    and breaker.attempt_blocked():
-                # Quarantined with no probe due: let it rest; dependents get
-                # its stale last-good value, so their subtree is poisoned.
-                self.planned_count += 1
-                self.skipped_poisoned_count += 1
-                poisoned.add(id(handler))
-                if tel is not None:
-                    poisoned_n += 1
-                    tel.emit(WavePoisoned(span=span, node=node_of(handler),
-                                          key=key_of(handler.key),
-                                          reason="quarantined"))
-                continue
-            self.planned_count += 1
-            self.refresh_count += 1
-            if tel is None:
-                errors_before = self.error_count
-                recompute_changed = self._recompute(handler)
-                if recompute_changed or is_seed:
-                    changed_ids.add(id(handler))
-                elif self.error_count > errors_before:
-                    poisoned.add(id(handler))
-                continue
-            # Traced recompute: counters are drainer-private (see __init__),
-            # so before/after deltas attribute errors and concurrent-exclude
-            # suppressions to this handler without changing the accounting.
-            errors_before = self.error_count
-            suppressed_before = self.suppressed_count
-            t0 = time.monotonic()
-            changed = self._recompute(handler)
-            duration = time.monotonic() - t0
-            if self.suppressed_count > suppressed_before:
-                suppressed += 1
-                tel.emit(WaveSuppressed(span=span, node=node_of(handler),
-                                        key=key_of(handler.key),
-                                        reason="excluded"))
-                continue
-            error = self.error_count > errors_before
-            refreshed += 1
-            if error:
-                errors += 1
-                if not is_seed:
-                    # Recompute failed: the handler keeps its last-good value
-                    # and its dependent subtree is skipped (exact accounting
-                    # above).  Seeds stay changed — their pre-wave change is
-                    # still news for dependents.
-                    poisoned.add(id(handler))
-                    poisoned_n += 1
-                    tel.emit(WavePoisoned(span=span, node=node_of(handler),
-                                          key=key_of(handler.key),
-                                          reason="compute-failed"))
-            tel.emit(WaveRefresh(span=span, node=node_of(handler),
-                                 key=key_of(handler.key), changed=changed,
-                                 error=error, duration=duration))
-            if changed or is_seed:
-                changed_ids.add(id(handler))
-        if tel is not None:
-            tel.emit(WaveEnd(span=span, refreshed=refreshed,
-                             suppressed=suppressed, errors=errors,
-                             poisoned=poisoned_n,
-                             duration=time.monotonic() - wave_t0))
-        self._route_boundary(boundary, changed_ids, poisoned, span)
+    def _recompute(self, handler: "MetadataHandler") -> "bool | str":
+        """Best-effort recompute: a failing provider keeps its old value and
+        does not abort the wave for its siblings.  Returns whether
+        dependents must be told, or ``_FAILED`` / ``_EXCLUDED`` when the
+        recompute did not complete."""
+        try:
+            return True if handler.recompute_for_propagation() else False
+        except MetadataNotIncludedError:
+            # The handler was excluded between plan construction and its
+            # turn to refresh — a normal hazard under concurrent
+            # unsubscribe, not a provider failure.
+            self.suppressed_count += 1
+            return _EXCLUDED
+        except Exception:  # noqa: BLE001 - contain provider failures
+            self.error_count += 1
+            return _FAILED
 
     # -- cross-shard hand-off ----------------------------------------------------
 
-    def _route_boundary(self, boundary: tuple, changed_ids: "set[int]",
+    def _route_boundary(self, boundary: tuple, changed: "set[int]",
                         poisoned: "set[int]", span: int) -> None:
         """Forward this wave's boundary crossings to their owning shards.
 
@@ -895,8 +740,7 @@ class PropagationEngine(PropagationBackend):
         continuation drain observes consistent accounting.
         """
         router = self.router
-        if router is None or not boundary:
-            return
+        assert router is not None  # a boundary is only recorded under one
         votes: dict[int, tuple] = {}
         for local, foreign in boundary:
             lid = id(local)
@@ -904,7 +748,7 @@ class PropagationEngine(PropagationBackend):
                 current = votes.get(id(foreign))
                 if current is None or not current[2]:
                     votes[id(foreign)] = (foreign, local, True)
-            elif lid in changed_ids:
+            elif lid in changed:
                 votes.setdefault(id(foreign), (foreign, local, False))
         tel = self.telemetry
         for foreign, local, poison in votes.values():
@@ -919,117 +763,6 @@ class PropagationEngine(PropagationBackend):
                     to_node=node_of(foreign), to_key=key_of(foreign.key),
                     poisoned=poison))
             router.route(foreign, local, span, poison)
-
-    def _run_remote(self, batch: "list[tuple[MetadataHandler, MetadataHandler, int, bool]]") -> None:
-        """Process cross-shard arrivals as one continuation wave.
-
-        Entries are deduplicated per foreign handler (several shards, or
-        several waves, may have routed the same dependent; poison
-        dominates a concurrent change vote).  Each surviving entry is the
-        far end of a dependency edge whose near end changed on another
-        shard, so it is *planned* exactly like an in-wave member: it
-        either refreshes, or is skipped as poisoned (stale cross-shard
-        input, or its own quarantined circuit) — ``planned == refreshes +
-        skipped_poisoned`` stays exact on this shard's counters alone.
-        Changed and poisoned results then seed one ordered local wave over
-        their dependent closures, which may route further boundary
-        crossings itself.  The same code path serves all four
-        cached/uncached × traced/untraced modes, so their accounting is
-        identical by construction.
-        """
-        self.remote_in_count += len(batch)
-        merged: dict[int, list] = {}
-        for handler, origin, span, poisoned in batch:
-            entry = merged.get(id(handler))
-            if entry is None:
-                merged[id(handler)] = [handler, origin, span, poisoned]
-            elif poisoned and not entry[3]:
-                entry[3] = True
-        tel = self.telemetry
-        seeds: "list[MetadataHandler]" = []
-        poisoned_ids: set[int] = set()
-        span = batch[0][2]
-        for handler, origin, entry_span, poisoned in merged.values():
-            if handler.removed or not handler.on_dependency_changed(origin):
-                continue
-            self.planned_count += 1
-            if poisoned:
-                self.skipped_poisoned_count += 1
-                poisoned_ids.add(id(handler))
-                seeds.append(handler)
-                if tel is not None:
-                    tel.emit(WavePoisoned(span=entry_span,
-                                          node=node_of(handler),
-                                          key=key_of(handler.key),
-                                          reason="poisoned-input"))
-                continue
-            breaker = handler.breaker
-            if breaker is not None and breaker.attempt_blocked():
-                self.skipped_poisoned_count += 1
-                poisoned_ids.add(id(handler))
-                seeds.append(handler)
-                if tel is not None:
-                    tel.emit(WavePoisoned(span=entry_span,
-                                          node=node_of(handler),
-                                          key=key_of(handler.key),
-                                          reason="quarantined"))
-                continue
-            self.refresh_count += 1
-            errors_before = self.error_count
-            suppressed_before = self.suppressed_count
-            t0 = time.monotonic() if tel is not None else 0.0
-            changed = self._recompute(handler)
-            if self.suppressed_count > suppressed_before:
-                # Excluded between routing and processing — the same
-                # concurrent-unsubscribe hazard an in-wave member has.
-                if tel is not None:
-                    tel.emit(WaveSuppressed(span=entry_span,
-                                            node=node_of(handler),
-                                            key=key_of(handler.key),
-                                            reason="excluded"))
-                continue
-            error = self.error_count > errors_before
-            if error:
-                poisoned_ids.add(id(handler))
-                seeds.append(handler)
-                if tel is not None:
-                    tel.emit(WavePoisoned(span=entry_span,
-                                          node=node_of(handler),
-                                          key=key_of(handler.key),
-                                          reason="compute-failed"))
-            elif changed:
-                seeds.append(handler)
-            if tel is not None:
-                tel.emit(WaveRefresh(span=entry_span, node=node_of(handler),
-                                     key=key_of(handler.key), changed=changed,
-                                     error=error,
-                                     duration=time.monotonic() - t0))
-        if not seeds:
-            return
-        self.remote_wave_count += 1
-        seed_ids = {id(s) for s in seeds}
-        if self.plan_cache and len(seeds) == 1:
-            entries, _, boundary = self._plan_entries(seeds[0])
-        else:
-            entries, boundary = self._build_plan(seeds)
-        wave, in_wave = self._materialize(entries, seed_ids)
-        self._execute_wave(wave, in_wave, seeds, span,
-                           poisoned_seed_ids=poisoned_ids, boundary=boundary)
-
-    def _recompute(self, handler: "MetadataHandler") -> bool:
-        """Best-effort recompute: a failing provider keeps its old value and
-        does not abort the wave for its siblings."""
-        try:
-            return handler.recompute_for_propagation()
-        except MetadataNotIncludedError:
-            # The handler was excluded between wave collection and its turn
-            # to refresh — a normal hazard under concurrent unsubscribe, not
-            # a provider failure.
-            self.suppressed_count += 1
-            return False
-        except Exception:  # noqa: BLE001 - contain provider failures
-            self.error_count += 1
-            return False
 
     # -- introspection ------------------------------------------------------------
 

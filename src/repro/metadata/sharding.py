@@ -109,16 +109,15 @@ class ShardedPropagationBackend(PropagationBackend):
     global conservation laws are the per-shard ones added up.
     """
 
-    def __init__(self, shards: int, ordered: bool = True,
-                 plan_cache: bool = True, coalesce: bool = True) -> None:
+    def __init__(self, shards: int, plan_cache: bool = True,
+                 coalesce: bool = True) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.telemetry: Telemetry | None = None
         router = ShardRouter(self)
         self.engines: list[PropagationEngine] = []
         for index in range(shards):
-            engine = PropagationEngine(ordered=ordered, plan_cache=plan_cache,
-                                       coalesce=coalesce)
+            engine = PropagationEngine(plan_cache=plan_cache, coalesce=coalesce)
             engine.router = router
             engine.shard_index = index
             self.engines.append(engine)

@@ -228,7 +228,9 @@ class WaveCoalesced(TraceEvent):
 @dataclass(slots=True)
 class WaveStart(TraceEvent):
     """``sources > 1`` marks a coalesced multi-source wave; ``node``/``key``
-    identify the first contributing source.  ``shard`` is the index of the
+    identify the first contributing source.  ``wave_size`` is the size of
+    the structural plan the wave passes over, seeds included (which of its
+    entries react is decided during the pass).  ``shard`` is the index of the
     shard whose engine runs the wave (-1 on unsharded systems), feeding the
     per-shard wave counters."""
 

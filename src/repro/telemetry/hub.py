@@ -13,8 +13,8 @@ Telemetry is **off by default** and attached per
 ``system.enable_telemetry()``.  The overhead discipline mirrors the paper's
 monitoring probes (Section 4.4.1): while disabled, every hook in the runtime
 is a single ``telemetry is None`` check — no event objects, no locks, no
-metric lookups.  CI enforces this with the overhead gate in
-``benchmarks/bench_telemetry_overhead.py``.
+metric lookups.  ``benchmarks/bench_telemetry_overhead.py`` records what
+enabling costs; the disabled path is guarded by ``benchmarks/e2e``.
 
 Human-facing views:
 

@@ -231,6 +231,29 @@ class TestCrossShardPropagation:
             {"from_shard": "1", "to_shard": "0"}).value == 1
         sub.cancel()
 
+    def test_drain_handoffs_pair_across_a_shard_hop(self):
+        """A drainer role taken by a cross-shard arrival is announced like
+        one taken by a local change: at quiescence every ``wave.drain``
+        acquire has its release (the remote path used to emit only the
+        release, so ``drain_handoffs_total`` over-counted)."""
+        system = _build(shards=2)
+        tel = system.enable_telemetry()
+        nodes, states = self._ring(system, 2)
+        subs = [node.metadata.subscribe(DERIVED) for node in nodes]
+        for _ in range(10):
+            states[1]["v"] += 1
+            nodes[1].metadata.notify_changed(SRC)
+        handoffs = tel.bus.events(kind="wave.drain")
+        acquires = [e for e in handoffs if e.acquired]
+        releases = [e for e in handoffs if not e.acquired]
+        # One drain per notify on the source shard, one per continuation
+        # wave on the destination shard.
+        assert len(acquires) == len(releases) == 20
+        assert all(e.span != 0 for e in acquires)
+        assert _assert_conservation(system)["remote_in"] == 10
+        for sub in subs:
+            sub.cancel()
+
     def test_poisoned_hop_increments_the_poison_counter(self):
         system = _build(shards=2)
         tel = system.enable_telemetry()

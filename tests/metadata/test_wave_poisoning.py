@@ -6,9 +6,10 @@ recomputes (``refreshes``) or is skipped because its subtree is poisoned
 
     planned == refreshes + skipped_poisoned
 
-is exact — pinned here over hand-built diamonds, seeded random DAGs across
-all four execution paths (cached/uncached x traced/untraced), and a
-threaded chaos run mixing injected faults with subscription churn.
+is exact — pinned here over hand-built diamonds, seeded random DAGs (same
+counters cached or uncached, traced or untraced; and the trace's own events
+recount them, on one shard and across two), and a threaded chaos run mixing
+injected faults with subscription churn.
 """
 
 from __future__ import annotations
@@ -22,12 +23,18 @@ from repro.common.clock import SystemClock, VirtualClock
 from repro.common.errors import HandlerError
 from repro.common.faultcheck import FaultPlan
 from repro.common.racecheck import RaceCheck
-from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
+from repro.metadata.item import (
+    Mechanism,
+    MetadataDefinition,
+    MetadataKey,
+    NodeDep,
+    SelfDep,
+)
 from repro.metadata.locks import FineGrainedLockPolicy
 from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import ThreadedScheduler, VirtualTimeScheduler
-from repro.metadata.sharding import system_from_env
+from repro.metadata.sharding import ShardedMetadataSystem, system_from_env
 from repro.reliability import FailurePolicy
 from repro.telemetry.hub import explain_refresh
 
@@ -160,16 +167,25 @@ class TestDiamondContainment:
 
 
 def build_random_dag(system, rng: random.Random, plan: FaultPlan,
-                     nodes: int = 30):
-    """Seeded random DAG: one periodic source, ``nodes`` triggered items."""
+                     nodes: int = 30, owners: int = 1):
+    """Seeded random DAG: one periodic source, ``nodes`` triggered items,
+    dealt round-robin over ``owners`` registries (item ``i`` lives on owner
+    ``i % owners``, so with several owners most edges are inter-node)."""
 
     class Owner:
-        name = "dag"
         upstream_nodes: list = []
         downstream_nodes: list = []
 
-    owner = Owner()
-    registry = MetadataRegistry(owner, system)
+        def __init__(self, index: int) -> None:
+            self.index = index
+            self.name = "dag" if owners == 1 else f"dag{index}"
+
+    registries = []
+    for i in range(owners):
+        owner = Owner(i)
+        owner.metadata = MetadataRegistry(owner, system)  # NodeDep target
+        registries.append(owner.metadata)
+    registry = registries[0]
     state = {"tick": 0}
 
     def src(ctx):
@@ -180,9 +196,13 @@ def build_random_dag(system, rng: random.Random, plan: FaultPlan,
     registry.define(MetadataDefinition(
         source, Mechanism.PERIODIC, period=10.0, compute=src))
     keys = [source]
+    home = {source: registry}
     for i in range(nodes):
         key = MetadataKey(f"n{i}")
         deps = rng.sample(keys, k=min(len(keys), rng.randint(1, 3)))
+        home[key] = registries[i % owners]
+        specs = [SelfDep(d) if home[d] is home[key]
+                 else NodeDep(home[d].owner, d) for d in deps]
 
         def compute(ctx, deps=tuple(deps), fault_key=f"n{i}"):
             plan.check(fault_key)
@@ -192,22 +212,27 @@ def build_random_dag(system, rng: random.Random, plan: FaultPlan,
         if rng.random() < 0.5:
             policy = FailurePolicy(max_retries=0, jitter=0.0,
                                    probe_interval=35.0)
-        registry.define(MetadataDefinition(
+        home[key].define(MetadataDefinition(
             key, Mechanism.TRIGGERED, compute=compute,
-            dependencies=[SelfDep(d) for d in deps], failure_policy=policy))
+            dependencies=specs, failure_policy=policy))
         keys.append(key)
-    subs = [registry.subscribe(k) for k in keys[1:]]
+    subs = [home[k].subscribe(k) for k in keys[1:]]
     return registry.subscribe(source), subs
 
 
 class TestRandomDagProperty:
-    """Seeded property test: the invariant holds on every execution path."""
+    """Seeded property test: the invariant holds, and neither way of
+    obtaining the plan nor the trace recorder moves a counter.
+
+    Plan caching and tracing are independent (one decides where the plan
+    comes from, the other what the one loop reports), so each is varied
+    once against the default instead of as a 2x2 matrix.
+    """
 
     VARIANTS = {
         "cached-untraced": (True, False),
         "cached-traced": (True, True),
         "uncached-untraced": (False, False),
-        "uncached-traced": (False, True),
     }
 
     def run_variant(self, seed: int, plan_cache: bool, traced: bool) -> dict:
@@ -241,6 +266,65 @@ class TestRandomDagProperty:
         for name, stats in results.items():
             assert stats == baseline, (
                 f"{name} diverged from cached-untraced for seed {seed}")
+
+
+class TestTraceFoldsToCounters:
+    """The trace recounts the engine: every counter has one emission site,
+    so tallying a storm's events by kind and reason gives ``stats()``."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2024])
+    def test_events_recount_the_accounting(self, seed, shards):
+        clock = VirtualClock()
+        scheduler = VirtualTimeScheduler(clock)
+        if shards == 1:
+            system = MetadataSystem(clock, scheduler)
+        else:
+            system = ShardedMetadataSystem(
+                clock, scheduler, shards=shards,
+                placement=lambda owner, count: owner.index % count)
+        tel = system.enable_telemetry(capacity=1 << 17)
+        plan = FaultPlan(seed=seed, active=False)
+        rng = random.Random(seed)
+        for i in range(30):
+            plan.fail_rate(f"n{i}", 0.2)
+        anchor, subs = build_random_dag(system, rng, plan, owners=shards)
+        plan.activate()
+        for _ in range(12):
+            clock.advance_by(10.0)
+            # A coalesced wave whose sources may sit downstream of each
+            # other, next to the periodic source's single-source waves.
+            fired: dict[int, list] = {}
+            for sub in rng.sample(subs, k=3):
+                fired.setdefault(sub.handler.registry.owner.index,
+                                 []).append(sub.handler)
+            for _, handlers in sorted(fired.items()):
+                handlers[0].registry.notify_changed_many(
+                    [handler.key for handler in handlers])
+        stats = system.propagation.stats()
+        assert stats["pending"] == 0 and tel.bus.dropped == 0
+        assert stats["planned"] == stats["refreshes"] + stats["skipped_poisoned"]
+        assert stats["skipped_poisoned"] > 0 and stats["suppressed"] > 0
+        if shards > 1:
+            assert stats["remote_in"] == stats["remote_out"] > 0
+
+        def count(kind, *reasons):
+            return sum(1 for e in tel.bus.events(kind=kind)
+                       if not reasons or e.reason in reasons)
+
+        excluded = count("wave.suppressed", "excluded")
+        assert count("wave.refresh") + excluded == stats["refreshes"]
+        assert (count("wave.suppressed", "unchanged-inputs") + excluded
+                == stats["suppressed"])
+        assert (count("wave.poisoned", "poisoned-input", "quarantined")
+                == stats["skipped_poisoned"])
+        assert count("wave.poisoned", "compute-failed") <= stats["errors"]
+        ends = tel.bus.events(kind="wave.end")
+        assert sum(e.refreshed for e in ends) == count("wave.refresh")
+        assert sum(e.poisoned for e in ends) == count("wave.poisoned")
+        for sub in subs:
+            sub.cancel()
+        anchor.cancel()
 
 
 @pytest.mark.stress

@@ -270,8 +270,6 @@ class TestCachedPlanStressEquivalence:
     DEPTH = 6
 
     def _storm(self, engine) -> dict:
-        from repro.metadata.propagation import PropagationEngine  # noqa: F401
-
         clock = VirtualClock()
         system = MetadataSystem(
             clock,
