@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.common.errors import GraphError
 from repro.graph.element import StreamElement
 from repro.graph.node import Operator
@@ -39,6 +37,8 @@ class Shedder(Operator):
     base_cost_per_element = 0.1  # dropping is nearly free
 
     def __init__(self, name: str, seed: int = 0) -> None:
+        import numpy as np  # deferred: see repro.sources.synthetic.StreamDriver
+
         super().__init__(name)
         self.drop_probability = 0.0
         self.dropped = 0

@@ -8,39 +8,59 @@ this module implements one from scratch with the semantics the paper needs:
 * **Reentrant** for both readers and writers: a thread may nest read locks
   inside read locks and write locks inside write locks.
 * **Downgrade allowed**: a thread holding the write lock may additionally take
-  the read lock (the write lock already excludes everyone else).
+  the read lock (the write lock already excludes everyone else); releasing
+  the write lock first leaves the thread a plain reader.
 * **Upgrade rejected**: a thread holding only a read lock must not request the
   write lock — granting it could deadlock two upgrading readers, so
   :class:`~repro.common.errors.LockUpgradeError` is raised instead.
 * **Writer preference**: once a writer is waiting, new readers queue behind it
   so that metadata updates are not starved by a stream of monitoring reads.
 
-The lock also counts acquisitions, contention events and cumulative wait
-time, which the locking benchmark (experiment E9) and ``describe_system()``'s
-hot-lock view report.
+One lock per *included* metadata item only scales if taking a free lock is
+nearly free, so the module is organised around that case.
 
-Observer hook
--------------
+Fast path
+---------
+
+All state — the writer's thread ident and depth, a ``thread ident → read
+depth`` dict, the waiter counts and the :class:`LockStats` counters — is
+guarded by one plain ``threading.Lock``.  An acquisition that can be granted
+at once (the lock is free, or the caller already holds it) is a single
+round trip through that mutex; a release that nobody waits for is another.
+``read()`` / ``write()`` hand out one reusable guard per lock instead of
+building a context manager per call.
+
+Slow path
+---------
+
+Everything else — a conflicting holder, a writer queued ahead of a new
+reader, a timeout, a rejected upgrade — runs through one slow body per mode.
+The ``threading.Condition`` waiters sleep on is built over the same mutex the
+first time anybody has to wait, ``notify_all`` runs only while the waiter
+count is non-zero, and ``timeout`` is an absolute monotonic deadline across
+all wait rounds.  The lock counts acquisitions, contention events and the
+wall-clock time spent in those waits, which the locking benchmark
+(experiment E9) and ``describe_system()``'s hot-lock view report.
+
+Observer
+--------
 
 A process-wide **acquisition observer** (see
 :class:`repro.analysis.lockgraph.LockOrderRecorder`) can be installed with
-:meth:`ReentrantRWLock.install_observer`.  While installed, every successful
-acquire/release is reported — the deadlock sanitizer builds its runtime
-lock-order graph from these callbacks.  While *not* installed (the shipped
-default), each hook site reduces to a single ``observer is None`` check, the
-same overhead discipline the telemetry hooks follow (gated by
-``benchmarks/bench_lockgraph_overhead.py``).  Callbacks run *outside* the
-lock's internal condition, so an observer can never deadlock the lock it is
-watching.
+:meth:`ReentrantRWLock.install_observer`; the deadlock sanitizer builds its
+runtime lock-order graph from its callbacks.  While one is installed every
+acquisition takes the slow body, which reports each successful
+acquire/release *outside* the mutex, so an observer can never deadlock the
+lock it is watching.  While none is installed (the shipped default) the hook
+costs one module-global ``is None`` check per call.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable
 
 from repro.common.errors import LockUpgradeError
 
@@ -52,8 +72,11 @@ __all__ = ["ReentrantRWLock", "LockStats"]
 #: runtime.  Always kept in sync by install_observer/uninstall_observer.
 _OBSERVER: Any = None
 
+_get_ident = threading.get_ident
+_monotonic = time.monotonic
 
-@dataclass
+
+@dataclass(slots=True)
 class LockStats:
     """Counters describing how a lock was used.
 
@@ -115,12 +138,35 @@ class LockStats:
         return self.read_contended + self.write_contended
 
 
-@dataclass
-class _ThreadState:
-    """Per-thread reentrancy counters."""
+class _ReadGuard:
+    """``with lock.read():`` — stateless (the depths live in the lock), so
+    one instance per lock serves every thread and every nesting level."""
 
-    read_count: int = 0
-    write_count: int = 0
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: "ReentrantRWLock") -> None:
+        self._lock = lock
+
+    def __enter__(self) -> None:
+        self._lock.acquire_read()
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self._lock.release_read()
+
+
+class _WriteGuard:
+    """``with lock.write():`` — the write-mode twin of :class:`_ReadGuard`."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: "ReentrantRWLock") -> None:
+        self._lock = lock
+
+    def __enter__(self) -> None:
+        self._lock.acquire_write()
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self._lock.release_write()
 
 
 class ReentrantRWLock:
@@ -135,6 +181,10 @@ class ReentrantRWLock:
             shared_state = new_value
     """
 
+    __slots__ = ("name", "stats", "_mutex", "_cond", "_writer", "_write_depth",
+                 "_readers", "_waiters", "_waiting_writers", "_read_guard",
+                 "_write_guard")
+
     #: Process-wide acquisition observer (installed by the deadlock
     #: sanitizer's :class:`~repro.analysis.lockgraph.LockOrderRecorder`).
     #: ``None`` — the default — keeps every hook a single identity check.
@@ -142,13 +192,21 @@ class ReentrantRWLock:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._cond = threading.Condition()
-        self._threads: dict[int, _ThreadState] = {}
-        self._active_readers = 0
-        self._writer: int | None = None
-        self._writer_reentry = 0
-        self._waiting_writers = 0
         self.stats = LockStats()
+        self._mutex = threading.Lock()
+        #: Built over ``_mutex`` by the first thread that has to wait.
+        self._cond: threading.Condition | None = None
+        self._writer: int | None = None
+        self._write_depth = 0
+        #: Read depth per thread ident.  While a writer holds the lock its
+        #: own downgrade reads are the only possible entry; otherwise the
+        #: keys are exactly the active readers.
+        self._readers: dict[int, int] = {}
+        self._waiters = 0  # threads asleep on _cond, readers and writers
+        self._waiting_writers = 0
+        # Built on first use: a node or graph lock rarely needs both.
+        self._read_guard: _ReadGuard | None = None
+        self._write_guard: _WriteGuard | None = None
 
     # -- observer ----------------------------------------------------------
 
@@ -158,7 +216,7 @@ class ReentrantRWLock:
 
         ``observer`` must provide ``on_acquire(lock, mode, nested, contended)``
         and ``on_release(lock, mode, released)``; both are invoked outside the
-        lock's internal condition.  Installing over an existing observer
+        lock's internal mutex.  Installing over an existing observer
         raises — nesting recorders would corrupt both lock-order graphs.
         """
         global _OBSERVER
@@ -174,35 +232,40 @@ class ReentrantRWLock:
         cls.observer = None
         _OBSERVER = None
 
-    # -- internal helpers --------------------------------------------------
+    # -- waiting -------------------------------------------------------------
 
-    def _state(self, ident: int) -> _ThreadState:
-        state = self._threads.get(ident)
-        if state is None:
-            state = _ThreadState()
-            self._threads[ident] = state
-        return state
+    def _read_blocked(self) -> bool:
+        return self._writer is not None or self._waiting_writers > 0
 
-    def _discard_if_idle(self, ident: int) -> None:
-        state = self._threads.get(ident)
-        if state is not None and state.read_count == 0 and state.write_count == 0:
-            del self._threads[ident]
+    def _write_blocked(self) -> bool:
+        return self._writer is not None or bool(self._readers)
 
-    def _wait_until(self, deadline: float | None) -> bool:
-        """One condition-wait round against an absolute monotonic deadline.
+    def _wait_while(self, blocked: Callable[[], bool],
+                    timeout: float | None) -> bool:
+        """Sleep (mutex held) until ``blocked()`` turns false.
 
-        Returns ``False`` when the deadline has expired — the caller gives
-        up.  ``True`` means the caller must re-check its predicate (which may
-        have just become satisfiable, even if this round timed out).
+        ``timeout`` becomes one absolute monotonic deadline for all wait
+        rounds, so spurious or irrelevant wake-ups cannot extend it.
+        Returns ``False`` when the deadline expired with ``blocked()`` still
+        true — the caller gives up.
         """
-        if deadline is None:
-            self._cond.wait()
+        cond = self._cond
+        if cond is None:
+            cond = self._cond = threading.Condition(self._mutex)
+        deadline = None if timeout is None else _monotonic() + timeout
+        self._waiters += 1
+        try:
+            while blocked():
+                if deadline is None:
+                    cond.wait()
+                else:
+                    remaining = deadline - _monotonic()
+                    if remaining <= 0:
+                        return False
+                    cond.wait(remaining)
             return True
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return False
-        self._cond.wait(remaining)
-        return True
+        finally:
+            self._waiters -= 1
 
     # -- read lock ---------------------------------------------------------
 
@@ -213,108 +276,62 @@ class ReentrantRWLock:
         absolute monotonic deadline across all condition-wait rounds, so
         spurious or irrelevant wakeups cannot extend it.
         """
-        # Hot path: while no observer is installed (the shipped default) the
-        # hook is this one attribute load + None check; the callback
-        # bookkeeping lives in the _observed variant.
-        observer = _OBSERVER
-        if observer is not None:
-            return self._acquire_read_observed(observer, timeout)
-        ident = threading.get_ident()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            state = self._state(ident)
-            if state.write_count > 0 or state.read_count > 0:
-                # Reentrant read, or downgrade while holding write: always ok.
-                state.read_count += 1
-                self.stats.read_acquired += 1
-                return True
-            contended = False
-            wait_start = 0.0
-            while self._writer is not None or self._waiting_writers > 0:
-                if not contended:
-                    contended = True
-                    wait_start = time.monotonic()
-                if not self._wait_until(deadline):
-                    self.stats.read_wait_seconds += (
-                        time.monotonic() - wait_start)
-                    self._discard_if_idle(ident)
-                    return False
-            state.read_count = 1
-            self._active_readers += 1
-            self.stats.read_acquired += 1
-            if contended:
-                self.stats.read_contended += 1
-                self.stats.read_wait_seconds += (
-                    time.monotonic() - wait_start)
-            return True
+        if _OBSERVER is None:
+            ident = _get_ident()
+            with self._mutex:
+                readers = self._readers
+                depth = readers.get(ident, 0)
+                # Reentrant read, downgrade while holding write, or a free
+                # lock with no writer queued: granted on the spot.
+                if depth or self._writer == ident or (
+                        self._writer is None and not self._waiting_writers):
+                    readers[ident] = depth + 1
+                    self.stats.read_acquired += 1
+                    return True
+        return self._acquire_read_slow(timeout)
 
-    def _acquire_read_observed(self, observer: Any,
-                               timeout: float | None) -> bool:
-        """:meth:`acquire_read` with the observer callback; invoked outside
-        ``_cond`` so the observer can never deadlock this lock."""
-        ident = threading.get_ident()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        nested = True
+    def _acquire_read_slow(self, timeout: float | None) -> bool:
+        observer = _OBSERVER
+        ident = _get_ident()
         contended = False
-        with self._cond:
-            state = self._state(ident)
-            if state.write_count > 0 or state.read_count > 0:
-                state.read_count += 1
-                self.stats.read_acquired += 1
-            else:
-                wait_start = 0.0
-                while self._writer is not None or self._waiting_writers > 0:
-                    if not contended:
-                        contended = True
-                        wait_start = time.monotonic()
-                    if not self._wait_until(deadline):
-                        self.stats.read_wait_seconds += (
-                            time.monotonic() - wait_start)
-                        self._discard_if_idle(ident)
-                        return False
-                state.read_count = 1
-                nested = False
-                self._active_readers += 1
-                self.stats.read_acquired += 1
-                if contended:
-                    self.stats.read_contended += 1
-                    self.stats.read_wait_seconds += (
-                        time.monotonic() - wait_start)
-        observer.on_acquire(self, "read", nested, contended)
+        with self._mutex:
+            readers = self._readers
+            depth = readers.get(ident, 0)
+            nested = depth > 0 or self._writer == ident
+            if not nested and self._read_blocked():
+                contended = True
+                wait_start = _monotonic()
+                granted = self._wait_while(self._read_blocked, timeout)
+                self.stats.read_wait_seconds += _monotonic() - wait_start
+                if not granted:
+                    return False
+                self.stats.read_contended += 1
+            readers[ident] = depth + 1
+            self.stats.read_acquired += 1
+        if observer is not None:
+            observer.on_acquire(self, "read", nested, contended)
         return True
 
     def release_read(self) -> None:
         """Release one level of the read lock held by the calling thread."""
         observer = _OBSERVER
-        if observer is not None:
-            return self._release_read_observed(observer)
-        ident = threading.get_ident()
-        with self._cond:
-            state = self._threads.get(ident)
-            if state is None or state.read_count == 0:
-                raise RuntimeError(f"thread does not hold read lock {self.name!r}")
-            state.read_count -= 1
-            if state.read_count == 0 and state.write_count == 0:
-                self._active_readers -= 1
-                self._discard_if_idle(ident)
-                if self._active_readers == 0:
-                    self._cond.notify_all()
-
-    def _release_read_observed(self, observer: Any) -> None:
-        ident = threading.get_ident()
+        ident = _get_ident()
         released = False
-        with self._cond:
-            state = self._threads.get(ident)
-            if state is None or state.read_count == 0:
+        with self._mutex:
+            readers = self._readers
+            depth = readers.get(ident)
+            if depth is None:
                 raise RuntimeError(f"thread does not hold read lock {self.name!r}")
-            state.read_count -= 1
-            if state.read_count == 0 and state.write_count == 0:
-                released = True
-                self._active_readers -= 1
-                self._discard_if_idle(ident)
-                if self._active_readers == 0:
-                    self._cond.notify_all()
-        observer.on_release(self, "read", released)
+            if depth > 1:
+                readers[ident] = depth - 1
+            else:
+                del readers[ident]
+                if self._writer != ident:
+                    released = True
+                    if self._waiters and not readers:
+                        self._cond.notify_all()  # type: ignore[union-attr]
+        if observer is not None:
+            observer.on_release(self, "read", released)
 
     # -- write lock ----------------------------------------------------------
 
@@ -325,173 +342,102 @@ class ReentrantRWLock:
         Raises :class:`LockUpgradeError` if the calling thread holds only a
         read lock (upgrading is a deadlock hazard and therefore forbidden).
         """
-        observer = _OBSERVER
-        if observer is not None:
-            return self._acquire_write_observed(observer, timeout)
-        ident = threading.get_ident()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            state = self._state(ident)
-            if state.write_count > 0:
-                state.write_count += 1
-                self.stats.write_acquired += 1
-                return True
-            if state.read_count > 0:
-                self._discard_if_idle(ident)
-                raise LockUpgradeError(
-                    f"thread holds read lock {self.name!r} and requested the "
-                    "write lock; release the read lock first"
-                )
-            self._waiting_writers += 1
-            contended = False
-            wait_start = 0.0
-            try:
-                while self._writer is not None or self._active_readers > 0:
-                    if not contended:
-                        contended = True
-                        wait_start = time.monotonic()
-                    if not self._wait_until(deadline):
-                        self.stats.write_wait_seconds += (
-                            time.monotonic() - wait_start)
-                        return False
-                self._writer = ident
-                state.write_count = 1
-                self.stats.write_acquired += 1
-                if contended:
-                    self.stats.write_contended += 1
-                    self.stats.write_wait_seconds += (
-                        time.monotonic() - wait_start)
-                return True
-            finally:
-                self._waiting_writers -= 1
-                self._discard_if_idle(ident)
+        if _OBSERVER is None:
+            ident = _get_ident()
+            with self._mutex:
+                writer = self._writer
+                if writer == ident or (writer is None and not self._readers):
+                    self._writer = ident
+                    self._write_depth += 1
+                    self.stats.write_acquired += 1
+                    return True
+        return self._acquire_write_slow(timeout)
 
-    def _acquire_write_observed(self, observer: Any,
-                                timeout: float | None) -> bool:
-        """:meth:`acquire_write` with the observer callback; invoked outside
-        ``_cond`` so the observer can never deadlock this lock."""
-        ident = threading.get_ident()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        nested = True
+    def _acquire_write_slow(self, timeout: float | None) -> bool:
+        observer = _OBSERVER
+        ident = _get_ident()
         contended = False
-        acquired = False
-        with self._cond:
-            state = self._state(ident)
-            if state.write_count > 0:
-                state.write_count += 1
-                self.stats.write_acquired += 1
-                acquired = True
-            else:
-                if state.read_count > 0:
-                    self._discard_if_idle(ident)
+        with self._mutex:
+            nested = self._writer == ident
+            if not nested:
+                if ident in self._readers:
                     raise LockUpgradeError(
                         f"thread holds read lock {self.name!r} and requested the "
                         "write lock; release the read lock first"
                     )
-                self._waiting_writers += 1
-                wait_start = 0.0
-                try:
-                    while self._writer is not None or self._active_readers > 0:
-                        if not contended:
-                            contended = True
-                            wait_start = time.monotonic()
-                        if not self._wait_until(deadline):
-                            self.stats.write_wait_seconds += (
-                                time.monotonic() - wait_start)
-                            return False
-                    self._writer = ident
-                    state.write_count = 1
-                    nested = False
-                    acquired = True
-                    self.stats.write_acquired += 1
-                    if contended:
-                        self.stats.write_contended += 1
-                        self.stats.write_wait_seconds += (
-                            time.monotonic() - wait_start)
-                finally:
-                    self._waiting_writers -= 1
-                    self._discard_if_idle(ident)
-        if acquired:
+                if self._write_blocked():
+                    contended = True
+                    granted = False
+                    wait_start = _monotonic()
+                    self._waiting_writers += 1
+                    try:
+                        granted = self._wait_while(self._write_blocked, timeout)
+                    finally:
+                        self._waiting_writers -= 1
+                        if not granted and self._waiters \
+                                and not self._waiting_writers:
+                            # Readers that queued behind this writer only
+                            # (writer preference) wait for nothing once it
+                            # gives up: wake them.
+                            self._cond.notify_all()  # type: ignore[union-attr]
+                    self.stats.write_wait_seconds += _monotonic() - wait_start
+                    if not granted:
+                        return False
+                    self.stats.write_contended += 1
+                self._writer = ident
+            self._write_depth += 1
+            self.stats.write_acquired += 1
+        if observer is not None:
             observer.on_acquire(self, "write", nested, contended)
-        return acquired
+        return True
 
     def release_write(self) -> None:
         """Release one level of the write lock held by the calling thread."""
         observer = _OBSERVER
-        if observer is not None:
-            return self._release_write_observed(observer)
-        ident = threading.get_ident()
-        with self._cond:
-            state = self._threads.get(ident)
-            if state is None or state.write_count == 0 or self._writer != ident:
-                raise RuntimeError(f"thread does not hold write lock {self.name!r}")
-            state.write_count -= 1
-            if state.write_count == 0:
-                if state.read_count > 0:
-                    # Held a downgrade read: become a plain reader.
-                    self._writer = None
-                    self._active_readers += 1
-                else:
-                    self._writer = None
-                    self._discard_if_idle(ident)
-                self._cond.notify_all()
-
-    def _release_write_observed(self, observer: Any) -> None:
-        ident = threading.get_ident()
+        ident = _get_ident()
         released = False
-        with self._cond:
-            state = self._threads.get(ident)
-            if state is None or state.write_count == 0 or self._writer != ident:
+        with self._mutex:
+            if self._writer != ident:
                 raise RuntimeError(f"thread does not hold write lock {self.name!r}")
-            state.write_count -= 1
-            if state.write_count == 0:
-                if state.read_count > 0:
-                    # Held a downgrade read: become a plain reader.
-                    self._writer = None
-                    self._active_readers += 1
-                else:
-                    released = True
-                    self._writer = None
-                    self._discard_if_idle(ident)
-                self._cond.notify_all()
-        observer.on_release(self, "write", released)
+            depth = self._write_depth = self._write_depth - 1
+            if not depth:
+                self._writer = None
+                # A downgrade read still held keeps the thread in the lock
+                # as a plain reader.
+                released = ident not in self._readers
+                if self._waiters:
+                    self._cond.notify_all()  # type: ignore[union-attr]
+        if observer is not None:
+            observer.on_release(self, "write", released)
 
     # -- context managers ----------------------------------------------------
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
+    def read(self) -> _ReadGuard:
         """Context manager acquiring/releasing the read lock."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+        guard = self._read_guard
+        if guard is None:
+            guard = self._read_guard = _ReadGuard(self)
+        return guard
 
-    @contextmanager
-    def write(self) -> Iterator[None]:
+    def write(self) -> _WriteGuard:
         """Context manager acquiring/releasing the write lock."""
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+        guard = self._write_guard
+        if guard is None:
+            guard = self._write_guard = _WriteGuard(self)
+        return guard
 
     # -- introspection ---------------------------------------------------------
 
     def held_by_current_thread(self) -> str | None:
         """Return ``"read"``, ``"write"`` or ``None`` for the calling thread."""
-        with self._cond:
-            state = self._threads.get(threading.get_ident())
-            if state is None:
-                return None
-            if state.write_count > 0:
+        ident = _get_ident()
+        with self._mutex:
+            if self._writer == ident:
                 return "write"
-            if state.read_count > 0:
-                return "read"
-            return None
+            return "read" if ident in self._readers else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ReentrantRWLock({self.name!r}, readers={self._active_readers}, "
+            f"ReentrantRWLock({self.name!r}, readers={len(self._readers)}, "
             f"writer={self._writer})"
         )

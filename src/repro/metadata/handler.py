@@ -88,6 +88,11 @@ class MetadataHandler:
         self.key: MetadataKey = definition.key
         # (spec, handler) pairs resolved by the registry at inclusion time.
         self.dependency_handlers: list[tuple[DependencySpec, "MetadataHandler"]] = []
+        # (length of the list above when indexed, key -> its handlers in
+        # resolution order), for compute-time reads; one tuple so a rebuild
+        # is published atomically.
+        self._dependency_index: tuple[
+            int, dict[MetadataKey, list["MetadataHandler"]]] = (0, {})
         # Handlers that depend on this one and expect change notifications.
         # Kept as an ordered identity set; duplicates are rejected so that a
         # node subscribing via several paths is notified once (Section 3.2.3:
@@ -346,6 +351,18 @@ class MetadataHandler:
 
     # -- dependency plumbing ---------------------------------------------------
 
+    def dependencies_with_key(self, key: MetadataKey) -> Sequence["MetadataHandler"]:
+        """Resolved dependencies whose key is ``key``, in resolution (port)
+        order; empty when there is none."""
+        resolved = self.dependency_handlers
+        size, index = self._dependency_index
+        if size != len(resolved):
+            index = {}
+            for _spec, dependency in resolved:
+                index.setdefault(dependency.key, []).append(dependency)
+            self._dependency_index = (len(resolved), index)
+        return index.get(key, ())
+
     def attach_dependent(self, dependent: "MetadataHandler") -> bool:
         """Register ``dependent`` for change notifications.
 
@@ -391,6 +408,12 @@ class MetadataHandler:
     def on_removed(self) -> None:
         """Called once when the handler is being removed."""
         self.removed = True
+
+    def retire_lock(self) -> None:
+        """Hand the item lock back to the lock policy.  Called by the
+        registry once the handler has left it — removed at refcount zero, or
+        never fully included — so the policy stops tracking the lock."""
+        self.registry.lock_policy.retire(self._lock)
 
 
 class StaticHandler(MetadataHandler):

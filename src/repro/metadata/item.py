@@ -305,7 +305,7 @@ class ComputeContext:
         Raises :class:`MetadataError` if the key matches no or several
         dependencies.
         """
-        matches = [h for spec, h in self._dep_handlers if h.key == key]
+        matches = self.handler.dependencies_with_key(key)
         if not matches:
             raise MetadataError(
                 f"{self.handler.ref} has no dependency with key {key!r}"
@@ -319,7 +319,7 @@ class ComputeContext:
 
     def values(self, key: MetadataKey) -> list:
         """Values of all dependencies with ``key``, in resolution order."""
-        return [h.get() for spec, h in self._dep_handlers if h.key == key]
+        return [h.get() for h in self.handler.dependencies_with_key(key)]
 
     def dependency_refs(self) -> list:
         """``(node, key)`` references of all resolved dependencies."""

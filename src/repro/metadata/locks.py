@@ -35,8 +35,8 @@ See the "Concurrency model" section of docs/METADATA_GUIDE.md.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
+import threading
+from typing import Any
 
 from repro.common.rwlock import LockStats, ReentrantRWLock
 
@@ -55,6 +55,21 @@ __all__ = [
 LOCK_HIERARCHY: tuple[str, ...] = ("graph", "node", "item")
 
 
+class _NullGuard:
+    """``with`` target that does nothing; every :class:`NoOpLock` shares one."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        pass
+
+
+_NULL_GUARD = _NullGuard()
+
+
 class NoOpLock:
     """Lock-shaped object that does nothing; used by :class:`NoOpLockPolicy`."""
 
@@ -63,13 +78,11 @@ class NoOpLock:
     def __init__(self, name: str = "") -> None:
         self.name = name
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        yield
+    def read(self) -> _NullGuard:
+        return _NULL_GUARD
 
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        yield
+    def write(self) -> _NullGuard:
+        return _NULL_GUARD
 
     def acquire_read(self, timeout: float | None = None) -> bool:
         return True
@@ -103,27 +116,44 @@ class LockPolicy:
     def item_lock(self, handler: Any) -> Any:
         raise NotImplementedError
 
+    def retire(self, lock: Any) -> None:
+        """``lock`` left service — the registry calls this when the handler
+        it guarded leaves (exclusion at refcount zero, or a failed include
+        being rolled back).  A no-op unless the policy tracks its locks."""
+
     def aggregate_stats(self) -> LockStats:
-        """Combined counters of every real lock this policy handed out."""
+        """Combined counters of every real lock this policy handed out,
+        retired ones included."""
         return LockStats()
 
     def hot_locks(self, limit: int = 5) -> list[dict[str, Any]]:
-        """Per-lock counters of the busiest locks — ordered by cumulative
-        wait time, then contended acquisitions — so hot spots are visible
-        before sharding decides partition counts.  Empty for policies
-        without per-lock accounting."""
+        """Per-lock counters of the busiest live locks — ordered by
+        cumulative wait time, then contended acquisitions — so hot spots are
+        visible before sharding decides partition counts.  Empty for
+        policies without per-lock accounting."""
         return []
 
 
 class FineGrainedLockPolicy(LockPolicy):
-    """One reentrant RW lock per graph, node and included item (the paper)."""
+    """One reentrant RW lock per graph, node and included item (the paper).
+
+    The policy tracks the locks in service so it can report on them; a
+    retired lock is forgotten and only its counters live on, folded into one
+    running total, so a system that churns handlers does not accumulate
+    their locks.
+    """
 
     def __init__(self) -> None:
-        self._locks: list[ReentrantRWLock] = []
+        # Item locks come and go under different shards' graph locks, so the
+        # bookkeeping has its own (leaf) mutex.
+        self._mutex = threading.Lock()
+        self._locks: dict[ReentrantRWLock, None] = {}  # insertion-ordered set
+        self._retired = LockStats()
 
     def _new(self, name: str) -> ReentrantRWLock:
         lock = ReentrantRWLock(name)
-        self._locks.append(lock)
+        with self._mutex:
+            self._locks[lock] = None
         return lock
 
     def graph_lock(self, name: str = "graph") -> ReentrantRWLock:
@@ -135,15 +165,23 @@ class FineGrainedLockPolicy(LockPolicy):
     def item_lock(self, handler: Any) -> ReentrantRWLock:
         return self._new(f"item:{handler.key!r}")
 
+    def retire(self, lock: ReentrantRWLock) -> None:
+        with self._mutex:
+            if lock in self._locks:
+                del self._locks[lock]
+                self._retired = self._retired + lock.stats
+
     def aggregate_stats(self) -> LockStats:
-        total = LockStats()
-        for lock in self._locks:
-            total = total + lock.stats
+        with self._mutex:
+            total = self._retired.snapshot()
+            for lock in self._locks:
+                total = total + lock.stats
         return total
 
     def hot_locks(self, limit: int = 5) -> list[dict[str, Any]]:
-        used = [lock for lock in self._locks
-                if lock.stats.read_acquired or lock.stats.write_acquired]
+        with self._mutex:
+            used = [lock for lock in self._locks
+                    if lock.stats.read_acquired or lock.stats.write_acquired]
         used.sort(key=lambda lock: (lock.stats.wait_seconds,
                                     lock.stats.contended,
                                     lock.stats.read_acquired

@@ -599,6 +599,7 @@ class MetadataRegistry:
             # handler is flagged removed so a propagation wave that raced
             # the rollback window never recomputes it.
             handler.removed = True
+            handler.retire_lock()
             for spec, dep_handler in handler.dependency_handlers:
                 try:
                     dep_handler.detach_dependent(handler)
@@ -627,6 +628,7 @@ class MetadataRegistry:
             # key instead of masking the computation error.
             del self._handlers[key]
             handler.removed = True
+            handler.retire_lock()
             for probe_name in definition.monitors:
                 try:
                     self.probe(probe_name).deactivate()
@@ -682,6 +684,7 @@ class MetadataRegistry:
         for spec, dep_handler in handler.dependency_handlers:
             dep_handler.detach_dependent(handler)
             dep_handler.registry._exclude(dep_handler.key, span)
+        handler.retire_lock()
         self.system.handler_removed(handler)
 
     # -- dependency spec resolution ------------------------------------------------------

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.common.errors import SimulationError
 from repro.sources.synthetic import ArrivalProcess, StreamDriver
+
+if TYPE_CHECKING:  # pragma: no cover - numpy is imported where it is first used
+    import numpy as np
 
 __all__ = ["Trace", "TraceReplayDriver", "record_trace"]
 
@@ -104,6 +105,8 @@ def record_trace(
     start: float = 0.0,
 ) -> Trace:
     """Materialise a synthetic workload into a replayable :class:`Trace`."""
+    import numpy as np  # deferred: see repro.sources.synthetic.StreamDriver
+
     rng = np.random.default_rng(seed)
     events: list[tuple[float, Any]] = []
     now = start + arrivals.next_gap(start, rng)

@@ -16,11 +16,12 @@ executor.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.common.errors import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - numpy is imported where it is first used
+    import numpy as np
 
 __all__ = [
     "ArrivalProcess",
@@ -169,7 +170,7 @@ class TraceArrivals(ArrivalProcess):
 # Value generators
 # ---------------------------------------------------------------------------
 
-ValueGenerator = Callable[[np.random.Generator, int, float], Any]
+ValueGenerator = Callable[["np.random.Generator", int, float], Any]
 
 
 class UniformValues:
@@ -207,6 +208,8 @@ class ZipfValues:
     """
 
     def __init__(self, field: str = "k", n: int = 100, skew: float = 1.1) -> None:
+        import numpy as np  # deferred: see StreamDriver
+
         if n <= 0 or skew <= 0:
             raise SimulationError("invalid Zipf parameters")
         self.field = field
@@ -217,7 +220,7 @@ class ZipfValues:
 
     def __call__(self, rng: np.random.Generator, seq: int, now: float) -> dict:
         u = rng.random()
-        value = int(np.searchsorted(self._cdf, u))
+        value = int(self._cdf.searchsorted(u))
         return {self.field: value, "seq": seq}
 
 
@@ -247,6 +250,10 @@ class StreamDriver:
         seed: int = 0,
         start: float = 0.0,
     ) -> None:
+        # Imported here, not at module level: `import repro` stays numpy-free
+        # for processes that only build registries.
+        import numpy as np
+
         self.source = source
         self.arrivals = arrivals
         self.values = values if values is not None else UniformValues()

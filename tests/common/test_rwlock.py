@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -215,6 +216,191 @@ class TestMultiThread:
         assert lock.stats.read_contended >= 1
 
 
+class TestGuards:
+    """``read()`` / ``write()`` hand out stateless guards: the depths live in
+    the lock, so one guard serves every nesting level."""
+
+    def test_guard_is_reused(self):
+        lock = ReentrantRWLock()
+        assert lock.read() is lock.read()
+        assert lock.write() is lock.write()
+        assert lock.read() is not lock.write()
+
+    def test_guards_nest_across_modes(self):
+        lock = ReentrantRWLock()
+        with lock.write():
+            with lock.read():
+                with lock.write():
+                    assert lock.held_by_current_thread() == "write"
+                assert lock.held_by_current_thread() == "write"
+            assert lock.held_by_current_thread() == "write"
+        assert lock.held_by_current_thread() is None
+        assert lock.stats.write_acquired == 2
+        assert lock.stats.read_acquired == 1
+
+    def test_exception_releases_exactly_one_level(self):
+        lock = ReentrantRWLock()
+        with lock.write():
+            with lock.read():
+                with pytest.raises(ValueError):
+                    with lock.read():
+                        raise ValueError("boom")
+                # The inner read level is gone, the outer one is not.
+                lock.release_read()
+                with pytest.raises(RuntimeError):
+                    lock.release_read()
+                lock.acquire_read()
+            with pytest.raises(ValueError):
+                with lock.write():
+                    raise ValueError("boom")
+            assert lock.held_by_current_thread() == "write"
+        assert lock.held_by_current_thread() is None
+        with pytest.raises(RuntimeError):
+            lock.release_write()
+
+
+class TestWriterQueue:
+    """What happens around a *waiting* writer: new readers queue behind it
+    (no fast path), holders may still re-enter, and a writer that gives up
+    wakes the readers it was holding back."""
+
+    def _reader_then_waiting_writer(self, lock, writer_timeout):
+        reader_in = threading.Event()
+        release_reader = threading.Event()
+        writer_result = []
+
+        def long_reader():
+            with lock.read():
+                reader_in.set()
+                with lock.read():  # re-entry is granted despite the writer
+                    pass
+                release_reader.wait(timeout=10.0)
+
+        def writer():
+            granted = lock.acquire_write(timeout=writer_timeout)
+            writer_result.append(granted)
+            if granted:
+                lock.release_write()
+
+        reader = threading.Thread(target=long_reader, daemon=True)
+        reader.start()
+        assert reader_in.wait(timeout=5.0)
+        waiting = threading.Thread(target=writer, daemon=True)
+        waiting.start()
+        deadline = time.monotonic() + 5.0
+        while lock._waiting_writers == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert lock._waiting_writers == 1
+        return reader, waiting, release_reader, writer_result
+
+    def test_new_reader_queues_behind_waiting_writer(self):
+        lock = ReentrantRWLock()
+        reader, waiting, release_reader, writer_result = \
+            self._reader_then_waiting_writer(lock, writer_timeout=5.0)
+        try:
+            # Only a reader holds the lock, yet a third thread is not let in.
+            assert lock.acquire_read(timeout=0.05) is False
+            assert lock.stats.read_contended == 0
+            assert lock.stats.read_wait_seconds >= 0.04
+        finally:
+            release_reader.set()
+            reader.join(timeout=5.0)
+            waiting.join(timeout=5.0)
+        assert writer_result == [True]
+        assert lock.stats.write_contended == 1
+
+    def test_timed_out_writer_wakes_queued_readers(self):
+        lock = ReentrantRWLock()
+        reader, waiting, release_reader, writer_result = \
+            self._reader_then_waiting_writer(lock, writer_timeout=0.2)
+        late_reader_in = threading.Event()
+
+        def late_reader():
+            if lock.acquire_read(timeout=5.0):
+                late_reader_in.set()
+                lock.release_read()
+
+        late = threading.Thread(target=late_reader, daemon=True)
+        late.start()
+        try:
+            # The first reader is still inside: the late one must get in as
+            # soon as the writer gives up, not when that reader leaves.
+            assert late_reader_in.wait(timeout=2.0)
+            assert not release_reader.is_set()
+        finally:
+            release_reader.set()
+            for thread in (reader, waiting, late):
+                thread.join(timeout=5.0)
+        assert writer_result == [False]
+        assert lock.stats.read_contended == 1
+
+
+class TestFastPathStress:
+    @pytest.mark.stress
+    def test_mixed_threads_keep_exclusion_and_counters(self):
+        """More threads than cores, a shortened switch interval, every kind
+        of acquisition: a lost update in the mutex-guarded state would break
+        exclusion, the per-thread depths or the acquisition counters."""
+        lock = ReentrantRWLock()
+        shared = {"a": 0, "b": 0}
+        torn = []
+        counts = {"read": 0, "write": 0, "timed_out": 0}
+        counts_mutex = threading.Lock()
+        stop_at = time.monotonic() + 1.0
+
+        def worker(index):
+            reads = writes = timed_out = 0
+            step = index
+            while time.monotonic() < stop_at:
+                step += 1
+                if step % 4 == 0:
+                    with lock.write():
+                        shared["a"] += 1
+                        with lock.read():      # downgrade read
+                            with lock.write():  # write re-entry
+                                shared["b"] += 1
+                    reads += 1
+                    writes += 2
+                elif step % 7 == 0:
+                    if lock.acquire_write(timeout=0.0005):
+                        shared["a"] += 1
+                        shared["b"] += 1
+                        lock.release_write()
+                        writes += 1
+                    else:
+                        timed_out += 1
+                else:
+                    with lock.read():
+                        with lock.read():
+                            if shared["a"] != shared["b"]:
+                                torn.append((shared["a"], shared["b"]))
+                    reads += 2
+            with counts_mutex:
+                counts["read"] += reads
+                counts["write"] += writes
+                counts["timed_out"] += timed_out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(not thread.is_alive() for thread in threads)
+        assert torn == []
+        assert shared["a"] == shared["b"] > 0
+        assert lock.stats.read_acquired == counts["read"]
+        assert lock.stats.write_acquired == counts["write"]
+        assert lock.held_by_current_thread() is None
+        assert not lock._readers and lock._writer is None
+        assert lock._waiters == 0 and lock._waiting_writers == 0
+
+
 class TestTimeoutDeadline:
     """``timeout`` is a total monotonic deadline, not a per-wait budget:
     spurious or irrelevant condition wakeups must not extend it."""
@@ -234,12 +420,17 @@ class TestTimeoutDeadline:
         return release, t
 
     def _spurious_wakeups(self, lock, stop):
-        """Hammer the lock's condition so every wait round wakes up early."""
+        """Hammer the lock's condition so every wait round wakes up early.
+
+        The condition is built over ``lock._mutex`` by the first waiter, so
+        until then there is nobody to wake.
+        """
 
         def notifier():
             while not stop.is_set():
-                with lock._cond:
-                    lock._cond.notify_all()
+                with lock._mutex:
+                    if lock._cond is not None:
+                        lock._cond.notify_all()
                 time.sleep(0.005)
 
         t = threading.Thread(target=notifier, daemon=True)
@@ -420,6 +611,107 @@ class TestObserverHook:
         t.join(timeout=5.0)
         tr.join(timeout=5.0)
         assert ("acquire", "t", "read", False, True) in observer.events
+
+
+class TestObserverParity:
+    """The observer only watches: one scripted run must produce the same
+    callbacks and the same counters whether the observer was there from the
+    start, arrived mid-run (the holds taken before it went through the fast
+    path) or never came."""
+
+    EXPECTED = [
+        (0, "acquire", "read", False, False),
+        (1, "acquire", "read", True, False),    # nested read
+        (2, "release", "read", False),
+        (3, "release", "read", True),
+        (4, "acquire", "write", False, False),
+        (5, "acquire", "write", True, False),   # write re-entry
+        (6, "release", "write", False),
+        (7, "acquire", "read", True, False),    # read inside write
+        (8, "release", "write", False),         # downgraded: still a reader
+        (9, "release", "read", True),
+        (10, "acquire", "read", False, True),   # contended
+        (11, "release", "read", True),
+        # step 12, the timed-out write, reports nothing
+    ]
+
+    class _ByStep:
+        """Records the scripting thread's callbacks under the current step."""
+
+        def __init__(self):
+            self.step = None
+            self.thread = threading.get_ident()
+            self.events = []
+
+        def on_acquire(self, lock, mode, nested, contended):
+            if threading.get_ident() == self.thread:
+                self.events.append((self.step, "acquire", mode, nested, contended))
+
+        def on_release(self, lock, mode, released):
+            if threading.get_ident() == self.thread:
+                self.events.append((self.step, "release", mode, released))
+
+    @staticmethod
+    def _held_elsewhere(lock, hold_for):
+        """Another thread takes the write lock and keeps it ``hold_for`` s."""
+        taken = threading.Event()
+
+        def holder():
+            with lock.write():
+                taken.set()
+                time.sleep(hold_for)
+
+        thread = threading.Thread(target=holder, daemon=True)
+        thread.start()
+        assert taken.wait(timeout=5.0)
+        return thread
+
+    def _script(self, lock):
+        def contended_read():
+            holder = self._held_elsewhere(lock, 0.1)
+            assert lock.acquire_read(timeout=5.0) is True
+            holder.join(timeout=5.0)
+
+        def timed_out_write():
+            holder = self._held_elsewhere(lock, 0.2)
+            assert lock.acquire_write(timeout=0.05) is False
+            holder.join(timeout=5.0)
+
+        return [
+            lock.acquire_read, lock.acquire_read,
+            lock.release_read, lock.release_read,
+            lock.acquire_write, lock.acquire_write, lock.release_write,
+            lock.acquire_read, lock.release_write, lock.release_read,
+            contended_read, lock.release_read,
+            timed_out_write,
+        ]
+
+    def _run(self, install_at):
+        lock = ReentrantRWLock("parity")
+        observer = self._ByStep()
+        try:
+            for step, action in enumerate(self._script(lock)):
+                if step == install_at:
+                    ReentrantRWLock.install_observer(observer)
+                observer.step = step
+                action()
+        finally:
+            ReentrantRWLock.uninstall_observer()
+        assert lock.held_by_current_thread() is None
+        return observer.events, lock.stats
+
+    @pytest.mark.parametrize("install_at", [0, 1, 5, 8, None])
+    def test_same_events_and_counters(self, install_at):
+        events, stats = self._run(install_at)
+        if install_at is None:
+            assert events == []
+        else:
+            assert events == [e for e in self.EXPECTED if e[0] >= install_at]
+        # Two of the four write acquisitions are the helper threads'.
+        assert (stats.read_acquired, stats.write_acquired,
+                stats.read_contended, stats.write_contended) == (4, 4, 1, 0)
+        assert stats.read_wait_seconds > 0.0
+        assert stats.write_wait_seconds >= 0.04
 
 
 class TestWaitSeconds:

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import MetadataError
-from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
+from repro.metadata.item import (
+    Mechanism,
+    MetadataDefinition,
+    MetadataKey,
+    NodeDep,
+    SelfDep,
+)
 
 A, B, C = MetadataKey("a"), MetadataKey("b"), MetadataKey("c")
 
@@ -22,7 +28,8 @@ class TestComputeContext:
             A, Mechanism.TRIGGERED, compute=compute,
             dependencies=[SelfDep(B), SelfDep(B)],
         ))
-        with pytest.raises(MetadataError):
+        with pytest.raises(MetadataError, match=r"has 2 dependencies with key "
+                                                r"<b>; use values\(\)"):
             owner.metadata.subscribe(A)
 
     def test_value_with_missing_key_rejected(self, make_owner):
@@ -32,8 +39,33 @@ class TestComputeContext:
             A, Mechanism.TRIGGERED, compute=lambda ctx: ctx.value(C),
             dependencies=[SelfDep(B)],
         ))
-        with pytest.raises(MetadataError):
+        with pytest.raises(MetadataError, match="has no dependency with key <c>"):
             owner.metadata.subscribe(A)
+
+    def test_values_by_key_in_resolution_order(self, make_owner):
+        """Reads go through the handler's key index; it must keep the order
+        the dependencies were resolved in and follow a list that grew."""
+        owner, other = make_owner("n"), make_owner("other")
+        owner.metadata.define(MetadataDefinition(B, Mechanism.STATIC, value=1))
+        other.metadata.define(MetadataDefinition(B, Mechanism.STATIC, value=2))
+        other.metadata.define(MetadataDefinition(C, Mechanism.STATIC, value=3))
+        owner.metadata.define(MetadataDefinition(
+            A, Mechanism.ON_DEMAND,
+            compute=lambda ctx: (ctx.values(B), ctx.values(C), ctx.value(C)),
+            dependencies=[NodeDep(other, B), NodeDep(other, C), SelfDep(B)],
+        ))
+        subscription = owner.metadata.subscribe(A)
+        assert subscription.get() == ([2, 1], [3], 3)
+        handler = subscription.handler
+        extra = other.metadata.subscribe(C)
+        handler.dependency_handlers.append((NodeDep(other, C), extra.handler))
+        try:
+            assert list(handler.dependencies_with_key(C)) == [extra.handler] * 2
+        finally:
+            handler.dependency_handlers.pop()
+        assert list(handler.dependencies_with_key(C)) == [extra.handler]
+        extra.cancel()
+        subscription.cancel()
 
     def test_dependency_refs_lists_resolved_pairs(self, make_owner):
         owner = make_owner()

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.common.clock import VirtualClock
+from repro.common.errors import HandlerError
 from repro.common.rwlock import ReentrantRWLock
-from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey
+from repro.metadata.item import (
+    Mechanism,
+    MetadataDefinition,
+    MetadataKey,
+    SelfDep,
+)
 from repro.metadata.locks import (
     CoarseLockPolicy,
     FineGrainedLockPolicy,
@@ -108,19 +116,21 @@ class TestNoOpPolicy:
         lock.release_write()
 
 
+def _system(policy):
+    clock = VirtualClock()
+    system = MetadataSystem(clock, VirtualTimeScheduler(clock), lock_policy=policy)
+    owner = _Owner()
+    registry = MetadataRegistry(owner, system)
+    owner.metadata = registry
+    return system, registry
+
+
 class TestPolicyInSystem:
-    def _system(self, policy):
-        clock = VirtualClock()
-        system = MetadataSystem(clock, VirtualTimeScheduler(clock), lock_policy=policy)
-        owner = _Owner()
-        registry = MetadataRegistry(owner, system)
-        owner.metadata = registry
-        return system, registry
 
     def test_only_included_items_get_real_locks(self):
         """Section 4.3: only locks of currently included items are used."""
         policy = FineGrainedLockPolicy()
-        system, registry = self._system(policy)
+        system, registry = _system(policy)
         registry.define(MetadataDefinition(A, Mechanism.STATIC, value=1))
         registry.define(MetadataDefinition(B, Mechanism.STATIC, value=2))
         locks_before = policy.lock_count  # graph + node lock
@@ -135,7 +145,7 @@ class TestPolicyInSystem:
 
     def test_real_locks_guard_handler_access(self):
         policy = FineGrainedLockPolicy()
-        system, registry = self._system(policy)
+        system, registry = _system(policy)
         registry.define(MetadataDefinition(A, Mechanism.STATIC, value=5))
         subscription = registry.subscribe(A)
         assert subscription.get() == 5
@@ -143,3 +153,71 @@ class TestPolicyInSystem:
         assert isinstance(handler_lock, ReentrantRWLock)
         assert handler_lock.stats.read_acquired >= 1
         subscription.cancel()
+
+
+class TestLockRetirement:
+    """A handler that leaves its registry hands its lock back: the policy
+    tracks live locks only, and the counters of retired ones live on."""
+
+    def test_retire_folds_counters_and_forgets_the_lock(self):
+        policy = FineGrainedLockPolicy()
+        graph, node = policy.graph_lock(), policy.node_lock(_Owner())
+        for _ in range(3):
+            with node.write():
+                pass
+        with graph.read():
+            pass
+        policy.retire(node)
+        policy.retire(node)  # a second retirement must not count twice
+        assert policy.lock_count == 1
+        stats = policy.aggregate_stats()
+        assert (stats.read_acquired, stats.write_acquired) == (1, 3)
+        assert [entry["name"] for entry in policy.hot_locks()] == ["graph"]
+
+    def test_other_policies_ignore_retire(self):
+        coarse = CoarseLockPolicy()
+        lock = coarse.graph_lock()
+        with lock.write():
+            pass
+        coarse.retire(lock)
+        assert coarse.aggregate_stats().write_acquired == 1
+        noop = NoOpLockPolicy()
+        noop.retire(noop.graph_lock())
+
+    def test_churn_returns_lock_count_to_baseline(self):
+        policy = FineGrainedLockPolicy()
+        _, registry = _system(policy)
+        registry.define(MetadataDefinition(B, Mechanism.STATIC, value=2))
+        registry.define(MetadataDefinition(
+            A, Mechanism.TRIGGERED, compute=lambda ctx: ctx.value(B) + 1,
+            dependencies=[SelfDep(B)]))
+        baseline = policy.lock_count
+        acquisitions = policy.aggregate_stats().write_acquired
+        for _ in range(1000):
+            subscription = registry.subscribe(A)
+            assert policy.lock_count == baseline + 2
+            assert subscription.get() == 3
+            subscription.cancel()
+            assert policy.lock_count == baseline
+            now = policy.aggregate_stats().write_acquired
+            assert now > acquisitions
+            acquisitions = now
+
+    def test_failed_include_retires_the_half_built_lock(self):
+        policy = FineGrainedLockPolicy()
+        _, registry = _system(policy)
+
+        def boom(ctx):
+            raise ValueError("no value")
+
+        registry.define(MetadataDefinition(B, Mechanism.STATIC, compute=boom))
+        registry.define(MetadataDefinition(
+            A, Mechanism.TRIGGERED, compute=lambda ctx: ctx.value(B),
+            dependencies=[SelfDep(B)]))
+        baseline = policy.lock_count
+        # B's first computation fails (its own inclusion is undone) while A,
+        # already created, is waiting for it (A's inclusion is rolled back).
+        with pytest.raises(HandlerError):
+            registry.subscribe(A)
+        assert policy.lock_count == baseline
+        assert policy.aggregate_stats().write_acquired >= 1
