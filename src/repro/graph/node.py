@@ -126,6 +126,16 @@ class GraphNode:
         for queue in self.output_queues:
             queue.push(element)
 
+    def has_pending(self) -> bool:
+        """Whether any input queue holds an element (the schedulers' readiness
+        test: stops at the first non-empty queue and counts nothing)."""
+        for queue in self.input_queues:
+            # The deque itself: ``if queue`` is a Python-level ``__bool__``
+            # call, and a scheduler asks this of every node on every step.
+            if queue._elements:
+                return True
+        return False
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 

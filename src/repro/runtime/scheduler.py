@@ -65,10 +65,12 @@ class RoundRobinScheduler(OperatorScheduler):
         self._cursor = 0
 
     def next_node(self) -> Optional[GraphNode]:
-        for offset in range(len(self._nodes)):
-            node = self._nodes[(self._cursor + offset) % len(self._nodes)]
-            if node.pending_elements() > 0:
-                self._cursor = (self._cursor + offset + 1) % len(self._nodes)
+        nodes, cursor = self._nodes, self._cursor
+        count = len(nodes)
+        for offset in range(count):
+            node = nodes[(cursor + offset) % count]
+            if node.has_pending():
+                self._cursor = (cursor + offset + 1) % count
                 return node
         return None
 
@@ -155,9 +157,9 @@ class ChainScheduler(OperatorScheduler):
             self._last_refresh = now
         # Sinks first: result delivery frees memory for free.
         for sink in self._sinks:
-            if sink.pending_elements() > 0:
+            if sink.has_pending():
                 return sink
-        ready = [op for op in self._operators if op.pending_elements() > 0]
+        ready = [op for op in self._operators if op.has_pending()]
         if not ready:
             return None
         return max(ready, key=lambda op: (self._priorities.get(op.name, 0.0),
@@ -218,8 +220,8 @@ class PriorityScheduler(OperatorScheduler):
         return self._effective.get(node.name, float("-inf"))
 
     def next_node(self) -> Optional[GraphNode]:
-        ready_sinks = [s for s in self._sinks if s.pending_elements() > 0]
-        ready_ops = [o for o in self._operators if o.pending_elements() > 0]
+        ready_sinks = [s for s in self._sinks if s.has_pending()]
+        ready_ops = [o for o in self._operators if o.has_pending()]
         candidates = ready_sinks + ready_ops
         if not candidates:
             return None

@@ -70,6 +70,7 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.export import SinkProgress, TelemetryExporter
 from repro.telemetry.sinks import (
+    EventBatch,
     ExportSink,
     FanOutSink,
     FanOutSubscriber,
@@ -83,6 +84,7 @@ __all__ = [
     "TelemetryExporter",
     "SinkProgress",
     "ExportSink",
+    "EventBatch",
     "JsonlFileSink",
     "TcpLineSink",
     "FanOutSink",

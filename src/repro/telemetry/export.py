@@ -21,9 +21,11 @@ discipline):
   own drop counter at zero, because overwriting delivered events is not a
   loss.
 * **own drainer thread** — batches of up to ``batch_size`` events are
-  rendered to plain dicts and written to every sink; a failing sink is
-  counted (``export_sink_errors_total``) and skipped for that batch, never
-  retried synchronously, never allowed to stall the other sinks.
+  handed to every sink as one :class:`~repro.telemetry.sinks.EventBatch`
+  (the JSON lines rendered once for all line sinks, record dicts only for a
+  sink that iterates); a failing sink is counted
+  (``export_sink_errors_total``) and skipped for that batch, never retried
+  synchronously, never allowed to stall the other sinks.
 * **overhead budget** — ``cpu_budget`` caps the fraction of wall-clock time
   the drainer spends delivering (it sleeps the remainder between batches).
   Under overload the exporter therefore sheds load by *dropping counted
@@ -50,8 +52,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence, TYPE_CHECKING
 
-from repro.telemetry.events import event_to_dict
-from repro.telemetry.sinks import ExportSink, Record
+from repro.telemetry.sinks import EventBatch, ExportSink, Record
 from repro.telemetry.trace import TraceSubscription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (hub -> export)
@@ -217,10 +218,10 @@ class TelemetryExporter:
             batch = self.subscription.pop_batch(self.batch_size)
             if not batch:
                 return 0
-            self._deliver([event_to_dict(event) for event in batch])
+            self._deliver(EventBatch(batch))
             return len(batch)
 
-    def _deliver(self, records: list[Record]) -> None:
+    def _deliver(self, records: Sequence[Record]) -> None:
         # Caller holds _deliver_lock.
         metrics = self.telemetry.metrics
         for sink, progress in zip(self.sinks, self.progress):

@@ -1,10 +1,13 @@
 """Pluggable sinks for the telemetry export pipeline.
 
 A sink is the terminal stage of :class:`~repro.telemetry.export.
-TelemetryExporter`: it receives *batches* of plain-dict records (trace
-events rendered by :func:`~repro.telemetry.events.event_to_dict`, plus
-periodic ``metrics.snapshot`` records) on the exporter's drainer thread —
-never on an emitting thread.
+TelemetryExporter`: it receives *batches* of plain-dict records on the
+exporter's drainer thread — never on an emitting thread.  A batch of trace
+events arrives as an :class:`EventBatch`, which iterates and ``len()``s as
+the events' :func:`~repro.telemetry.events.event_to_dict` records, built
+only if a sink asks, and carries the batch's JSON-lines ``payload``,
+rendered once and shared by every line sink; the periodic
+``metrics.snapshot`` record arrives as a one-element list.
 
 The contract every sink implements:
 
@@ -34,16 +37,20 @@ Shipped sinks:
 
 from __future__ import annotations
 
-import json
+import functools
 import os
 import socket
 import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, IO
+from typing import Any, IO, Iterator, Sequence
+
+from repro.telemetry.events import (
+    COMPACT, ENCODERS, TraceEvent, event_to_dict, render_lines)
 
 __all__ = [
+    "EventBatch",
     "ExportSink",
     "JsonlFileSink",
     "TcpLineSink",
@@ -54,14 +61,43 @@ __all__ = [
 Record = dict[str, Any]
 
 
-# One encoder for every batch: ``json.dumps`` with non-default arguments
-# builds a fresh ``JSONEncoder`` per call, i.e. per record.
-_encode = json.JSONEncoder(default=str, separators=(",", ":")).encode
+class EventBatch(Sequence[Record]):
+    """One drained batch of trace events, as the sinks see it.
+
+    A sequence of record dicts, built from the events the first time a sink
+    iterates or indexes it (a line sink never does, nor a
+    :class:`FanOutSink` nobody tails), plus :attr:`payload`.
+    """
+
+    def __init__(self, events: Sequence[TraceEvent]) -> None:
+        self._events = events
+
+    @functools.cached_property
+    def records(self) -> list[Record]:
+        return [event_to_dict(event) for event in self._events]
+
+    @functools.cached_property
+    def payload(self) -> str:
+        """The batch as compact JSON lines, rendered once, straight from the
+        events (ASCII, so ``len(payload)`` is its size on the wire)."""
+        return render_lines(self._events)
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __iter__(self) -> Iterator[Record]:
+        return iter(self.records)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self.records[index]
 
 
-def encode_lines(records: list[Record]) -> str:
+def encode_lines(records: Sequence[Record]) -> str:
     """Render a batch as newline-terminated compact JSON lines."""
-    return "".join([_encode(record) + "\n" for record in records])
+    if isinstance(records, EventBatch):
+        return records.payload
+    encode = ENCODERS[COMPACT]
+    return "".join([encode(record) + "\n" for record in records])
 
 
 class ExportSink:
@@ -70,7 +106,7 @@ class ExportSink:
     #: Short name used in progress accounting and metric labels.
     name = "sink"
 
-    def write_batch(self, records: list[Record]) -> None:
+    def write_batch(self, records: Sequence[Record]) -> None:
         raise NotImplementedError
 
     def flush(self) -> None:
@@ -120,7 +156,7 @@ class JsonlFileSink(ExportSink):
             self._bytes = self.path.stat().st_size
         return self._stream
 
-    def write_batch(self, records: list[Record]) -> None:
+    def write_batch(self, records: Sequence[Record]) -> None:
         stream = self._ensure_open()
         payload = encode_lines(records)
         stream.write(payload)
@@ -226,7 +262,7 @@ class TcpLineSink(ExportSink):
         self.connects += 1
         return sock
 
-    def write_batch(self, records: list[Record]) -> None:
+    def write_batch(self, records: Sequence[Record]) -> None:
         sock = self._ensure_connected()
         payload = encode_lines(records).encode("utf-8")
         try:
@@ -268,7 +304,7 @@ class FanOutSubscriber:
         self.dropped = 0
         self.closed = False
 
-    def _offer(self, records: list[Record]) -> None:
+    def _offer(self, records: Sequence[Record]) -> None:
         with self._lock:
             if self.closed:
                 return
@@ -337,7 +373,7 @@ class FanOutSink(ExportSink):
         with self._lock:
             return len(self._subscribers)
 
-    def write_batch(self, records: list[Record]) -> None:
+    def write_batch(self, records: Sequence[Record]) -> None:
         with self._lock:
             subscribers = tuple(self._subscribers)
         for subscriber in subscribers:

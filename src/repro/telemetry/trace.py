@@ -36,22 +36,17 @@ Two consumption styles share the one bounded buffer:
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import threading
 import time
 from typing import Callable, IO, cast
 
 from repro.common.clock import Clock
-from repro.telemetry.events import TraceEvent, event_to_dict
+from repro.telemetry.events import SPACED, TraceEvent, render_lines
 
 __all__ = ["TraceBus", "TraceSubscription", "jsonl_writer"]
 
 log = logging.getLogger(__name__)
-
-# One encoder for every listener: ``json.dumps(..., default=str)`` builds a
-# fresh ``JSONEncoder`` per call, i.e. per event.
-_encode = json.JSONEncoder(default=str).encode
 
 
 class TraceBus:
@@ -338,9 +333,9 @@ def jsonl_writer(
 
     def write(event: TraceEvent) -> None:
         try:
-            line = _encode(event_to_dict(event))
+            line = render_lines((event,), SPACED)
             with lock:
-                stream.write(line + "\n")
+                stream.write(line)
         except Exception as exc:
             state["errors"] += 1
             write.errors = state["errors"]  # type: ignore[attr-defined]

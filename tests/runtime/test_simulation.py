@@ -165,3 +165,30 @@ class TestRebuildSchedule:
         assert out2.received > 0
         scheduler.detach()
         assert not f2.metadata.is_included(md.AVG_SELECTIVITY)
+
+
+class TestRoundRobinFairness:
+    def test_backlogged_nodes_alternate_under_finite_capacity(self):
+        # Two backlogged sinks, one credit per quantum: checking whether
+        # backlog remains must not cost the next node its turn.
+        graph = QueryGraph()
+        order = []
+        sources = []
+        for name in ("x", "y"):
+            source = graph.add(Source(f"s{name}", Schema(("v",))))
+            sink = graph.add(Sink(name, callback=lambda e, name=name: order.append(name)))
+            graph.connect(source, sink)
+            sources.append(source)
+        executor = SimulationExecutor(graph, service_capacity=1.0)
+
+        def burst(now):
+            for source in sources:
+                for value in range(6):
+                    source.produce({"v": value}, now)
+
+        executor.at(1.0, burst)
+        executor.run_until(1.0)   # the burst, then one step on the one credit
+        assert order == ["x"]
+        executor.run_until(20.0)  # one resume timer, one step, per quantum
+        assert order == ["x", "y"] * 6
+        assert executor.steps_executed == 12

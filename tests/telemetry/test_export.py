@@ -22,7 +22,9 @@ import pytest
 from repro.common.clock import VirtualClock
 from repro.telemetry.events import WaveRefresh, WaveStart, event_to_dict
 from repro.telemetry.hub import Telemetry, render_dashboard
+from repro.telemetry import sinks as sinks_module
 from repro.telemetry.sinks import (
+    EventBatch,
     ExportSink,
     FanOutSink,
     JsonlFileSink,
@@ -559,6 +561,146 @@ class TestFanOutSink:
         fan.write_batch([{"kind": "x"}])
         assert sub.pop() == []
         assert fan.subscriber_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# The batch a sink receives: lazy record dicts + one shared payload
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Wrap ``sinks_module.<name>``; the returned list grows by one per call."""
+    calls: list[int] = []
+    original = getattr(sinks_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sinks_module, name, counted)
+    return calls
+
+
+class TestEventBatchDelivery:
+    def test_line_sinks_share_one_payload_per_batch(self, tmp_path, monkeypatch):
+        renders = _count_calls(monkeypatch, "render_lines")
+        dicts = _count_calls(monkeypatch, "event_to_dict")
+        server = _LineReceiver()
+        try:
+            tel = Telemetry(capacity=4096)
+            path = tmp_path / "trace.jsonl"
+            exporter = tel.attach_exporter(
+                JsonlFileSink(path), TcpLineSink("127.0.0.1", server.port),
+                metrics_interval=None, start=False)
+            for i in range(700):
+                tel.emit(WaveRefresh(node=f"n{i}", key="k", duration=i / 7))
+            exporter.close()
+            assert _wait_for(lambda: server.line_count() == 700)
+            sent = b"".join(line + b"\n" for line in server.lines)
+        finally:
+            server.stop()
+        assert path.read_bytes() == sent
+        assert [p.events for p in exporter.progress] == [700, 700]
+        # 700 events at batch_size 256 -> 3 batches, each rendered once for
+        # both sinks, and nobody asked for a dict.
+        assert len(renders) == 3
+        assert dicts == []
+
+    def test_fanout_renders_records_only_for_subscribers(self, monkeypatch):
+        dicts = _count_calls(monkeypatch, "event_to_dict")
+        renders = _count_calls(monkeypatch, "render_lines")
+        tel = Telemetry(capacity=4096)
+        fan = FanOutSink()
+        exporter = tel.attach_exporter(fan, metrics_interval=None, start=False)
+        for i in range(10):
+            tel.emit(WaveStart(node=f"n{i}"))
+        exporter.flush()
+        assert dicts == [] and renders == []
+        assert exporter.progress[0].events == 10
+
+        tail = fan.subscribe()
+        events = [WaveStart(node=f"m{i}") for i in range(10)]
+        for event in events:
+            tel.emit(event)
+        exporter.flush()
+        assert tail.pop() == [event_to_dict(event) for event in events]
+        assert len(dicts) == 10
+        exporter.close()
+
+    def test_custom_sink_that_only_iterates_sees_dict_records(self):
+        class IteratingSink(ExportSink):
+            def __init__(self) -> None:
+                self.seen: list[dict] = []
+
+            def write_batch(self, records) -> None:
+                for record in records:
+                    assert type(record) is dict
+                    self.seen.append(record)
+
+        tel = Telemetry(capacity=4096)
+        sink = IteratingSink()
+        exporter = tel.attach_exporter(sink, metrics_interval=None, start=False)
+        events = [WaveRefresh(node=f"n{i}", changed=True) for i in range(300)]
+        for event in events:
+            tel.emit(event)
+        exporter.close()
+        assert sink.seen == [event_to_dict(event) for event in events]
+
+    def test_batch_is_a_sequence_of_records(self):
+        events = [WaveStart(node="a"), WaveRefresh(node="b")]
+        batch = EventBatch(events)
+        assert len(batch) == 2
+        assert list(batch) == [event_to_dict(event) for event in events]
+        assert batch[1]["kind"] == "wave.refresh"
+        assert batch[-1] is batch[1]          # built once, then kept
+        assert batch.payload is batch.payload
+
+    def test_raising_sink_loses_only_its_own_batches(self, tmp_path):
+        tel = Telemetry(capacity=64)
+        bad = CollectingSink()
+        bad.fail = True
+        path = tmp_path / "good.jsonl"
+        exporter = tel.attach_exporter(
+            bad, JsonlFileSink(path), batch_size=16, metrics_interval=None,
+            start=False)
+        sub = exporter.subscription
+        for i in range(200):
+            tel.emit(WaveStart(node=f"n{i}"))
+            if i == 150:
+                exporter.flush()  # mid-stream: some overwritten, some pending
+        assert sub.delivered + sub.dropped + sub.pending() == tel.bus.emitted
+        exporter.close()
+        bad_progress, good_progress = exporter.progress
+        assert sub.delivered + sub.dropped == tel.bus.emitted == 200
+        assert sub.dropped > 0 and sub.pending() == 0
+        assert bad_progress.dropped == sub.delivered and bad_progress.events == 0
+        assert good_progress.events == sub.delivered
+        assert len(path.read_text().splitlines()) == sub.delivered
+
+    def test_metrics_snapshot_still_encodes_on_line_sinks(self, tmp_path):
+        tel = Telemetry(capacity=4096)
+        path = tmp_path / "trace.jsonl"
+        exporter = tel.attach_exporter(
+            JsonlFileSink(path), metrics_interval=1.0, start=False)
+        tel.emit(WaveStart(node="n"))
+        exporter.close()  # one event batch, then the final snapshot record
+        first, last = map(json.loads, path.read_text().splitlines())
+        assert first["kind"] == "wave.start"
+        assert last["kind"] == "metrics.snapshot"
+        assert "waves_total" in last["series"]["counters"]
+
+    def test_rotation_counts_payload_bytes(self, tmp_path):
+        events = [WaveRefresh(node="caf\u00e9 \U0001f600", key="k", duration=0.5)] * 5
+        size = len(EventBatch(events).payload)
+        assert size == len(EventBatch(events).payload.encode("utf-8"))
+        path = tmp_path / "t.jsonl"
+        sink = JsonlFileSink(path, max_bytes=2 * size, max_files=3)
+        sink.write_batch(EventBatch(events))
+        assert sink.rotations == 0
+        sink.write_batch(EventBatch(events))
+        assert sink.rotations == 1
+        sink.close()
+        assert path.with_name("t.jsonl.1").stat().st_size == 2 * size
 
 
 # ---------------------------------------------------------------------------
