@@ -125,10 +125,12 @@ def main() -> None:
         compute=lambda ctx: ctx.value(COST) + 50))
     cost, total = registry.subscribe(COST), registry.subscribe(TOTAL)
     fanout_state["value"] = 8
+    before = system.propagation.stats()  # step 2's failed ticks poisoned too
     faults.activate()          # net.cost's recompute fails inside the wave
     registry.notify_changed(FANOUT)
     faults.deactivate()
-    stats = system.propagation.stats()
+    stats = {name: count - before[name]
+             for name, count in system.propagation.stats().items()}
     print(f"    cost.get()  -> {cost.get():g}  (last-good: compute failed)")
     print(f"    total.get() -> {total.get():g}  "
           f"(skipped, not fed a half-updated input)")

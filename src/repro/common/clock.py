@@ -56,21 +56,28 @@ class SystemClock:
 class Timer:
     """Handle for a timer scheduled on a :class:`VirtualClock`.
 
-    Cancelling a timer is O(1); the cancelled entry is lazily discarded when
-    the clock advances past it.
+    Cancelling a timer is O(1) amortized: the entry stays in the clock's
+    queue until the clock advances past it or cancelled entries outnumber
+    the armed ones, whichever comes first (see
+    :meth:`VirtualClock._timer_cancelled`).
     """
 
-    __slots__ = ("deadline", "callback", "cancelled", "_seq")
+    __slots__ = ("deadline", "callback", "cancelled", "_seq", "_clock")
 
-    def __init__(self, deadline: float, callback: Callable[[], None], seq: int) -> None:
+    def __init__(self, deadline: float, callback: Callable[[], None], seq: int,
+                 clock: "VirtualClock | None" = None) -> None:
         self.deadline = deadline
         self.callback = callback
         self.cancelled = False
         self._seq = seq
+        self._clock = clock  # the queue holding this timer; None once popped
 
     def cancel(self) -> None:
         """Prevent the timer's callback from firing."""
-        self.cancelled = True
+        if not self.cancelled:
+            self.cancelled = True
+            if self._clock is not None:
+                self._clock._timer_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "armed"
@@ -94,9 +101,28 @@ class VirtualClock:
         self._heap: list[tuple[float, int, Timer]] = []
         self._counter = itertools.count()
         self._advancing = False
+        self._cancelled = 0  # cancelled timers still sitting in the heap
 
     def now(self) -> float:
         return self._now
+
+    def _timer_cancelled(self) -> None:
+        """A queued timer was cancelled.  Its entry (and the callback it
+        pins) is dropped as soon as dead entries outnumber live ones, so the
+        queue stays O(armed timers) even on a clock that never advances."""
+        self._cancelled += 1
+        if self._cancelled * 2 > len(self._heap):
+            # In place: advance_to may be iterating over this very list.
+            self._heap[:] = [e for e in self._heap if not e[2].cancelled]
+            heapq.heapify(self._heap)
+            self._cancelled = 0
+
+    def _pop(self) -> Timer:
+        timer = heapq.heappop(self._heap)[2]
+        timer._clock = None
+        if timer.cancelled:
+            self._cancelled -= 1
+        return timer
 
     def schedule_at(self, deadline: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` to fire when the clock reaches ``deadline``.
@@ -107,7 +133,7 @@ class VirtualClock:
         """
         if deadline < self._now:
             deadline = self._now
-        timer = Timer(float(deadline), callback, next(self._counter))
+        timer = Timer(float(deadline), callback, next(self._counter), self)
         heapq.heappush(self._heap, (timer.deadline, timer._seq, timer))
         return timer
 
@@ -128,7 +154,7 @@ class VirtualClock:
         self._advancing = True
         try:
             while self._heap and self._heap[0][0] <= deadline:
-                _, _, timer = heapq.heappop(self._heap)
+                timer = self._pop()
                 if timer.cancelled:
                     continue
                 # Time jumps to each timer's deadline so callbacks observe
@@ -148,7 +174,7 @@ class VirtualClock:
     def next_deadline(self) -> float | None:
         """Return the earliest pending (non-cancelled) timer deadline."""
         while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+            self._pop()
         if not self._heap:
             return None
         return self._heap[0][0]
@@ -190,3 +216,7 @@ class _ThreadSafeVirtualClock(VirtualClock):
     def advance_to(self, deadline: float) -> None:
         with self._lock:
             super().advance_to(deadline)
+
+    def _timer_cancelled(self) -> None:
+        with self._lock:
+            super()._timer_cancelled()

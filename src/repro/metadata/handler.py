@@ -181,7 +181,15 @@ class MetadataHandler:
         return self.publishes_every_update or self.definition.always_propagate
 
     def refresh(self) -> None:
-        """Recompute the value now and propagate to dependents.
+        """Recompute the value now and propagate to dependents — a lone
+        refresh is a one-source wave (a scheduler tick publishes through its
+        own wave instead, see :meth:`PeriodicHandler.periodic_refresh`)."""
+        if self._refresh_value():
+            self.registry.propagation.value_changed(self)
+
+    def _refresh_value(self) -> bool:
+        """Recompute and store the value now; return whether dependents must
+        be told (value changed, or this handler publishes every update).
 
         With a failure policy attached, the attempt is circuit-governed: a
         quarantined handler returns quietly (consumers keep the stale
@@ -193,7 +201,7 @@ class MetadataHandler:
         if self.breaker is not None:
             outcome = self._guarded_attempt(retries=0)
             if outcome is None:
-                return  # quarantined: rest until the next probe is due
+                return False  # quarantined: rest until the next probe is due
             changed = outcome
         else:
             tel = self.registry.system.telemetry
@@ -207,10 +215,7 @@ class MetadataHandler:
                                         duration=time.monotonic() - t0))
         # Re-check after releasing the item lock: a concurrent exclusion that
         # won the race gets a quiet exit instead of a post-removal wave.
-        if self.removed:
-            return
-        if changed or self.propagates_always:
-            self.registry.propagation.value_changed(self)
+        return not self.removed and (changed or self.propagates_always)
 
     def recompute_for_propagation(self) -> bool:
         """Recompute during a propagation wave; return whether dependents
@@ -507,17 +512,19 @@ class PeriodicHandler(MetadataHandler):
             self.registry.scheduler.unregister(self._task)
             self._task = None
 
-    def periodic_refresh(self) -> None:
+    def periodic_refresh(self) -> bool:
         """One scheduler tick: recompute from the information gathered during
-        the elapsed window and publish the new value."""
+        the elapsed window; return whether the new value is published.  The
+        tick's wave calls this when its pass reaches the handler, so the
+        publication needs no wave of its own."""
         if self.removed:
-            return
+            return False
         try:
-            self.refresh()
+            return self._refresh_value()
         except MetadataNotIncludedError:
             # Removed concurrently between the check above and the refresh —
             # a clean cancellation, not an error the scheduler should count.
-            return
+            return False
 
     def reschedule_delay(self) -> float | None:
         """Scheduler re-arm override after a tick.

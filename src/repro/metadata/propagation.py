@@ -20,7 +20,8 @@ dependent edges) — the closure of handlers reachable from the wave's seeds,
 topologically ordered, each entry carrying its in-plan predecessors.  A plan
 is pure *structure*: it changes only on subscription-graph operations
 (include / exclude / define / undefine), while waves fire on every metadata
-change.  Single-seed plans are therefore memoized per seed under a
+change.  Single-seed plans and scheduler ticks' plans (few, and repeating)
+are therefore memoized — one slot per leading seed — under a
 monotonically increasing **topology epoch** that
 :class:`~repro.metadata.registry.MetadataRegistry` bumps through
 :meth:`~PropagationEngine.bump_topology` on every wiring change.
@@ -47,14 +48,23 @@ What differs between kinds of wave is only where the seeds come from:
   whose state change must be reflected immediately) enter through
   :meth:`~PropagationEngine.event_fired`: the source is not recomputed, its
   on-demand ``get`` recomputes lazily when a refreshed dependent reads it;
-* a **coalesced wave** has several: when the drainer finds more than one
-  queued source it merges them, so every shared dependent recomputes once
-  reading all merged source values — glitch-freedom across sources, the
-  batching analogue of incremental view maintenance.  A seed downstream of
-  another seed recomputes only if that one changed an input of it.
-  ``wave_count`` still counts *sources processed* (exact lost-wave
-  accounting survives coalescing); ``drain_count`` counts physical passes
-  and ``coalesced_source_count`` the sources that shared one;
+* a **coalesced wave** has several, so every shared dependent recomputes
+  once reading all merged source values — glitch-freedom across sources,
+  the batching analogue of incremental view maintenance.  Its main producer
+  is the **scheduler tick** (:meth:`~PropagationEngine.tick`): every
+  periodic item due at one instant arrives as one call, and its seeds are
+  *refreshed inside the pass*, each at its topological position — so a
+  periodic item reads this tick's values of everything upstream, is
+  computed exactly once per tick, joins the wave changed if it published
+  and poisoned if its provider failed, and is not counted as a wave
+  refresh (``planned`` / ``refreshes`` are about the dependents).  The
+  others are event batches (:meth:`~PropagationEngine.events_fired`) and
+  whatever separately enqueued calls the drainer finds queued together; an
+  event seed downstream of another seed recomputes only if that one
+  changed an input of it.  ``wave_count`` still counts *sources processed*
+  (exact lost-wave accounting survives coalescing); ``drain_count`` counts
+  physical passes and ``coalesced_source_count`` the sources that shared
+  one.  One enqueue call is one queue entry under one causal span;
 * a **continuation wave** is seeded by cross-shard *arrivals* (below): its
   seeds are ordinary members whose extra input, the foreign origin, arrived
   changed or poisoned.
@@ -67,10 +77,13 @@ Section 4.3 runs periodic refreshes — which feed this engine — on a pool of
 worker threads.  The engine therefore serializes waves across threads:
 
 * every :meth:`~PropagationEngine.value_changed` /
-  :meth:`~PropagationEngine.event_fired` call enqueues exactly one wave
-  source on a mutex-guarded deque,
-* at most one thread at a time (the *drainer*) pops sources and runs waves,
-  run-to-completion, in FIFO order,
+  :meth:`~PropagationEngine.event_fired` /
+  :meth:`~PropagationEngine.events_fired` / :meth:`~PropagationEngine.tick`
+  call enqueues exactly one entry on a mutex-guarded deque,
+* at most one thread at a time (the *drainer*) pops entries and runs waves,
+  run-to-completion, in FIFO order — a tick that finds the drainer busy on
+  another thread refreshes its seeds on its own thread first, so a worker
+  pool's computes are never serialized behind it,
 * the drainer role is handed off under the mutex: a thread only gives the
   role up in the same critical section in which it observes the queue empty,
   so a source enqueued concurrently is either seen by the retiring drainer
@@ -101,7 +114,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.common.errors import MetadataNotIncludedError
 from repro.telemetry.events import (
@@ -124,7 +137,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metadata.sharding import ShardRouter
     from repro.telemetry.hub import Telemetry
 
-__all__ = ["PropagationBackend", "PropagationEngine"]
+__all__ = ["FAILED", "PropagationBackend", "PropagationEngine"]
+
+#: One due task of a scheduler tick: the handler, and the scheduler's
+#: ``refresh()`` of it — recompute, book-keep, say whether it published
+#: (``True`` / ``False``, :data:`FAILED` when its provider raised).
+_TickSeed = tuple["MetadataHandler", Callable[[], "bool | str"]]
 
 
 class PropagationBackend:
@@ -133,8 +151,9 @@ class PropagationBackend:
     A backend owns the enqueue/drain/coalesce/plan-cache/topology-epoch
     surface the registries and handlers program against:
 
-    * :meth:`value_changed` / :meth:`event_fired` / :meth:`events_fired` —
-      the enqueue entry points (each call is exactly one wave source),
+    * :meth:`value_changed` / :meth:`event_fired` / :meth:`events_fired` /
+      :meth:`tick` — the enqueue entry points (events change their sources
+      by fiat; a scheduler tick has its seeds refreshed by the backend),
     * :meth:`bump_topology` / :attr:`topology_epoch` — the wiring-epoch
       contract that keys every cached wave plan,
     * :meth:`stats` — the exact-accounting counter snapshot,
@@ -164,6 +183,15 @@ class PropagationBackend:
         """Batch form of :meth:`event_fired` (one enqueue critical section)."""
         raise NotImplementedError
 
+    def tick(self, seeds: "Sequence[_TickSeed]") -> None:
+        """One scheduler tick: everything due at one instant, every
+        ``refresh`` to be called exactly once.  This fallback refreshes in
+        the order given and starts one wave per publisher;
+        :class:`PropagationEngine` makes the whole tick one wave."""
+        for handler, refresh in seeds:
+            if refresh() is True:
+                self.value_changed(handler)
+
     @property
     def topology_epoch(self) -> int:
         """Current epoch of the dependency wiring (monotonically increasing)."""
@@ -182,9 +210,11 @@ class PropagationBackend:
         self.telemetry = telemetry
 
 
-#: What :meth:`PropagationEngine._recompute` returns in place of the changed
-#: flag when the recompute did not complete.
-_FAILED, _EXCLUDED = "failed", "excluded"
+#: What a recompute (:meth:`PropagationEngine._recompute`, or a tick seed's
+#: ``refresh``) reports in place of the changed flag when it did not
+#: complete: the provider raised and the handler kept its last-good value.
+FAILED = "failed"
+_EXCLUDED = "excluded"
 
 #: A wave plan ``(entries, guarded, boundary)``.  ``entries`` lists
 #: ``(handler, predecessors)`` in topological order, predecessors being the
@@ -255,7 +285,7 @@ class _WaveTrace:
         if outcome is _EXCLUDED:
             self.suppressed(handler, "excluded")
             return
-        error = outcome is _FAILED
+        error = outcome is FAILED
         if error:
             self._errors += 1
             if not is_source:
@@ -324,11 +354,14 @@ class PropagationEngine(PropagationBackend):
         #: ``None`` keeps every hook below to a single local-variable check.
         self.telemetry = None
         self._mutex = threading.Lock()
-        # Queue entries are ``(source, span)``: the causal span id is
-        # allocated when the change is *enqueued* (span 0 = telemetry off)
-        # and travels with the wave so every hop/refresh it causes can be
-        # traced back to the triggering event.
-        self._pending: deque[tuple["MetadataHandler", int]] = deque()
+        # Queue entries are ``(seeds, span)``, one per enqueue *call*: the
+        # causal span id is allocated when the call is made (span 0 =
+        # telemetry off) and travels with the wave so every hop/refresh it
+        # causes can be traced back to it.  A seed is ``(handler, state)``:
+        # state ``None`` = changed by fiat (its notification said so), a
+        # callable = a tick seed to refresh when the pass reaches it, else
+        # the outcome of a refresh that already ran.
+        self._pending: deque[tuple[Sequence[tuple], int]] = deque()
         # Cross-shard arrivals: ``(handler, origin, span, poisoned)`` as
         # routed by a foreign shard's wave.  Drained by this engine's own
         # drainer as continuation waves; counted into ``pending`` so
@@ -336,28 +369,67 @@ class PropagationEngine(PropagationBackend):
         self._remote: deque[tuple["MetadataHandler", "MetadataHandler",
                                   int, bool]] = deque()
         self._drainer: int | None = None  # ident of the thread running waves
-        # Plan cache: id(seed) -> (epoch, plan).  Guarded by ``_mutex``;
-        # cleared eagerly on every epoch bump so stale plans never pin
-        # excluded handlers in memory.
+        # Plan cache: id(first seed) -> (seed ids, plan) — one slot per
+        # leading seed, so it is bounded by the handlers alive however the
+        # seed sets vary.  Guarded by ``_mutex``; cleared eagerly on every
+        # epoch bump, so an entry is never stale and never pins an excluded
+        # handler in memory.
         self._topology_epoch = 0
-        self._plans: dict[int, tuple[int, _Plan]] = {}
+        self._plans: dict[int, tuple[Any, _Plan]] = {}
 
     # -- public entry points -------------------------------------------------
 
     def value_changed(self, source: "MetadataHandler") -> None:
         """A handler's stored value changed; refresh dependents in order."""
-        self._enqueue([source])
+        self._enqueue([(source, None)])
 
     def event_fired(self, source: "MetadataHandler") -> None:
         """A manual event notification for ``source`` (Section 3.2.3)."""
-        self._enqueue([source])
+        self._enqueue([(source, None)])
 
     def events_fired(self, sources: Sequence["MetadataHandler"]) -> None:
-        """Batch form of :meth:`event_fired`: enqueue all sources under one
-        mutex acquisition so a coalescing drainer merges them into a single
+        """Batch form of :meth:`event_fired`: all sources travel as one
         multi-source wave (shared dependents recompute once per batch)."""
-        if sources:
-            self._enqueue(sources)
+        self._enqueue_batch([(source, None) for source in sources], False)
+
+    def tick(self, seeds: "Sequence[_TickSeed]") -> None:
+        """One scheduler tick as one wave: each seed is refreshed when the
+        pass reaches it, so it reads this tick's values of everything
+        upstream — periodic or triggered — and is computed exactly once.
+
+        The pass belongs to the drainer.  When another thread holds that
+        role the seeds are refreshed here instead, in the order given (by
+        deadline, then registration), and queued with their outcomes: a worker pool keeps computing side by
+        side (Section 4.3) and the busy drainer only propagates.  The peek
+        is unlocked on purpose — either answer is correct, the choice only
+        decides which thread computes.
+        """
+        apart = False
+        if self._drainer is not None:
+            seeds = [(handler, refresh()) for handler, refresh in seeds]
+        elif self.router is not None and len(seeds) > 1:
+            # When the tick's closure leaves the shard, what comes back from
+            # the far side may feed a later seed: each seed's wave (and its
+            # routing) then completes before the next seed is refreshed.
+            apart = bool(self._plan([seed[0] for seed in seeds], True)[2])
+        self._enqueue_batch(seeds, apart)
+
+    def ordered(self, seeds: Sequence[tuple]) -> list:
+        """A tick's ``seeds`` in the topological order of its (cached)
+        plan: every seed after the seeds it transitively reads."""
+        by_id = {id(seed[0]): seed for seed in seeds}
+        entries = self._plan([seed[0] for seed in seeds], True)[0]
+        return [by_id[id(handler)] for handler, _ in entries
+                if id(handler) in by_id]
+
+    def _enqueue_batch(self, seeds: Sequence[tuple], apart: bool) -> None:
+        """One call for the whole batch — or, kept ``apart`` or on an engine
+        that does not coalesce, one call per seed."""
+        if apart or not self.coalesce:
+            for seed in seeds:
+                self._enqueue([seed])
+        elif seeds:
+            self._enqueue(seeds)
 
     def remote_enqueued(self, handler: "MetadataHandler",
                         origin: "MetadataHandler", span: int,
@@ -398,29 +470,28 @@ class PropagationEngine(PropagationBackend):
 
     # -- queueing and the drainer hand-off ---------------------------------------
 
-    def _enqueue(self, sources: Sequence["MetadataHandler"],
+    def _enqueue(self, seeds: Sequence[tuple],
                  arrival: "tuple | None" = None) -> None:
-        """Queue local ``sources`` (or one cross-shard ``arrival``) and take
-        the drainer role if it is free — the one entry into the engine."""
+        """Queue one call's ``seeds`` (or one cross-shard ``arrival``) and
+        take the drainer role if it is free — the one entry into the engine.
+        A call is one queue entry under one span, however many seeds."""
         tel = self.telemetry
-        entries: "list[tuple[MetadataHandler, int]]" = []
         with self._mutex:
             if arrival is not None:
                 self._remote.append(arrival)
                 span = arrival[2]
             else:
-                entries = [(s, tel.bus.new_span() if tel is not None else 0)
-                           for s in sources]
-                self._pending.extend(entries)
-                span = entries[0][1]
-            depth = len(self._pending) + len(self._remote)
+                span = tel.bus.new_span() if tel is not None else 0
+                self._pending.append((seeds, span))
+            depth = self._queued() if tel is not None else 0
             acquired = self._drainer is None
             if acquired:
                 self._drainer = threading.get_ident()
         if tel is not None:
-            for source, source_span in entries:
-                tel.emit(WaveEnqueued(span=source_span, node=node_of(source),
-                                      key=key_of(source.key), pending=depth))
+            if arrival is None:
+                first = seeds[0][0]
+                tel.emit(WaveEnqueued(span=span, node=node_of(first),
+                                      key=key_of(first.key), pending=depth))
             if acquired:
                 tel.emit(DrainHandoff(span=span, acquired=True, pending=depth))
         if not acquired:
@@ -432,6 +503,10 @@ class PropagationEngine(PropagationBackend):
             # queue.  Run-to-completion is preserved in both cases.
             return
         self._drain(tel)
+
+    def _queued(self) -> int:
+        """Sources and arrivals waiting for the drainer (under the mutex)."""
+        return sum(len(seeds) for seeds, _ in self._pending) + len(self._remote)
 
     def _drain(self, tel: "Telemetry | None") -> None:
         """Run waves until both queues are empty, then retire the drainer
@@ -473,30 +548,39 @@ class PropagationEngine(PropagationBackend):
                 self._drainer = None
             raise
 
-    def _run_sources(self, batch: "list[tuple[MetadataHandler, int]]") -> None:
-        """One wave for every source queued at drain time.  Duplicate
-        sources collapse (a batch of notifications for one item is one
-        refresh of its dependents, each reading the latest state);
-        ``wave_count`` still advances once per queue entry so lost-wave
-        accounting is exact."""
-        self.wave_count += len(batch)
-        self.drain_count += 1
-        seeds = [batch[0][0]]
-        span = batch[0][1]
+    def _run_sources(self, batch: "list[tuple[list, int]]") -> None:
+        """One wave for every call queued at drain time, under the first
+        call's span.  ``wave_count`` advances once per source so lost-wave
+        accounting is exact; a wave of several sources — one call's or
+        several calls' — counts as merged."""
+        seeds, span = batch[0]
         if len(batch) > 1:
-            seeds = list({id(s): s for s, _ in batch}.values())
-            self.merged_wave_count += 1
-            self.coalesced_source_count += len(batch)
+            seeds = list(seeds)
             tel = self.telemetry
-            if tel is not None:
-                # Attribute the merged wave to every contributing source:
-                # one linkage event per folded source ties its enqueue span
-                # to the span the wave's hops/refreshes will carry.
-                for source, source_span in batch[1:]:
-                    tel.emit(WaveCoalesced(span=span, node=node_of(source),
-                                           key=key_of(source.key),
-                                           source_span=source_span))
-        self._wave(seeds, span)
+            for later, later_span in batch[1:]:
+                seeds += later
+                if tel is not None:
+                    # Separately enqueued calls have spans of their own: one
+                    # linkage event per folded source ties its enqueue span
+                    # to the span the wave's hops/refreshes will carry.
+                    for source, _ in later:
+                        tel.emit(WaveCoalesced(span=span, node=node_of(source),
+                                               key=key_of(source.key),
+                                               source_span=later_span))
+        self.wave_count += len(seeds)
+        self.drain_count += 1
+        if len(seeds) > 1:
+            self.merged_wave_count += 1
+            self.coalesced_source_count += len(seeds)
+            # Duplicate sources collapse: a batch of notifications for one
+            # item is one refresh of its dependents, reading the latest state.
+            handlers = list({id(handler): handler for handler, _ in seeds}.values())
+        else:
+            handlers = [seeds[0][0]]
+        self._wave(handlers, span,
+                   {id(handler) for handler, state in seeds if state is None},
+                   {id(handler): state for handler, state in seeds
+                    if state is not None})
 
     def _run_arrivals(self, batch: list) -> None:
         """One continuation wave for every arrival queued at drain time,
@@ -507,7 +591,7 @@ class PropagationEngine(PropagationBackend):
         seeds = {}
         for arrival in batch:
             seeds[id(arrival[0])] = arrival[0]
-        self._wave(list(seeds.values()), batch[0][2], batch)
+        self._wave(list(seeds.values()), batch[0][2], set(), {}, batch)
 
     # -- plan ----------------------------------------------------------------------
 
@@ -558,18 +642,20 @@ class PropagationEngine(PropagationBackend):
                 any(handlers[h].breaker is not None for h in order),
                 tuple(boundary.values()))
 
-    def _plan(self, seeds: "list[MetadataHandler]") -> _Plan:
-        """The plan for ``seeds``: cached per single seed while the topology
-        epoch stands still, built and not stored otherwise (seed
-        combinations are unbounded, and ``plan_cache=False`` asks for it).
+    def _plan(self, seeds: "list[MetadataHandler]", tick: bool = False) -> _Plan:
+        """The plan for ``seeds``: cached while the topology epoch stands
+        still for a single seed and for a ``tick`` (scheduler ticks repeat
+        the same few seed sets), built and not stored otherwise (event
+        batches combine without bound, and ``plan_cache=False`` asks for it).
         """
-        if not self.plan_cache or len(seeds) != 1:
+        if not self.plan_cache or not (tick or len(seeds) == 1):
             return self._build_plan(seeds)
-        sid = id(seeds[0])
+        slot = id(seeds[0])
+        ids = slot if len(seeds) == 1 else tuple(map(id, seeds))
         with self._mutex:
             epoch = self._topology_epoch
-            cached = self._plans.get(sid)
-            if cached is not None and cached[0] == epoch:
+            cached = self._plans.get(slot)
+            if cached is not None and cached[0] == ids:
                 self.plan_hits += 1
                 return cached[1]
             self.plan_misses += 1
@@ -579,33 +665,38 @@ class PropagationEngine(PropagationBackend):
             # this plan stale on arrival: run it (any plan can go stale
             # between construction and execution) but do not cache it.
             if self._topology_epoch == epoch:
-                self._plans[sid] = (epoch, plan)
+                self._plans[slot] = (ids, plan)
         return plan
 
     # -- loop ----------------------------------------------------------------------
 
     def _wave(self, seeds: "list[MetadataHandler]", span: int,
+              fiat: "set[int]", ticking: "dict[int, Any]",
               arrivals: "list | None" = None) -> None:
         """Run one wave: obtain the plan for ``seeds``, pass over it once.
 
-        Without ``arrivals`` the seeds are wave *sources*: changed by fiat
-        (their notification said so) and only recomputed when another
-        merged source changed one of their dependencies first — keeping
-        them consistent within the batch.  With ``arrivals`` (``(seed,
-        origin, span, poisoned)`` as routed) this is a continuation wave:
-        each seed is an ordinary member, and the foreign ``origin`` that
-        changed — or, if ``poisoned``, kept a stale value — on another
-        shard is one more predecessor of it, already decided.
+        Without ``arrivals`` the seeds are wave *sources*.  Those in
+        ``fiat`` changed because their notification said so, and are only
+        recomputed when another merged source changed one of their
+        dependencies first — keeping them consistent within the batch.
+        Those in ``ticking`` (``id(seed)`` to its queued state) are tick
+        seeds, refreshed here when the pass reaches them (unless the state
+        is the outcome of a refresh that already ran): a tick seed joins the
+        wave changed if it published, poisoned if it failed, not at all
+        otherwise — and is never recomputed, whatever changed upstream.
+        With ``arrivals`` (``(seed, origin, span, poisoned)`` as routed)
+        this is a continuation wave: each seed is an ordinary member, and
+        the foreign ``origin`` that changed — or, if ``poisoned``, kept a
+        stale value — on another shard is one more predecessor of it,
+        already decided.
 
         Counters accumulate in locals and flush once per wave (the drainer
         thread owns them, and ``stats()`` reads under the mutex after the
         drain handoff) — per-refresh attribute writes are measurable on
         the wave-storm workload of ``benchmarks/e2e``.
         """
-        entries, guarded, boundary = self._plan(seeds)
-        sources = set(map(id, seeds)) if arrivals is None else set()
-        members = set(sources)
-        changed = set(sources)
+        members = set(fiat)
+        changed = set(fiat)
         poisoned: set[int] = set()
         # id(seed) -> its foreign origins, which are already decided:
         inbound: dict[int, tuple] = {}
@@ -617,6 +708,7 @@ class PropagationEngine(PropagationBackend):
             origins = inbound.get(id(seed), ())
             if origin not in origins:
                 inbound[id(seed)] = origins + (origin,)
+        entries, guarded, boundary = self._plan(seeds, tick=bool(ticking))
         tel = self.telemetry
         trace = None if tel is None else _WaveTrace(
             tel, span, arrivals or (), seeds[0], len(entries), len(seeds),
@@ -625,11 +717,23 @@ class PropagationEngine(PropagationBackend):
         try:
             for handler, preds in entries:
                 hid = id(handler)
+                if ticking and hid in ticking:
+                    state = ticking[hid]
+                    if callable(state):
+                        ticking[hid] = None  # called, whatever comes of it
+                        state = state()
+                    if state is True:
+                        members.add(hid)
+                        changed.add(hid)
+                    elif state is FAILED:
+                        members.add(hid)
+                        poisoned.add(hid)
+                    continue
                 if inbound and hid in inbound:
                     preds += inbound[hid]
                 member_preds = [p for p in preds if id(p) in members] \
                     if preds else preds
-                is_source = hid in sources
+                is_source = hid in fiat
                 if is_source:
                     if not member_preds:
                         continue  # nothing upstream of it in this wave
@@ -685,13 +789,20 @@ class PropagationEngine(PropagationBackend):
                 outcome = self._recompute(handler)
                 if outcome is True:
                     changed.add(hid)
-                elif outcome is _FAILED and not is_source:
+                elif outcome is FAILED and not is_source:
                     # The handler keeps its last-good value and its
                     # dependent subtree is skipped.  Sources stay changed —
                     # their pre-wave change is still news for dependents.
                     poisoned.add(hid)
                 if trace is not None:
                     trace.refreshed(handler, outcome, is_source)
+        except BaseException:
+            # The pass escaped, but every tick seed is owed its refresh:
+            # its scheduler re-arms the task only when it has run.
+            for state in ticking.values():
+                if callable(state):
+                    state()
+            raise
         finally:
             self.refresh_count += refreshes
             self.suppressed_count += suppressed
@@ -711,7 +822,7 @@ class PropagationEngine(PropagationBackend):
     def _recompute(self, handler: "MetadataHandler") -> "bool | str":
         """Best-effort recompute: a failing provider keeps its old value and
         does not abort the wave for its siblings.  Returns whether
-        dependents must be told, or ``_FAILED`` / ``_EXCLUDED`` when the
+        dependents must be told, or ``FAILED`` / ``_EXCLUDED`` when the
         recompute did not complete."""
         try:
             return True if handler.recompute_for_propagation() else False
@@ -723,7 +834,7 @@ class PropagationEngine(PropagationBackend):
             return _EXCLUDED
         except Exception:  # noqa: BLE001 - contain provider failures
             self.error_count += 1
-            return _FAILED
+            return FAILED
 
     # -- cross-shard hand-off ----------------------------------------------------
 
@@ -787,7 +898,7 @@ class PropagationEngine(PropagationBackend):
                 "remote_in": self.remote_in_count,
                 "remote_out": self.remote_out_count,
                 "remote_waves": self.remote_wave_count,
-                "pending": len(self._pending) + len(self._remote),
+                "pending": self._queued(),
                 "topology_epoch": self._topology_epoch,
                 "plan_hits": self.plan_hits,
                 "plan_misses": self.plan_misses,

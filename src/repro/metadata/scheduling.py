@@ -12,18 +12,30 @@ interchangeable implementations exist:
 
 Both record per-task update counts and *lateness* (how far behind its deadline
 each refresh ran), which the worker-pool benchmark (experiment E11) reports.
+
+Neither refreshes tasks one by one.  What is due at one instant is a
+**tick**, and a tick enters the propagation engine as *one* wave whose seeds
+are refreshed inside the pass, each when the pass reaches it (Section 3.2.2's
+fixed time window, Section 3.2.3's "in the right order"): concurrent
+consumers see one consistent sample, an aggregate over k periodic inputs
+recomputes once per tick, and a periodic item that reads another — even
+through triggered items — is computed after it, exactly once.  See
+:class:`PeriodicScheduler`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import heapq
 import itertools
 import logging
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.common.clock import Clock, Timer, VirtualClock
+from repro.metadata.propagation import FAILED
 from repro.telemetry.events import (
     RetryScheduled,
     SchedulerCancel,
@@ -77,7 +89,7 @@ class PeriodicTask:
     """
 
     __slots__ = ("handler", "period", "cancelled", "fire_count", "total_lateness",
-                 "error_count", "_timer", "_seq", "_running", "_runner")
+                 "error_count", "_deadline", "_seq", "_running", "_runner")
 
     def __init__(self, handler: "PeriodicHandler", period: float, seq: int) -> None:
         self.handler = handler
@@ -86,10 +98,10 @@ class PeriodicTask:
         self.fire_count = 0
         self.total_lateness = 0.0
         self.error_count = 0  # refreshes that raised; the task keeps running
-        self._timer: Optional[Timer] = None
+        self._deadline = 0.0  # virtual time: the deadline group it waits in
         self._seq = seq
-        self._running = False          # a worker is executing the refresh now
-        self._runner: Optional[int] = None  # ident of that worker thread
+        self._running = False          # collected for a tick, not yet settled
+        self._runner: Optional[int] = None  # ident of the thread refreshing it
 
     @property
     def mean_lateness(self) -> float:
@@ -100,7 +112,17 @@ class PeriodicTask:
 
 
 class PeriodicScheduler:
-    """Common interface of periodic-update schedulers."""
+    """Common interface of periodic-update schedulers, and the **tick**.
+
+    A tick is every task a scheduler found due at one instant.  It reaches
+    the propagation backend through :meth:`_tick` as the seeds of *one*
+    wave: the backend calls each task's refresh (:meth:`_fire`) when its
+    pass arrives at the task's handler, so a periodic item downstream of
+    another — directly or through triggered items — is computed after it,
+    exactly once, and shared dependents recompute once per tick.  All
+    bookkeeping stays per task: counters, lateness, ``SchedulerRefresh``,
+    the failure-policy re-arm; one failing task never stops its siblings.
+    """
 
     clock: Clock
 
@@ -111,9 +133,21 @@ class PeriodicScheduler:
     #: Label for ``scheduler_refresh_errors_total{mode=...}``.
     mode = "unknown"
 
+    #: Guards the task counters; a real lock only where threads fire tasks.
+    _lock: Any = contextlib.nullcontext()
+
+    def __init__(self, clock: Clock) -> None:
+        self.clock = clock
+        self._seq = itertools.count()
+        self._active = 0
+
     def register(self, handler: "PeriodicHandler") -> PeriodicTask:
         """Begin refreshing ``handler`` every ``handler.period`` time units."""
-        raise NotImplementedError
+        task = PeriodicTask(handler, handler.period, next(self._seq))
+        with self._lock:
+            self._active += 1
+            self._arm(task, self.clock.now() + task.period)
+        return task
 
     def unregister(self, task: PeriodicTask, wait: bool = True) -> None:
         """Stop refreshing the task's handler.
@@ -125,103 +159,147 @@ class PeriodicScheduler:
         raise NotImplementedError
 
     def active_task_count(self) -> int:
+        with self._lock:
+            return self._active
+
+    def _arm(self, task: PeriodicTask, deadline: float) -> None:
+        """Make ``task`` due at ``deadline`` (called under :attr:`_lock`)."""
         raise NotImplementedError
+
+    def _idle(self, task: PeriodicTask) -> None:
+        """``task`` left its tick (called under :attr:`_lock`)."""
+        task._running = False
+        task._runner = None
+
+    def _tick(self, due: Sequence[tuple[PeriodicTask, float]]) -> None:
+        """Hand the ``(task, deadline)`` pairs due now to the propagation
+        backend as the seeds of one wave (which puts them in dependency
+        order).  Called with no scheduler lock held."""
+        ticks: dict[int, tuple[Any, list]] = {}
+        for task, deadline in due:
+            run = functools.partial(self._fire, task, deadline)
+            backend = getattr(getattr(task.handler, "registry", None),
+                              "propagation", None)
+            if backend is None:
+                run()  # a bare handler-shaped object: nothing to propagate into
+            else:
+                ticks.setdefault(id(backend), (backend, []))[1].append(
+                    (task.handler, run))
+        for backend, seeds in ticks.values():
+            backend.tick(seeds)
+
+    def _fire(self, task: PeriodicTask, deadline: float) -> "bool | str":
+        """Refresh one due task; return whether its handler published a value
+        (:data:`~repro.metadata.propagation.FAILED` when its provider raised
+        and the handler kept the old one)."""
+        with self._lock:
+            if task.cancelled:
+                # Since it was collected — by an unsubscribe, or by an earlier
+                # task's compute in this very tick.
+                self._idle(task)
+                return False
+            task._runner = threading.get_ident()
+            task.fire_count += 1
+            lateness = max(0.0, self.clock.now() - deadline)
+            task.total_lateness += lateness
+        tel = self.telemetry
+        t0 = time.monotonic() if tel is not None else 0.0
+        outcome: "bool | str" = False
+        try:
+            outcome = task.handler.periodic_refresh() is True
+        except Exception as exc:  # noqa: BLE001 - one failing item must not derail its siblings
+            outcome = FAILED
+            log.warning("periodic refresh of %s/%s failed: %s",
+                        node_of(task.handler), key_of(task.handler.key), exc)
+        finally:
+            # A failure policy substitutes backoff / quarantine-rest delays
+            # for the period grid (None without one or while the circuit is
+            # healthy, keeping the drift-free cadence exactly).
+            delay = _reschedule_delay(task.handler)
+            with self._lock:
+                if outcome is FAILED:
+                    task.error_count += 1
+                self._idle(task)
+                if not task.cancelled:
+                    self._arm(task, deadline + task.period if delay is None
+                              else self.clock.now() + delay)
+        if tel is not None:
+            tel.emit(SchedulerRefresh(node=node_of(task.handler),
+                                      key=key_of(task.handler.key),
+                                      queue_latency=lateness,
+                                      duration=time.monotonic() - t0,
+                                      error=outcome is FAILED, mode=self.mode,
+                                      shard=_shard_of(task.handler)))
+            if outcome is FAILED and delay is not None:
+                breaker = task.handler.breaker
+                tel.emit(RetryScheduled(
+                    node=node_of(task.handler), key=key_of(task.handler.key),
+                    attempt=breaker.consecutive_failures if breaker else 0,
+                    delay=delay))
+        return outcome
 
 
 class VirtualTimeScheduler(PeriodicScheduler):
     """Deterministic scheduler on a :class:`VirtualClock`.
 
-    Each task re-arms itself for ``deadline + period`` (not ``now + period``),
-    so refresh times stay on the exact grid the paper's fixed time windows
-    define, with zero drift.
+    One clock timer per *deadline*, holding the tasks due then; when it
+    fires, the whole group is one tick.  Each task re-arms itself for
+    ``deadline + period`` (not ``now + period``), so refresh times stay on
+    the exact grid the paper's fixed time windows define, with zero drift —
+    and tasks sharing a period keep sharing their ticks.
     """
 
     mode = "virtual"
 
     def __init__(self, clock: VirtualClock) -> None:
-        self.clock = clock
-        self._seq = itertools.count()
-        self._active = 0
-
-    def register(self, handler: "PeriodicHandler") -> PeriodicTask:
-        task = PeriodicTask(handler, handler.period, next(self._seq))
-        self._active += 1
-        self._arm(task, self.clock.now() + task.period)
-        return task
+        super().__init__(clock)
+        #: deadline -> (its timer, the tasks due then keyed by ``_seq``).
+        self._groups: dict[float, tuple[Timer, dict[int, PeriodicTask]]] = {}
 
     def _arm(self, task: PeriodicTask, deadline: float) -> None:
-        def fire() -> None:
-            if task.cancelled:
-                return
-            task.fire_count += 1
-            lateness = max(0.0, self.clock.now() - deadline)
-            task.total_lateness += lateness
-            tel = self.telemetry
-            t0 = time.monotonic() if tel is not None else 0.0
-            error = False
-            try:
-                task.handler.periodic_refresh()
-            except Exception as exc:  # noqa: BLE001 - one failing item must not
-                task.error_count += 1  # derail the whole event loop
-                error = True
-                log.warning("periodic refresh of %s/%s failed: %s",
-                            node_of(task.handler), key_of(task.handler.key),
-                            exc)
-            if tel is not None:
-                tel.emit(SchedulerRefresh(node=node_of(task.handler),
-                                          key=key_of(task.handler.key),
-                                          queue_latency=lateness,
-                                          duration=time.monotonic() - t0,
-                                          error=error, mode=self.mode,
-                                          shard=_shard_of(task.handler)))
-            if not task.cancelled:
-                self._rearm(task, deadline, error)
+        group = self._groups.get(deadline)
+        if group is None:
+            group = self._groups[deadline] = (self.clock.schedule_at(
+                deadline, functools.partial(self._due, deadline)), {})
+        group[1][task._seq] = task
+        task._deadline = deadline
 
-        task._timer = self.clock.schedule_at(deadline, fire)
-
-    def _rearm(self, task: PeriodicTask, deadline: float, error: bool) -> None:
-        # A failure policy substitutes backoff / quarantine-rest delays for
-        # the period grid (reschedule_delay() is None without one or while
-        # the circuit is healthy, keeping the drift-free cadence exactly).
-        delay = _reschedule_delay(task.handler)
-        if delay is None:
-            self._arm(task, deadline + task.period)
-            return
-        tel = self.telemetry
-        if tel is not None and error:
-            breaker = task.handler.breaker
-            tel.emit(RetryScheduled(
-                node=node_of(task.handler), key=key_of(task.handler.key),
-                attempt=breaker.consecutive_failures if breaker else 0,
-                delay=delay))
-        self._arm(task, self.clock.now() + delay)
+    def _due(self, deadline: float) -> None:
+        # The group closes before its tasks fire: one re-armed for this very
+        # deadline (a zero backoff) starts a new group with a new timer.
+        tasks = self._groups.pop(deadline)[1]
+        self._tick([(task, deadline) for task in tasks.values()])
 
     def unregister(self, task: PeriodicTask, wait: bool = True) -> None:
         # Virtual time is single-threaded: nothing can be in flight, so
         # ``wait`` is trivially satisfied.
         if not task.cancelled:
             task.cancelled = True
-            if task._timer is not None:
-                task._timer.cancel()
             self._active -= 1
+            group = self._groups.get(task._deadline)
+            if group is not None and group[1].pop(task._seq, None) is not None \
+                    and not group[1]:
+                # Last task out cancels the timer, so neither the group nor
+                # the clock's queue outlives the tasks they were armed for.
+                group[0].cancel()
+                del self._groups[task._deadline]
             tel = self.telemetry
             if tel is not None:
                 tel.emit(SchedulerCancel(node=node_of(task.handler),
                                          key=key_of(task.handler.key),
                                          in_flight=False))
 
-    def active_task_count(self) -> int:
-        return self._active
-
 
 class ThreadedScheduler(PeriodicScheduler):
     """Worker-pool scheduler for wall-clock deployments (Section 4.3).
 
     A shared deadline heap feeds ``pool_size`` worker threads.  Workers sleep
-    on a condition variable until the earliest deadline is due, execute the
-    refresh, and re-arm the task.  A refresh that overruns its period delays
-    only tasks a single worker would have run next — adding workers is exactly
-    the paper's scalability lever, measured by experiment E11.
+    on a condition variable until the earliest deadline is due, take what is
+    due as one tick — everything with a single worker, a fair share each in
+    a pool — and re-arm the tasks as they settle.  A refresh that overruns
+    its period delays only tasks a single worker would have run next —
+    adding workers is exactly the paper's scalability lever, measured by
+    experiment E11.
     """
 
     #: Backstop for :meth:`unregister`'s in-flight wait — far above any sane
@@ -234,12 +312,10 @@ class ThreadedScheduler(PeriodicScheduler):
     def __init__(self, clock: Clock, pool_size: int = 1) -> None:
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-        self.clock = clock
+        super().__init__(clock)
         self.pool_size = pool_size
-        self._cond = threading.Condition()
+        self._lock = self._cond = threading.Condition()
         self._heap: list[tuple[float, int, PeriodicTask]] = []
-        self._seq = itertools.count()
-        self._active = 0
         self._stopped = False
         self._threads: list[threading.Thread] = []
 
@@ -270,13 +346,14 @@ class ThreadedScheduler(PeriodicScheduler):
     def __exit__(self, *exc: object) -> None:
         self.stop()
 
-    def register(self, handler: "PeriodicHandler") -> PeriodicTask:
-        task = PeriodicTask(handler, handler.period, next(self._seq))
-        with self._cond:
-            self._active += 1
-            heapq.heappush(self._heap, (self.clock.now() + task.period, task._seq, task))
+    def _arm(self, task: PeriodicTask, deadline: float) -> None:
+        if not self._stopped:
+            heapq.heappush(self._heap, (deadline, task._seq, task))
             self._cond.notify()
-        return task
+
+    def _idle(self, task: PeriodicTask) -> None:
+        super()._idle(task)
+        self._cond.notify_all()  # unregister() callers waiting for this run
 
     def unregister(self, task: PeriodicTask, wait: bool = True) -> None:
         """Cancel ``task``; by default also wait out an in-flight refresh.
@@ -328,10 +405,6 @@ class ThreadedScheduler(PeriodicScheduler):
                                      in_flight=raced_in_flight,
                                      timed_out=timed_out))
 
-    def active_task_count(self) -> int:
-        with self._cond:
-            return self._active
-
     def task_snapshot(self, task: PeriodicTask) -> dict[str, Any]:
         """Consistent snapshot of a task's counters (taken under the lock)."""
         with self._cond:
@@ -354,64 +427,30 @@ class ThreadedScheduler(PeriodicScheduler):
                     while self._heap and self._heap[0][2].cancelled:
                         heapq.heappop(self._heap)
                     if self._heap and self._heap[0][0] <= now:
-                        deadline, _, task = heapq.heappop(self._heap)
                         break
                     wait = (self._heap[0][0] - now) if self._heap else None
                     self._cond.wait(wait)
-                # Still inside the critical section of the pop: the lazy-drop
-                # loop above guarantees the task is not cancelled *here*, and
-                # marking it in flight before releasing the lock closes the
-                # old pop-to-fire window — unregister() observes either the
-                # cancellation (no fire) or the running marker (it waits).
-                task._running = True
-                task._runner = threading.get_ident()
-                task.fire_count += 1
-                lateness = max(0.0, self.clock.now() - deadline)
-                task.total_lateness += lateness
-            # Run the refresh outside the scheduler lock so slow refreshes do
-            # not block other workers.
-            tel = self.telemetry
-            t0 = time.monotonic() if tel is not None else 0.0
-            error = False
-            rearm_delay: Optional[float] = None
+                due: list[tuple[PeriodicTask, float]] = []
+                while self._heap and self._heap[0][0] <= now:
+                    deadline, _, task = heapq.heappop(self._heap)
+                    if not task.cancelled:
+                        due.append((task, deadline))
+                # A pool shares the tick out, so slow refreshes keep running
+                # side by side; the rest goes back for the other workers.
+                share = -(-len(due) // self.pool_size)
+                for task, deadline in due[share:]:
+                    heapq.heappush(self._heap, (deadline, task._seq, task))
+                del due[share:]
+                # Still inside the critical section of the pop: none of these
+                # is cancelled *here*, and marking them in flight before
+                # releasing the lock closes the pop-to-fire window —
+                # unregister() observes either the cancellation (no fire) or
+                # the running marker (it waits until the task settled).
+                for task, _ in due:
+                    task._running = True
+            # The tick runs outside the scheduler lock, so slow refreshes do
+            # not block other workers (and no lock is taken while holding it).
             try:
-                task.handler.periodic_refresh()
-            except Exception as exc:  # noqa: BLE001 - a failing item must not kill the pool
-                error = True
-                log.warning("periodic refresh of %s/%s failed: %s",
-                            node_of(task.handler), key_of(task.handler.key),
-                            exc)
-                with self._cond:
-                    task.error_count += 1
-            finally:
-                # Backoff/quarantine delays replace the period grid only
-                # when a failure policy asks for them (None otherwise).
-                rearm_delay = _reschedule_delay(task.handler)
-                with self._cond:
-                    task._running = False
-                    task._runner = None
-                    if not task.cancelled and not self._stopped:
-                        next_deadline = (deadline + task.period
-                                         if rearm_delay is None
-                                         else self.clock.now() + rearm_delay)
-                        heapq.heappush(
-                            self._heap, (next_deadline, task._seq, task)
-                        )
-                    # Wake both idle workers (new heap entry) and
-                    # unregister() callers waiting for this run to finish.
-                    self._cond.notify_all()
-            if tel is not None:
-                tel.emit(SchedulerRefresh(node=node_of(task.handler),
-                                          key=key_of(task.handler.key),
-                                          queue_latency=lateness,
-                                          duration=time.monotonic() - t0,
-                                          error=error, mode=self.mode,
-                                          shard=_shard_of(task.handler)))
-                if error and rearm_delay is not None:
-                    breaker = task.handler.breaker
-                    tel.emit(RetryScheduled(
-                        node=node_of(task.handler),
-                        key=key_of(task.handler.key),
-                        attempt=(breaker.consecutive_failures
-                                 if breaker else 0),
-                        delay=rearm_delay))
+                self._tick(due)
+            except Exception:  # noqa: BLE001 - a wave that escaped must not kill the pool
+                log.exception("periodic tick of %d task(s) failed", len(due))

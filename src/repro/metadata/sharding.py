@@ -44,6 +44,7 @@ the edge table makes crossings observable.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import zlib
@@ -121,6 +122,9 @@ class ShardedPropagationBackend(PropagationBackend):
             engine.router = router
             engine.shard_index = index
             self.engines.append(engine)
+        #: Routerless, so its plans walk every dependent edge: the global
+        #: topological order of a tick's seeds.  It never runs a wave.
+        self._order = PropagationEngine(plan_cache=plan_cache)
 
     @property
     def shard_count(self) -> int:
@@ -144,6 +148,16 @@ class ShardedPropagationBackend(PropagationBackend):
         for index in sorted(by_shard):
             self.engines[index].events_fired(by_shard[index])
 
+    def tick(self, seeds: Sequence[tuple]) -> None:
+        # Dependency order across shards first, then runs of neighbouring
+        # same-shard seeds, each one wave on its shard: regrouping by shard
+        # could refresh a seed before the foreign item it reads.
+        if len(seeds) > 1:
+            seeds = self._order.ordered(seeds)
+        for index, run in itertools.groupby(
+                seeds, key=lambda seed: seed[0].registry.shard_index):
+            self.engines[index].tick(list(run))
+
     @property
     def topology_epoch(self) -> int:
         # Sum of per-shard epochs: monotone, and moves whenever any shard's
@@ -155,7 +169,7 @@ class ShardedPropagationBackend(PropagationBackend):
         # A wiring change is broadcast: a cross-shard attach invalidates
         # plans on both sides, and distinguishing the sides costs more than
         # the (already epoch-guarded) cache rebuild it would save.
-        for engine in self.engines:
+        for engine in (*self.engines, self._order):
             engine.bump_topology()
         return self.topology_epoch
 

@@ -26,7 +26,8 @@ Human-facing views:
 
 from __future__ import annotations
 
-from typing import Any, Callable, TYPE_CHECKING
+import dataclasses
+from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from repro.common.clock import Clock
 from repro.telemetry import events as ev
@@ -448,7 +449,10 @@ def _ident(node: str, key: str) -> str:
 
 def format_span(telemetry: Telemetry, span: int) -> str:
     """Render one causal span (subscribe chain or wave) as an indented log."""
-    events = telemetry.bus.span_events(span)
+    return _format_events(span, telemetry.bus.span_events(span))
+
+
+def _format_events(span: int, events: Sequence[ev.TraceEvent]) -> str:
     if not events:
         return f"span {span}: no buffered events"
     lines = [f"span {span} ({len(events)} events)"]
@@ -561,8 +565,11 @@ def explain_refresh(telemetry: Telemetry, node: Any, key: Any) -> str:
     the most recent (buffered) refresh of ``(node, key)``.
 
     ``node`` may be a graph node or a name; ``key`` a ``MetadataKey`` or its
-    string form.  Returns the full span log of the triggering wave, from the
-    enqueueing change through every dependency hop to the refresh itself.
+    string form.  Returns the span log of the triggering wave narrowed to
+    the item's causal ancestors: the enqueueing change, every dependency hop
+    that leads to the item with the refreshes along it, and the wave's end.
+    A scheduler tick's wave covers every due source; the items its other
+    sources reached are none of this one's business.
 
     When the handler's most recent wave involvement was a *poisoning*
     (compute failure, poisoned input, or quarantine skip) rather than a
@@ -589,4 +596,43 @@ def explain_refresh(telemetry: Telemetry, node: Any, key: Any) -> str:
             f"why did {node_name}/{key_name} refresh?  "
             f"(last refresh at t={latest.ts:g})"
         )
-    return header + "\n" + format_span(telemetry, latest.span)
+    return header + "\n" + _format_events(latest.span, _causal_ancestors(
+        telemetry.bus.span_events(latest.span), (node_name, key_name)))
+
+
+def _causal_ancestors(events: Sequence[ev.TraceEvent],
+                      item: tuple[str, str]) -> list[ev.TraceEvent]:
+    """The events of one wave's span that lie on a hop chain into ``item``.
+
+    Walks ``wave.hop`` backwards from the item; per-item events (hops,
+    refreshes, suppressions) off that chain are dropped, everything else
+    (wave framing, failure causality) stays.  A multi-source wave's
+    framing names its *first* source, so it is re-addressed to the source
+    the chain starts from.
+    """
+    into: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for event in events:
+        if isinstance(event, ev.WaveHop):
+            into.setdefault((event.to_node, event.to_key), []).append(
+                (event.from_node, event.from_key))
+    chain = {item}
+    frontier = [item]
+    while frontier:
+        for origin in into.get(frontier.pop(), ()):
+            if origin not in chain:
+                chain.add(origin)
+                frontier.append(origin)
+    root = next((link for link in chain if link not in into), item)
+    kept: list[ev.TraceEvent] = []
+    for event in events:
+        if isinstance(event, ev.WaveHop):
+            if (event.to_node, event.to_key) not in chain:
+                continue
+        elif isinstance(event, (ev.WaveRefresh, ev.WaveSuppressed)):
+            if (event.node, event.key) not in chain:
+                continue
+        elif isinstance(event, ev.WaveEnqueued) or (
+                isinstance(event, ev.WaveStart) and event.sources > 1):
+            event = dataclasses.replace(event, node=root[0], key=root[1])
+        kept.append(event)
+    return kept

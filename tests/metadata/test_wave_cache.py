@@ -279,24 +279,58 @@ class TestCoalescing:
         assert stats["drains"] == 1
 
     def test_coalesced_wave_emits_linkage_events(self):
+        """One call is one span: a ``notify_changed_many`` batch has one
+        ``wave.enqueued`` and nothing to link, however many sources."""
         engine = PropagationEngine()
         registry, state, sources, merge_calls = self._shared_chain(engine)
         telemetry = registry.system.enable_telemetry()
         state.update(s0=1, s1=2, s2=3)
         registry.notify_changed_many(sources)
-        coalesced = telemetry.bus.events(kind="wave.coalesced")
-        assert len(coalesced) == 2  # sources folded into the first one's wave
-        starts = [e for e in telemetry.bus.events(kind="wave.start")
-                  if e.sources > 1]
-        assert len(starts) == 1
-        assert starts[0].sources == 3
-        # Linkage: every coalesced event ties its enqueue span to the wave's.
-        wave_span = starts[0].span
-        for event in coalesced:
-            assert event.span == wave_span
-            assert event.source_span != wave_span
+        enqueued = telemetry.bus.events(kind="wave.enqueued")
+        assert [(e.key, e.pending) for e in enqueued] == [("s0", 3)]
+        assert telemetry.bus.events(kind="wave.coalesced") == []
+        starts = telemetry.bus.events(kind="wave.start")
+        assert [(e.sources, e.span) for e in starts] == [(3, enqueued[0].span)]
         counters = telemetry.metrics.snapshot()["counters"]
-        assert counters.get("waves_coalesced_total") == 2
+        assert counters.get("waves_coalesced_total") is None
+        assert engine.stats()["merged_waves"] == 1
+
+    def test_separately_enqueued_sources_are_linked_when_merged(self):
+        """``wave.coalesced`` is for what the *drainer* merges: sources
+        enqueued by separate calls (here from inside a running wave) have
+        spans of their own, each tied to the wave that served it."""
+        engine = PropagationEngine()
+        registry, state, sources, merge_calls = self._shared_chain(engine)
+
+        def nudge(ctx):
+            if state["s0"] == 1 and not state["s1"]:
+                state.update(s1=2, s2=3)
+                registry.notify_changed(sources[1])
+                registry.notify_changed(sources[2])
+            return state["s0"]
+
+        define_triggered(registry, A, [sources[0]], compute=nudge)
+        registry.subscribe(A)
+        telemetry = registry.system.enable_telemetry()
+        state.update(s0=1)
+        registry.notify_changed(sources[0])
+        assert registry.get(E) == 6
+        enqueued = telemetry.bus.events(kind="wave.enqueued")
+        assert [e.key for e in enqueued] == ["s0", "s1", "s2"]
+        assert len({e.span for e in enqueued}) == 3
+        merged = [e for e in telemetry.bus.events(kind="wave.start")
+                  if e.sources > 1]
+        assert [(e.key, e.sources) for e in merged] == [("s1", 2)]
+        # Linkage: the wave runs under the first merged call's span; every
+        # later call's source ties its own enqueue span to it.
+        coalesced = telemetry.bus.events(kind="wave.coalesced")
+        assert [(e.key, e.span, e.source_span) for e in coalesced] == [
+            ("s2", enqueued[1].span, enqueued[2].span)]
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters.get("waves_coalesced_total") == 1
+        stats = engine.stats()
+        assert (stats["waves"], stats["drains"], stats["merged_waves"],
+                stats["coalesced_sources"]) == (3, 2, 1, 2)
 
     def test_nested_notifications_still_coalesce_safely(self):
         """A notify fired from inside a compute lands in the running drain
