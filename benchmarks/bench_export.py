@@ -50,7 +50,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_telemetry_overhead import WAVES_PER_ROUND, build_workload, run_round
 
-from repro.metadata.propagation import PropagationEngine
 from repro.telemetry.events import WaveRefresh
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.sinks import ExportSink, JsonlFileSink
@@ -71,10 +70,10 @@ OVERLOAD_RING = 256
 
 
 def measure_overhead(tmp_dir: Path) -> dict:
-    off = build_workload(PropagationEngine())
+    off = build_workload()
     off[0].system.enable_telemetry(capacity=65536)
 
-    on = build_workload(PropagationEngine())
+    on = build_workload()
     telemetry_on = on[0].system.enable_telemetry(capacity=65536)
     exporter = telemetry_on.attach_exporter(
         JsonlFileSink(tmp_dir / "overhead.jsonl",

@@ -59,7 +59,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 # the hottest path the reliability checks touch.
 from bench_telemetry_overhead import CHAIN_DEPTH, build_workload, run_round
 
-from repro.metadata.propagation import PropagationEngine
 from repro.reliability import FailurePolicy
 
 WAVES_PER_ROUND = 500
@@ -70,9 +69,8 @@ PROCESS_SAMPLES = 5
 def measure_sample() -> dict:
     """One in-process sample: interleaved rounds, paired-ratio medians."""
     workloads = {
-        "nopolicy": build_workload(PropagationEngine()),
+        "nopolicy": build_workload(),
         "policy": build_workload(
-            PropagationEngine(),
             policy=FailurePolicy(max_retries=1, jitter=0.0)),
     }
     # Warmup: one short burst per engine so allocator and bytecode caches

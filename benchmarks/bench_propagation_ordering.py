@@ -16,15 +16,16 @@ inputs observed mid-propagation.
   **O(2^k) refreshes** on a k-diamond ladder and glitches at every level.
 
 The ablation is :class:`NaiveRecursion` below — the anti-pattern the paper
-warns about, written against the public :class:`PropagationBackend`
-interface.  It lives here, with its only caller, not in the product.
+warns about, overriding the entry points of the one-shard
+:class:`ShardedPropagationBackend` every metadata system holds.  It lives
+here, with its only caller, not in the product.
 """
 
 from __future__ import annotations
 
 from repro.common.clock import VirtualClock
 from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
-from repro.metadata.propagation import PropagationBackend, PropagationEngine
+from repro.metadata.propagation import ShardedPropagationBackend
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import VirtualTimeScheduler
 
@@ -35,13 +36,14 @@ class _Owner:
     name = "ladder"
 
 
-class NaiveRecursion(PropagationBackend):
+class NaiveRecursion(ShardedPropagationBackend):
     """Unordered depth-first triggering: every change recurses straight
     into the dependents, so a diamond's bottom recomputes once per path and
-    reads one fresh and one stale input in between."""
+    reads one fresh and one stale input in between.  The ladder has no
+    periodic items, so no scheduler tick ever reaches it."""
 
     def __init__(self) -> None:
-        self.telemetry = None
+        super().__init__(1)
         self.refresh_count = 0
 
     def value_changed(self, source) -> None:
@@ -57,11 +59,6 @@ class NaiveRecursion(PropagationBackend):
         for source in sources:
             self.value_changed(source)
 
-    topology_epoch = 0
-
-    def bump_topology(self) -> int:
-        return 0
-
     def stats(self) -> dict[str, int]:
         return {"refreshes": self.refresh_count}
 
@@ -70,7 +67,7 @@ def build_ladder(depth: int, ordered: bool):
     clock = VirtualClock()
     system = MetadataSystem(
         clock, VirtualTimeScheduler(clock),
-        propagation=PropagationEngine() if ordered else NaiveRecursion())
+        propagation=None if ordered else NaiveRecursion())
     owner = _Owner()
     registry = MetadataRegistry(owner, system)
     owner.metadata = registry
@@ -111,11 +108,11 @@ def build_ladder(depth: int, ordered: bool):
 def run(depth: int, ordered: bool):
     registry, system, state, glitches, top, a = build_ladder(depth, ordered)
     subscription = registry.subscribe(top)
-    refreshes_before = system.propagation.refresh_count
+    refreshes_before = system.stats()["refreshes"]
     glitches["count"] = 0
     state["value"] = 10
     registry.notify_changed(a)
-    refreshes = system.propagation.refresh_count - refreshes_before
+    refreshes = system.stats()["refreshes"] - refreshes_before
     value = subscription.get()
     subscription.cancel()
     # Reference: each level doubles (value+1)+(value+1).

@@ -41,7 +41,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.clock import VirtualClock
 from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
-from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import VirtualTimeScheduler
 
@@ -58,8 +57,7 @@ class _Owner:
 def build_registry():
     """Fresh registry: a DEPTH-deep shared chain + QUERIES query items."""
     clock = VirtualClock()
-    system = MetadataSystem(clock, VirtualTimeScheduler(clock),
-                            propagation=PropagationEngine())
+    system = MetadataSystem(clock, VirtualTimeScheduler(clock))
     registry = MetadataRegistry(_Owner(), system)
     base = MetadataKey("bench.base")
     registry.define(MetadataDefinition(base, Mechanism.STATIC, value=1))

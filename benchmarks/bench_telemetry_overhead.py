@@ -41,7 +41,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.clock import VirtualClock
 from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
-from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import VirtualTimeScheduler
 
@@ -58,7 +57,7 @@ class Owner:
     name = "bench"
 
 
-def build_workload(engine: PropagationEngine, policy=None):
+def build_workload(policy=None):
     """One registry, an on-demand source and a CHAIN_DEPTH triggered chain.
 
     Every ``notify_changed(SRC)`` starts a wave that refreshes the whole
@@ -67,8 +66,7 @@ def build_workload(engine: PropagationEngine, policy=None):
     failure policy (and hence a live circuit breaker) to every chain item.
     """
     clock = VirtualClock()
-    system = MetadataSystem(clock, VirtualTimeScheduler(clock),
-                            propagation=engine)
+    system = MetadataSystem(clock, VirtualTimeScheduler(clock))
     owner = Owner()
     registry = MetadataRegistry(owner, system)
     state = {"value": 0}
@@ -100,8 +98,8 @@ def run_round(registry, state, waves: int) -> float:
 
 def measure() -> dict:
     workloads = {
-        "disabled": build_workload(PropagationEngine()),
-        "enabled": build_workload(PropagationEngine()),
+        "disabled": build_workload(),
+        "enabled": build_workload(),
     }
     # Large buffer so ring-drop accounting does not dominate the enabled
     # measurement.

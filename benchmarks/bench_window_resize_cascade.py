@@ -62,7 +62,7 @@ def run_experiment():
 
     deltas = {name: h.compute_count - before[name]
               for name, h in handlers.items()}
-    waves = graph.metadata_system.propagation.wave_count
+    waves = graph.metadata_system.stats()["waves"]
     est_cpu.cancel()
     est_mem.cancel()
     return deltas, waves

@@ -11,9 +11,9 @@ instead of eyeballing log output:
 * suite ``fault``        (``bench_fault_overhead.py``) -> ``BENCH_fault.json``
 * suite ``sharded``      (``bench_sharded_scale.py``) -> ``BENCH_sharded.json``
 
-Reports are written at the repository root (committed alongside the code
-they measure) and compared against the checked-in baselines in
-``benchmarks/baselines/`` by ``--check``:
+Reports are written at the repository root (regenerated by every run and
+not committed) and compared against the baselines in
+``benchmarks/baselines/`` — the only committed copy — by ``--check``:
 
 * **absolute gates** (e.g. cut-shape speedup >= 2x) always apply;
 * **baseline tolerance**: each comparable metric may regress at most
@@ -147,9 +147,6 @@ SUITES: dict[str, dict] = {
             "waves_per_second_8": {
                 "direction": "higher_is_better", "unit": "waves/s",
                 "compare": False},
-            "accounting_equivalent": {
-                "direction": "higher_is_better", "unit": "bool",
-                "compare": True, "gate_min": 1.0},
         },
     },
 }

@@ -33,13 +33,8 @@ from repro.metadata.locks import (
     NoOpLockPolicy,
 )
 from repro.metadata.monitor import CostProbe, CounterProbe, GaugeProbe, Probe, RateProbe
-from repro.metadata.propagation import PropagationBackend, PropagationEngine
+from repro.metadata.propagation import PropagationEngine, ShardedPropagationBackend
 from repro.metadata.registry import MetadataRegistry, MetadataSubscription, MetadataSystem
-from repro.metadata.sharding import (
-    ShardedMetadataSystem,
-    ShardedPropagationBackend,
-    system_from_env,
-)
 from repro.metadata.scheduling import (
     PeriodicScheduler,
     PeriodicTask,
@@ -68,11 +63,8 @@ __all__ = [
     "MetadataSystem",
     "MetadataRegistry",
     "MetadataSubscription",
-    "PropagationBackend",
     "PropagationEngine",
-    "ShardedMetadataSystem",
     "ShardedPropagationBackend",
-    "system_from_env",
     "PeriodicScheduler",
     "PeriodicTask",
     "VirtualTimeScheduler",

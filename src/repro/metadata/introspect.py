@@ -72,8 +72,7 @@ def describe_system(system: MetadataSystem) -> dict[str, Any]:
 
     telemetry = system.telemetry
     findings = verify_system(system, emit_telemetry=False)
-    describe_shards = getattr(system, "describe_shards", None)
-    snapshot = {
+    return {
         "stats": system.stats(),
         "telemetry": telemetry.describe() if telemetry is not None
         else {"enabled": False},
@@ -89,10 +88,8 @@ def describe_system(system: MetadataSystem) -> dict[str, Any]:
             "hot": system.lock_policy.hot_locks(),
         },
         "registries": [describe_registry(r) for r in system.registries()],
+        "shards": system.describe_shards(),
     }
-    if describe_shards is not None:
-        snapshot["shards"] = describe_shards()
-    return snapshot
 
 
 def _describe_health(system: MetadataSystem) -> dict[str, Any]:

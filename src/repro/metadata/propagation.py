@@ -96,17 +96,25 @@ single-threaded run-to-completion semantics.
 Shard boundaries
 ----------------
 
-Under a sharded metadata system (:mod:`repro.metadata.sharding`) every
-shard owns one engine.  The engine then carries a :attr:`router` and a
-:attr:`shard_index`; plan construction records dependent edges whose far
-end lives on a *foreign* shard as **boundary edges** instead of walking
-them, and the wave forwards each changed (or poisoned) boundary crossing to
-the destination shard's engine through
+Every metadata system propagates through a :class:`ShardedPropagationBackend`
+holding one engine per shard.  With more than one shard each engine carries
+a :attr:`router` and a :attr:`shard_index`; plan construction records
+dependent edges whose far end lives on a *foreign* shard as **boundary
+edges** instead of walking them, and the wave forwards each changed (or
+poisoned) boundary crossing to the destination shard's engine through
 :meth:`~PropagationEngine.remote_enqueued` — an enqueue, never a lock
 acquisition, so no thread ever holds two shards' structures mid-wave.  The
 destination's own drainer runs the arrivals as a continuation wave, which
 carries the originating span id for causal traces and keeps ``planned ==
 refreshes + skipped_poisoned`` exact per shard (and therefore globally).
+
+Routed waves end at the values of one in-order pass because every member is
+refreshed again after each change of its inputs — except through an
+on-demand item, which never notifies.  A wave whose closure over every shard
+reaches an on-demand item with dependents is therefore *live*: it runs over
+the global plan on its shard's drainer, refreshing foreign members in place.
+A scheduler tick, whose seeds may sit on several shards, always runs that
+way (:meth:`ShardedPropagationBackend.tick`).
 """
 
 from __future__ import annotations
@@ -117,6 +125,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.common.errors import MetadataNotIncludedError
+from repro.metadata.item import Mechanism
 from repro.telemetry.events import (
     CrossShardHop,
     DrainHandoff,
@@ -134,80 +143,14 @@ from repro.telemetry.events import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metadata.handler import MetadataHandler
-    from repro.metadata.sharding import ShardRouter
     from repro.telemetry.hub import Telemetry
 
-__all__ = ["FAILED", "PropagationBackend", "PropagationEngine"]
+__all__ = ["FAILED", "PropagationEngine", "ShardRouter", "ShardedPropagationBackend"]
 
 #: One due task of a scheduler tick: the handler, and the scheduler's
 #: ``refresh()`` of it — recompute, book-keep, say whether it published
 #: (``True`` / ``False``, :data:`FAILED` when its provider raised).
 _TickSeed = tuple["MetadataHandler", Callable[[], "bool | str"]]
-
-
-class PropagationBackend:
-    """Interface of triggered-update propagation backends.
-
-    A backend owns the enqueue/drain/coalesce/plan-cache/topology-epoch
-    surface the registries and handlers program against:
-
-    * :meth:`value_changed` / :meth:`event_fired` / :meth:`events_fired` /
-      :meth:`tick` — the enqueue entry points (events change their sources
-      by fiat; a scheduler tick has its seeds refreshed by the backend),
-    * :meth:`bump_topology` / :attr:`topology_epoch` — the wiring-epoch
-      contract that keys every cached wave plan,
-    * :meth:`stats` — the exact-accounting counter snapshot,
-    * :attr:`telemetry` / :meth:`set_telemetry` — the single-attribute
-      observability hook (``None`` keeps hot paths to one ``is None``
-      check).
-
-    :class:`PropagationEngine` is the single-shard implementation;
-    :class:`~repro.metadata.sharding.ShardedPropagationBackend` fans the
-    same surface out over one engine per shard.  A future process-pool
-    backend only has to satisfy this interface.
-    """
-
-    #: Telemetry hub attached through :meth:`set_telemetry`; ``None`` keeps
-    #: every instrumentation hook to a single attribute check.
-    telemetry: "Telemetry | None"
-
-    def value_changed(self, source: "MetadataHandler") -> None:
-        """A handler's stored value changed; refresh dependents in order."""
-        raise NotImplementedError
-
-    def event_fired(self, source: "MetadataHandler") -> None:
-        """A manual event notification for ``source`` (Section 3.2.3)."""
-        raise NotImplementedError
-
-    def events_fired(self, sources: Sequence["MetadataHandler"]) -> None:
-        """Batch form of :meth:`event_fired` (one enqueue critical section)."""
-        raise NotImplementedError
-
-    def tick(self, seeds: "Sequence[_TickSeed]") -> None:
-        """One scheduler tick: everything due at one instant, every
-        ``refresh`` to be called exactly once.  This fallback refreshes in
-        the order given and starts one wave per publisher;
-        :class:`PropagationEngine` makes the whole tick one wave."""
-        for handler, refresh in seeds:
-            if refresh() is True:
-                self.value_changed(handler)
-
-    @property
-    def topology_epoch(self) -> int:
-        """Current epoch of the dependency wiring (monotonically increasing)."""
-        raise NotImplementedError
-
-    def bump_topology(self) -> int:
-        """Advance the topology epoch, invalidating cached wave plans."""
-        raise NotImplementedError
-
-    def stats(self) -> dict[str, int]:
-        """Mutually consistent counter snapshot (see :class:`PropagationEngine`)."""
-        raise NotImplementedError
-
-    def set_telemetry(self, telemetry: "Telemetry | None") -> None:
-        """Attach/detach the telemetry hub (fans out on multi-engine backends)."""
-        self.telemetry = telemetry
 
 
 #: What a recompute (:meth:`PropagationEngine._recompute`, or a tick seed's
@@ -216,7 +159,7 @@ class PropagationBackend:
 FAILED = "failed"
 _EXCLUDED = "excluded"
 
-#: A wave plan ``(entries, guarded, boundary)``.  ``entries`` lists
+#: A wave plan ``(entries, guarded, boundary, live)``.  ``entries`` lists
 #: ``(handler, predecessors)`` in topological order, predecessors being the
 #: entry's (deduplicated) dependencies *within the plan* — they always
 #: precede it, so one forward pass can decide everything incrementally.
@@ -226,8 +169,11 @@ _EXCLUDED = "excluded"
 #: loop skip breaker reads entirely on policy-free topologies (the common
 #: case).  ``boundary`` holds the ``(local, foreign)`` dependent edges that
 #: leave the shard — equally stable: attaching or detaching a cross-shard
-#: dependent bumps the epoch like any other wiring change.
-_Plan = tuple[list, bool, tuple]
+#: dependent bumps the epoch like any other wiring change.  ``live`` says
+#: that the closure of the seeds over every shard reaches an on-demand item
+#: with dependents (see :meth:`ShardRouter.live`) — ``False`` without a
+#: boundary.
+_Plan = tuple[list, bool, tuple, bool]
 
 
 class _WaveTrace:
@@ -303,13 +249,12 @@ class _WaveTrace:
                            duration=time.monotonic() - self._started))
 
 
-class PropagationEngine(PropagationBackend):
+class PropagationEngine:
     """Orders and executes triggered metadata updates.
 
-    One engine is shared by all registries of a metadata system (or by all
-    registries of one *shard* under a sharded system), so waves propagate
-    across node boundaries (inter-node dependencies) and into
-    exchangeable-module registries transparently.
+    One engine is shared by all registries placed on one shard of a
+    metadata system, so waves propagate across node boundaries (inter-node
+    dependencies) and into exchangeable-module registries transparently.
     """
 
     def __init__(self, plan_cache: bool = True, coalesce: bool = True) -> None:
@@ -390,7 +335,7 @@ class PropagationEngine(PropagationBackend):
     def events_fired(self, sources: Sequence["MetadataHandler"]) -> None:
         """Batch form of :meth:`event_fired`: all sources travel as one
         multi-source wave (shared dependents recompute once per batch)."""
-        self._enqueue_batch([(source, None) for source in sources], False)
+        self._enqueue_batch([(source, None) for source in sources])
 
     def tick(self, seeds: "Sequence[_TickSeed]") -> None:
         """One scheduler tick as one wave: each seed is refreshed when the
@@ -404,28 +349,14 @@ class PropagationEngine(PropagationBackend):
         is unlocked on purpose — either answer is correct, the choice only
         decides which thread computes.
         """
-        apart = False
         if self._drainer is not None:
             seeds = [(handler, refresh()) for handler, refresh in seeds]
-        elif self.router is not None and len(seeds) > 1:
-            # When the tick's closure leaves the shard, what comes back from
-            # the far side may feed a later seed: each seed's wave (and its
-            # routing) then completes before the next seed is refreshed.
-            apart = bool(self._plan([seed[0] for seed in seeds], True)[2])
-        self._enqueue_batch(seeds, apart)
+        self._enqueue_batch(seeds)
 
-    def ordered(self, seeds: Sequence[tuple]) -> list:
-        """A tick's ``seeds`` in the topological order of its (cached)
-        plan: every seed after the seeds it transitively reads."""
-        by_id = {id(seed[0]): seed for seed in seeds}
-        entries = self._plan([seed[0] for seed in seeds], True)[0]
-        return [by_id[id(handler)] for handler, _ in entries
-                if id(handler) in by_id]
-
-    def _enqueue_batch(self, seeds: Sequence[tuple], apart: bool) -> None:
-        """One call for the whole batch — or, kept ``apart`` or on an engine
-        that does not coalesce, one call per seed."""
-        if apart or not self.coalesce:
+    def _enqueue_batch(self, seeds: Sequence[tuple]) -> None:
+        """One call for the whole batch — or, on an engine that does not
+        coalesce, one call per seed."""
+        if not self.coalesce:
             for seed in seeds:
                 self._enqueue([seed])
         elif seeds:
@@ -437,14 +368,14 @@ class PropagationEngine(PropagationBackend):
         """Cross-shard arrival: a wave on ``origin``'s shard reached the
         foreign ``handler`` owned by this engine's shard.
 
-        Called by the :class:`~repro.metadata.sharding.ShardRouter` from the
-        *sending* shard's drainer thread, which holds none of this engine's
-        locks — so the same drainer hand-off as a local change applies:
-        enqueue under the mutex, then either this thread becomes the
-        drainer (and runs the continuation wave inline) or the active
-        drainer is guaranteed to see the entry before retiring.  Re-entrant
-        routing (a continuation wave routing straight back) therefore
-        enqueues and returns — no lock cycles, no lost waves.
+        Called by the :class:`ShardRouter` from the *sending* shard's
+        drainer thread, which holds none of this engine's locks — so the
+        same drainer hand-off as a local change applies: enqueue under the
+        mutex, then either this thread becomes the drainer (and runs the
+        continuation wave inline) or the active drainer is guaranteed to see
+        the entry before retiring.  Re-entrant routing (a continuation wave
+        routing straight back) therefore enqueues and returns — no lock
+        cycles, no lost waves.
         """
         self._enqueue((), (handler, origin, span, poisoned))
 
@@ -640,7 +571,8 @@ class PropagationEngine(PropagationBackend):
         order = sorted(handlers, key=lambda h: depth[h])
         return ([(handlers[h], tuple(preds[h].values())) for h in order],
                 any(handlers[h].breaker is not None for h in order),
-                tuple(boundary.values()))
+                tuple(boundary.values()),
+                bool(boundary) and router.live(seeds))
 
     def _plan(self, seeds: "list[MetadataHandler]", tick: bool = False) -> _Plan:
         """The plan for ``seeds``: cached while the topology epoch stands
@@ -708,7 +640,12 @@ class PropagationEngine(PropagationBackend):
             origins = inbound.get(id(seed), ())
             if origin not in origins:
                 inbound[id(seed)] = origins + (origin,)
-        entries, guarded, boundary = self._plan(seeds, tick=bool(ticking))
+        entries, guarded, boundary, live = self._plan(seeds, tick=bool(ticking))
+        if live:
+            # A member could read, through on-demand items that never
+            # notify, a value another shard is yet to refresh: the wave
+            # walks every shard in one global order here instead.
+            entries, guarded, boundary, _ = self.router.plan(seeds)
         tel = self.telemetry
         trace = None if tel is None else _WaveTrace(
             tel, span, arrivals or (), seeds[0], len(entries), len(seeds),
@@ -904,3 +841,138 @@ class PropagationEngine(PropagationBackend):
                 "plan_misses": self.plan_misses,
                 "cached_plans": len(self._plans),
             }
+
+
+class ShardRouter:
+    """Routes a wave's boundary crossings to the owning shard's engine.
+
+    Held by every per-shard engine; routing is an enqueue on the destination
+    engine (``remote_enqueued``), never a lock acquisition on its hierarchy.
+    """
+
+    __slots__ = ("_backend",)
+
+    def __init__(self, backend: "ShardedPropagationBackend") -> None:
+        self._backend = backend
+
+    def route(self, handler: "MetadataHandler", origin: "MetadataHandler",
+              span: int, poisoned: bool) -> None:
+        engine = self._backend.engines[handler.registry.shard_index]
+        engine.remote_enqueued(handler, origin, span, poisoned)
+
+    def plan(self, seeds: "list[MetadataHandler]") -> _Plan:
+        """The plan of ``seeds`` over every shard, in one global order."""
+        return self._backend._global._plan(seeds)
+
+    def live(self, seeds: "list[MetadataHandler]") -> bool:
+        """Whether the closure of ``seeds`` over every shard reaches an
+        on-demand item that has dependents.  Such an item never notifies,
+        so a dependent refreshed before a crossing reached the item's own
+        inputs would keep a stale value; without one, every member is
+        refreshed again after each change of its inputs and routed waves
+        end at the values of one global pass."""
+        return any(preds and handler.mechanism is Mechanism.ON_DEMAND
+                   and handler.dependents()
+                   for handler, preds in
+                   self._backend._global._build_plan(seeds)[0])
+
+
+class ShardedPropagationBackend:
+    """The propagation surface every
+    :class:`~repro.metadata.registry.MetadataSystem` programs against, over
+    one :class:`PropagationEngine` per shard: the enqueue entry points
+    (:meth:`value_changed`, :meth:`event_fired`, :meth:`events_fired`,
+    :meth:`tick`), the wiring epoch that keys cached plans
+    (:meth:`bump_topology`, :attr:`topology_epoch`), exact counters
+    (:meth:`stats`) and the telemetry hook (:meth:`set_telemetry`).
+
+    Enqueues go to the source handler's shard; crossings hop between engines
+    through the shared :class:`ShardRouter`.  Counters aggregate exactly:
+    every key of :meth:`PropagationEngine.stats` sums across shards, so the
+    global conservation laws are the per-shard ones added up.
+
+    A single shard is the plain engine behind one list index: it gets no
+    router (plans have no boundary, traces say ``shard=-1``) and runs every
+    tick itself.  Several shards run a tick on one more, routerless engine
+    whose plans walk the dependent edges of every shard: the tick is then
+    one wave in global dependency order, exactly as on one shard.  Split
+    into per-shard waves, a member could read, through an on-demand item, a
+    seed another shard is yet to refresh.
+    """
+
+    def __init__(self, shards: int, plan_cache: bool = True,
+                 coalesce: bool = True) -> None:
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
+        self.telemetry: "Telemetry | None" = None
+        self.engines = [PropagationEngine(plan_cache=plan_cache, coalesce=coalesce)
+                        for _ in range(shards)]
+        #: Routerless, so its plans walk every dependent edge of every
+        #: shard: it runs the ticks of several shards and plans their live
+        #: waves.  One shard has no use for it.
+        self._global: "PropagationEngine | None" = None
+        if shards > 1:
+            router = ShardRouter(self)
+            for index, engine in enumerate(self.engines):
+                engine.router = router
+                engine.shard_index = index
+            self._global = PropagationEngine(plan_cache=plan_cache,
+                                             coalesce=coalesce)
+        self._all = self.engines if self._global is None \
+            else [*self.engines, self._global]
+
+    @property
+    def shard_count(self) -> int:
+        return len(self.engines)
+
+    def value_changed(self, source: "MetadataHandler") -> None:
+        self.engines[source.registry.shard_index].value_changed(source)
+
+    def event_fired(self, source: "MetadataHandler") -> None:
+        self.engines[source.registry.shard_index].event_fired(source)
+
+    def events_fired(self, sources: Sequence["MetadataHandler"]) -> None:
+        by_shard: dict[int, list["MetadataHandler"]] = {}
+        for source in sources:
+            by_shard.setdefault(source.registry.shard_index, []).append(source)
+        # Per-shard batches keep the coalescing guarantee within a shard;
+        # ascending order makes the enqueue sequence deterministic.
+        for index in sorted(by_shard):
+            self.engines[index].events_fired(by_shard[index])
+
+    def tick(self, seeds: "Sequence[_TickSeed]") -> None:
+        (self.engines[0] if self._global is None else self._global).tick(seeds)
+
+    @property
+    def topology_epoch(self) -> int:
+        # Sum of per-shard epochs: monotone, and moves whenever any shard's
+        # wiring moved.  Cached plans are still keyed per-engine on that
+        # engine's own epoch.
+        return sum(engine.topology_epoch for engine in self.engines)
+
+    def bump_topology(self) -> int:
+        # A wiring change is broadcast: a cross-shard attach invalidates
+        # plans on both sides, and distinguishing the sides costs more than
+        # the (already epoch-guarded) cache rebuild it would save.
+        epoch = 0
+        for engine in self.engines:
+            epoch += engine.bump_topology()
+        if self._global is not None:
+            self._global.bump_topology()
+        return epoch
+
+    def stats(self) -> dict[str, int]:
+        total = self._all[0].stats()
+        for engine in self._all[1:]:
+            for key, value in engine.stats().items():
+                total[key] += value
+        return total
+
+    def shard_stats(self) -> list[dict[str, int]]:
+        """Per-shard counter snapshots, indexed by shard."""
+        return [engine.stats() for engine in self.engines]
+
+    def set_telemetry(self, telemetry: "Telemetry | None") -> None:
+        self.telemetry = telemetry
+        for engine in self._all:
+            engine.telemetry = telemetry

@@ -23,16 +23,48 @@ subtree ("the automated removal of handlers, which are no longer needed,
 saves further system resources", Section 2.1).
 
 All registries of one system share a :class:`MetadataSystem`, which bundles
-the clock, the periodic scheduler, the propagation engine, the lock policy
+the clock, the periodic scheduler, the propagation backend, the lock policy
 and global accounting.
+
+Shards (Section 3.2.3 at scale)
+-------------------------------
+
+One graph write lock and one wave queue are exact and simple, and they are
+the scalability ceiling: with thousands of nodes, unrelated subscribes
+convoy on one lock and unrelated waves serialize behind one drainer.
+``MetadataSystem(..., shards=N)`` partitions the registries:
+
+* **Placement** — each registry owner hashes (``zlib.crc32`` of its name by
+  default, overridable via ``placement``) to a shard at registry creation;
+  every handler of that registry lives on that shard forever.
+* **Per-shard hierarchies** — each shard owns its graph-level lock and one
+  :class:`~repro.metadata.propagation.PropagationEngine` (wave queue, plan
+  cache, topology epoch, drainer) inside the system's
+  :class:`~repro.metadata.propagation.ShardedPropagationBackend`.
+  Contention is confined to the shard a subscriber actually touches.
+* **Cross-shard structure** — a structural mutation whose dependency closure
+  spans shards locks exactly the shards it touches, in ascending shard-index
+  order, found by an optimistic pre-walk (:meth:`MetadataSystem.structure_scope`).
+  An inter-shard **edge table** records every dependency edge that crosses
+  a boundary (:meth:`MetadataSystem.cross_shard_edges`).
+* **Cross-shard waves** — a wave reaching a foreign node never takes the
+  foreign shard's locks; it *routes* the crossing into the destination
+  engine's queue (see :mod:`repro.metadata.propagation`).
+
+Glitch-freedom (each dependent recomputes once per wave, in topological
+order) holds *per shard*: a diamond whose paths cross shards may recompute
+its bottom vertex once per crossing; final values stay those of one
+in-order pass at any shard count.  The default single shard is the
+unpartitioned runtime: one lock named ``"graph"``, one routerless engine.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Sequence
+import zlib
+from contextlib import ExitStack, contextmanager
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.common.clock import Clock
 from repro.common.errors import (
@@ -56,7 +88,7 @@ from repro.metadata.item import (
 )
 from repro.metadata.locks import LockPolicy, NoOpLockPolicy
 from repro.metadata.monitor import Probe
-from repro.metadata.propagation import PropagationBackend, PropagationEngine
+from repro.metadata.propagation import ShardedPropagationBackend
 from repro.metadata.scheduling import PeriodicScheduler
 from repro.telemetry.events import (
     ExcludeEvent,
@@ -69,12 +101,27 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.hub import Telemetry
 
-__all__ = ["MetadataSystem", "MetadataRegistry", "MetadataSubscription"]
+__all__ = ["MetadataSystem", "MetadataRegistry", "MetadataSubscription",
+           "default_placement"]
 
 #: Failures on cleanup paths (rollback of a failed subscribe, unregister of
 #: an unknown registry) are logged here rather than raised: raising would
 #: mask the original error the cleanup was handling.
 log = logging.getLogger(__name__)
+
+#: Bounded optimistic retries of the closure pre-walk before a structural
+#: mutation falls back to locking every shard.
+_SCOPE_RETRIES = 3
+
+
+def default_placement(owner: Any, shards: int) -> int:
+    """Stable hash placement by owner name (``zlib.crc32``).
+
+    Deterministic across processes and Python runs (unlike ``hash()``, which
+    is salted), so shard layouts are reproducible in benchmarks and CI.
+    """
+    name = str(getattr(owner, "name", owner))
+    return zlib.crc32(name.encode("utf-8")) % shards
 
 
 class MetadataSystem:
@@ -82,7 +129,9 @@ class MetadataSystem:
 
     One system is created per query graph (or per test fixture).  It owns the
     clock, the periodic-update scheduler, the triggered-update propagation
-    engine and the lock policy; registries delegate to it.
+    backend and the lock policy; registries delegate to it.  ``shards``
+    partitions the registries (see the module docstring); ``placement``
+    maps an owner to its shard (default :func:`default_placement`).
     """
 
     def __init__(
@@ -90,17 +139,36 @@ class MetadataSystem:
         clock: Clock,
         scheduler: PeriodicScheduler,
         lock_policy: LockPolicy | None = None,
-        propagation: PropagationBackend | None = None,
+        propagation: ShardedPropagationBackend | None = None,
+        shards: int = 1,
+        placement: Callable[[Any, int], int] | None = None,
     ) -> None:
+        if propagation is None:
+            propagation = ShardedPropagationBackend(shards)
+        elif not isinstance(propagation, ShardedPropagationBackend):
+            raise TypeError(
+                "MetadataSystem needs a ShardedPropagationBackend, "
+                f"got {type(propagation).__name__}"
+            )
+        elif propagation.shard_count != shards:
+            raise ValueError(
+                f"propagation backend has {propagation.shard_count} shards, "
+                f"system wants {shards}"
+            )
         self.clock = clock
         self.scheduler = scheduler
         self.lock_policy = lock_policy if lock_policy is not None else NoOpLockPolicy()
-        self.propagation = propagation if propagation is not None else PropagationEngine()
-        self.structure_lock = self.lock_policy.graph_lock()
-        #: Number of graph partitions.  1 on the base system; a
-        #: :class:`~repro.metadata.sharding.ShardedMetadataSystem` overrides
-        #: the shard hooks below and sets this to N.
-        self.shard_count = 1
+        self.propagation = propagation
+        self.shard_count = shards
+        self._placement = placement if placement is not None else default_placement
+        #: Per-shard graph-level locks: the single shard's is ``"graph"``,
+        #: shard K of several is ``"graph:shardK"`` (the prefix before the
+        #: colon keeps it at graph level in the lock hierarchy).
+        self.shard_locks = (
+            [self.lock_policy.graph_lock()] if shards == 1 else
+            [self.lock_policy.graph_lock(f"graph:shard{index}")
+             for index in range(shards)])
+        self.structure_lock = self.shard_locks[0]
         #: Off-by-default observability (see :mod:`repro.telemetry`).  While
         #: ``None``, every instrumentation hook in the runtime is a single
         #: ``is None`` check — the paper's probe discipline (Section 4.4.1)
@@ -113,6 +181,13 @@ class MetadataSystem:
         self._accounting_mutex = threading.Lock()
         self.handlers_created = 0
         self.handlers_removed = 0
+        # Inter-shard edge table: every dependency edge whose two handlers
+        # live on different shards, keyed by identity so re-included items
+        # (new handler objects) never collide with stale entries.
+        self._edge_mutex = threading.Lock()
+        self._cross_edges: dict[
+            tuple[int, int], tuple[MetadataHandler, MetadataHandler]
+        ] = {}
 
     def register(self, registry: "MetadataRegistry") -> None:
         with self._accounting_mutex:
@@ -145,42 +220,145 @@ class MetadataSystem:
         with self._accounting_mutex:
             return tuple(self._registries)
 
-    # -- shard hooks ------------------------------------------------------------
-    #
-    # The base system is a single shard; every hook below degenerates to the
-    # one global graph lock.  ShardedMetadataSystem overrides them so that a
-    # registry only ever contends on the lock hierarchy of the shard its
-    # owner hashes to.
+    # -- shards ------------------------------------------------------------------
 
     def shard_of(self, owner: Any) -> int:
-        """Shard index an owner's registry is placed on (always 0 here)."""
-        return 0
+        """Shard index an owner's registry is placed on."""
+        return self._placement(owner, self.shard_count) % self.shard_count
 
     def structure_lock_for(self, registry: "MetadataRegistry"):
         """The graph-level lock guarding ``registry``'s shard."""
-        return self.structure_lock
+        return self.shard_locks[registry.shard_index]
 
     @contextmanager
     def structure_scope(self, registry: "MetadataRegistry",
                         keys: Sequence[MetadataKey] | None = None,
                         handler: MetadataHandler | None = None) -> Iterator[None]:
-        """Write-scope for a structural mutation rooted at ``registry``.
+        """Write-scope for a structural mutation rooted at ``registry``:
+        a subscribe of ``keys`` or an unsubscribe of ``handler``.
 
-        ``keys`` (subscribe) or ``handler`` (unsubscribe) describe the
-        operation's root so a sharded system can pre-compute the set of
-        shards the closure touches and lock only those, in ascending shard
-        order.  The single-shard base just takes the one graph write lock.
+        One shard takes its one graph write lock.  Several lock exactly the
+        shards the mutation's closure touches, optimistically: a lock-free
+        pre-walk computes the shard set, the shards are locked in ascending
+        index order (same-level locks never form an order cycle this way),
+        and the walk re-runs under the locks to validate.  Wiring that moved
+        in the window forces a retry; after :data:`_SCOPE_RETRIES` the
+        mutation degrades to an all-shard lock, which is always sufficient.
         """
-        with self.structure_lock.write():
+        if self.shard_count == 1:
+            with self.structure_lock.write():
+                yield
+            return
+        for _attempt in range(_SCOPE_RETRIES):
+            shards = self._closure_shards(registry, keys, handler)
+            if shards is None:
+                break
+            with ExitStack() as stack:
+                for index in sorted(shards):
+                    stack.enter_context(self.shard_locks[index].write())
+                if self._closure_shards(registry, keys, handler) == shards:
+                    yield
+                    return
+                # Wiring moved between pre-walk and locking; drop the locks
+                # and walk again.
+        with ExitStack() as stack:
+            for lock in self.shard_locks:
+                stack.enter_context(lock.write())
             yield
+
+    def _closure_shards(self, registry: "MetadataRegistry",
+                        keys: Sequence[MetadataKey] | None,
+                        handler: MetadataHandler | None) -> set[int] | None:
+        """Shard set a subscribe (``keys``) or unsubscribe (``handler``)
+        closure touches; ``None`` when it cannot be computed (unknown items,
+        unresolvable specs — the locked path will raise properly, under the
+        all-shard fallback)."""
+        shards = {registry.shard_index}
+        try:
+            if keys is not None:
+                seen: set[tuple[int, MetadataKey]] = set()
+                stack = [(registry, key) for key in keys]
+                while stack:
+                    reg, key = stack.pop()
+                    ref = (id(reg), key)
+                    if ref in seen:
+                        continue
+                    seen.add(ref)
+                    shards.add(reg.shard_index)
+                    if reg._handlers.get(key) is not None:
+                        # Traversal stops at included items (only their
+                        # counter moves — still this shard's mutation).
+                        continue
+                    definition = reg._definitions.get(key)
+                    if definition is None:
+                        return None
+                    for spec in definition.resolve_specs(reg):
+                        for target, dep_key in reg._resolve_spec(spec):
+                            stack.append((target, dep_key))
+            elif handler is not None:
+                hseen: set[int] = set()
+                hstack = [handler]
+                while hstack:
+                    current = hstack.pop()
+                    if id(current) in hseen:
+                        continue
+                    hseen.add(id(current))
+                    shards.add(current.registry.shard_index)
+                    for _spec, dep in current.dependency_handlers:
+                        hstack.append(dep)
+        except Exception:  # analysis: ignore[LK005]
+            # Deliberately traceless: the pre-walk is advisory.  Returning
+            # None degrades to the all-shard lock, under which the locked
+            # mutation re-raises the same error with full context.
+            return None
+        return shards
 
     def edge_attached(self, dependency: MetadataHandler,
                       dependent: MetadataHandler) -> None:
-        """Hook: a dependency edge was created (may cross shards)."""
+        """A dependency edge was created; record it if it crosses shards."""
+        if dependency.registry.shard_index == dependent.registry.shard_index:
+            return
+        with self._edge_mutex:
+            self._cross_edges[(id(dependency), id(dependent))] = (
+                dependency, dependent)
 
     def edge_detached(self, dependency: MetadataHandler,
                       dependent: MetadataHandler) -> None:
-        """Hook: a dependency edge was removed (may cross shards)."""
+        """A dependency edge was removed; forget it if it crossed shards."""
+        if dependency.registry.shard_index == dependent.registry.shard_index:
+            return
+        with self._edge_mutex:
+            self._cross_edges.pop((id(dependency), id(dependent)), None)
+
+    def cross_shard_edges(self) -> tuple[tuple[MetadataHandler, MetadataHandler], ...]:
+        """Live boundary edges as ``(dependency, dependent)`` pairs."""
+        with self._edge_mutex:
+            return tuple(self._cross_edges.values())
+
+    def describe_shards(self) -> Mapping[str, Any]:
+        """Per-shard placement, lock, and propagation snapshot (surfaces as
+        the ``"shards"`` section of ``describe_system``)."""
+        per_shard = self.propagation.shard_stats()
+        registries = [0] * self.shard_count
+        handlers = [0] * self.shard_count
+        for registry in self.registries():
+            registries[registry.shard_index] += 1
+            handlers[registry.shard_index] += len(registry.included_keys())
+        shards = []
+        for index, lock in enumerate(self.shard_locks):
+            stats = getattr(lock, "stats", None)
+            shards.append({
+                "index": index,
+                "registries": registries[index],
+                "handlers": handlers[index],
+                "lock": stats.to_dict() if stats is not None else {},
+                "propagation": per_shard[index],
+            })
+        return {
+            "count": self.shard_count,
+            "cross_shard_edges": len(self.cross_shard_edges()),
+            "shards": shards,
+        }
 
     def enable_telemetry(self, capacity: int = 4096) -> Telemetry:
         """Attach (or return the already-attached) telemetry hub.
@@ -343,7 +521,7 @@ class MetadataRegistry:
         return self.system.scheduler
 
     @property
-    def propagation(self) -> PropagationBackend:
+    def propagation(self) -> ShardedPropagationBackend:
         return self.system.propagation
 
     @property

@@ -16,8 +16,8 @@ its contracts:
 * **atomic cross-shard subscribe_many** — a failing include on shard B rolls
   back the batch's provisional handlers *and* inter-shard edge-table entries
   on shard A, leaving both shards exactly as before;
-* **env factory** — ``system_from_env`` honours ``REPRO_SHARDS`` (the CI
-  shard-matrix hook).
+* **one shard** — the default system is the unpartitioned runtime: no
+  router, untagged traces, one lock named ``"graph"``.
 """
 
 from __future__ import annotations
@@ -39,14 +39,9 @@ from repro.metadata.item import (
     SelfDep,
 )
 from repro.metadata.locks import FineGrainedLockPolicy
-from repro.metadata.registry import MetadataRegistry, MetadataSystem
+from repro.metadata.propagation import PropagationEngine, ShardedPropagationBackend
+from repro.metadata.registry import MetadataRegistry, MetadataSystem, default_placement
 from repro.metadata.scheduling import VirtualTimeScheduler
-from repro.metadata.sharding import (
-    ShardedMetadataSystem,
-    ShardedPropagationBackend,
-    default_placement,
-    system_from_env,
-)
 
 SRC = MetadataKey("src")
 DERIVED = MetadataKey("derived")
@@ -70,9 +65,9 @@ def _round_robin(owner, shards: int) -> int:
     return owner.index % shards
 
 
-def _build(shards: int = 2, **kwargs) -> ShardedMetadataSystem:
+def _build(shards: int = 2, **kwargs) -> MetadataSystem:
     clock = VirtualClock()
-    return ShardedMetadataSystem(
+    return MetadataSystem(
         clock, VirtualTimeScheduler(clock),
         lock_policy=FineGrainedLockPolicy(),
         shards=shards, placement=_round_robin, **kwargs)
@@ -84,9 +79,8 @@ def _attach(system: MetadataSystem, index: int) -> _Node:
     return node
 
 
-def _assert_conservation(system: ShardedMetadataSystem) -> dict:
+def _assert_conservation(system: MetadataSystem) -> dict:
     backend = system.propagation
-    assert isinstance(backend, ShardedPropagationBackend)
     for shard in backend.shard_stats():
         assert shard["planned"] == (shard["refreshes"]
                                     + shard["skipped_poisoned"])
@@ -115,10 +109,38 @@ class TestPlacement:
 
     def test_single_shard_system_places_everything_on_shard_zero(self):
         clock = VirtualClock()
-        system = MetadataSystem(clock, VirtualTimeScheduler(clock))
+        system = MetadataSystem(clock, VirtualTimeScheduler(clock),
+                                lock_policy=FineGrainedLockPolicy())
         node = _attach(system, 3)
         assert node.metadata.shard_index == 0
         assert system.shard_count == 1
+        # The one-shard identity: the unpartitioned runtime, not a
+        # partitioned one of size one.
+        (engine,) = system.propagation.engines
+        assert engine.router is None
+        assert system.structure_lock.name == "graph"
+        assert system.shard_locks == [system.structure_lock]
+        node.metadata.define(MetadataDefinition(
+            SRC, Mechanism.ON_DEMAND, compute=lambda ctx: 1))
+        node.metadata.define(MetadataDefinition(
+            DERIVED, Mechanism.TRIGGERED, compute=lambda ctx: ctx.value(SRC),
+            dependencies=[SelfDep(SRC)]))
+        tel = system.enable_telemetry()
+        sub = node.metadata.subscribe(DERIVED)
+        node.metadata.notify_changed(SRC)
+        (start,) = tel.bus.events(kind="wave.start")
+        assert start.shard == -1
+        assert describe_system(system)["shards"]["count"] == 1
+        sub.cancel()
+
+    def test_backend_must_be_sharded_and_match_the_shard_count(self):
+        clock = VirtualClock()
+        with pytest.raises(TypeError):
+            MetadataSystem(clock, VirtualTimeScheduler(clock),
+                           propagation=PropagationEngine())  # type: ignore[arg-type]
+        with pytest.raises(ValueError):
+            MetadataSystem(clock, VirtualTimeScheduler(clock),
+                           propagation=ShardedPropagationBackend(2), shards=4)
 
 
 class TestCrossShardPropagation:
@@ -309,9 +331,6 @@ class TestCrossShardPropagation:
         snapshot = describe_system(system)
         assert snapshot["shards"]["count"] == 2
         assert len(snapshot["shards"]["shards"]) == 2
-        clock = VirtualClock()
-        plain = MetadataSystem(clock, VirtualTimeScheduler(clock))
-        assert "shards" not in describe_system(plain)
 
     def test_events_fired_batches_stay_per_shard(self):
         system = _build(shards=2)
@@ -396,47 +415,6 @@ class TestSubscribeManyCrossShardRollback:
             return value, edges, backend_stats["remote_in"]
 
         assert run(poke_rollback=True) == run(poke_rollback=False)
-
-
-class TestSystemFromEnv:
-    def _make(self, env):
-        clock = VirtualClock()
-        return system_from_env(clock, VirtualTimeScheduler(clock),
-                               lock_policy=FineGrainedLockPolicy(), env=env)
-
-    def test_unset_or_one_gives_the_plain_system(self):
-        for env in ({}, {"REPRO_SHARDS": ""}, {"REPRO_SHARDS": "1"},
-                    {"REPRO_SHARDS": " 1 "}):
-            system = self._make(env)
-            assert type(system) is MetadataSystem
-            assert system.shard_count == 1
-
-    def test_n_greater_than_one_gives_the_sharded_system(self):
-        system = self._make({"REPRO_SHARDS": "4"})
-        assert isinstance(system, ShardedMetadataSystem)
-        assert system.shard_count == 4
-        assert len(system.shard_locks) == 4
-
-    def test_invalid_values_raise(self):
-        with pytest.raises(ValueError):
-            self._make({"REPRO_SHARDS": "many"})
-        with pytest.raises(ValueError):
-            self._make({"REPRO_SHARDS": "0"})
-
-    def test_mismatched_backend_raises(self):
-        from repro.metadata.propagation import PropagationEngine
-        clock = VirtualClock()
-        with pytest.raises(TypeError):
-            system_from_env(clock, VirtualTimeScheduler(clock),
-                            propagation=PropagationEngine(),
-                            env={"REPRO_SHARDS": "4"})
-        with pytest.raises(TypeError):
-            ShardedMetadataSystem(clock, VirtualTimeScheduler(clock),
-                                  propagation=PropagationEngine())  # type: ignore[arg-type]
-        with pytest.raises(ValueError):
-            ShardedMetadataSystem(clock, VirtualTimeScheduler(clock),
-                                  propagation=ShardedPropagationBackend(2),
-                                  shards=4)
 
 
 @pytest.mark.stress

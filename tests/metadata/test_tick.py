@@ -40,7 +40,6 @@ from repro.metadata.item import (
 from repro.metadata.locks import FineGrainedLockPolicy
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import ThreadedScheduler, VirtualTimeScheduler
-from repro.metadata.sharding import ShardedMetadataSystem, system_from_env
 from repro.operators.join import SlidingWindowJoin
 from repro.operators.window import TimeWindow
 from repro.reliability import FailurePolicy
@@ -50,6 +49,7 @@ from repro.telemetry.hub import explain_refresh
 
 A, B, T, C = (MetadataKey(k) for k in "ABTC")
 AGG = MetadataKey("agg")
+SHARD_COUNTS = (1, 4)
 
 
 class _Node:
@@ -67,11 +67,8 @@ def _registry(system: MetadataSystem, name: str, index: int = 0) -> MetadataRegi
 
 def _virtual_system(shards: int = 1):
     clock = VirtualClock()
-    scheduler = VirtualTimeScheduler(clock)
-    if shards == 1:
-        return clock, MetadataSystem(clock, scheduler)
-    return clock, ShardedMetadataSystem(
-        clock, scheduler, shards=shards,
+    return clock, MetadataSystem(
+        clock, VirtualTimeScheduler(clock), shards=shards,
         placement=lambda owner, count: owner.index % count)
 
 
@@ -509,17 +506,23 @@ class TestThreadedTicks:
     churning subscriptions.  Under contention a worker settles its share on
     its own thread (a busy drainer only propagates), so the per-tick
     exactly-once-in-order guarantee is checked where it holds — one worker,
-    idle engine — and the invariants everywhere."""
+    idle engine — and the invariants everywhere.  Each test runs at one
+    shard and at four (looped, so the test ids stay put)."""
 
-    def _system(self, pool_size: int):
+    def _system(self, pool_size: int, shards: int):
         clock = SystemClock()
         scheduler = ThreadedScheduler(clock, pool_size=pool_size)
-        system = system_from_env(clock, scheduler,
-                                 lock_policy=FineGrainedLockPolicy())
+        system = MetadataSystem(clock, scheduler,
+                                lock_policy=FineGrainedLockPolicy(),
+                                shards=shards)
         return scheduler, system
 
     def test_single_worker_tick_is_one_ordered_wave(self):
-        scheduler, system = self._system(pool_size=1)
+        for shards in SHARD_COUNTS:
+            self.run_single_worker(shards)
+
+    def run_single_worker(self, shards: int) -> None:
+        scheduler, system = self._system(pool_size=1, shards=shards)
         registry = _registry(system, "ordered")
         counts = dict.fromkeys("ABTC", 0)
         mismatches: list[tuple] = []
@@ -565,7 +568,11 @@ class TestThreadedTicks:
 
     @pytest.mark.parametrize("pool_size", [1, 3])
     def test_ticks_beside_event_waves_and_churn(self, pool_size):
-        scheduler, system = self._system(pool_size)
+        for shards in SHARD_COUNTS:
+            self.run_churn(pool_size, shards)
+
+    def run_churn(self, pool_size: int, shards: int) -> None:
+        scheduler, system = self._system(pool_size, shards)
         registries = [_registry(system, f"node{i}", i) for i in range(4)]
         state = {"event": 0}
         event = MetadataKey("event")
@@ -609,15 +616,21 @@ class TestThreadedTicks:
         try:
             with scheduler:
                 subscriptions = [registry.subscribe(AGG) for registry in registries]
+                tasks = [registry.handler(MetadataKey(f"in{i}"))._task
+                         for registry in registries for i in range(3)]
                 threads = [guarded(fire_events), guarded(churn)]
                 for thread in threads:
                     thread.start()
                 time.sleep(0.4)
+                # Lock recording can slow ticks past the window: keep the
+                # storm going (bounded) until every task has fired.
+                deadline = time.monotonic() + 10.0
+                while min(task.fire_count for task in tasks) < 1 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 stop.set()
                 for thread in threads:
                     thread.join(timeout=10.0)
-                tasks = [registry.handler(MetadataKey(f"in{i}"))._task
-                         for registry in registries for i in range(3)]
                 for subscription in subscriptions:
                     subscription.cancel()
         finally:
@@ -626,7 +639,8 @@ class TestThreadedTicks:
         assert errors == []
         assert [task.error_count for task in tasks] == [0] * len(tasks)
         assert not any(task._running for task in tasks)
-        assert min(task.fire_count for task in tasks) >= 1
+        assert min(task.fire_count for task in tasks) >= 1, (
+            shards, [task.fire_count for task in tasks])
         stats = _assert_accounting(system)
         assert stats["errors"] == 0
         assert stats["periodic_tasks"] == 0

@@ -7,9 +7,10 @@ recomputes (``refreshes``) or is skipped because its subtree is poisoned
     planned == refreshes + skipped_poisoned
 
 is exact — pinned here over hand-built diamonds, seeded random DAGs (same
-counters cached or uncached, traced or untraced; and the trace's own events
-recount them, on one shard and across two), and a threaded chaos run mixing
-injected faults with subscription churn.
+counters cached or uncached, traced or untraced, on one shard and across
+four; and the trace's own events recount them, on one shard and across
+two), and a threaded chaos run mixing injected faults with subscription
+churn.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from repro.metadata.item import (
     SelfDep,
 )
 from repro.metadata.locks import FineGrainedLockPolicy
-from repro.metadata.propagation import PropagationEngine
+from repro.metadata.propagation import ShardedPropagationBackend
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import ThreadedScheduler, VirtualTimeScheduler
-from repro.metadata.sharding import ShardedMetadataSystem, system_from_env
 from repro.reliability import FailurePolicy
 from repro.telemetry.hub import explain_refresh
 
@@ -44,8 +44,8 @@ C = MetadataKey("c")
 D = MetadataKey("d")
 
 
-def assert_invariant(engine: PropagationEngine) -> dict:
-    stats = engine.stats()
+def assert_invariant(backend: ShardedPropagationBackend) -> dict:
+    stats = backend.stats()
     assert stats["planned"] == stats["refreshes"] + stats["skipped_poisoned"]
     return stats
 
@@ -222,7 +222,8 @@ def build_random_dag(system, rng: random.Random, plan: FaultPlan,
 
 class TestRandomDagProperty:
     """Seeded property test: the invariant holds, and neither way of
-    obtaining the plan nor the trace recorder moves a counter.
+    obtaining the plan nor the trace recorder moves a counter — on one
+    shard, and across four with most edges crossing a boundary.
 
     Plan caching and tracing are independent (one decides where the plan
     comes from, the other what the one loop reports), so each is varied
@@ -235,37 +236,49 @@ class TestRandomDagProperty:
         "uncached-untraced": (False, False),
     }
 
-    def run_variant(self, seed: int, plan_cache: bool, traced: bool) -> dict:
+    def run_variant(self, seed: int, shards: int, plan_cache: bool,
+                    traced: bool) -> dict:
         clock = VirtualClock()
         system = MetadataSystem(
             clock, VirtualTimeScheduler(clock),
-            propagation=PropagationEngine(plan_cache=plan_cache))
+            propagation=ShardedPropagationBackend(shards, plan_cache=plan_cache),
+            shards=shards, placement=lambda owner, count: owner.index % count)
         if traced:
             system.enable_telemetry(capacity=65536)
         plan = FaultPlan(seed=seed, active=False)
         rng = random.Random(seed)
         for i in range(30):
             plan.fail_rate(f"n{i}", 0.2)
-        anchor, subs = build_random_dag(system, rng, plan)
+        anchor, subs = build_random_dag(system, rng, plan, owners=shards)
         plan.activate()
-        clock.advance_by(120.0)
+        for _ in range(12):
+            clock.advance_by(10.0)
+            # Event waves start on their item's shard and cross boundaries
+            # (poison included); a tick is one wave over every shard.
+            for sub in rng.sample(subs, k=3):
+                sub.handler.registry.notify_changed(sub.handler.key)
         stats = assert_invariant(system.propagation)
+        assert stats["remote_in"] == stats["remote_out"]
         for sub in subs:
             sub.cancel()
         anchor.cancel()
         return {k: stats[k] for k in
                 ("waves", "planned", "refreshes", "skipped_poisoned",
-                 "suppressed", "errors")}
+                 "suppressed", "errors", "remote_in", "remote_waves")}
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
     def test_invariant_and_path_equivalence(self, seed):
-        results = {name: self.run_variant(seed, *flags)
-                   for name, flags in self.VARIANTS.items()}
-        baseline = results["cached-untraced"]
-        assert baseline["planned"] > 0
-        for name, stats in results.items():
-            assert stats == baseline, (
-                f"{name} diverged from cached-untraced for seed {seed}")
+        # The shard count is looped, not parametrized, so the test ids stay.
+        for shards in (1, 4):
+            results = {name: self.run_variant(seed, shards, *flags)
+                       for name, flags in self.VARIANTS.items()}
+            baseline = results["cached-untraced"]
+            assert baseline["planned"] > 0
+            assert (baseline["remote_in"] > 0) == (shards > 1)
+            for name, stats in results.items():
+                assert stats == baseline, (
+                    f"{name} diverged from cached-untraced for seed {seed} "
+                    f"at {shards} shard(s)")
 
 
 class TestTraceFoldsToCounters:
@@ -277,12 +290,9 @@ class TestTraceFoldsToCounters:
     def test_events_recount_the_accounting(self, seed, shards):
         clock = VirtualClock()
         scheduler = VirtualTimeScheduler(clock)
-        if shards == 1:
-            system = MetadataSystem(clock, scheduler)
-        else:
-            system = ShardedMetadataSystem(
-                clock, scheduler, shards=shards,
-                placement=lambda owner, count: owner.index % count)
+        system = MetadataSystem(
+            clock, scheduler, shards=shards,
+            placement=lambda owner, count: owner.index % count)
         tel = system.enable_telemetry(capacity=1 << 17)
         plan = FaultPlan(seed=seed, active=False)
         rng = random.Random(seed)
@@ -338,10 +348,16 @@ class TestPoisoningUnderChurnStress:
     """
 
     def test_invariant_survives_chaos(self):
+        # Looped, not parametrized, so the test id stays.
+        for shards in (1, 4):
+            self.run_chaos(shards)
+
+    def run_chaos(self, shards: int) -> None:
         clock = SystemClock()
         scheduler = ThreadedScheduler(clock, pool_size=2)
-        system = system_from_env(clock, scheduler,
-                                 lock_policy=FineGrainedLockPolicy())
+        system = MetadataSystem(clock, scheduler,
+                                lock_policy=FineGrainedLockPolicy(),
+                                shards=shards)
 
         class Owner:
             name = "chaos"

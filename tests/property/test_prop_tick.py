@@ -25,7 +25,6 @@ from repro.common.clock import VirtualClock
 from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, NodeDep
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import VirtualTimeScheduler
-from repro.metadata.sharding import ShardedMetadataSystem
 
 N = 6  # item i may depend on lower-numbered items only
 KEYS = [MetadataKey(f"i{i}") for i in range(N)]
@@ -134,6 +133,31 @@ class Model:
 @example(kinds=[5.0, 5.0, TRIGGERED, 5.0] + [ON_DEMAND] * (N - 4),
          edges={(1, 0), (2, 0), (3, 2)}, first=[3, 1],
          ops=[("advance", 5.0), ("advance", 5.0)], shards=2)
+# A cross-shard diamond through an on-demand item: 4 reads 0 directly and 1
+# through on-demand 3, with 1 on another shard than 0 and 4.  The local wave
+# must not refresh 4 before 1's continuation wave ran.
+@example(kinds=[5.0, TRIGGERED, TRIGGERED, ON_DEMAND, TRIGGERED, TRIGGERED],
+         edges={(1, 0), (4, 0), (3, 1), (4, 3)}, first=[4],
+         ops=[("advance", 5.0)], shards=2)
+# The same diamond driven by an event wave from an on-demand 0.
+@example(kinds=[ON_DEMAND, TRIGGERED, TRIGGERED, ON_DEMAND, TRIGGERED, TRIGGERED],
+         edges={(1, 0), (4, 0), (3, 1), (4, 3)}, first=[4],
+         ops=[("change", 0)], shards=2)
+# One event wave crossing into two shards whose fronts meet at 5 through
+# on-demand 3: 5 must not refresh before 2 did.
+@example(kinds=[ON_DEMAND, TRIGGERED, TRIGGERED, ON_DEMAND, TRIGGERED, TRIGGERED],
+         edges={(1, 0), (2, 0), (3, 2), (5, 1), (5, 3)}, first=[5],
+         ops=[("change", 0)], shards=4)
+# A member reading two periodic items, one through an on-demand item on
+# another shard: the tick must refresh both before the member.
+@example(kinds=[TRIGGERED, TRIGGERED, 5.0, 5.0, ON_DEMAND, TRIGGERED],
+         edges={(5, 3), (5, 4), (4, 2)}, first=[5],
+         ops=[("advance", 5.0)], shards=2)
+# The same chain without the direct edge 4 <- 0: on-demand 3 never notifies,
+# so 4 keeps its value at any shard count.
+@example(kinds=[5.0, TRIGGERED, TRIGGERED, ON_DEMAND, TRIGGERED, TRIGGERED],
+         edges={(1, 0), (3, 1), (4, 3)}, first=[4],
+         ops=[("advance", 5.0)], shards=2)
 @settings(max_examples=150, deadline=None)
 def test_ticks_equal_a_full_in_order_recompute(kinds, edges, first, ops, shards):
     ops = [("subscribe", i) for i in first] + ops
@@ -141,9 +165,8 @@ def test_ticks_equal_a_full_in_order_recompute(kinds, edges, first, ops, shards)
     model = Model(kinds, deps)
     clock = VirtualClock()
     scheduler = VirtualTimeScheduler(clock)
-    system = MetadataSystem(clock, scheduler) if shards == 1 else \
-        ShardedMetadataSystem(clock, scheduler, shards=shards,
-                              placement=lambda owner, count: owner.index % count)
+    system = MetadataSystem(clock, scheduler, shards=shards,
+                            placement=lambda owner, count: owner.index % count)
     owners = [_Owner(i) for i in range(N)]
     computes = [0] * N
     for i, owner in enumerate(owners):

@@ -13,7 +13,9 @@ assert the hard invariants:
   scheduler ends with zero active tasks;
 * **no deadlock** — everything completes within the harness timeout.
 
-All tests are also marked ``stress`` so CI can re-run them in a loop.
+All tests are also marked ``stress`` so CI can re-run them in a loop.  The
+tests that build a threaded system run it at one shard and at four (looped
+inside the test, so the test ids stay put).
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from repro.metadata.item import (
     SelfDep,
 )
 from repro.metadata.locks import FineGrainedLockPolicy
+from repro.metadata.propagation import ShardedPropagationBackend
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import ThreadedScheduler, VirtualTimeScheduler
-from repro.metadata.sharding import system_from_env
 
 pytestmark = pytest.mark.stress
 
@@ -47,6 +49,7 @@ REMOTE = MetadataKey("remote")
 
 THREADS = 4
 ITERATIONS = 250  # >= 200 per the acceptance criteria
+SHARD_COUNTS = (1, 4)
 
 
 class _Owner:
@@ -80,11 +83,16 @@ class TestNoLostWaves:
     """
 
     def test_concurrent_notify_changed_accounts_every_wave(self):
+        for shards in SHARD_COUNTS:
+            self.run_storm(shards)
+
+    def run_storm(self, shards: int) -> None:
         clock = VirtualClock()
-        system = system_from_env(
+        system = MetadataSystem(
             clock,
             VirtualTimeScheduler(clock),
             lock_policy=FineGrainedLockPolicy(),
+            shards=shards,
         )
         owner = _attach_registry(system, "node")
         state = {"n": 0}
@@ -127,10 +135,15 @@ class TestMixedWorkloadStress:
     """Subscribe/unsubscribe churn + event storms + a threaded worker pool."""
 
     def test_pool_of_four_with_churn_and_events(self):
+        for shards in SHARD_COUNTS:
+            self.run_pool(shards)
+
+    def run_pool(self, shards: int) -> None:
         clock = SystemClock()
         scheduler = ThreadedScheduler(clock, pool_size=4)
-        system = system_from_env(
-            clock, scheduler, lock_policy=FineGrainedLockPolicy()
+        system = MetadataSystem(
+            clock, scheduler, lock_policy=FineGrainedLockPolicy(),
+            shards=shards,
         )
         node_a = _attach_registry(system, "a")
         node_b = _attach_registry(system, "b")
@@ -220,10 +233,15 @@ class TestSchedulerCancelRace:
     """
 
     def test_no_fire_after_cancel_returns(self):
+        for shards in SHARD_COUNTS:
+            self.run_cancel_race(shards)
+
+    def run_cancel_race(self, shards: int) -> None:
         clock = SystemClock()
         scheduler = ThreadedScheduler(clock, pool_size=4)
-        system = system_from_env(
-            clock, scheduler, lock_policy=FineGrainedLockPolicy()
+        system = MetadataSystem(
+            clock, scheduler, lock_policy=FineGrainedLockPolicy(),
+            shards=shards,
         )
         owner = _attach_registry(system, "node")
         fires: list[int] = []
@@ -269,13 +287,13 @@ class TestCachedPlanStressEquivalence:
 
     DEPTH = 6
 
-    def _storm(self, engine) -> dict:
+    def _storm(self, backend: ShardedPropagationBackend) -> dict:
         clock = VirtualClock()
         system = MetadataSystem(
             clock,
             VirtualTimeScheduler(clock),
             lock_policy=FineGrainedLockPolicy(),
-            propagation=engine,
+            propagation=backend,
         )
         owner = _attach_registry(system, "node")
         state = {"n": 0}
@@ -306,18 +324,16 @@ class TestCachedPlanStressEquivalence:
         )
         check.run()
 
-        stats = engine.stats()
+        stats = backend.stats()
         anchor.cancel()
         return stats
 
     def test_identical_accounting_cached_vs_uncached(self):
-        from repro.metadata.propagation import PropagationEngine
-
         # Coalescing off on both sides: merging depends on queue timing, so
         # only the cache dimension varies — the property under test.
-        cached = self._storm(PropagationEngine(coalesce=False))
-        uncached = self._storm(PropagationEngine(plan_cache=False,
-                                                 coalesce=False))
+        cached = self._storm(ShardedPropagationBackend(1, coalesce=False))
+        uncached = self._storm(ShardedPropagationBackend(1, plan_cache=False,
+                                                         coalesce=False))
         for key in ("waves", "refreshes", "suppressed", "errors"):
             assert cached[key] == uncached[key], (cached, uncached)
         assert cached["waves"] == THREADS * ITERATIONS
@@ -333,15 +349,11 @@ class TestCachedPlanStressEquivalence:
         """Default engine (coalescing on) under the same storm plus
         concurrent wiring churn: every notification is accounted exactly
         once, merged or not, while epoch bumps invalidate plans mid-storm."""
-        from repro.metadata.propagation import PropagationEngine
-
-        engine = PropagationEngine()
         clock = VirtualClock()
         system = MetadataSystem(
             clock,
             VirtualTimeScheduler(clock),
             lock_policy=FineGrainedLockPolicy(),
-            propagation=engine,
         )
         owner = _attach_registry(system, "node")
         state = {"n": 0}
@@ -377,7 +389,7 @@ class TestCachedPlanStressEquivalence:
         check.add(churn, threads=2, name="churn")
         check.run()
 
-        stats = engine.stats()
+        stats = system.propagation.stats()
         anchor.cancel()
         # Exact lost-wave accounting survives coalescing: each notification
         # is either its own drain or folded into a merged one, never both.
