@@ -16,8 +16,8 @@ inputs observed mid-propagation.
   **O(2^k) refreshes** on a k-diamond ladder and glitches at every level.
 
 The ablation is :class:`NaiveRecursion` below — the anti-pattern the paper
-warns about, overriding the entry points of the one-shard
-:class:`ShardedPropagationBackend` every metadata system holds.  It lives
+warns about, overriding the entry points of the
+:class:`PropagationEngine` every metadata system holds.  It lives
 here, with its only caller, not in the product.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.common.clock import VirtualClock
 from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
-from repro.metadata.propagation import ShardedPropagationBackend
+from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import VirtualTimeScheduler
 
@@ -36,15 +36,11 @@ class _Owner:
     name = "ladder"
 
 
-class NaiveRecursion(ShardedPropagationBackend):
+class NaiveRecursion(PropagationEngine):
     """Unordered depth-first triggering: every change recurses straight
     into the dependents, so a diamond's bottom recomputes once per path and
     reads one fresh and one stale input in between.  The ladder has no
     periodic items, so no scheduler tick ever reaches it."""
-
-    def __init__(self) -> None:
-        super().__init__(1)
-        self.refresh_count = 0
 
     def value_changed(self, source) -> None:
         for dependent in source.dependents():

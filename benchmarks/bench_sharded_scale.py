@@ -19,9 +19,15 @@ This benchmark drives the identical churn workload at 1/2/4/8 shards:
   wall time).  Gate: >= 3x single-shard at 8 shards.
 * **Lock waits** — contended wait-seconds of the hottest graph-level lock
   (``LockStats.wait_seconds``).  Gate: >= 5x reduction at 8 shards.
+* **Drainer** (recorded, not gated, not compared to a baseline) — one
+  propagation engine orders every wave at every shard count.  4 threads
+  fire waves down node-local chains whose compute sleeps (releasing the
+  GIL) at 1 and at 4 shards; equal waves/s at both is the evidence that
+  per-shard drainers would buy nothing: coalescing on the one drainer makes
+  up for the lost overlap.
 
-Cross-shard accounting (cached/uncached x traced/untraced agree, the
-conservation and boundary laws hold) is a tier-1 test:
+Cross-shard accounting (cached/uncached x traced/untraced agree, and the
+shard count changes no counter or value) is a tier-1 test:
 ``tests/metadata/test_wave_poisoning.py::TestRandomDagProperty``.
 
 Usage::
@@ -63,6 +69,11 @@ ROUNDS = 3                # best-of rounds per shard count
 #: with one shard, every thread's setup serializes behind one lock; with
 #: per-shard locks the same reads overlap.
 SETUP_SECONDS = 0.0015
+
+DRAINER_THREADS = 4
+DRAINER_SHARDS = (1, 4)
+DRAINER_WAVES_PER_THREAD = 100
+DRAINER_SLEEP_SECONDS = 0.0002  # per chain-item compute, GIL released
 
 GATE_THROUGHPUT_8 = 3.0   # aggregate waves/s at 8 shards vs single shard
 GATE_WAIT_REDUCTION = 5.0  # hottest graph-lock wait-seconds drop at 8 shards
@@ -181,6 +192,69 @@ def measure_shard_count(shards: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Drainer workload (recorded only)
+# ---------------------------------------------------------------------------
+
+
+def measure_drainer(shards: int) -> dict:
+    """Waves/s of ``DRAINER_THREADS`` writers on node-local sleeping chains."""
+    clock = VirtualClock()
+    system = MetadataSystem(clock, VirtualTimeScheduler(clock),
+                            FineGrainedLockPolicy(), shards=shards,
+                            placement=_round_robin)
+    registries, states, subscriptions = [], [], []
+    for index in range(DRAINER_THREADS):
+        registry = MetadataRegistry(_Node(index), system)
+        state = {"v": 0}
+        registry.define(MetadataDefinition(
+            SRC, Mechanism.ON_DEMAND,
+            compute=lambda ctx, state=state: state["v"]))
+        previous = SRC
+        for depth in range(CHAIN):
+            key = MetadataKey(f"bench.c{depth}")
+            registry.define(MetadataDefinition(
+                key, Mechanism.TRIGGERED,
+                compute=lambda ctx, dep=previous: (
+                    time.sleep(DRAINER_SLEEP_SECONDS) or ctx.value(dep) + 1),
+                dependencies=[SelfDep(previous)]))
+            previous = key
+        subscriptions.append(registry.subscribe(previous))
+        registries.append(registry)
+        states.append(state)
+
+    def writer(registry, state, start: threading.Barrier) -> None:
+        start.wait()
+        for _ in range(DRAINER_WAVES_PER_THREAD):
+            state["v"] += 1
+            registry.notify_changed(SRC)
+
+    start = threading.Barrier(DRAINER_THREADS + 1)
+    workers = [threading.Thread(target=writer, args=(registry, state, start),
+                                name=f"drainer-{index}")
+               for index, (registry, state)
+               in enumerate(zip(registries, states))]
+    for worker in workers:
+        worker.start()
+    start.wait()
+    t0 = time.perf_counter()
+    for worker in workers:
+        worker.join()
+    seconds = time.perf_counter() - t0
+    stats = system.propagation.stats()
+    for subscription in subscriptions:
+        subscription.cancel()
+    waves = DRAINER_THREADS * DRAINER_WAVES_PER_THREAD
+    return {
+        "shards": shards,
+        "seconds": seconds,
+        "waves_per_second": waves / seconds,
+        "waves_exact": stats["waves"] == waves,
+        "drains": stats["drains"],
+        "refreshes": stats["refreshes"],
+    }
+
+
+# ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
 
@@ -194,7 +268,9 @@ def measure() -> dict:
     }
     wait_reduction = base["hottest_wait_seconds"] / max(
         scaling[8]["hottest_wait_seconds"], WAIT_EPS)
-    waves_exact = all(s["waves_exact"] for s in scaling.values())
+    drainer = {shards: measure_drainer(shards) for shards in DRAINER_SHARDS}
+    waves_exact = all(s["waves_exact"] for s in
+                      (*scaling.values(), *drainer.values()))
     passed = (throughput_scaling[8] >= GATE_THROUGHPUT_8
               and wait_reduction >= GATE_WAIT_REDUCTION
               and waves_exact)
@@ -207,6 +283,7 @@ def measure() -> dict:
         "gates": {"throughput_scaling_8": GATE_THROUGHPUT_8,
                   "wait_reduction_8": GATE_WAIT_REDUCTION},
         "scaling": {str(k): v for k, v in scaling.items()},
+        "drainer": {str(k): v for k, v in drainer.items()},
         "waves_exact": waves_exact,
         "metrics": {
             "throughput_scaling_2": throughput_scaling[2],
@@ -214,6 +291,8 @@ def measure() -> dict:
             "throughput_scaling_8": throughput_scaling[8],
             "wait_reduction_8": wait_reduction,
             "waves_per_second_8": scaling[8]["waves_per_second"],
+            **{f"drainer_waves_per_second_{shards}": data["waves_per_second"]
+               for shards, data in drainer.items()},
         },
         "passed": passed,
     }
@@ -238,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{data['waves_per_second']:>10,.0f} waves/s  "
               f"({scale:4.2f}x)   hottest graph-lock wait "
               f"{data['hottest_wait_seconds']*1e3:8.1f} ms")
+    for shards_str, data in result["drainer"].items():
+        print(f"  drainer, {shards_str} shard(s): "
+              f"{data['waves_per_second']:>10,.0f} waves/s  "
+              f"({data['drains']} drains, recorded only)")
     print(f"  wait reduction @8:  {result['metrics']['wait_reduction_8']:.1f}x "
           f"(gate >= {GATE_WAIT_REDUCTION}x)")
     print(f"  throughput @8:      {result['metrics']['throughput_scaling_8']:.2f}x "
@@ -246,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check and not result["passed"]:
         if not result["waves_exact"]:
-            reason = "a churn round lost or duplicated waves"
+            reason = "a round lost or duplicated waves"
         elif result["metrics"]["throughput_scaling_8"] < GATE_THROUGHPUT_8:
             reason = "8-shard wave throughput below the 3x gate"
         else:

@@ -52,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.clock import VirtualClock
 from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
-from repro.metadata.propagation import ShardedPropagationBackend
+from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import VirtualTimeScheduler
 
@@ -81,13 +81,13 @@ class _Owner:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_registry(engine: ShardedPropagationBackend):
+def _fresh_registry(engine: PropagationEngine):
     clock = VirtualClock()
     system = MetadataSystem(clock, VirtualTimeScheduler(clock), propagation=engine)
     return MetadataRegistry(_Owner(), system)
 
 
-def build_shape(engine: ShardedPropagationBackend, shape: str):
+def build_shape(engine: PropagationEngine, shape: str):
     """One registry holding a ``PLAN_SIZE``-handler plan of ``shape``.
 
     Returns ``(registry, state)``; bump ``state["v"]`` and
@@ -146,7 +146,7 @@ def build_shape(engine: ShardedPropagationBackend, shape: str):
     return registry, state
 
 
-def build_coalesce_workload(engine: ShardedPropagationBackend):
+def build_coalesce_workload(engine: PropagationEngine):
     """``COALESCE_SOURCES`` independent staged sources -> merge -> chain.
 
     Each source is an on-demand sample behind a *triggered* stage (the
@@ -214,9 +214,9 @@ def measure_shape(shape: str) -> dict:
     """Interleaved cached-vs-uncached rounds on one plan shape."""
     waves = WAVES_PER_ROUND[shape]
     workloads = {
-        "cached": build_shape(ShardedPropagationBackend(1), shape),
+        "cached": build_shape(PropagationEngine(), shape),
         "uncached": build_shape(
-            ShardedPropagationBackend(1, plan_cache=False, coalesce=False), shape),
+            PropagationEngine(plan_cache=False, coalesce=False), shape),
     }
     for registry, state in workloads.values():
         _run_waves(registry, state, 5)  # warmup: saturate the cut gate etc.
@@ -245,9 +245,9 @@ def measure_shape(shape: str) -> dict:
 def measure_coalescing() -> dict:
     """Batched multi-source notifications: coalescing on vs off."""
     workloads = {
-        "coalesced": build_coalesce_workload(ShardedPropagationBackend(1)),
+        "coalesced": build_coalesce_workload(PropagationEngine()),
         "per_source": build_coalesce_workload(
-            ShardedPropagationBackend(1, coalesce=False)),
+            PropagationEngine(coalesce=False)),
     }
     results: dict[str, dict] = {}
     for name, (registry, state, source_keys, tail) in workloads.items():

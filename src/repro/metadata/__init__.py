@@ -33,7 +33,7 @@ from repro.metadata.locks import (
     NoOpLockPolicy,
 )
 from repro.metadata.monitor import CostProbe, CounterProbe, GaugeProbe, Probe, RateProbe
-from repro.metadata.propagation import PropagationEngine, ShardedPropagationBackend
+from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSubscription, MetadataSystem
 from repro.metadata.scheduling import (
     PeriodicScheduler,
@@ -64,7 +64,6 @@ __all__ = [
     "MetadataRegistry",
     "MetadataSubscription",
     "PropagationEngine",
-    "ShardedPropagationBackend",
     "PeriodicScheduler",
     "PeriodicTask",
     "VirtualTimeScheduler",

@@ -29,33 +29,25 @@ and global accounting.
 Shards (Section 3.2.3 at scale)
 -------------------------------
 
-One graph write lock and one wave queue are exact and simple, and they are
-the scalability ceiling: with thousands of nodes, unrelated subscribes
-convoy on one lock and unrelated waves serialize behind one drainer.
+One graph write lock is exact and simple, and it is the scalability
+ceiling: with thousands of nodes, unrelated subscribes convoy on it.
 ``MetadataSystem(..., shards=N)`` partitions the registries:
 
 * **Placement** — each registry owner hashes (``zlib.crc32`` of its name by
   default, overridable via ``placement``) to a shard at registry creation;
   every handler of that registry lives on that shard forever.
-* **Per-shard hierarchies** — each shard owns its graph-level lock and one
-  :class:`~repro.metadata.propagation.PropagationEngine` (wave queue, plan
-  cache, topology epoch, drainer) inside the system's
-  :class:`~repro.metadata.propagation.ShardedPropagationBackend`.
-  Contention is confined to the shard a subscriber actually touches.
-* **Cross-shard structure** — a structural mutation whose dependency closure
-  spans shards locks exactly the shards it touches, in ascending shard-index
-  order, found by an optimistic pre-walk (:meth:`MetadataSystem.structure_scope`).
+* **Per-shard graph locks** — contention is confined to the shards a
+  structural mutation actually touches: a mutation whose dependency
+  closure spans shards locks exactly those, in ascending shard-index order,
+  found by an optimistic pre-walk (:meth:`MetadataSystem.structure_scope`).
   An inter-shard **edge table** records every dependency edge that crosses
   a boundary (:meth:`MetadataSystem.cross_shard_edges`).
-* **Cross-shard waves** — a wave reaching a foreign node never takes the
-  foreign shard's locks; it *routes* the crossing into the destination
-  engine's queue (see :mod:`repro.metadata.propagation`).
 
-Glitch-freedom (each dependent recomputes once per wave, in topological
-order) holds *per shard*: a diamond whose paths cross shards may recompute
-its bottom vertex once per crossing; final values stay those of one
-in-order pass at any shard count.  The default single shard is the
-unpartitioned runtime: one lock named ``"graph"``, one routerless engine.
+One engine orders every wave; shards partition graph locks.  Waves take no
+graph lock, so a wave crossing a boundary is one wave in global dependency
+order, each member computed once, at any shard count (see
+:mod:`repro.metadata.propagation`).  The default single shard is the
+unpartitioned runtime: one lock named ``"graph"``.
 """
 
 from __future__ import annotations
@@ -88,7 +80,7 @@ from repro.metadata.item import (
 )
 from repro.metadata.locks import LockPolicy, NoOpLockPolicy
 from repro.metadata.monitor import Probe
-from repro.metadata.propagation import ShardedPropagationBackend
+from repro.metadata.propagation import PropagationEngine
 from repro.metadata.scheduling import PeriodicScheduler
 from repro.telemetry.events import (
     ExcludeEvent,
@@ -139,21 +131,18 @@ class MetadataSystem:
         clock: Clock,
         scheduler: PeriodicScheduler,
         lock_policy: LockPolicy | None = None,
-        propagation: ShardedPropagationBackend | None = None,
+        propagation: PropagationEngine | None = None,
         shards: int = 1,
         placement: Callable[[Any, int], int] | None = None,
     ) -> None:
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         if propagation is None:
-            propagation = ShardedPropagationBackend(shards)
-        elif not isinstance(propagation, ShardedPropagationBackend):
+            propagation = PropagationEngine()
+        elif not isinstance(propagation, PropagationEngine):
             raise TypeError(
-                "MetadataSystem needs a ShardedPropagationBackend, "
+                "MetadataSystem needs a PropagationEngine, "
                 f"got {type(propagation).__name__}"
-            )
-        elif propagation.shard_count != shards:
-            raise ValueError(
-                f"propagation backend has {propagation.shard_count} shards, "
-                f"system wants {shards}"
             )
         self.clock = clock
         self.scheduler = scheduler
@@ -336,9 +325,9 @@ class MetadataSystem:
             return tuple(self._cross_edges.values())
 
     def describe_shards(self) -> Mapping[str, Any]:
-        """Per-shard placement, lock, and propagation snapshot (surfaces as
-        the ``"shards"`` section of ``describe_system``)."""
-        per_shard = self.propagation.shard_stats()
+        """Per-shard placement and lock snapshot, plus the one propagation
+        engine's (surfaces as the ``"shards"`` section of
+        ``describe_system``)."""
         registries = [0] * self.shard_count
         handlers = [0] * self.shard_count
         for registry in self.registries():
@@ -352,11 +341,11 @@ class MetadataSystem:
                 "registries": registries[index],
                 "handlers": handlers[index],
                 "lock": stats.to_dict() if stats is not None else {},
-                "propagation": per_shard[index],
             })
         return {
             "count": self.shard_count,
             "cross_shard_edges": len(self.cross_shard_edges()),
+            "propagation": self.propagation.stats(),
             "shards": shards,
         }
 
@@ -370,7 +359,7 @@ class MetadataSystem:
         if self.telemetry is None:
             telemetry = Telemetry(self.clock, capacity)
             self.telemetry = telemetry
-            self.propagation.set_telemetry(telemetry)
+            self.propagation.telemetry = telemetry
             self.scheduler.telemetry = telemetry
         return self.telemetry
 
@@ -383,7 +372,7 @@ class MetadataSystem:
         """
         telemetry = self.telemetry
         self.telemetry = None
-        self.propagation.set_telemetry(None)
+        self.propagation.telemetry = None
         self.scheduler.telemetry = None
         if telemetry is not None:
             telemetry.close_exporters()
@@ -521,7 +510,7 @@ class MetadataRegistry:
         return self.system.scheduler
 
     @property
-    def propagation(self) -> ShardedPropagationBackend:
+    def propagation(self) -> PropagationEngine:
         return self.system.propagation
 
     @property

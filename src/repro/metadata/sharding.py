@@ -1,9 +1,9 @@
 """Alias of :class:`~repro.metadata.registry.MetadataSystem`.
 
 Sharding is a constructor argument: ``MetadataSystem(..., shards=N,
-placement=...)`` in :mod:`repro.metadata.registry` partitions the graph, and
-:class:`~repro.metadata.propagation.ShardedPropagationBackend` holds its
-per-shard engines.
+placement=...)`` in :mod:`repro.metadata.registry` partitions the graph
+locks; one :class:`~repro.metadata.propagation.PropagationEngine` orders
+every wave.
 """
 
 from repro.metadata.registry import MetadataSystem

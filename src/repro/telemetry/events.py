@@ -58,7 +58,6 @@ __all__ = [
     "WaveSuppressed",
     "WavePoisoned",
     "WaveEnd",
-    "CrossShardHop",
     "SchedulerRefresh",
     "SchedulerCancel",
     "HandlerFailure",
@@ -236,16 +235,13 @@ class WaveStart(TraceEvent):
     """``sources > 1`` marks a coalesced multi-source wave; ``node``/``key``
     identify the first contributing source.  ``wave_size`` is the size of
     the structural plan the wave passes over, seeds included (which of its
-    entries react is decided during the pass).  ``shard`` is the index of the
-    shard whose engine runs the wave (-1 on unsharded systems), feeding the
-    per-shard wave counters."""
+    entries react is decided during the pass)."""
 
     kind = "wave.start"
     node: str = ""
     key: str = ""
     wave_size: int = 0
     sources: int = 1
-    shard: int = -1
 
 
 @dataclass(slots=True)
@@ -315,26 +311,6 @@ class WaveEnd(TraceEvent):
 
 
 @dataclass(slots=True)
-class CrossShardHop(TraceEvent):
-    """A wave crossed a shard boundary: instead of taking the foreign
-    shard's locks, the source shard enqueued the dependent into the
-    destination shard's propagation queue.  ``span`` is the originating
-    wave's span — it travels with the enqueued entry, so the causal trace
-    continues through the remote continuation wave.  ``poisoned`` marks
-    hops that carry poison (the local dependency kept a stale value) rather
-    than a change."""
-
-    kind = "wave.cross_shard"
-    from_shard: int = 0
-    to_shard: int = 0
-    from_node: str = ""
-    from_key: str = ""
-    to_node: str = ""
-    to_key: str = ""
-    poisoned: bool = False
-
-
-@dataclass(slots=True)
 class SchedulerRefresh(TraceEvent):
     """One periodic-scheduler tick: ``queue_latency`` is how far past its
     deadline the refresh started (the paper's *lateness*), ``duration`` the
@@ -350,7 +326,7 @@ class SchedulerRefresh(TraceEvent):
     #: aggregate into ``scheduler_refresh_errors_total{mode=...}``.
     mode: str = ""
     #: owning shard of the refreshed handler (-1 on unsharded systems), so
-    #: periodic load is attributable per shard alongside the wave counters.
+    #: periodic load is attributable per shard.
     shard: int = -1
 
 

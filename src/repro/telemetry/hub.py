@@ -84,7 +84,6 @@ _SERIES: dict[str, tuple[Any, ...]] = {
     # propagation waves
     "waves_total": ("counter", ()),
     "wave_size": ("histogram", (), SIZE_BOUNDS),
-    "shard_waves_total": ("counter", ("shard",)),
     "wave_queue_depth": ("histogram", (), SIZE_BOUNDS),
     "waves_coalesced_total": ("counter", ()),
     "drain_handoffs_total": ("counter", ()),
@@ -94,8 +93,6 @@ _SERIES: dict[str, tuple[Any, ...]] = {
     "wave_suppressed_total": ("counter", ("reason",)),
     "wave_poisoned_total": ("counter", ("reason",)),
     "wave_duration_seconds": ("histogram", ()),
-    "cross_shard_hops_total": ("counter", ("from_shard", "to_shard")),
-    "cross_shard_poison_hops_total": ("counter", ()),
     # periodic scheduling
     "scheduler_refreshes_total": ("counter", ("node",)),
     "shard_scheduler_refreshes_total": ("counter", ("shard",)),
@@ -145,8 +142,6 @@ def _fold_handler_refresh(b: _BoundInstruments, e: ev.HandlerRefresh) -> None:
 def _fold_wave_start(b: _BoundInstruments, e: ev.WaveStart) -> None:
     b["waves_total"].inc()
     b["wave_size"].observe(e.wave_size)
-    if e.shard >= 0:
-        b["shard_waves_total", e.shard].inc()
 
 
 def _fold_wave_refresh(b: _BoundInstruments, e: ev.WaveRefresh) -> None:
@@ -154,12 +149,6 @@ def _fold_wave_refresh(b: _BoundInstruments, e: ev.WaveRefresh) -> None:
     b["refresh_duration_seconds"].observe(e.duration)
     if e.error:
         b["wave_errors_total", e.node].inc()
-
-
-def _fold_cross_shard_hop(b: _BoundInstruments, e: ev.CrossShardHop) -> None:
-    b["cross_shard_hops_total", e.from_shard, e.to_shard].inc()
-    if e.poisoned:
-        b["cross_shard_poison_hops_total"].inc()
 
 
 def _fold_scheduler_refresh(b: _BoundInstruments, e: ev.SchedulerRefresh) -> None:
@@ -228,7 +217,6 @@ _FOLDS: dict[type, _Fold] = {
     ev.WaveSuppressed: lambda b, e: b["wave_suppressed_total", e.reason].inc(),
     ev.WavePoisoned: lambda b, e: b["wave_poisoned_total", e.reason].inc(),
     ev.WaveEnd: lambda b, e: b["wave_duration_seconds"].observe(e.duration),
-    ev.CrossShardHop: _fold_cross_shard_hop,
     ev.SchedulerRefresh: _fold_scheduler_refresh,
     ev.SchedulerCancel: _fold_scheduler_cancel,
     ev.HandlerFailure: _fold_handler_failure,

@@ -1,23 +1,22 @@
-"""Sharded metadata graph: placement, cross-shard propagation, accounting.
+"""Sharded metadata graph: placement, cross-shard waves, accounting.
 
-The sharded runtime (ISSUE 10, Section 3.2.3 at scale) partitions registries
-across per-shard lock hierarchies and propagation engines.  These tests pin
-its contracts:
+Shards (Section 3.2.3 at scale) partition the registries across per-shard
+graph locks; one propagation engine orders every wave.  These tests pin
+the contracts:
 
 * **placement** — deterministic hash placement, overridable per system;
-* **cross-shard waves** — a boundary crossing is an *enqueue* into the
-  destination engine (``remote_in == remote_out``), never a foreign lock
-  acquisition, and the conservation law ``planned == refreshes +
-  skipped_poisoned`` holds per shard and globally — poison crossings
-  included;
+* **cross-shard waves** — a wave crossing a boundary is one wave on the one
+  engine: it takes no graph lock, recomputes each member once, carries
+  poison within the same pass (``planned == refreshes + skipped_poisoned``)
+  and pairs one drain hand-off per wave;
 * **edge table / introspection** — boundary edges are observable while
   subscribed and gone after cancel; ``describe_system`` grows a ``shards``
   section;
 * **atomic cross-shard subscribe_many** — a failing include on shard B rolls
   back the batch's provisional handlers *and* inter-shard edge-table entries
   on shard A, leaving both shards exactly as before;
-* **one shard** — the default system is the unpartitioned runtime: no
-  router, untagged traces, one lock named ``"graph"``.
+* **one shard** — the default system is the unpartitioned runtime: one lock
+  named ``"graph"``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.metadata.item import (
     SelfDep,
 )
 from repro.metadata.locks import FineGrainedLockPolicy
-from repro.metadata.propagation import PropagationEngine, ShardedPropagationBackend
+from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem, default_placement
 from repro.metadata.scheduling import VirtualTimeScheduler
 
@@ -80,13 +79,8 @@ def _attach(system: MetadataSystem, index: int) -> _Node:
 
 
 def _assert_conservation(system: MetadataSystem) -> dict:
-    backend = system.propagation
-    for shard in backend.shard_stats():
-        assert shard["planned"] == (shard["refreshes"]
-                                    + shard["skipped_poisoned"])
-    stats = backend.stats()
+    stats = system.propagation.stats()
     assert stats["planned"] == stats["refreshes"] + stats["skipped_poisoned"]
-    assert stats["remote_in"] == stats["remote_out"]
     assert stats["pending"] == 0
     return stats
 
@@ -116,8 +110,7 @@ class TestPlacement:
         assert system.shard_count == 1
         # The one-shard identity: the unpartitioned runtime, not a
         # partitioned one of size one.
-        (engine,) = system.propagation.engines
-        assert engine.router is None
+        assert isinstance(system.propagation, PropagationEngine)
         assert system.structure_lock.name == "graph"
         assert system.shard_locks == [system.structure_lock]
         node.metadata.define(MetadataDefinition(
@@ -128,19 +121,21 @@ class TestPlacement:
         tel = system.enable_telemetry()
         sub = node.metadata.subscribe(DERIVED)
         node.metadata.notify_changed(SRC)
-        (start,) = tel.bus.events(kind="wave.start")
-        assert start.shard == -1
+        assert len(tel.bus.events(kind="wave.start")) == 1
         assert describe_system(system)["shards"]["count"] == 1
         sub.cancel()
 
-    def test_backend_must_be_sharded_and_match_the_shard_count(self):
+    def test_propagation_is_one_engine_at_any_shard_count(self):
         clock = VirtualClock()
+        engine = PropagationEngine(plan_cache=False)
+        system = MetadataSystem(clock, VirtualTimeScheduler(clock),
+                                propagation=engine, shards=4)
+        assert system.propagation is engine
         with pytest.raises(TypeError):
             MetadataSystem(clock, VirtualTimeScheduler(clock),
-                           propagation=PropagationEngine())  # type: ignore[arg-type]
+                           propagation=object())  # type: ignore[arg-type]
         with pytest.raises(ValueError):
-            MetadataSystem(clock, VirtualTimeScheduler(clock),
-                           propagation=ShardedPropagationBackend(2), shards=4)
+            MetadataSystem(clock, VirtualTimeScheduler(clock), shards=0)
 
 
 class TestCrossShardPropagation:
@@ -167,22 +162,19 @@ class TestCrossShardPropagation:
         sub = nodes[0].metadata.subscribe(DERIVED)  # reads node1's SRC
         assert sub.get() == 1  # seed: 0 + 1
 
+        locks = [lock.stats.snapshot() for lock in system.shard_locks]
+        before = system.propagation.stats()
         states[1]["v"] = 5
         nodes[1].metadata.notify_changed(SRC)
         assert sub.get() == 6
 
-        backend = system.propagation
-        per_shard = backend.shard_stats()
-        # The wave ran on node1's shard (shard 1) and *routed* the boundary
-        # edge: one remote_out there, one remote_in + continuation wave on
-        # node0's shard — no wave_count bump for the remote pass.
-        assert per_shard[1]["waves"] == 1
-        assert per_shard[1]["remote_out"] == 1
-        assert per_shard[0]["remote_in"] == 1
-        assert per_shard[0]["remote_waves"] == 1
-        assert per_shard[0]["refreshes"] >= 1
-        stats = _assert_conservation(system)
-        assert stats["remote_in"] == 1
+        # The wave started on shard 1 and refreshed node0's DERIVED on
+        # shard 0 in the same pass, taking neither shard's graph lock.
+        after = _assert_conservation(system)
+        assert [lock.stats.snapshot() for lock in system.shard_locks] == locks
+        assert after["waves"] - before["waves"] == 1
+        assert after["drains"] - before["drains"] == 1
+        assert after["refreshes"] - before["refreshes"] == 1
         sub.cancel()
 
     def test_poison_crosses_the_boundary_as_planned_and_skipped(self):
@@ -202,7 +194,7 @@ class TestCrossShardPropagation:
             DERIVED, Mechanism.TRIGGERED, dependencies=[SelfDep(SRC)],
             compute=lambda ctx: ctx.value(SRC)))
         # node1 (shard 1) depends on node0's DERIVED (shard 0): when DERIVED
-        # fails in a wave, the poison must route across the boundary.
+        # fails in a wave, the poison must reach across the boundary.
         node1.metadata.define(MetadataDefinition(
             ROLLUP, Mechanism.TRIGGERED,
             compute=lambda ctx: ctx.value(DERIVED) + 1,
@@ -213,13 +205,14 @@ class TestCrossShardPropagation:
         fail["on"] = True
         node0.metadata.notify_changed(SRC)
         fail["on"] = False
-        # The rollup was planned on shard 1 and skipped: stale value kept.
+        # One wave: DERIVED failed on shard 0, the rollup on shard 1 was
+        # planned and skipped in the same pass, keeping its stale value.
         assert sub.get() == 2
-        per_shard = system.propagation.shard_stats()
-        assert per_shard[0]["errors"] == 1
-        assert per_shard[1]["skipped_poisoned"] == 1
-        assert per_shard[1]["refreshes"] == 0
-        _assert_conservation(system)
+        stats = _assert_conservation(system)
+        assert (stats["waves"], stats["drains"]) == (1, 1)
+        assert stats["errors"] == 1
+        assert stats["refreshes"] == 1
+        assert stats["skipped_poisoned"] == 1
 
         state["v"] = 3
         node0.metadata.notify_changed(SRC)
@@ -236,28 +229,21 @@ class TestCrossShardPropagation:
         nodes[1].metadata.notify_changed(SRC)
         assert sub.get() == 10
 
-        hops = tel.bus.events(kind="wave.cross_shard")
-        assert len(hops) == 1
-        hop = hops[0]
-        assert (hop.from_shard, hop.to_shard) == (1, 0)
+        # The boundary edge is an ordinary hop of the one wave, under the
+        # span its enqueue allocated.
+        (enqueued,) = tel.bus.events(kind="wave.enqueued")
+        (start,) = tel.bus.events(kind="wave.start")
+        (hop,) = tel.bus.events(kind="wave.hop")
         assert hop.from_node == "node1" and hop.to_node == "node0"
         assert hop.from_key == "src" and hop.to_key == "derived"
-        assert not hop.poisoned
-        # The hop carries the originating wave's span: the continuation wave
-        # on the destination shard stays causally traceable.
-        origin_wave = [e for e in tel.bus.events(kind="wave.start")
-                       if e.shard == 1][-1]
-        assert hop.span == origin_wave.span != 0
-        assert tel.metrics.counter(
-            "cross_shard_hops_total",
-            {"from_shard": "1", "to_shard": "0"}).value == 1
+        assert hop.span == start.span == enqueued.span != 0
+        assert tel.metrics.counter("wave_hops_total").value == 1
+        assert tel.metrics.counter("waves_total").value == 1
         sub.cancel()
 
     def test_drain_handoffs_pair_across_a_shard_hop(self):
-        """A drainer role taken by a cross-shard arrival is announced like
-        one taken by a local change: at quiescence every ``wave.drain``
-        acquire has its release (the remote path used to emit only the
-        release, so ``drain_handoffs_total`` over-counted)."""
+        """Every ``wave.drain`` acquire has its release, one pair per wave,
+        however many boundaries the wave crosses."""
         system = _build(shards=2)
         tel = system.enable_telemetry()
         nodes, states = self._ring(system, 2)
@@ -268,11 +254,9 @@ class TestCrossShardPropagation:
         handoffs = tel.bus.events(kind="wave.drain")
         acquires = [e for e in handoffs if e.acquired]
         releases = [e for e in handoffs if not e.acquired]
-        # One drain per notify on the source shard, one per continuation
-        # wave on the destination shard.
-        assert len(acquires) == len(releases) == 20
+        assert len(acquires) == len(releases) == 10
         assert all(e.span != 0 for e in acquires)
-        assert _assert_conservation(system)["remote_in"] == 10
+        assert _assert_conservation(system)["drains"] == 10
         for sub in subs:
             sub.cancel()
 
@@ -300,10 +284,15 @@ class TestCrossShardPropagation:
         fail["on"] = True
         node0.metadata.notify_changed(SRC)
         fail["on"] = False
-        poisoned = [e for e in tel.bus.events(kind="wave.cross_shard")
-                    if e.poisoned]
-        assert len(poisoned) == 1
-        assert tel.metrics.counter("cross_shard_poison_hops_total").value == 1
+        # The failure on shard 0 and the poisoned member on shard 1 are
+        # events of one wave.
+        (start,) = tel.bus.events(kind="wave.start")
+        poisoned = tel.bus.events(kind="wave.poisoned")
+        assert [(e.node, e.reason) for e in poisoned] == [
+            ("node0", "compute-failed"), ("node1", "poisoned-input")]
+        assert all(e.span == start.span for e in poisoned)
+        assert tel.metrics.counter(
+            "wave_poisoned_total", {"reason": "poisoned-input"}).value == 1
         _assert_conservation(system)
         sub.cancel()
 
@@ -331,23 +320,62 @@ class TestCrossShardPropagation:
         snapshot = describe_system(system)
         assert snapshot["shards"]["count"] == 2
         assert len(snapshot["shards"]["shards"]) == 2
+        # One engine, so one propagation snapshot for the whole system.
+        assert snapshot["shards"]["propagation"] == system.propagation.stats()
+        assert all("propagation" not in shard
+                   for shard in snapshot["shards"]["shards"])
 
-    def test_events_fired_batches_stay_per_shard(self):
+    def test_events_fired_batch_is_one_merged_wave(self):
         system = _build(shards=2)
         nodes, states = self._ring(system, 2)
+        # ROLLUP on node0 reads both nodes' SRC, one per shard.
+        nodes[0].metadata.define(MetadataDefinition(
+            ROLLUP, Mechanism.TRIGGERED,
+            compute=lambda ctx: sum(ctx.values(SRC)),
+            dependencies=[SelfDep(SRC), NodeDep(nodes[1], SRC)]))
         subs = [node.metadata.subscribe(DERIVED) for node in nodes]
-        registry = nodes[0].metadata
-        # One batch containing both nodes' sources: the backend splits it by
-        # shard, so each engine coalesces its own sub-batch into one wave.
-        before = [s["waves"] for s in system.propagation.shard_stats()]
+        subs.append(nodes[0].metadata.subscribe(ROLLUP))
+        sources = [node.metadata.handler(SRC) for node in nodes]
+        before = system.propagation.stats()
         for state in states:
             state["v"] += 1
-        for node in nodes:
-            node.metadata.notify_changed_many([SRC])
-        after = [s["waves"] for s in system.propagation.shard_stats()]
-        assert [a - b for a, b in zip(after, before)] == [1, 1]
-        assert registry is nodes[0].metadata
-        _assert_conservation(system)
+        system.propagation.events_fired(sources)
+        after = _assert_conservation(system)
+        delta = {key: after[key] - before[key]
+                 for key in ("waves", "drains", "merged_waves", "refreshes")}
+        # Both sources, on two shards, travel as one wave: the shared
+        # ROLLUP recomputes once beside the two DERIVED items.
+        assert delta == {"waves": 2, "drains": 1, "merged_waves": 1,
+                         "refreshes": 3}
+        assert [sub.get() for sub in subs] == [2, 2, 2]
+        for sub in subs:
+            sub.cancel()
+
+    def test_frozen_e2e_harness_surface(self):
+        """Exactly what ``benchmarks/e2e/workloads.py`` (``mixed_rw``) reads of
+        ``src/``.  That harness is frozen, so without this test only the e2e
+        smoke test would notice a cleanup breaking it."""
+        from repro.metadata.sharding import ShardedMetadataSystem
+
+        clock = VirtualClock()
+        system = ShardedMetadataSystem(
+            clock, VirtualTimeScheduler(clock), FineGrainedLockPolicy(),
+            shards=2, placement=_round_robin)
+        assert isinstance(system, MetadataSystem)
+        nodes, _states = self._ring(system, 2)
+        subs = [node.metadata.subscribe(DERIVED) for node in nodes]
+        nodes[1].metadata.notify_changed(SRC)
+        stats = system.stats()
+        for key in ("waves", "refreshes", "planned", "suppressed",
+                    "skipped_poisoned", "plan_hits", "plan_misses",
+                    "coalesced_sources", "merged_waves", "errors", "pending"):
+            assert isinstance(stats[key], int), key
+        assert (stats["remote_in"], stats["remote_out"],
+                stats["remote_waves"]) == (0, 0, 0)
+        shards = system.propagation.shard_stats()
+        assert (sum(s["remote_out"] for s in shards)
+                == sum(s["remote_in"] for s in shards))
+        assert len(system.cross_shard_edges()) == 2
         for sub in subs:
             sub.cancel()
 
@@ -410,9 +438,9 @@ class TestSubscribeManyCrossShardRollback:
             node1.metadata.notify_changed(SRC)
             value = sub.get()
             edges = len(system.cross_shard_edges())
-            backend_stats = _assert_conservation(system)
+            stats = _assert_conservation(system)
             sub.cancel()
-            return value, edges, backend_stats["remote_in"]
+            return value, edges, stats["waves"], stats["refreshes"]
 
         assert run(poke_rollback=True) == run(poke_rollback=False)
 
@@ -420,8 +448,8 @@ class TestSubscribeManyCrossShardRollback:
 @pytest.mark.stress
 class TestCrossShardStorm:
     """Threaded storm over a boundary-heavy ring: notify storms race
-    subscription churn whose closures cross shards.  The conservation and
-    boundary laws must hold exactly at quiescence."""
+    subscription churn whose closures cross shards.  The accounting laws
+    must hold exactly at quiescence."""
 
     def test_storm_preserves_accounting_laws(self):
         system = _build(shards=4)
@@ -465,6 +493,9 @@ class TestCrossShardStorm:
         for anchor in anchors:
             anchor.cancel()
         stats = _assert_conservation(system)
-        assert stats["remote_in"] > 0  # the storm really crossed boundaries
+        # The anchors keep nodes 1 and 2's SRC included, so at least the
+        # half of the notifies aimed at them ran, crossing boundaries.
+        assert stats["waves"] >= 150
+        assert stats["refreshes"] > 0
         assert system.included_handler_count == 0
         assert system.cross_shard_edges() == ()

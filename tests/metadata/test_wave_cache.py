@@ -13,7 +13,7 @@ import random
 
 from repro.common.clock import VirtualClock
 from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
-from repro.metadata.propagation import ShardedPropagationBackend
+from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import VirtualTimeScheduler
 
@@ -26,7 +26,7 @@ class _Owner:
     name = "cache-owner"
 
 
-def make_registry(engine: ShardedPropagationBackend):
+def make_registry(engine: PropagationEngine):
     clock = VirtualClock()
     system = MetadataSystem(clock, VirtualTimeScheduler(clock),
                             propagation=engine)
@@ -52,7 +52,7 @@ def define_triggered(registry, key, deps, compute=None):
 
 class TestPlanCache:
     def test_repeated_waves_hit_the_cache(self):
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry = make_registry(engine)
         state = {"a": 1}
         define_source(registry, A, state)
@@ -70,7 +70,7 @@ class TestPlanCache:
 
     def test_include_mid_stream_bumps_epoch_and_rebuilds(self):
         """A new dependent subscribed between waves must join the next wave."""
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry = make_registry(engine)
         state = {"a": 1}
         define_source(registry, A, state)
@@ -90,7 +90,7 @@ class TestPlanCache:
         assert stats["plan_misses"] >= 2  # initial plan + post-include rebuild
 
     def test_exclude_mid_stream_stops_refreshing_handler(self):
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry = make_registry(engine)
         state = {"a": 1}
         define_source(registry, A, state)
@@ -116,7 +116,7 @@ class TestPlanCache:
         assert seen == []  # removed handler never refreshes again
 
     def test_undefine_bumps_epoch(self):
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry = make_registry(engine)
         state = {"a": 1}
         define_source(registry, A, state)
@@ -127,14 +127,13 @@ class TestPlanCache:
     def test_stale_plan_is_not_cached_across_epoch_bump(self):
         """A plan built concurrently with a wiring change must not land in
         the cache (it may describe the old structure)."""
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry = make_registry(engine)
         state = {"a": 1}
         define_source(registry, A, state)
         define_triggered(registry, B, [A])
         registry.subscribe(B)
         source = registry.handler(A)
-        engine = engine.engines[0]
         original_build = engine._build_plan
 
         def racing_build(seeds):
@@ -155,7 +154,7 @@ class TestPlanCache:
 
 
 class TestCachedUncachedEquivalence:
-    def _random_workload(self, engine: ShardedPropagationBackend, seed: int):
+    def _random_workload(self, engine: PropagationEngine, seed: int):
         """Random DAG + interleaved waves/wiring changes, fully seeded."""
         rng = random.Random(seed)
         registry = make_registry(engine)
@@ -207,9 +206,9 @@ class TestCachedUncachedEquivalence:
     def test_identical_accounting_on_random_sequences(self):
         for seed in (7, 23, 99):
             cached_stats, cached_values = self._random_workload(
-                ShardedPropagationBackend(1), seed)
+                PropagationEngine(), seed)
             uncached_stats, uncached_values = self._random_workload(
-                ShardedPropagationBackend(1, plan_cache=False, coalesce=False),
+                PropagationEngine(plan_cache=False, coalesce=False),
                 seed)
             for key in WORK_KEYS:
                 assert cached_stats[key] == uncached_stats[key], (
@@ -220,7 +219,7 @@ class TestCachedUncachedEquivalence:
 
 
 class TestCoalescing:
-    def _shared_chain(self, engine: ShardedPropagationBackend):
+    def _shared_chain(self, engine: PropagationEngine):
         registry = make_registry(engine)
         state = {"s0": 0, "s1": 0, "s2": 0}
         sources = [MetadataKey(k) for k in ("s0", "s1", "s2")]
@@ -244,7 +243,7 @@ class TestCoalescing:
         return registry, state, sources, merge_calls
 
     def test_batch_recomputes_shared_dependent_once(self):
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry, state, sources, merge_calls = self._shared_chain(engine)
         merge_calls.clear()
         state.update(s0=1, s1=2, s2=3)
@@ -258,7 +257,7 @@ class TestCoalescing:
         assert registry.get(E) == 6
 
     def test_per_source_engine_recomputes_per_wave(self):
-        engine = ShardedPropagationBackend(1, coalesce=False)
+        engine = PropagationEngine(coalesce=False)
         registry, state, sources, merge_calls = self._shared_chain(engine)
         merge_calls.clear()
         state.update(s0=1, s1=2, s2=3)
@@ -270,7 +269,7 @@ class TestCoalescing:
         assert registry.get(E) == 6  # same final value either way
 
     def test_duplicate_sources_collapse(self):
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry, state, sources, merge_calls = self._shared_chain(engine)
         merge_calls.clear()
         state.update(s0=5)
@@ -283,7 +282,7 @@ class TestCoalescing:
     def test_coalesced_wave_emits_linkage_events(self):
         """One call is one span: a ``notify_changed_many`` batch has one
         ``wave.enqueued`` and nothing to link, however many sources."""
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry, state, sources, merge_calls = self._shared_chain(engine)
         telemetry = registry.system.enable_telemetry()
         state.update(s0=1, s1=2, s2=3)
@@ -301,7 +300,7 @@ class TestCoalescing:
         """``wave.coalesced`` is for what the *drainer* merges: sources
         enqueued by separate calls (here from inside a running wave) have
         spans of their own, each tied to the wave that served it."""
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry, state, sources, merge_calls = self._shared_chain(engine)
 
         def nudge(ctx):
@@ -337,7 +336,7 @@ class TestCoalescing:
     def test_nested_notifications_still_coalesce_safely(self):
         """A notify fired from inside a compute lands in the running drain
         and is processed afterwards — coalescing must not drop or double it."""
-        engine = ShardedPropagationBackend(1)
+        engine = PropagationEngine()
         registry = make_registry(engine)
         state = {"a": 0, "b": 0}
         define_source(registry, A, state)

@@ -46,8 +46,6 @@ ROWS: list[tuple[ev.TraceEvent, dict, dict, dict]] = [
     (ev.DrainHandoff(acquired=True), {"drain_handoffs_total": 1}, {}, {}),
     (ev.WaveCoalesced(node="a"), {"waves_coalesced_total": 1}, {}, {}),
     (ev.WaveStart(node="a", wave_size=4), {"waves_total": 1}, {}, {"wave_size": 4}),
-    (ev.WaveStart(node="a", wave_size=4, shard=2),
-     {"waves_total": 1, 'shard_waves_total{shard="2"}': 1}, {}, {"wave_size": 4}),
     (ev.WaveHop(from_node="a", to_node="b"), {"wave_hops_total": 1}, {}, {}),
     (ev.WaveRefresh(node="a", duration=0.25),
      {'wave_refreshes_total{node="a"}': 1}, {},
@@ -60,11 +58,6 @@ ROWS: list[tuple[ev.TraceEvent, dict, dict, dict]] = [
     (ev.WavePoisoned(node="a", reason="quarantined"),
      {'wave_poisoned_total{reason="quarantined"}': 1}, {}, {}),
     (ev.WaveEnd(refreshed=2, duration=0.75), {}, {}, {"wave_duration_seconds": 0.75}),
-    (ev.CrossShardHop(from_shard=0, to_shard=3),
-     {'cross_shard_hops_total{from_shard="0",to_shard="3"}': 1}, {}, {}),
-    (ev.CrossShardHop(from_shard=0, to_shard=3, poisoned=True),
-     {'cross_shard_hops_total{from_shard="0",to_shard="3"}': 1,
-      "cross_shard_poison_hops_total": 1}, {}, {}),
     (ev.SchedulerRefresh(node="a", queue_latency=0.5, duration=0.25),
      {'scheduler_refreshes_total{node="a"}': 1}, {},
      {"scheduler_queue_latency": 0.5, "scheduler_run_duration_seconds": 0.25}),

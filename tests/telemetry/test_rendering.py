@@ -62,7 +62,7 @@ HOSTILE_VALUES = [
 
 
 def test_every_event_class_is_covered():
-    assert len(EVENT_CLASSES) == 28
+    assert len(EVENT_CLASSES) == 27
     assert ev.TraceEvent in EVENT_CLASSES
 
 

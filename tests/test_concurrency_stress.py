@@ -34,7 +34,7 @@ from repro.metadata.item import (
     SelfDep,
 )
 from repro.metadata.locks import FineGrainedLockPolicy
-from repro.metadata.propagation import ShardedPropagationBackend
+from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import ThreadedScheduler, VirtualTimeScheduler
 
@@ -287,7 +287,7 @@ class TestCachedPlanStressEquivalence:
 
     DEPTH = 6
 
-    def _storm(self, backend: ShardedPropagationBackend) -> dict:
+    def _storm(self, backend: PropagationEngine) -> dict:
         clock = VirtualClock()
         system = MetadataSystem(
             clock,
@@ -331,9 +331,9 @@ class TestCachedPlanStressEquivalence:
     def test_identical_accounting_cached_vs_uncached(self):
         # Coalescing off on both sides: merging depends on queue timing, so
         # only the cache dimension varies — the property under test.
-        cached = self._storm(ShardedPropagationBackend(1, coalesce=False))
-        uncached = self._storm(ShardedPropagationBackend(1, plan_cache=False,
-                                                         coalesce=False))
+        cached = self._storm(PropagationEngine(coalesce=False))
+        uncached = self._storm(PropagationEngine(plan_cache=False,
+                                                 coalesce=False))
         for key in ("waves", "refreshes", "suppressed", "errors"):
             assert cached[key] == uncached[key], (cached, uncached)
         assert cached["waves"] == THREADS * ITERATIONS
