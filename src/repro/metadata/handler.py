@@ -113,14 +113,19 @@ class MetadataHandler:
         self.last_update_time: float | None = None
         self.removed = False
         self._compare_warned = False
+        # Set here, filled on first use (see ``names``): caching through
+        # ``functools.cached_property`` writes via ``__dict__``, which
+        # takes every later attribute load of the handler off CPython's
+        # inline-values fast path.
+        self._names: tuple[str, str] | None = None
+        self._ident: str | None = None
         # Handlers without a failure policy carry no breaker at all: the
         # refresh hot path then pays one `is None` check, mirroring the
         # telemetry discipline (bench_fault_overhead.py records what a
         # breaker costs on top).
         policy = definition.failure_policy
         self.breaker: CircuitBreaker | None = (
-            CircuitBreaker(policy, registry.clock,
-                           salt=f"{node_of(self)}/{key_of(self.key)}")
+            CircuitBreaker(policy, registry.clock, salt=self.ident)
             if policy is not None else None)
 
     # -- identity ----------------------------------------------------------
@@ -129,6 +134,22 @@ class MetadataHandler:
     def ref(self) -> tuple:
         """Globally unique ``(owner, key)`` reference of the item."""
         return (self.registry.owner, self.key)
+
+    @property
+    def names(self) -> tuple[str, str]:
+        """``(node, key)``: the item's name in trace records, computed once."""
+        names = self._names
+        if names is None:
+            names = self._names = (node_of(self), key_of(self.key))
+        return names
+
+    @property
+    def ident(self) -> str:
+        """``node/key``: the item's name in a ``wave.refresh``'s ``via``."""
+        ident = self._ident
+        if ident is None:
+            ident = self._ident = "/".join(self.names)
+        return ident
 
     def __repr__(self) -> str:
         owner = getattr(self.registry.owner, "name", self.registry.owner)
@@ -184,7 +205,14 @@ class MetadataHandler:
         """Recompute the value now and propagate to dependents — a lone
         refresh is a one-source wave (a scheduler tick publishes through its
         own wave instead, see :meth:`PeriodicHandler.periodic_refresh`)."""
-        if self._refresh_value():
+        tel = self.registry.system.telemetry
+        t0 = time.monotonic() if tel is not None else 0.0
+        publish = self._refresh_value()
+        if tel is not None:
+            node, key = self.names
+            tel.emit(HandlerRefresh(node=node, key=key, changed=publish,
+                                    duration=time.monotonic() - t0))
+        if publish:
             self.registry.propagation.value_changed(self)
 
     def _refresh_value(self) -> bool:
@@ -204,15 +232,8 @@ class MetadataHandler:
                 return False  # quarantined: rest until the next probe is due
             changed = outcome
         else:
-            tel = self.registry.system.telemetry
-            t0 = time.monotonic() if tel is not None else 0.0
             with self._lock.write():
                 changed = self._store(self._compute())
-            if tel is not None:
-                tel.emit(HandlerRefresh(node=node_of(self),
-                                        key=key_of(self.key),
-                                        changed=changed,
-                                        duration=time.monotonic() - t0))
         # Re-check after releasing the item lock: a concurrent exclusion that
         # won the race gets a quiet exit instead of a post-removal wave.
         return not self.removed and (changed or self.propagates_always)
@@ -231,7 +252,7 @@ class MetadataHandler:
         self._ensure_included()
         if self.breaker is not None:
             outcome = self._guarded_attempt(
-                retries=self.breaker.policy.max_retries, emit_refresh=False)
+                retries=self.breaker.policy.max_retries)
             if outcome is None:
                 return False  # quarantined mid-wave: keep last-good value
             return outcome or self.propagates_always
@@ -242,9 +263,10 @@ class MetadataHandler:
     # -- failure-policy machinery ------------------------------------------
 
     def _guarded_attempt(self, retries: int,
-                         emit_refresh: bool = True) -> bool | None:
+                         emit_refresh: bool = False) -> bool | None:
         """Circuit-governed compute+store with up to ``1 + retries``
-        immediate attempts.
+        immediate attempts; ``emit_refresh`` records a successful one as a
+        ``handler.refresh`` (an on-demand read, which no caller records).
 
         Returns the changed flag, or ``None`` when the circuit is
         quarantined with no probe due (the caller serves the last-good
@@ -258,8 +280,8 @@ class MetadataHandler:
         tel = self.registry.system.telemetry
         allowed, probing = breaker.allow_attempt()
         if probing is not None and tel is not None:
-            tel.emit(CircuitHalfOpen(node=node_of(self),
-                                     key=key_of(self.key)))
+            node, key = self.names
+            tel.emit(CircuitHalfOpen(node=node, key=key))
         if not allowed:
             return None
         deadline = breaker.policy.attempt_deadline
@@ -276,8 +298,8 @@ class MetadataHandler:
                 self._record_failure(exc, tel, deadline_exceeded=False)
                 if attempt <= retries and not breaker.attempt_blocked():
                     if tel is not None:
-                        tel.emit(RetryScheduled(node=node_of(self),
-                                                key=key_of(self.key),
+                        node, key = self.names
+                        tel.emit(RetryScheduled(node=node, key=key,
                                                 attempt=attempt, delay=0.0))
                     continue
                 raise
@@ -294,12 +316,12 @@ class MetadataHandler:
             else:
                 transition = breaker.record_success()
                 if transition is not None and tel is not None:
-                    tel.emit(CircuitClose(node=node_of(self),
-                                          key=key_of(self.key)))
+                    node, key = self.names
+                    tel.emit(CircuitClose(node=node, key=key))
             if emit_refresh and tel is not None:
-                tel.emit(HandlerRefresh(node=node_of(self),
-                                        key=key_of(self.key),
-                                        changed=changed, duration=duration))
+                node, key = self.names
+                tel.emit(HandlerRefresh(node=node, key=key, changed=changed,
+                                        duration=duration))
             return changed
 
     def _record_failure(self, exc: BaseException, tel: Any,
@@ -309,12 +331,13 @@ class MetadataHandler:
         transition = breaker.record_failure(exc)
         if tel is not None:
             streak = breaker.consecutive_failures
+            node, key = self.names
             tel.emit(HandlerFailure(
-                node=node_of(self), key=key_of(self.key),
+                node=node, key=key,
                 error=f"{type(exc).__name__}: {exc}"[:200],
                 consecutive=streak, deadline_exceeded=deadline_exceeded))
             if transition in ("open", "reopen"):
-                tel.emit(CircuitOpen(node=node_of(self), key=key_of(self.key),
+                tel.emit(CircuitOpen(node=node, key=key,
                                      failures=streak,
                                      reopened=transition == "reopen"))
 
@@ -464,7 +487,8 @@ class OnDemandHandler(MetadataHandler):
         # serve the last-good value flagged stale instead of raising.
         policy = self.breaker.policy
         try:
-            outcome = self._guarded_attempt(retries=policy.max_retries)
+            outcome = self._guarded_attempt(retries=policy.max_retries,
+                                            emit_refresh=True)
         except MetadataNotIncludedError:
             raise
         except Exception:  # noqa: BLE001 - breaker recorded it; stale read below

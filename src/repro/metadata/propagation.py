@@ -109,17 +109,10 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.common.errors import MetadataNotIncludedError
 from repro.telemetry.events import (
-    DrainHandoff,
-    WaveCoalesced,
-    WaveEnd,
-    WaveEnqueued,
-    WaveHop,
     WavePoisoned,
     WaveRefresh,
-    WaveStart,
+    WaveSummary,
     WaveSuppressed,
-    key_of,
-    node_of,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -154,44 +147,45 @@ _Plan = tuple[list, bool]
 
 class _WaveTrace:
     """Trace recorder of one wave: the only emitter of in-wave events, and
-    the keeper of the tallies ``wave.end`` reports.
+    the keeper of the tallies its ``wave.summary`` reports.
 
     It exists only while telemetry is attached; the wave loop guards every
     call with ``trace is not None``, so an untraced wave pays one local
-    check per hook and the counters are byte-identical traced or not.
+    check per hook and the counters are byte-identical traced or not.  Each
+    member the wave reaches is one record; the summary is written by
+    :meth:`end`, which the engine calls however the wave ends.
     """
 
-    __slots__ = ("_emit", "_span", "_started", "_stopwatch",
-                 "_refreshed", "_suppressed", "_errors", "_poisoned")
+    __slots__ = ("_emit", "_summary", "_started", "_stopwatch", "_via")
 
     def __init__(self, tel: "Telemetry", span: int, first: "MetadataHandler",
-                 size: int, sources: int) -> None:
+                 sources: int, folded: tuple[int, ...], pending: int) -> None:
         self._emit = tel.emit
-        self._span = span
-        self._refreshed = self._suppressed = self._errors = self._poisoned = 0
+        self._summary = WaveSummary(span=span, source=first.ident,
+                                    sources=sources, folded=folded,
+                                    pending=pending)
+        self._via: tuple[str, ...] = ()
         self._started = self._stopwatch = time.monotonic()
-        self._emit(WaveStart(span=span, node=node_of(first),
-                             key=key_of(first.key), wave_size=size,
-                             sources=sources))
+
+    def planned(self, size: int) -> None:
+        self._summary.wave_size = size
 
     def suppressed(self, handler: "MetadataHandler", reason: str) -> None:
-        self._suppressed += 1
-        self._emit(WaveSuppressed(span=self._span, node=node_of(handler),
-                                  key=key_of(handler.key), reason=reason))
+        self._summary.suppressed += 1
+        node, key = handler.names
+        self._emit(WaveSuppressed(span=self._summary.span, node=node, key=key,
+                                  reason=reason))
 
     def poisoned(self, handler: "MetadataHandler", reason: str) -> None:
-        self._poisoned += 1
-        self._emit(WavePoisoned(span=self._span, node=node_of(handler),
-                                key=key_of(handler.key), reason=reason))
+        self._summary.poisoned += 1
+        node, key = handler.names
+        self._emit(WavePoisoned(span=self._summary.span, node=node, key=key,
+                                reason=reason))
 
-    def refreshing(self, handler: "MetadataHandler", changed_preds: list) -> None:
-        """``handler`` is about to recompute: record each dependency edge
+    def refreshing(self, changed_preds: list) -> None:
+        """The next member is about to recompute: keep the dependency edges
         the wave crossed into it and start the stopwatch."""
-        for dep in changed_preds:
-            self._emit(WaveHop(span=self._span, from_node=node_of(dep),
-                               from_key=key_of(dep.key),
-                               to_node=node_of(handler),
-                               to_key=key_of(handler.key)))
+        self._via = tuple([dep.ident for dep in changed_preds])
         self._stopwatch = time.monotonic()
 
     def refreshed(self, handler: "MetadataHandler", outcome: "bool | str",
@@ -200,21 +194,21 @@ class _WaveTrace:
         if outcome is _EXCLUDED:
             self.suppressed(handler, "excluded")
             return
+        summary = self._summary
         error = outcome is FAILED
         if error:
-            self._errors += 1
+            summary.errors += 1
             if not is_source:
                 self.poisoned(handler, "compute-failed")
-        self._refreshed += 1
-        self._emit(WaveRefresh(
-            span=self._span, node=node_of(handler), key=key_of(handler.key),
-            changed=outcome is True, error=error, duration=duration))
+        summary.refreshed += 1
+        node, key = handler.names
+        self._emit(WaveRefresh(span=summary.span, node=node, key=key,
+                               changed=outcome is True, error=error,
+                               duration=duration, via=self._via))
 
     def end(self) -> None:
-        self._emit(WaveEnd(span=self._span, refreshed=self._refreshed,
-                           suppressed=self._suppressed, errors=self._errors,
-                           poisoned=self._poisoned,
-                           duration=time.monotonic() - self._started))
+        self._summary.duration = time.monotonic() - self._started
+        self._emit(self._summary)
 
 
 class PropagationEngine:
@@ -257,14 +251,15 @@ class PropagationEngine:
         #: ``None`` keeps every hook below to a single local-variable check.
         self.telemetry = None
         self._mutex = threading.Lock()
-        # Queue entries are ``(seeds, span)``, one per enqueue *call*: the
-        # causal span id is allocated when the call is made (span 0 =
-        # telemetry off) and travels with the wave so every hop/refresh it
-        # causes can be traced back to it.  A seed is ``(handler, state)``:
-        # state ``None`` = changed by fiat (its notification said so), a
-        # callable = a tick seed to refresh when the pass reaches it, else
-        # the outcome of a refresh that already ran.
-        self._pending: deque[tuple[Sequence[tuple], int]] = deque()
+        # Queue entries are ``(seeds, span, pending)``, one per enqueue
+        # *call*: the causal span id is allocated when the call is made
+        # (span 0 = telemetry off) and travels with the wave so every
+        # refresh it causes can be traced back to it; ``pending`` is the
+        # queue depth the call found (0 with telemetry off).  A seed is
+        # ``(handler, state)``: state ``None`` = changed by fiat (its
+        # notification said so), a callable = a tick seed to refresh when
+        # the pass reaches it, else the outcome of a refresh that already ran.
+        self._pending: deque[tuple[Sequence[tuple], int, int]] = deque()
         self._drainer: int | None = None  # ident of the thread running waves
         # Plan cache: id(first seed) -> (seed ids, plan) — one slot per
         # leading seed, so it is bounded by the handlers alive however the
@@ -342,18 +337,14 @@ class PropagationEngine:
         under one span, however many seeds."""
         tel = self.telemetry
         with self._mutex:
-            span = tel.bus.new_span() if tel is not None else 0
-            self._pending.append((seeds, span))
-            depth = self._queued() if tel is not None else 0
+            if tel is None:
+                self._pending.append((seeds, 0, 0))
+            else:
+                self._pending.append((seeds, tel.bus.new_span(),
+                                      self._queued() + len(seeds)))
             acquired = self._drainer is None
             if acquired:
                 self._drainer = threading.get_ident()
-        if tel is not None:
-            first = seeds[0][0]
-            tel.emit(WaveEnqueued(span=span, node=node_of(first),
-                                  key=key_of(first.key), pending=depth))
-            if acquired:
-                tel.emit(DrainHandoff(span=span, acquired=True, pending=depth))
         if not acquired:
             # A drain loop is active — either on another thread, or on
             # this thread below us in the stack (a refresh inside a
@@ -362,17 +353,15 @@ class PropagationEngine:
             # only retires inside this mutex after observing an empty
             # queue.  Run-to-completion is preserved in both cases.
             return
-        self._drain(tel)
+        self._drain()
 
     def _queued(self) -> int:
         """Sources waiting for the drainer (under the mutex)."""
-        return sum(len(seeds) for seeds, _ in self._pending)
+        return sum(len(seeds) for seeds, _, _ in self._pending)
 
-    def _drain(self, tel: "Telemetry | None") -> None:
+    def _drain(self) -> None:
         """Run waves until the queue is empty, then retire the drainer role
-        atomically with the emptiness check (see :meth:`_enqueue`).
-        ``tel`` is the hub the acquire was reported to, so every traced
-        hand-off pairs an acquire with a release."""
+        atomically with the emptiness check (see :meth:`_enqueue`)."""
         try:
             while True:
                 with self._mutex:
@@ -383,14 +372,9 @@ class PropagationEngine:
                         # after us and become the next drainer itself.
                         self._drainer = None
                         break
-                    if self.coalesce:
-                        batch = list(self._pending)
-                        self._pending.clear()
-                    else:
-                        batch = [self._pending.popleft()]
+                    batch = self._next_batch() if self.coalesce \
+                        else [self._pending.popleft()]
                 self._run_sources(batch)
-            if tel is not None:
-                tel.emit(DrainHandoff(acquired=False, pending=0))
         except BaseException:
             # A wave escaped (_recompute contains provider failures, so this
             # is graph-traversal trouble).  Give up the drainer role so the
@@ -399,25 +383,40 @@ class PropagationEngine:
                 self._drainer = None
             raise
 
-    def _run_sources(self, batch: "list[tuple[list, int]]") -> None:
+    def _next_batch(self) -> "list[tuple[Sequence[tuple], int, int]]":
+        """The queued calls one pass merges (under the mutex): all of them,
+        up to the first that ticks a handler an earlier one already ticks.
+
+        A handler is ticked twice only when a busy drainer let its task run
+        on a worker and come due again; merged, the later state would
+        replace the earlier — and a tick seed's refresh that is never
+        called leaves its scheduler waiting on the task for good.
+        """
+        pending = self._pending
+        batch = [pending.popleft()]
+        if not pending:
+            return batch
+        ticked = {id(handler) for handler, state in batch[0][0]
+                  if state is not None}
+        while pending:
+            ids = {id(handler) for handler, state in pending[0][0]
+                   if state is not None}
+            if not ticked.isdisjoint(ids):
+                break
+            ticked |= ids
+            batch.append(pending.popleft())
+        return batch
+
+    def _run_sources(self, batch: "list[tuple[list, int, int]]") -> None:
         """One wave for every call queued at drain time, under the first
         call's span.  ``wave_count`` advances once per source so lost-wave
         accounting is exact; a wave of several sources — one call's or
         several calls' — counts as merged."""
-        seeds, span = batch[0]
+        seeds, span, pending = batch[0]
         if len(batch) > 1:
             seeds = list(seeds)
-            tel = self.telemetry
-            for later, later_span in batch[1:]:
+            for later, _, _ in batch[1:]:
                 seeds += later
-                if tel is not None:
-                    # Separately enqueued calls have spans of their own: one
-                    # linkage event per folded source ties its enqueue span
-                    # to the span the wave's hops/refreshes will carry.
-                    for source, _ in later:
-                        tel.emit(WaveCoalesced(span=span, node=node_of(source),
-                                               key=key_of(source.key),
-                                               source_span=later_span))
         self.wave_count += len(seeds)
         self.drain_count += 1
         if len(seeds) > 1:
@@ -428,10 +427,20 @@ class PropagationEngine:
             handlers = list({id(handler): handler for handler, _ in seeds}.values())
         else:
             handlers = [seeds[0][0]]
-        self._wave(handlers, span,
-                   {id(handler) for handler, state in seeds if state is None},
-                   {id(handler): state for handler, state in seeds
-                    if state is not None})
+        tel = self.telemetry
+        # Separately enqueued calls have spans of their own; the summary
+        # ties each to the span this wave's refreshes carry.
+        trace = None if tel is None else _WaveTrace(
+            tel, span, handlers[0], len(handlers),
+            tuple([later_span for _, later_span, _ in batch[1:]]), pending)
+        try:
+            self._wave(handlers, trace,
+                       {id(handler) for handler, state in seeds if state is None},
+                       {id(handler): state for handler, state in seeds
+                        if state is not None})
+        finally:
+            if trace is not None:
+                trace.end()
 
     # -- plan ----------------------------------------------------------------------
 
@@ -498,7 +507,7 @@ class PropagationEngine:
 
     # -- loop ----------------------------------------------------------------------
 
-    def _wave(self, seeds: "list[MetadataHandler]", span: int,
+    def _wave(self, seeds: "list[MetadataHandler]", trace: "_WaveTrace | None",
               fiat: "set[int]", ticking: "dict[int, Any]") -> None:
         """Run one wave: obtain the plan for ``seeds``, pass over it once.
 
@@ -521,9 +530,8 @@ class PropagationEngine:
         changed = set(fiat)
         poisoned: set[int] = set()
         entries, guarded = self._plan(seeds, tick=bool(ticking))
-        tel = self.telemetry
-        trace = None if tel is None else _WaveTrace(
-            tel, span, seeds[0], len(entries), len(seeds))
+        if trace is not None:
+            trace.planned(len(entries))
         refreshes = suppressed = skipped = 0
         try:
             for handler, preds in entries:
@@ -593,8 +601,8 @@ class PropagationEngine:
                     continue
                 refreshes += 1
                 if trace is not None:
-                    trace.refreshing(handler, [p for p in member_preds
-                                               if id(p) in changed])
+                    trace.refreshing([p for p in member_preds
+                                      if id(p) in changed])
                 outcome = self._recompute(handler)
                 if outcome is True:
                     changed.add(hid)
@@ -617,8 +625,6 @@ class PropagationEngine:
             self.suppressed_count += suppressed
             self.planned_count += refreshes + skipped
             self.skipped_poisoned_count += skipped
-        if trace is not None:
-            trace.end()
 
     def _recompute(self, handler: "MetadataHandler") -> "bool | str":
         """Best-effort recompute: a failing provider keeps its old value and

@@ -383,8 +383,8 @@ class MetadataSystem:
             self.handlers_created += 1
         tel = self.telemetry
         if tel is not None:
-            tel.emit(HandlerCreated(node=handler.registry._owner_name(),
-                                    key=key_of(handler.key),
+            node, key = handler.names
+            tel.emit(HandlerCreated(node=node, key=key,
                                     mechanism=handler.mechanism.value))
 
     def handler_removed(self, handler: MetadataHandler) -> None:
@@ -392,8 +392,8 @@ class MetadataSystem:
             self.handlers_removed += 1
         tel = self.telemetry
         if tel is not None:
-            tel.emit(HandlerRetired(node=handler.registry._owner_name(),
-                                    key=key_of(handler.key),
+            node, key = handler.names
+            tel.emit(HandlerRetired(node=node, key=key,
                                     mechanism=handler.mechanism.value))
 
     @property
@@ -757,7 +757,11 @@ class MetadataRegistry:
                 for target_registry, dep_key in self._resolve_spec(spec):
                     dep_handler = target_registry._include(dep_key, stack, span)
                     handler.dependency_handlers.append((spec, dep_handler))
-                    dep_handler.attach_dependent(handler)
+            # Waves reach the handler through these edges, so it is attached
+            # only once every input is resolved: recomputed earlier, it would
+            # read an input it does not have yet.
+            for spec, dep_handler in handler.dependency_handlers:
+                dep_handler.attach_dependent(handler)
         except Exception:
             # Roll back partially included dependencies so a failed subscribe
             # leaves the system unchanged.  A failing cleanup step must not

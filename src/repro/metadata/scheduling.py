@@ -37,9 +37,9 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 from repro.common.clock import Clock, Timer, VirtualClock
 from repro.metadata.propagation import FAILED
 from repro.telemetry.events import (
+    HandlerRefresh,
     RetryScheduled,
     SchedulerCancel,
-    SchedulerRefresh,
     key_of,
     node_of,
 )
@@ -120,8 +120,9 @@ class PeriodicScheduler:
     pass arrives at the task's handler, so a periodic item downstream of
     another — directly or through triggered items — is computed after it,
     exactly once, and shared dependents recompute once per tick.  All
-    bookkeeping stays per task: counters, lateness, ``SchedulerRefresh``,
-    the failure-policy re-arm; one failing task never stops its siblings.
+    bookkeeping stays per task: counters, lateness, the task's one
+    ``handler.refresh`` record, the failure-policy re-arm; one failing task
+    never stops its siblings.
     """
 
     clock: Clock
@@ -224,16 +225,17 @@ class PeriodicScheduler:
                     self._arm(task, deadline + task.period if delay is None
                               else self.clock.now() + delay)
         if tel is not None:
-            tel.emit(SchedulerRefresh(node=node_of(task.handler),
-                                      key=key_of(task.handler.key),
-                                      queue_latency=lateness,
-                                      duration=time.monotonic() - t0,
-                                      error=outcome is FAILED, mode=self.mode,
-                                      shard=_shard_of(task.handler)))
+            # The refresh's only record: periodic_refresh emits none.
+            node, key = task.handler.names
+            tel.emit(HandlerRefresh(node=node, key=key, changed=outcome is True,
+                                    duration=time.monotonic() - t0,
+                                    queue_latency=lateness,
+                                    error=outcome is FAILED, mode=self.mode,
+                                    shard=_shard_of(task.handler)))
             if outcome is FAILED and delay is not None:
                 breaker = task.handler.breaker
                 tel.emit(RetryScheduled(
-                    node=node_of(task.handler), key=key_of(task.handler.key),
+                    node=node, key=key,
                     attempt=breaker.consecutive_failures if breaker else 0,
                     delay=delay))
         return outcome
@@ -285,9 +287,8 @@ class VirtualTimeScheduler(PeriodicScheduler):
                 del self._groups[task._deadline]
             tel = self.telemetry
             if tel is not None:
-                tel.emit(SchedulerCancel(node=node_of(task.handler),
-                                         key=key_of(task.handler.key),
-                                         in_flight=False))
+                node, key = task.handler.names
+                tel.emit(SchedulerCancel(node=node, key=key, in_flight=False))
 
 
 class ThreadedScheduler(PeriodicScheduler):
@@ -400,8 +401,8 @@ class ThreadedScheduler(PeriodicScheduler):
             )
         tel = self.telemetry
         if tel is not None and (cancelled_now or timed_out):
-            tel.emit(SchedulerCancel(node=node_of(task.handler),
-                                     key=key_of(task.handler.key),
+            node, key = task.handler.names
+            tel.emit(SchedulerCancel(node=node, key=key,
                                      in_flight=raced_in_flight,
                                      timed_out=timed_out))
 

@@ -6,8 +6,8 @@ the machinery maintaining it — observable in motion:
 
 * :mod:`repro.telemetry.events` — typed trace events for every lifecycle the
   runtime executes (subscribe/include chains, handler create/retire,
-  propagation waves with per-edge hops and causal span ids, periodic
-  scheduling, probe activation);
+  propagation waves with causal span ids, one record per refreshed member
+  and one summary per wave, periodic scheduling, probe activation);
 * :mod:`repro.telemetry.trace` — the thread-safe ring-buffered trace bus;
 * :mod:`repro.telemetry.metrics` — counters/gauges/fixed-bound histograms
   with Prometheus-text and JSON-lines exporters;
@@ -33,7 +33,6 @@ monitoring probes follow.  Enable it per system::
 """
 
 from repro.telemetry.events import (
-    DrainHandoff,
     ExcludeEvent,
     HandlerCreated,
     HandlerRefresh,
@@ -42,15 +41,11 @@ from repro.telemetry.events import (
     ProbeActivated,
     ProbeDeactivated,
     SchedulerCancel,
-    SchedulerRefresh,
     SubscribeEvent,
     TraceEvent,
     UnsubscribeEvent,
-    WaveEnd,
-    WaveEnqueued,
-    WaveHop,
     WaveRefresh,
-    WaveStart,
+    WaveSummary,
     WaveSuppressed,
     event_to_dict,
     key_of,
@@ -105,14 +100,9 @@ __all__ = [
     "HandlerRefresh",
     "ProbeActivated",
     "ProbeDeactivated",
-    "WaveEnqueued",
-    "DrainHandoff",
-    "WaveStart",
-    "WaveHop",
     "WaveRefresh",
     "WaveSuppressed",
-    "WaveEnd",
-    "SchedulerRefresh",
+    "WaveSummary",
     "SchedulerCancel",
     "render_dashboard",
     "explain_refresh",

@@ -2,12 +2,14 @@
 
 Every observable step of the metadata runtime's lifecycles — subscription
 (with its transitive include chain), handler creation and retirement,
-propagation waves (per-edge hops, refreshes, suppressions, drain handoffs),
-periodic scheduling and probe activation — is described by one small event
-dataclass.  Events are *plain data*: they carry node/key identities as
-strings (never object references, so a retained trace cannot keep dead
-handlers alive) and know nothing about the bus or the metrics registry that
-consume them.
+propagation waves, periodic scheduling and probe activation — is described
+by one small event dataclass.  A refreshed member is *one* record: a tick
+seed's ``handler.refresh`` carries the scheduler's fields, a dependent's
+``wave.refresh`` names the changed inputs it was reached through (``via``),
+and each wave ends in one ``wave.summary``.  Events are *plain data*: they
+carry node/key identities as strings (never object references, so a
+retained trace cannot keep dead handlers alive) and know nothing about the
+bus or the metrics registry that consume them.
 
 Causality
 ---------
@@ -18,10 +20,10 @@ Events that belong to one logical cascade share a ``span`` id:
   ``include`` it caused (Section 2.4's depth-first traversal),
 * an ``unsubscribe`` span covers the exclusion cascade, and
 * a *wave* span is allocated when a change is enqueued on the propagation
-  engine and travels with the wave through ``wave.start``, every per-edge
-  ``wave.hop``, every ``wave.refresh`` / ``wave.suppressed`` and the final
-  ``wave.end`` — the Figure-3-style answer to "why did this handler
-  refresh?".
+  engine and travels with the wave through every ``wave.refresh`` (whose
+  ``via`` names the dependency edges the wave crossed into it) and
+  ``wave.suppressed`` to the closing ``wave.summary`` — the Figure-3-style
+  answer to "why did this handler refresh?".
 
 Timestamps are stamped by the :class:`~repro.telemetry.trace.TraceBus` at
 record time: ``ts`` in the system's clock domain (virtual time units under a
@@ -49,16 +51,10 @@ __all__ = [
     "HandlerRefresh",
     "ProbeActivated",
     "ProbeDeactivated",
-    "WaveEnqueued",
-    "DrainHandoff",
-    "WaveCoalesced",
-    "WaveStart",
-    "WaveHop",
     "WaveRefresh",
     "WaveSuppressed",
     "WavePoisoned",
-    "WaveEnd",
-    "SchedulerRefresh",
+    "WaveSummary",
     "SchedulerCancel",
     "HandlerFailure",
     "RetryScheduled",
@@ -164,13 +160,29 @@ class HandlerRetired(TraceEvent):
 
 @dataclass(slots=True)
 class HandlerRefresh(TraceEvent):
-    """A direct :meth:`MetadataHandler.refresh` (periodic tick or manual)."""
+    """A direct refresh: a manual :meth:`MetadataHandler.refresh`, or a
+    periodic-scheduler tick — then ``mode`` names the scheduler and the
+    record is the tick's only one.
+
+    ``changed`` is whether dependents are told.  The scheduler's fields:
+    ``queue_latency`` is how far past its deadline the refresh started (the
+    paper's *lateness*), ``error`` marks a provider that raised (the handler
+    kept its last-good value), ``shard`` the refreshed handler's owning shard
+    (-1 on unsharded systems), so periodic load is attributable per shard.
+    """
 
     kind = "handler.refresh"
     node: str = ""
     key: str = ""
     changed: bool = False
     duration: float = 0.0
+    queue_latency: float = 0.0
+    error: bool = False
+    #: which scheduler ran the tick (``virtual`` / ``threaded``); empty for
+    #: a manual refresh.  Errors aggregate into
+    #: ``scheduler_refresh_errors_total{mode=...}``.
+    mode: str = ""
+    shard: int = -1
 
 
 @dataclass(slots=True)
@@ -194,70 +206,12 @@ class ProbeDeactivated(TraceEvent):
 
 
 @dataclass(slots=True)
-class WaveEnqueued(TraceEvent):
-    """A change/event was enqueued as a wave source; ``span`` is the causal
-    id the whole wave will carry.  ``pending`` is the queue depth after the
-    append (drain backlog visibility)."""
-
-    kind = "wave.enqueued"
-    node: str = ""
-    key: str = ""
-    pending: int = 0
-
-
-@dataclass(slots=True)
-class DrainHandoff(TraceEvent):
-    """A thread acquired (``acquired=True``) or retired the drainer role."""
-
-    kind = "wave.drain"
-    acquired: bool = False
-    pending: int = 0
-
-
-@dataclass(slots=True)
-class WaveCoalesced(TraceEvent):
-    """A queued source was folded into a multi-source wave.
-
-    ``span`` is the merged wave's span (shared with its ``wave.start`` /
-    ``wave.hop`` / ``wave.refresh`` events); ``source_span`` is the span the
-    folded source was enqueued under, linking its ``wave.enqueued`` event to
-    the wave that actually served it.  One event per folded source, so the
-    merged span is attributable to every contributing change."""
-
-    kind = "wave.coalesced"
-    node: str = ""
-    key: str = ""
-    source_span: int = 0
-
-
-@dataclass(slots=True)
-class WaveStart(TraceEvent):
-    """``sources > 1`` marks a coalesced multi-source wave; ``node``/``key``
-    identify the first contributing source.  ``wave_size`` is the size of
-    the structural plan the wave passes over, seeds included (which of its
-    entries react is decided during the pass)."""
-
-    kind = "wave.start"
-    node: str = ""
-    key: str = ""
-    wave_size: int = 0
-    sources: int = 1
-
-
-@dataclass(slots=True)
-class WaveHop(TraceEvent):
-    """One inter-handler dependency edge the wave propagated across."""
-
-    kind = "wave.hop"
-    from_node: str = ""
-    from_key: str = ""
-    to_node: str = ""
-    to_key: str = ""
-
-
-@dataclass(slots=True)
 class WaveRefresh(TraceEvent):
-    """An in-wave recompute; ``changed`` is whether dependents must react."""
+    """An in-wave recompute; ``changed`` is whether dependents must react.
+
+    ``via`` names (``node/key``) the changed inputs the wave reached this
+    member through, one per dependency edge it crossed — the hops of the
+    causal chain ``explain_refresh`` walks back."""
 
     kind = "wave.refresh"
     node: str = ""
@@ -265,6 +219,7 @@ class WaveRefresh(TraceEvent):
     changed: bool = False
     error: bool = False
     duration: float = 0.0
+    via: tuple[str, ...] = ()
 
 
 @dataclass(slots=True)
@@ -301,33 +256,28 @@ class WavePoisoned(TraceEvent):
 
 
 @dataclass(slots=True)
-class WaveEnd(TraceEvent):
-    kind = "wave.end"
+class WaveSummary(TraceEvent):
+    """One wave, recorded when it ends (also when it escapes).
+
+    ``source`` names (``node/key``) the first seed and ``sources`` counts
+    them (``> 1``: a coalesced multi-source wave).  ``folded`` lists the
+    spans of the separately enqueued calls the drainer merged into this
+    wave, which carries the first call's span; ``pending`` is the queue
+    depth (sources waiting) when that call was enqueued.  ``wave_size`` is
+    the size of the structural plan the wave passed over, seeds included;
+    the tallies count its members' outcomes, ``duration`` the pass."""
+
+    kind = "wave.summary"
+    source: str = ""
+    sources: int = 1
+    folded: tuple[int, ...] = ()
+    pending: int = 0
+    wave_size: int = 0
     refreshed: int = 0
     suppressed: int = 0
     errors: int = 0
     poisoned: int = 0
     duration: float = 0.0
-
-
-@dataclass(slots=True)
-class SchedulerRefresh(TraceEvent):
-    """One periodic-scheduler tick: ``queue_latency`` is how far past its
-    deadline the refresh started (the paper's *lateness*), ``duration`` the
-    wall-clock run time of the refresh itself."""
-
-    kind = "sched.refresh"
-    node: str = ""
-    key: str = ""
-    queue_latency: float = 0.0
-    duration: float = 0.0
-    error: bool = False
-    #: which scheduler ran the tick (``virtual`` / ``threaded``) — errors
-    #: aggregate into ``scheduler_refresh_errors_total{mode=...}``.
-    mode: str = ""
-    #: owning shard of the refreshed handler (-1 on unsharded systems), so
-    #: periodic load is attributable per shard.
-    shard: int = -1
 
 
 @dataclass(slots=True)
@@ -450,9 +400,10 @@ _RENDERERS = _CompiledPerClass(_compile_renderer)
 def event_to_dict(event: TraceEvent) -> dict[str, Any]:
     """Flat JSON-friendly dict of an event (``kind`` first).
 
-    Every event field is a ``str``/``int``/``float``/``bool``, so the record
-    is built straight from the instance by a builder compiled once per
-    event class — no reflection per event, and nothing is copied.
+    Every event field is a ``str``/``int``/``float``/``bool`` or an
+    immutable tuple of them, so the record is built straight from the
+    instance by a builder compiled once per event class — no reflection per
+    event, and nothing is copied.
     """
     return _RENDERERS[type(event)](event)
 
@@ -475,19 +426,42 @@ ENCODERS = {
 #: under which a value has one cheap JSON spelling, and that spelling.
 #: ``type(x) is`` keeps a bool out of an int field and an int out of a float
 #: field; ``x - x == 0.0`` is false for ``inf`` and ``nan``, whose spelling
-#: stays the encoder's business — as does a field of any other type.
+#: stays the encoder's business — as does a field of any other type.  A
+#: tuple field (``via``, ``folded``) is spelled by ``array``, which returns
+#: ``None`` for anything but a tuple of ``str`` / ``int``.
 _SPELLINGS = {
     bool: "T if {x} is True else F if {x} is False else ",
     int: "{x} if type({x}) is int else ",
     float: "float_repr({x}) if type({x}) is float and {x} - {x} == 0.0 else ",
     str: "escape({x}) if type({x}) is str else ",
+    tuple: "array({x}) or ",
 }
+
+
+def _array_spelling(item_sep: str) -> Callable[[Any], "str | None"]:
+    """The JSON array a tuple of ``str`` / ``int`` encodes to, or ``None``."""
+    escape = json.encoder.encode_basestring_ascii
+
+    def array(values: Any) -> "str | None":
+        if type(values) is not tuple:
+            return None
+        items = []
+        for value in values:
+            if type(value) is str:
+                items.append(escape(value))
+            elif type(value) is int:
+                items.append(int.__repr__(value))
+            else:
+                return None
+        return f"[{item_sep.join(items)}]"
+
+    return array
 
 
 def _compile_line(
     separators: tuple[str, str], cls: type[TraceEvent]
 ) -> Callable[[Any], str]:
-    r"""``lambda e: f'{"kind":"wave.end","span":{e.span if ... },...}\n'``.
+    r"""``lambda e: f'{"kind":"wave.summary","span":{e.span if ... },...}\n'``.
 
     The line ``ENCODERS[separators]`` produces for ``event_to_dict(e)``, byte
     for byte, with no dict and no encoder run per event: key text is escaped
@@ -511,6 +485,7 @@ def _compile_line(
     return eval(f"lambda e: f'{{{{{item_sep.join(parts)}}}}}\\n'", {
         "T": "true", "F": "false", "escape": escape,
         "float_repr": float.__repr__, "encode": ENCODERS[separators],
+        "array": _array_spelling(item_sep),
     })
 
 

@@ -86,7 +86,6 @@ _SERIES: dict[str, tuple[Any, ...]] = {
     "wave_size": ("histogram", (), SIZE_BOUNDS),
     "wave_queue_depth": ("histogram", (), SIZE_BOUNDS),
     "waves_coalesced_total": ("counter", ()),
-    "drain_handoffs_total": ("counter", ()),
     "wave_hops_total": ("counter", ()),
     "wave_refreshes_total": ("counter", ("node",)),
     "wave_errors_total": ("counter", ("node",)),
@@ -135,23 +134,14 @@ def _fold_handler_retired(b: _BoundInstruments, e: ev.HandlerRetired) -> None:
 
 
 def _fold_handler_refresh(b: _BoundInstruments, e: ev.HandlerRefresh) -> None:
-    b["handler_refreshes_total", e.node].inc()
-    b["refresh_duration_seconds"].observe(e.duration)
-
-
-def _fold_wave_start(b: _BoundInstruments, e: ev.WaveStart) -> None:
-    b["waves_total"].inc()
-    b["wave_size"].observe(e.wave_size)
-
-
-def _fold_wave_refresh(b: _BoundInstruments, e: ev.WaveRefresh) -> None:
-    b["wave_refreshes_total", e.node].inc()
-    b["refresh_duration_seconds"].observe(e.duration)
-    if e.error:
-        b["wave_errors_total", e.node].inc()
-
-
-def _fold_scheduler_refresh(b: _BoundInstruments, e: ev.SchedulerRefresh) -> None:
+    if not e.mode:
+        # A manual refresh (or an on-demand read under a failure policy).
+        b["handler_refreshes_total", e.node].inc()
+        b["refresh_duration_seconds"].observe(e.duration)
+        return
+    # A tick seed moves the scheduler's series only: its refreshes are
+    # ``scheduler_refreshes_total - scheduler_errors_total``, its durations
+    # ``scheduler_run_duration_seconds``.
     b["scheduler_refreshes_total", e.node].inc()
     if e.shard >= 0:
         b["shard_scheduler_refreshes_total", e.shard].inc()
@@ -159,7 +149,25 @@ def _fold_scheduler_refresh(b: _BoundInstruments, e: ev.SchedulerRefresh) -> Non
     b["scheduler_run_duration_seconds"].observe(e.duration)
     if e.error:
         b["scheduler_errors_total", e.node].inc()
-        b["scheduler_refresh_errors_total", e.mode or "unknown"].inc()
+        b["scheduler_refresh_errors_total", e.mode].inc()
+
+
+def _fold_wave_refresh(b: _BoundInstruments, e: ev.WaveRefresh) -> None:
+    b["wave_refreshes_total", e.node].inc()
+    b["refresh_duration_seconds"].observe(e.duration)
+    if e.via:
+        b["wave_hops_total"].inc(len(e.via))
+    if e.error:
+        b["wave_errors_total", e.node].inc()
+
+
+def _fold_wave_summary(b: _BoundInstruments, e: ev.WaveSummary) -> None:
+    b["waves_total"].inc()
+    b["wave_size"].observe(e.wave_size)
+    b["wave_queue_depth"].observe(e.pending)
+    if e.folded:
+        b["waves_coalesced_total"].inc(len(e.folded))
+    b["wave_duration_seconds"].observe(e.duration)
 
 
 def _fold_scheduler_cancel(b: _BoundInstruments, e: ev.SchedulerCancel) -> None:
@@ -208,16 +216,10 @@ _FOLDS: dict[type, _Fold] = {
     ev.HandlerRefresh: _fold_handler_refresh,
     ev.ProbeActivated: lambda b, e: b["probes_active"].inc(),
     ev.ProbeDeactivated: lambda b, e: b["probes_active"].dec(),
-    ev.WaveEnqueued: lambda b, e: b["wave_queue_depth"].observe(e.pending),
-    ev.DrainHandoff: lambda b, e: b["drain_handoffs_total"].inc(),
-    ev.WaveCoalesced: lambda b, e: b["waves_coalesced_total"].inc(),
-    ev.WaveStart: _fold_wave_start,
-    ev.WaveHop: lambda b, e: b["wave_hops_total"].inc(),
     ev.WaveRefresh: _fold_wave_refresh,
     ev.WaveSuppressed: lambda b, e: b["wave_suppressed_total", e.reason].inc(),
     ev.WavePoisoned: lambda b, e: b["wave_poisoned_total", e.reason].inc(),
-    ev.WaveEnd: lambda b, e: b["wave_duration_seconds"].observe(e.duration),
-    ev.SchedulerRefresh: _fold_scheduler_refresh,
+    ev.WaveSummary: _fold_wave_summary,
     ev.SchedulerCancel: _fold_scheduler_cancel,
     ev.HandlerFailure: _fold_handler_failure,
     ev.RetryScheduled: lambda b, e: b["handler_retries_total"].inc(),
@@ -443,35 +445,32 @@ def format_span(telemetry: Telemetry, span: int) -> str:
 def _format_events(span: int, events: Sequence[ev.TraceEvent]) -> str:
     if not events:
         return f"span {span}: no buffered events"
-    lines = [f"span {span} ({len(events)} events)"]
+    # A wave's summary is recorded when the wave ends; its framing is
+    # rendered where the wave began and ended, around its members' records.
+    waves = [event for event in events if isinstance(event, ev.WaveSummary)]
+    lines: list[str] = []
+    for wave in waves:
+        lines.append(
+            f"  t={wave.ts:g} enqueued by change of {wave.source}"
+            f" (queue depth {wave.pending})"
+        )
+        lines.extend(f"    coalesced call enqueued as span {folded}"
+                     for folded in wave.folded)
+        merged = f" merging {wave.sources} sources" if wave.sources > 1 else ""
+        lines.append(
+            f"  t={wave.ts:g} wave started at {wave.source}"
+            f" covering {wave.wave_size} handler(s){merged}"
+        )
     for event in events:
-        if isinstance(event, ev.WaveEnqueued):
-            lines.append(
-                f"  t={event.ts:g} enqueued by change of "
-                f"{_ident(event.node, event.key)} (queue depth {event.pending})"
-            )
-        elif isinstance(event, ev.WaveStart):
-            merged = (f" merging {event.sources} sources"
-                      if event.sources > 1 else "")
-            lines.append(
-                f"  t={event.ts:g} wave started at {_ident(event.node, event.key)}"
-                f" covering {event.wave_size} handler(s){merged}"
-            )
-        elif isinstance(event, ev.WaveCoalesced):
-            lines.append(
-                f"    coalesced change of {_ident(event.node, event.key)}"
-                f" (enqueued as span {event.source_span})"
-            )
-        elif isinstance(event, ev.WaveHop):
-            lines.append(
-                f"    hop {_ident(event.from_node, event.from_key)}"
-                f" -> {_ident(event.to_node, event.to_key)}"
-            )
-        elif isinstance(event, ev.WaveRefresh):
+        if isinstance(event, ev.WaveSummary):
+            continue
+        if isinstance(event, ev.WaveRefresh):
+            target = _ident(event.node, event.key)
+            lines.extend(f"    hop {origin} -> {target}" for origin in event.via)
             status = "error" if event.error else (
                 "changed" if event.changed else "unchanged")
             lines.append(
-                f"    refresh {_ident(event.node, event.key)} [{status}]"
+                f"    refresh {target} [{status}]"
                 f" ({event.duration * 1e6:.1f}us)"
             )
         elif isinstance(event, ev.WaveSuppressed):
@@ -483,14 +482,6 @@ def _format_events(span: int, events: Sequence[ev.TraceEvent]) -> str:
             lines.append(
                 f"    poisoned {_ident(event.node, event.key)}"
                 f" ({event.reason}) — subtree skipped, stale value served"
-            )
-        elif isinstance(event, ev.WaveEnd):
-            poisoned = (f", {event.poisoned} poisoned"
-                        if event.poisoned else "")
-            lines.append(
-                f"  wave end: {event.refreshed} refreshed, "
-                f"{event.suppressed} suppressed, {event.errors} error(s)"
-                f"{poisoned}"
             )
         elif isinstance(event, ev.HandlerFailure):
             deadline = " [deadline]" if event.deadline_exceeded else ""
@@ -519,11 +510,6 @@ def _format_events(span: int, events: Sequence[ev.TraceEvent]) -> str:
             lines.append(
                 f"    circuit closed: {_ident(event.node, event.key)} recovered"
             )
-        elif isinstance(event, ev.DrainHandoff):
-            lines.append(
-                f"    drainer {'acquired' if event.acquired else 'retired'}"
-                f" (queue depth {event.pending})"
-            )
         elif isinstance(event, ev.SubscribeEvent):
             lines.append(
                 f"  t={event.ts:g} subscribe {_ident(event.node, event.key)}"
@@ -545,7 +531,13 @@ def _format_events(span: int, events: Sequence[ev.TraceEvent]) -> str:
             )
         else:
             lines.append(f"    {event.kind}")
-    return "\n".join(lines)
+    for wave in waves:
+        poisoned = f", {wave.poisoned} poisoned" if wave.poisoned else ""
+        lines.append(
+            f"  wave end: {wave.refreshed} refreshed, "
+            f"{wave.suppressed} suppressed, {wave.errors} error(s){poisoned}"
+        )
+    return "\n".join([f"span {span} ({len(lines)} events)", *lines])
 
 
 def explain_refresh(telemetry: Telemetry, node: Any, key: Any) -> str:
@@ -585,24 +577,24 @@ def explain_refresh(telemetry: Telemetry, node: Any, key: Any) -> str:
             f"(last refresh at t={latest.ts:g})"
         )
     return header + "\n" + _format_events(latest.span, _causal_ancestors(
-        telemetry.bus.span_events(latest.span), (node_name, key_name)))
+        telemetry.bus.span_events(latest.span), _ident(node_name, key_name)))
 
 
 def _causal_ancestors(events: Sequence[ev.TraceEvent],
-                      item: tuple[str, str]) -> list[ev.TraceEvent]:
-    """The events of one wave's span that lie on a hop chain into ``item``.
+                      item: str) -> list[ev.TraceEvent]:
+    """The events of one wave's span that lie on a hop chain into ``item``
+    (a ``node/key`` ident).
 
-    Walks ``wave.hop`` backwards from the item; per-item events (hops,
-    refreshes, suppressions) off that chain are dropped, everything else
-    (wave framing, failure causality) stays.  A multi-source wave's
-    framing names its *first* source, so it is re-addressed to the source
+    Walks the refreshes' ``via`` backwards from the item; per-item events
+    (refreshes, suppressions) off that chain are dropped, everything else
+    (the wave summary, failure causality) stays.  A multi-source wave's
+    summary names its *first* source, so it is re-addressed to the source
     the chain starts from.
     """
-    into: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    into: dict[str, list[str]] = {}
     for event in events:
-        if isinstance(event, ev.WaveHop):
-            into.setdefault((event.to_node, event.to_key), []).append(
-                (event.from_node, event.from_key))
+        if isinstance(event, ev.WaveRefresh) and event.via:
+            into.setdefault(_ident(event.node, event.key), []).extend(event.via)
     chain = {item}
     frontier = [item]
     while frontier:
@@ -613,14 +605,10 @@ def _causal_ancestors(events: Sequence[ev.TraceEvent],
     root = next((link for link in chain if link not in into), item)
     kept: list[ev.TraceEvent] = []
     for event in events:
-        if isinstance(event, ev.WaveHop):
-            if (event.to_node, event.to_key) not in chain:
+        if isinstance(event, (ev.WaveRefresh, ev.WaveSuppressed)):
+            if _ident(event.node, event.key) not in chain:
                 continue
-        elif isinstance(event, (ev.WaveRefresh, ev.WaveSuppressed)):
-            if (event.node, event.key) not in chain:
-                continue
-        elif isinstance(event, ev.WaveEnqueued) or (
-                isinstance(event, ev.WaveStart) and event.sources > 1):
-            event = dataclasses.replace(event, node=root[0], key=root[1])
+        elif isinstance(event, ev.WaveSummary) and event.sources > 1:
+            event = dataclasses.replace(event, source=root)
         kept.append(event)
     return kept

@@ -189,7 +189,7 @@ class TraceBus:
     ) -> list[TraceEvent]:
         """Snapshot of buffered events, optionally filtered by kind/span.
 
-        ``kind`` may be an exact kind (``"wave.hop"``) or a dotted prefix
+        ``kind`` may be an exact kind (``"wave.refresh"``) or a dotted prefix
         (``"wave"`` matches every wave-lifecycle event).
         """
         with self._lock:

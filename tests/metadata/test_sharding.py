@@ -8,7 +8,7 @@ the contracts:
 * **cross-shard waves** — a wave crossing a boundary is one wave on the one
   engine: it takes no graph lock, recomputes each member once, carries
   poison within the same pass (``planned == refreshes + skipped_poisoned``)
-  and pairs one drain hand-off per wave;
+  and writes one wave summary per drain pass;
 * **edge table / introspection** — boundary edges are observable while
   subscribed and gone after cancel; ``describe_system`` grows a ``shards``
   section;
@@ -21,6 +21,7 @@ the contracts:
 
 from __future__ import annotations
 
+import re
 import threading
 import zlib
 
@@ -41,6 +42,7 @@ from repro.metadata.locks import FineGrainedLockPolicy
 from repro.metadata.propagation import PropagationEngine
 from repro.metadata.registry import MetadataRegistry, MetadataSystem, default_placement
 from repro.metadata.scheduling import VirtualTimeScheduler
+from repro.telemetry.hub import explain_refresh
 
 SRC = MetadataKey("src")
 DERIVED = MetadataKey("derived")
@@ -121,7 +123,7 @@ class TestPlacement:
         tel = system.enable_telemetry()
         sub = node.metadata.subscribe(DERIVED)
         node.metadata.notify_changed(SRC)
-        assert len(tel.bus.events(kind="wave.start")) == 1
+        assert len(tel.bus.events(kind="wave.summary")) == 1
         assert describe_system(system)["shards"]["count"] == 1
         sub.cancel()
 
@@ -229,20 +231,56 @@ class TestCrossShardPropagation:
         nodes[1].metadata.notify_changed(SRC)
         assert sub.get() == 10
 
-        # The boundary edge is an ordinary hop of the one wave, under the
-        # span its enqueue allocated.
-        (enqueued,) = tel.bus.events(kind="wave.enqueued")
-        (start,) = tel.bus.events(kind="wave.start")
-        (hop,) = tel.bus.events(kind="wave.hop")
-        assert hop.from_node == "node1" and hop.to_node == "node0"
-        assert hop.from_key == "src" and hop.to_key == "derived"
-        assert hop.span == start.span == enqueued.span != 0
+        # The boundary edge is an ordinary hop of the one wave — the ``via``
+        # of the refresh it reached — under the span its enqueue allocated.
+        (summary,) = tel.bus.events(kind="wave.summary")
+        (refresh,) = tel.bus.events(kind="wave.refresh")
+        assert (refresh.node, refresh.key) == ("node0", "derived")
+        assert refresh.via == ("node1/src",)
+        assert summary.source == "node1/src"
+        assert refresh.span == summary.span != 0
         assert tel.metrics.counter("wave_hops_total").value == 1
         assert tel.metrics.counter("waves_total").value == 1
         sub.cancel()
 
-    def test_drain_handoffs_pair_across_a_shard_hop(self):
-        """Every ``wave.drain`` acquire has its release, one pair per wave,
+    def test_explain_refresh_of_a_cross_shard_chain(self):
+        """``node0/src -> node1/mid -> node2/top`` crosses both boundaries
+        of a two-shard system; the top's explanation is the one wave's
+        causal chain.  One record per refreshed member renders the same log
+        the per-hop and framing events used to, minus a ``drainer acquired
+        (queue depth 1)`` line."""
+        system = _build(shards=2)
+        nodes = [_attach(system, i) for i in range(3)]
+        mid, top = MetadataKey("mid"), MetadataKey("top")
+        state = {"v": 1}
+        nodes[0].metadata.define(MetadataDefinition(
+            SRC, Mechanism.ON_DEMAND, compute=lambda ctx: state["v"]))
+        nodes[1].metadata.define(MetadataDefinition(
+            mid, Mechanism.TRIGGERED, dependencies=[NodeDep(nodes[0], SRC)],
+            compute=lambda ctx: ctx.value(SRC) + 1))
+        nodes[2].metadata.define(MetadataDefinition(
+            top, Mechanism.TRIGGERED, dependencies=[NodeDep(nodes[1], mid)],
+            compute=lambda ctx: ctx.value(mid) + 1))
+        sub = nodes[2].metadata.subscribe(top)
+        tel = system.enable_telemetry()
+        state["v"] = 5
+        nodes[0].metadata.notify_changed(SRC)
+        assert sub.get() == 7
+        report = explain_refresh(tel, "node2", top)
+        assert re.sub(r"\(\d+\.\dus\)", "(…us)", report) == """\
+why did node2/top refresh?  (last refresh at t=0)
+span 1 (7 events)
+  t=0 enqueued by change of node0/src (queue depth 1)
+  t=0 wave started at node0/src covering 3 handler(s)
+    hop node0/src -> node1/mid
+    refresh node1/mid [changed] (…us)
+    hop node1/mid -> node2/top
+    refresh node2/top [changed] (…us)
+  wave end: 2 refreshed, 0 suppressed, 0 error(s)"""
+        sub.cancel()
+
+    def test_one_summary_per_drain_across_shards(self):
+        """Every drain pass writes one wave summary under its own span,
         however many boundaries the wave crosses."""
         system = _build(shards=2)
         tel = system.enable_telemetry()
@@ -251,11 +289,10 @@ class TestCrossShardPropagation:
         for _ in range(10):
             states[1]["v"] += 1
             nodes[1].metadata.notify_changed(SRC)
-        handoffs = tel.bus.events(kind="wave.drain")
-        acquires = [e for e in handoffs if e.acquired]
-        releases = [e for e in handoffs if not e.acquired]
-        assert len(acquires) == len(releases) == 10
-        assert all(e.span != 0 for e in acquires)
+        summaries = tel.bus.events(kind="wave.summary")
+        assert len(summaries) == len({e.span for e in summaries}) == 10
+        assert all(e.span != 0 and e.refreshed == 1 for e in summaries)
+        assert tel.metrics.counter("waves_total").value == 10
         assert _assert_conservation(system)["drains"] == 10
         for sub in subs:
             sub.cancel()
@@ -286,11 +323,12 @@ class TestCrossShardPropagation:
         fail["on"] = False
         # The failure on shard 0 and the poisoned member on shard 1 are
         # events of one wave.
-        (start,) = tel.bus.events(kind="wave.start")
+        (summary,) = tel.bus.events(kind="wave.summary")
         poisoned = tel.bus.events(kind="wave.poisoned")
         assert [(e.node, e.reason) for e in poisoned] == [
             ("node0", "compute-failed"), ("node1", "poisoned-input")]
-        assert all(e.span == start.span for e in poisoned)
+        assert all(e.span == summary.span for e in poisoned)
+        assert summary.poisoned == 2
         assert tel.metrics.counter(
             "wave_poisoned_total", {"reason": "poisoned-input"}).value == 1
         _assert_conservation(system)

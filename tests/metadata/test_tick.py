@@ -12,13 +12,18 @@ Pinned here:
   bookkeeping, poisoned subtree, backoff off the grid and back onto it);
 * **no timer leak** — a frozen clock plus subscribe/cancel churn leaves
   neither clock timers nor scheduler groups behind;
-* ``explain_refresh`` names an item's own source, not its tick siblings;
+* ``explain_refresh`` names an item's own source, not its tick siblings,
+  and a tick is one record per refreshed member plus one wave summary;
+* two races of threaded ticks, made deterministic: a queued tick refresh
+  is never merged away behind an outcome of the same handler, and a
+  dependent is never reached before all its inputs are resolved;
 * the same flows on real threads (``stress`` marker: the deadlock-sanitizer
   lane records their lock order).
 """
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 import time
@@ -323,9 +328,14 @@ class TestFailuresInsideATick:
         assert [sub.get() for sub in subs] == [10.5, 0.5, 10.5, 10.5]
         assert [task.error_count for task in tasks] == [0, 1, 0, 0]
         assert [task.fire_count for task in tasks] == [1, 1, 1, 1]
-        refreshes = telemetry.bus.events(kind="sched.refresh")
-        assert [(e.key, e.error) for e in refreshes] == [
-            ("p0", False), ("p1", True), ("p2", False), ("p3", False)]
+        # One record per task, the failed one included.
+        refreshes = telemetry.bus.events(kind="handler.refresh")
+        assert [(e.key, e.error, e.mode) for e in refreshes] == [
+            ("p0", False, "virtual"), ("p1", True, "virtual"),
+            ("p2", False, "virtual"), ("p3", False, "virtual")]
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters['scheduler_refreshes_total{node="node"}'] == 4
+        assert counters['scheduler_errors_total{node="node"}'] == 1
         # Exactly its triggered subtree is poisoned: planned, then skipped.
         poisoned = telemetry.bus.events(kind="wave.poisoned")
         assert [(e.key, e.reason) for e in poisoned] == [("t1", "poisoned-input")]
@@ -411,6 +421,80 @@ class TestFailuresInsideATick:
 
 
 # ---------------------------------------------------------------------------
+# two races of threaded ticks (TestThreadedTicks), made deterministic
+# ---------------------------------------------------------------------------
+
+
+class TestTickRaces:
+    def test_a_queued_refresh_is_never_merged_away(self):
+        """``tick`` peeks at the drainer unlocked.  When the peek found none
+        but a thread took the role before the append, the tick's refreshes
+        are queued as callables; a worker that then found the drainer busy
+        refreshes the same, re-armed handler itself and queues the outcome
+        behind them.  The drainer serves the two calls in two passes, so
+        the queued refresh — a task its scheduler waits on — is called."""
+        clock, system = _virtual_system()
+        registry = _registry(system, "n")
+        engine = system.propagation
+        registry.define(MetadataDefinition(
+            A, Mechanism.PERIODIC, period=10.0, compute=lambda ctx: ctx.now))
+        events: list[str] = []
+        armed = {"on": False}
+
+        def queue_two_ticks(ctx):
+            if armed["on"]:
+                armed["on"] = False
+                handler = registry.handler(A)
+                # Queued behind the running wave, as the two racing ticks
+                # would queue them: the pending refresh, then the outcome.
+                engine._enqueue([(handler, lambda: events.append("refreshed")
+                                  or True)])
+                engine._enqueue([(handler, True)])
+            return ctx.value(A) + 1
+
+        registry.define(MetadataDefinition(
+            T, Mechanism.TRIGGERED, dependencies=[SelfDep(A)],
+            compute=queue_two_ticks))
+        subscription = registry.subscribe(T)
+        armed["on"] = True
+        registry.notify_changed(A)
+        assert events == ["refreshed"]
+        stats = _assert_accounting(system)
+        assert (stats["waves"], stats["drains"], stats["merged_waves"]) == (3, 3, 0)
+        subscription.cancel()
+
+    def test_a_half_included_dependent_is_not_recomputed(self):
+        """A tick of one input on a worker can run while the dependent is
+        still resolving its next input.  Reached then, it would recompute
+        without that input — a provider error, and its subtree poisoned.
+        It is attached once every input is resolved, and its seed compute
+        reads the new value."""
+        clock, system = _virtual_system()
+        registry = _registry(system, "n")
+        state = {"a": 1}
+        registry.define(MetadataDefinition(
+            A, Mechanism.ON_DEMAND, compute=lambda ctx: state["a"]))
+
+        def tick_of_a_meanwhile(ctx):
+            # Stands in for the worker's tick: a change of A while T is
+            # attached to A and B is still being included.
+            state["a"] = 2
+            registry.notify_changed(A)
+            return 10
+
+        registry.define(MetadataDefinition(
+            B, Mechanism.STATIC, compute=tick_of_a_meanwhile))
+        registry.define(MetadataDefinition(
+            T, Mechanism.TRIGGERED, dependencies=[SelfDep(A), SelfDep(B)],
+            compute=lambda ctx: ctx.value(A) + ctx.value(B)))
+        subscription = registry.subscribe(T)
+        assert subscription.get() == 12
+        stats = _assert_accounting(system)
+        assert (stats["errors"], stats["refreshes"]) == (0, 0)
+        subscription.cancel()
+
+
+# ---------------------------------------------------------------------------
 # no timer leak on a clock that does not advance
 # ---------------------------------------------------------------------------
 
@@ -459,27 +543,56 @@ class TestNoTimerLeak:
 # ---------------------------------------------------------------------------
 
 
+def _three_chains(constant: str = ""):
+    """Three chains ``p.{x,y,z} -> t.* -> u.*`` (periodic, triggered,
+    triggered) on one node, due at one tick; the middle of chain
+    ``constant`` returns the same value every time, so its top is
+    suppressed.  Telemetry is attached after subscribing."""
+    clock, system = _virtual_system()
+    registry = _registry(system, "n")
+    tops = []
+    for name in "xyz":
+        source, middle, top = (MetadataKey(f"{kind}.{name}")
+                               for kind in ("p", "t", "u"))
+        registry.define(MetadataDefinition(
+            source, Mechanism.PERIODIC, period=5.0, compute=lambda ctx: ctx.now))
+        registry.define(MetadataDefinition(
+            middle, Mechanism.TRIGGERED, dependencies=[SelfDep(source)],
+            compute=(lambda ctx: 0) if name == constant else (
+                lambda ctx, source=source: ctx.value(source) + 1)))
+        registry.define(MetadataDefinition(
+            top, Mechanism.TRIGGERED, dependencies=[SelfDep(middle)],
+            compute=lambda ctx, middle=middle: ctx.value(middle) + 1))
+        tops.append(registry.subscribe(top))
+    return clock, system, system.enable_telemetry(), tops
+
+
+def _masked(report: str) -> str:
+    """``report`` with the measured refresh durations masked."""
+    return re.sub(r"\(\d+\.\dus\)", "(…us)", report)
+
+
+#: ``explain_refresh`` of ``n/u.y`` after the three-chain tick.  One record
+#: per refreshed member renders the same log the per-hop and framing
+#: events used to, minus a ``drainer acquired (queue depth 3)`` line.
+U_Y_AFTER_ONE_TICK = """\
+why did n/u.y refresh?  (last refresh at t=5)
+span 1 (7 events)
+  t=5 enqueued by change of n/p.y (queue depth 3)
+  t=5 wave started at n/p.y covering 9 handler(s) merging 3 sources
+    hop n/p.y -> n/t.y
+    refresh n/t.y [changed] (…us)
+    hop n/t.y -> n/u.y
+    refresh n/u.y [changed] (…us)
+  wave end: 6 refreshed, 0 suppressed, 0 error(s)"""
+
+
 class TestExplainRefreshInsideATick:
     def test_output_names_the_items_own_source_only(self):
-        clock, system = _virtual_system()
-        registry = _registry(system, "n")
-        tops = []
-        for name in "xyz":
-            source, middle, top = (MetadataKey(f"{kind}.{name}")
-                                   for kind in ("p", "t", "u"))
-            registry.define(MetadataDefinition(
-                source, Mechanism.PERIODIC, period=5.0, compute=lambda ctx: ctx.now))
-            registry.define(MetadataDefinition(
-                middle, Mechanism.TRIGGERED, dependencies=[SelfDep(source)],
-                compute=lambda ctx, source=source: ctx.value(source) + 1))
-            registry.define(MetadataDefinition(
-                top, Mechanism.TRIGGERED, dependencies=[SelfDep(middle)],
-                compute=lambda ctx, middle=middle: ctx.value(middle) + 1))
-            tops.append(registry.subscribe(top))
-        telemetry = system.enable_telemetry()
+        clock, system, telemetry, tops = _three_chains()
         clock.advance_by(5.0)
-        starts = telemetry.bus.events(kind="wave.start")
-        assert [(e.sources, e.wave_size) for e in starts] == [(3, 9)]
+        summaries = telemetry.bus.events(kind="wave.summary")
+        assert [(e.sources, e.wave_size) for e in summaries] == [(3, 9)]
         report = explain_refresh(telemetry, "n", MetadataKey("u.y"))
         assert "why did n/u.y refresh?" in report
         assert "enqueued by change of n/p.y" in report
@@ -490,6 +603,46 @@ class TestExplainRefreshInsideATick:
         assert "wave end: 6 refreshed" in report
         for sibling in ("p.x", "p.z", "t.x", "t.z", "u.x", "u.z"):
             assert sibling not in report
+        for subscription in tops:
+            subscription.cancel()
+
+    def test_golden_output(self):
+        clock, system, telemetry, tops = _three_chains()
+        clock.advance_by(5.0)
+        report = explain_refresh(telemetry, "n", MetadataKey("u.y"))
+        assert _masked(report) == U_Y_AFTER_ONE_TICK
+        for subscription in tops:
+            subscription.cancel()
+
+
+class TestOneRecordPerRefresh:
+    """A tick with k periodic seeds that refreshes m dependents and
+    suppresses s records exactly k + m + s + 1 events: one per seed, one
+    per reached dependent, one wave summary."""
+
+    @pytest.mark.parametrize("constant", ["", "z"], ids=["all-change", "one-cut"])
+    def test_record_budget_of_a_tick(self, constant):
+        clock, system, telemetry, tops = _three_chains(constant)
+        before = system.stats()
+        clock.advance_by(5.0)
+        after = system.stats()
+        registry = tops[0].handler.registry
+        k = sum(registry.handler(MetadataKey(f"p.{name}"))._task.fire_count
+                for name in "xyz")
+        m = after["refreshes"] - before["refreshes"]
+        s = after["suppressed"] - before["suppressed"]
+        assert (k, m, s) == ((3, 6, 0) if not constant else (3, 5, 1))
+        events = telemetry.bus.events()
+        assert len(events) == k + m + s + 1 == 10
+        assert sorted({e.kind for e in events}) == (
+            ["handler.refresh", "wave.refresh", "wave.summary"]
+            + (["wave.suppressed"] if s else []))
+        (summary,) = telemetry.bus.events(kind="wave.summary")
+        assert (summary.refreshed, summary.suppressed) == (m, s)
+        # Every hop is named once, by the refresh it led to.
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["wave_hops_total"] == sum(
+            len(e.via) for e in telemetry.bus.events(kind="wave.refresh")) == m
         for subscription in tops:
             subscription.cancel()
 

@@ -280,26 +280,27 @@ class TestCoalescing:
         assert stats["drains"] == 1
 
     def test_coalesced_wave_emits_linkage_events(self):
-        """One call is one span: a ``notify_changed_many`` batch has one
-        ``wave.enqueued`` and nothing to link, however many sources."""
+        """One call is one span: a ``notify_changed_many`` batch is one
+        wave summary with nothing folded in, however many sources."""
         engine = PropagationEngine()
         registry, state, sources, merge_calls = self._shared_chain(engine)
         telemetry = registry.system.enable_telemetry()
         state.update(s0=1, s1=2, s2=3)
         registry.notify_changed_many(sources)
-        enqueued = telemetry.bus.events(kind="wave.enqueued")
-        assert [(e.key, e.pending) for e in enqueued] == [("s0", 3)]
-        assert telemetry.bus.events(kind="wave.coalesced") == []
-        starts = telemetry.bus.events(kind="wave.start")
-        assert [(e.sources, e.span) for e in starts] == [(3, enqueued[0].span)]
+        (summary,) = telemetry.bus.events(kind="wave.summary")
+        assert (summary.source, summary.pending, summary.sources,
+                summary.folded) == ("cache-owner/s0", 3, 3, ())
+        assert summary.span != 0
+        assert {e.span for e in telemetry.bus.events(kind="wave")} == {
+            summary.span}
         counters = telemetry.metrics.snapshot()["counters"]
         assert counters.get("waves_coalesced_total") is None
         assert engine.stats()["merged_waves"] == 1
 
     def test_separately_enqueued_sources_are_linked_when_merged(self):
-        """``wave.coalesced`` is for what the *drainer* merges: sources
-        enqueued by separate calls (here from inside a running wave) have
-        spans of their own, each tied to the wave that served it."""
+        """A summary's ``folded`` is for what the *drainer* merges: calls
+        enqueued separately (here from inside a running wave) have spans of
+        their own, each tied to the wave that served it."""
         engine = PropagationEngine()
         registry, state, sources, merge_calls = self._shared_chain(engine)
 
@@ -316,17 +317,14 @@ class TestCoalescing:
         state.update(s0=1)
         registry.notify_changed(sources[0])
         assert registry.get(E) == 6
-        enqueued = telemetry.bus.events(kind="wave.enqueued")
-        assert [e.key for e in enqueued] == ["s0", "s1", "s2"]
-        assert len({e.span for e in enqueued}) == 3
-        merged = [e for e in telemetry.bus.events(kind="wave.start")
-                  if e.sources > 1]
-        assert [(e.key, e.sources) for e in merged] == [("s1", 2)]
-        # Linkage: the wave runs under the first merged call's span; every
-        # later call's source ties its own enqueue span to it.
-        coalesced = telemetry.bus.events(kind="wave.coalesced")
-        assert [(e.key, e.span, e.source_span) for e in coalesced] == [
-            ("s2", enqueued[1].span, enqueued[2].span)]
+        first, merged = telemetry.bus.events(kind="wave.summary")
+        assert (first.source, first.sources, first.folded) == ("cache-owner/s0", 1, ())
+        # Linkage: the wave runs under the first merged call's span; the
+        # later call's span is folded into its summary.
+        assert (merged.source, merged.sources) == ("cache-owner/s1", 2)
+        assert len(merged.folded) == 1
+        assert len({first.span, merged.span, *merged.folded}) == 3
+        assert telemetry.bus.span_events(merged.folded[0]) == []
         counters = telemetry.metrics.snapshot()["counters"]
         assert counters.get("waves_coalesced_total") == 1
         stats = engine.stats()

@@ -103,7 +103,7 @@ class TestDiamondContainment:
         events = tel.bus.events(kind="wave.poisoned")
         assert [(e.key, e.reason) for e in events] == \
             [("b", "compute-failed"), ("d", "poisoned-input")]
-        end = tel.bus.events(kind="wave.end")[-1]
+        end = tel.bus.events(kind="wave.summary")[-1]
         assert end.poisoned == 2
         assert tel.metrics.counter("wave_poisoned_total",
                                    {"reason": "compute-failed"}).value == 1
@@ -334,7 +334,7 @@ class TestTraceFoldsToCounters:
         assert (count("wave.poisoned", "poisoned-input", "quarantined")
                 == stats["skipped_poisoned"])
         assert count("wave.poisoned", "compute-failed") <= stats["errors"]
-        ends = tel.bus.events(kind="wave.end")
+        ends = tel.bus.events(kind="wave.summary")
         assert sum(e.refreshed for e in ends) == count("wave.refresh")
         assert sum(e.poisoned for e in ends) == count("wave.poisoned")
         for sub in subs:

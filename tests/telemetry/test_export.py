@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.telemetry.events import WaveRefresh, WaveStart, event_to_dict
+from repro.telemetry.events import WaveRefresh, WaveSummary, event_to_dict
 from repro.telemetry.hub import Telemetry, render_dashboard
 from repro.telemetry import sinks as sinks_module
 from repro.telemetry.sinks import (
@@ -64,7 +64,7 @@ class CollectingSink(ExportSink):
 
 
 def drain_events(sink: CollectingSink) -> list[str]:
-    return [r["node"] for r in sink.trace_records()]
+    return [r["source"] for r in sink.trace_records()]
 
 
 # ---------------------------------------------------------------------------
@@ -77,28 +77,28 @@ class TestTraceSubscription:
         bus = TraceBus(capacity=16)
         sub = bus.subscribe()
         for i in range(5):
-            bus.record(WaveStart(node=f"n{i}"))
+            bus.record(WaveSummary(source=f"n{i}"))
         batch = sub.pop_batch(3)
-        assert [e.node for e in batch] == ["n0", "n1", "n2"]
-        assert [e.node for e in sub.pop_batch(10)] == ["n3", "n4"]
+        assert [e.source for e in batch] == ["n0", "n1", "n2"]
+        assert [e.source for e in sub.pop_batch(10)] == ["n3", "n4"]
         assert sub.pop_batch() == []
         assert sub.delivered == 5
 
     def test_subscription_starts_at_now_not_history(self):
         bus = TraceBus(capacity=16)
-        bus.record(WaveStart(node="old"))
+        bus.record(WaveSummary(source="old"))
         sub = bus.subscribe()
-        bus.record(WaveStart(node="new"))
-        assert [e.node for e in sub.pop_batch()] == ["new"]
+        bus.record(WaveSummary(source="new"))
+        assert [e.source for e in sub.pop_batch()] == ["new"]
 
     def test_overflow_drops_oldest_and_counts_exactly(self):
         bus = TraceBus(capacity=8)
         sub = bus.subscribe()
         for i in range(30):
-            bus.record(WaveStart(node=f"n{i}"))
+            bus.record(WaveSummary(source=f"n{i}"))
         batch = sub.pop_batch(100)
         # The ring holds the newest 8; everything older was overwritten.
-        assert [e.node for e in batch] == [f"n{i}" for i in range(22, 30)]
+        assert [e.source for e in batch] == [f"n{i}" for i in range(22, 30)]
         assert sub.dropped == 22
         assert sub.delivered + sub.dropped == bus.emitted
 
@@ -107,7 +107,7 @@ class TestTraceSubscription:
         bus.subscribe()  # never popped: the worst possible consumer
         started = time.perf_counter()
         for i in range(10_000):
-            bus.record(WaveStart(node=f"n{i}"))
+            bus.record(WaveSummary(source=f"n{i}"))
         elapsed = time.perf_counter() - started
         # 10k records must complete promptly (no waits anywhere on the
         # emitting path); generous bound for slow CI boxes.
@@ -118,7 +118,7 @@ class TestTraceSubscription:
         bus = TraceBus(capacity=4)
         sub = bus.subscribe()
         for i in range(6):
-            bus.record(WaveStart(node=f"n{i}"))
+            bus.record(WaveSummary(source=f"n{i}"))
         assert sub.pending() == 4     # retained by the ring
         assert sub.lag() == 6         # includes the 2 already overwritten
         sub.pop_batch(100)
@@ -129,7 +129,7 @@ class TestTraceSubscription:
         bus = TraceBus(capacity=8)
         sub = bus.subscribe()
         for _ in range(5):
-            bus.record(WaveStart())
+            bus.record(WaveSummary())
         bus.clear()
         assert sub.pop_batch() == []
         assert sub.dropped == 0
@@ -138,7 +138,7 @@ class TestTraceSubscription:
         bus = TraceBus()
         sub = bus.subscribe()
         sub.close()
-        bus.record(WaveStart())
+        bus.record(WaveSummary())
         assert sub.pop_batch() == []
         assert bus.subscriptions() == []
 
@@ -150,7 +150,7 @@ class TestTraceSubscription:
 
         def produce(n):
             for _ in range(n):
-                bus.record(WaveStart())
+                bus.record(WaveSummary())
 
         threads = [threading.Thread(target=produce, args=(500,))
                    for _ in range(4)]
@@ -178,7 +178,7 @@ class TestTelemetryExporter:
         exporter = tel.attach_exporter(sink, flush_interval=5.0,
                                        metrics_interval=None, start=False)
         for i in range(700):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
         exporter.close()
         assert drain_events(sink) == [f"n{i}" for i in range(700)]
         assert sink.closes == 1
@@ -191,7 +191,7 @@ class TestTelemetryExporter:
         exporter = tel.attach_exporter(sink, flush_interval=5.0,
                                        metrics_interval=None, start=False)
         for i in range(1000):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
         exporter.close()
         sub = exporter.subscription
         assert len(drain_events(sink)) == sub.delivered
@@ -208,7 +208,7 @@ class TestTelemetryExporter:
         exporter = tel.attach_exporter(sink, flush_interval=0.005,
                                        metrics_interval=None)
         for i in range(10):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
         deadline = time.monotonic() + 5.0
         while len(sink.records) < 10 and time.monotonic() < deadline:
             time.sleep(0.005)
@@ -222,7 +222,7 @@ class TestTelemetryExporter:
         exporter = tel.attach_exporter(bad, good, flush_interval=5.0,
                                        metrics_interval=None, start=False)
         for i in range(10):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
         with caplog.at_level("WARNING", logger="repro.telemetry.export"):
             exporter.flush()
         assert len(drain_events(good)) == 10
@@ -235,7 +235,7 @@ class TestTelemetryExporter:
         assert any("sink" in r.message for r in caplog.records)
         # The warning is emitted once, not per batch.
         for i in range(10):
-            tel.emit(WaveStart(node=f"m{i}"))
+            tel.emit(WaveSummary(source=f"m{i}"))
         with caplog.at_level("WARNING", logger="repro.telemetry.export"):
             count_before = len(caplog.records)
             exporter.flush()
@@ -247,7 +247,7 @@ class TestTelemetryExporter:
         sink = CollectingSink()
         exporter = tel.attach_exporter(sink, flush_interval=5.0,
                                        metrics_interval=1.0, start=False)
-        tel.emit(WaveStart(node="n"))
+        tel.emit(WaveSummary(source="n"))
         exporter.close()  # close writes one final snapshot
         snapshots = [r for r in sink.records if r["kind"] == "metrics.snapshot"]
         assert len(snapshots) == 1
@@ -260,7 +260,7 @@ class TestTelemetryExporter:
         exporter = tel.attach_exporter(sink, metrics_interval=None,
                                        start=False)
         for i in range(45_200):
-            tel.emit(WaveStart(node="n"))
+            tel.emit(WaveSummary(source="n"))
         exporter.flush()
         # 45_200 events / 256 per batch -> 177 batches.
         line = exporter.progress[0].format()
@@ -272,7 +272,7 @@ class TestTelemetryExporter:
         sink = CollectingSink()
         exporter = tel.attach_exporter(sink, metrics_interval=None,
                                        name="ship", start=False)
-        tel.emit(WaveStart(node="n"))
+        tel.emit(WaveSummary(source="n"))
         exporter.flush()
         described = tel.describe()
         assert described["exporters"][0]["name"] == "ship"
@@ -286,7 +286,7 @@ class TestTelemetryExporter:
         tel = Telemetry(capacity=64)
         sink = CollectingSink()
         with tel.attach_exporter(sink, metrics_interval=None) as exporter:
-            tel.emit(WaveStart(node="n"))
+            tel.emit(WaveSummary(source="n"))
         assert sink.closes == 1
         exporter.close()
         assert sink.closes == 1
@@ -323,7 +323,7 @@ class TestTelemetryExporter:
         exporter = tel.attach_exporter(sink, flush_interval=0.005,
                                        metrics_interval=None, cpu_budget=0.5)
         for i in range(100):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
         deadline = time.monotonic() + 5.0
         while len(sink.records) < 100 and time.monotonic() < deadline:
             time.sleep(0.005)
@@ -525,10 +525,10 @@ class TestFanOutSink:
         subscribers = [fan.subscribe() for _ in range(5)]
         exporter = tel.attach_exporter(fan, metrics_interval=None, start=False)
         for i in range(300):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
         exporter.close()
         sequences = [
-            [r["node"] for r in s.pop() if r["kind"] != "metrics.snapshot"]
+            [r["source"] for r in s.pop() if r["kind"] != "metrics.snapshot"]
             for s in subscribers
         ]
         assert sequences[0] == [f"n{i}" for i in range(300)]
@@ -613,13 +613,13 @@ class TestEventBatchDelivery:
         fan = FanOutSink()
         exporter = tel.attach_exporter(fan, metrics_interval=None, start=False)
         for i in range(10):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
         exporter.flush()
         assert dicts == [] and renders == []
         assert exporter.progress[0].events == 10
 
         tail = fan.subscribe()
-        events = [WaveStart(node=f"m{i}") for i in range(10)]
+        events = [WaveSummary(source=f"m{i}") for i in range(10)]
         for event in events:
             tel.emit(event)
         exporter.flush()
@@ -647,7 +647,7 @@ class TestEventBatchDelivery:
         assert sink.seen == [event_to_dict(event) for event in events]
 
     def test_batch_is_a_sequence_of_records(self):
-        events = [WaveStart(node="a"), WaveRefresh(node="b")]
+        events = [WaveSummary(source="a"), WaveRefresh(node="b")]
         batch = EventBatch(events)
         assert len(batch) == 2
         assert list(batch) == [event_to_dict(event) for event in events]
@@ -665,7 +665,7 @@ class TestEventBatchDelivery:
             start=False)
         sub = exporter.subscription
         for i in range(200):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
             if i == 150:
                 exporter.flush()  # mid-stream: some overwritten, some pending
         assert sub.delivered + sub.dropped + sub.pending() == tel.bus.emitted
@@ -682,10 +682,10 @@ class TestEventBatchDelivery:
         path = tmp_path / "trace.jsonl"
         exporter = tel.attach_exporter(
             JsonlFileSink(path), metrics_interval=1.0, start=False)
-        tel.emit(WaveStart(node="n"))
+        tel.emit(WaveSummary(source="n"))
         exporter.close()  # one event batch, then the final snapshot record
         first, last = map(json.loads, path.read_text().splitlines())
-        assert first["kind"] == "wave.start"
+        assert first["kind"] == "wave.summary"
         assert last["kind"] == "metrics.snapshot"
         assert "waves_total" in last["series"]["counters"]
 
@@ -720,7 +720,7 @@ class TestJsonlWriterHardening:
         bus.listen(writer)
         with caplog.at_level("WARNING", logger="repro.telemetry.trace"):
             for _ in range(5):
-                bus.record(WaveStart(node="n"))  # must not raise
+                bus.record(WaveSummary(source="n"))  # must not raise
         assert bus.emitted == 5
         assert writer.errors == 5
         # Logged once, not once per event.
@@ -730,7 +730,7 @@ class TestJsonlWriterHardening:
     def test_on_error_callback_feeds_counters(self):
         errors: list[BaseException] = []
         writer = jsonl_writer(_BrokenStream(), on_error=errors.append)
-        writer(WaveStart(node="n"))
+        writer(WaveSummary(source="n"))
         assert len(errors) == 1
         assert isinstance(errors[0], IOError)
 
@@ -740,9 +740,9 @@ class TestJsonlWriterHardening:
         writer = jsonl_writer(stream)
         bus = TraceBus(VirtualClock())
         bus.listen(writer)
-        bus.record(WaveStart(node="n", key="k"))
+        bus.record(WaveSummary(source="n/k"))
         line = json.loads(stream.getvalue())
-        assert line["kind"] == "wave.start"
+        assert line["kind"] == "wave.summary"
         assert writer.errors == 0
 
 
@@ -750,7 +750,7 @@ class TestRingDropCounter:
     def test_ring_overwrite_increments_counter_exactly(self):
         tel = Telemetry(capacity=4)
         for _ in range(10):
-            tel.emit(WaveStart(node="n"))
+            tel.emit(WaveSummary(source="n"))
         counter = tel.metrics.counter("trace_events_dropped_total")
         assert counter.value == 6
         assert tel.bus.dropped == 6
@@ -758,14 +758,14 @@ class TestRingDropCounter:
     def test_dashboard_surfaces_overflow(self):
         tel = Telemetry(capacity=4)
         for _ in range(10):
-            tel.emit(WaveStart(node="n"))
+            tel.emit(WaveSummary(source="n"))
         dashboard = render_dashboard(tel)
         assert "trace_events_dropped_total" in dashboard
         assert "ring overflow" in dashboard
 
     def test_no_counter_noise_without_drops(self):
         tel = Telemetry(capacity=64)
-        tel.emit(WaveStart(node="n"))
+        tel.emit(WaveSummary(source="n"))
         snapshot = tel.metrics.snapshot()
         assert "trace_events_dropped_total" not in snapshot["counters"]
 
@@ -775,7 +775,7 @@ class TestRingDropCounter:
         tel = Telemetry(capacity=8)
         sub = tel.bus.subscribe("keeps-up")
         for i in range(100):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
             if i % 4 == 3:
                 sub.pop_batch()
         assert (sub.delivered, sub.dropped, sub.pending()) == (100, 0, 0)
@@ -787,7 +787,7 @@ class TestRingDropCounter:
         tel = Telemetry(capacity=8)
         fast, stalled = tel.bus.subscribe("fast"), tel.bus.subscribe("stalled")
         for i in range(100):
-            tel.emit(WaveStart(node=f"n{i}"))
+            tel.emit(WaveSummary(source=f"n{i}"))
             if i % 4 == 3:
                 fast.pop_batch()
         assert fast.dropped == 0
@@ -801,11 +801,11 @@ class TestRingDropCounter:
         bus = TraceBus(capacity=4)
         fast, stalled = bus.subscribe("fast"), bus.subscribe("stalled")
         for _ in range(6):
-            bus.record(WaveStart())
+            bus.record(WaveSummary())
             fast.pop_batch()
         assert bus.dropped == 2
         stalled.close()
         for _ in range(6):
-            bus.record(WaveStart())
+            bus.record(WaveSummary())
             fast.pop_batch()
         assert bus.dropped == 2

@@ -38,6 +38,10 @@ def _non_default(cls: type) -> ev.TraceEvent:
             values[field.name] = default + 3 + index
         elif isinstance(default, float):
             values[field.name] = default + 0.125 * (index + 1)
+        elif isinstance(default, tuple):
+            # ``via`` names items, ``folded`` lists spans.
+            values[field.name] = (("caf\u00e9/k[0,1]", f'n"{index}/\\q')
+                                  if field.name == "via" else (index, 2, 3))
         else:
             assert isinstance(default, str), (cls, field.name)
             values[field.name] = f"{field.name}-{index}"
@@ -62,7 +66,7 @@ HOSTILE_VALUES = [
 
 
 def test_every_event_class_is_covered():
-    assert len(EVENT_CLASSES) == 27
+    assert len(EVENT_CLASSES) == 21  # the base class and 20 concrete ones
     assert ev.TraceEvent in EVENT_CLASSES
 
 
@@ -122,6 +126,8 @@ _field_values = st.one_of(
     st.text(),
     st.text(alphabet=st.sampled_from('"\\/\x00\x1f\n\x7f\u2028\U0001f600{}\''), max_size=8),
     st.tuples(st.integers(), st.text(max_size=4), st.floats(allow_nan=False)),
+    st.lists(st.text(max_size=6), max_size=3).map(tuple),
+    st.lists(st.integers(), max_size=3).map(tuple),
 )
 
 
@@ -162,11 +168,30 @@ def test_fields_of_other_declared_types_use_the_encoder():
 
 
 def test_records_are_independent_of_the_event():
-    event = ev.WaveStart(node="n", wave_size=2)
+    event = ev.WaveSuppressed(node="n", reason="removed")
     record = ev.event_to_dict(event)
     record["node"] = "changed"
     assert event.node == "n"
     assert ev.event_to_dict(event)["node"] == "n"
+
+
+@pytest.mark.parametrize("separators", WIRE_FORMATS, ids=["compact", "spaced"])
+def test_via_is_spelled_without_the_generic_encoder(monkeypatch, separators):
+    """A refresh's ``via`` (and a summary's ``folded``) take the compiled
+    array spelling — the encoder is never called — and the line is still
+    what ``asdict`` + ``json.dumps`` give."""
+    calls: list = []
+    monkeypatch.setitem(ev.ENCODERS, separators,
+                        lambda value: calls.append(value) or "null")
+    compiled = ev._compile_line(separators, ev.WaveRefresh)
+    for via in ((), ("a/x",), ("n\u00e9/k[1,2]", 'q"/\\z', "a/b")):
+        event = ev.WaveRefresh(span=4, node="b", key="y", changed=True,
+                               duration=0.5, via=via)
+        assert compiled(event) == _reference_line(event, separators)
+    summary = ev.WaveSummary(span=4, source="a/x", folded=(5, 6))
+    assert ev._compile_line(separators, ev.WaveSummary)(summary) == \
+        _reference_line(summary, separators)
+    assert calls == []
 
 
 def test_encoder_keeps_default_str_fallback():

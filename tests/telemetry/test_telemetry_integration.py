@@ -81,33 +81,25 @@ class TestCausalChain:
         clock.advance_by(10.0)  # SRC: 1 -> 2, triggering the cascade
         assert sub.get() == 21
 
-        waves = tel.bus.events(kind="wave.start")
+        waves = tel.bus.events(kind="wave.summary")
         assert len(waves) == 1
         span = waves[0].span
         wave = tel.bus.span_events(span)
 
-        # One consistent span from the triggering change through every hop.
+        # One consistent span from the triggering change through every hop:
+        # one record per refreshed member, naming the edge it came over,
+        # and the wave's summary.
         kinds = [e.kind for e in wave]
-        assert kinds == [
-            "wave.enqueued", "wave.drain", "wave.start",
-            "wave.hop", "wave.refresh",
-            "wave.hop", "wave.refresh",
-            "wave.end",
+        assert kinds == ["wave.refresh", "wave.refresh", "wave.summary"]
+        refreshes = wave[:2]
+        assert [(r.node, r.key, r.changed, r.via) for r in refreshes] == [
+            ("b", "mid", True, ("a/src",)),
+            ("c", "top", True, ("b/mid",)),
         ]
-        enq = wave[0]
-        assert (enq.node, enq.key) == ("a", "src")
-        hops = [e for e in wave if e.kind == "wave.hop"]
-        assert [(h.from_node, h.from_key, h.to_node, h.to_key) for h in hops] == [
-            ("a", "src", "b", "mid"),
-            ("b", "mid", "c", "top"),
-        ]
-        refreshes = [e for e in wave if e.kind == "wave.refresh"]
-        assert [(r.node, r.key, r.changed) for r in refreshes] == [
-            ("b", "mid", True),
-            ("c", "top", True),
-        ]
-        end = wave[-1]
-        assert (end.refreshed, end.suppressed, end.errors) == (2, 0, 0)
+        summary = wave[-1]
+        assert (summary.source, summary.sources, summary.wave_size) == (
+            "a/src", 1, 3)
+        assert (summary.refreshed, summary.suppressed, summary.errors) == (2, 0, 0)
         sub.cancel()
 
     def test_metrics_agree_with_trace_and_stats(self, make_owner, system, clock):
@@ -117,11 +109,11 @@ class TestCausalChain:
         clock.advance_by(10.0)
         clock.advance_by(10.0)
 
-        waves = len(tel.bus.events(kind="wave.start"))
-        hops = len(tel.bus.events(kind="wave.hop"))
+        waves = len(tel.bus.events(kind="wave.summary"))
+        hops = sum(len(e.via) for e in tel.bus.events(kind="wave.refresh"))
         refreshes = len(tel.bus.events(kind="wave.refresh"))
         assert waves == 2
-        assert refreshes == 4  # 2 waves x (mid, top)
+        assert refreshes == hops == 4  # 2 waves x (mid, top), one edge each
 
         snap = tel.metrics.snapshot()
         assert snap["counters"]["waves_total"] == waves
@@ -142,8 +134,11 @@ class TestCausalChain:
 
         # And both agree with the engine's own accounting.
         stats = system.stats()
-        assert stats["waves"] == waves
+        assert stats["waves"] == stats["drains"] == waves
         assert stats["refreshes"] == refreshes
+        # Each tick seed's one record moved the scheduler's series.
+        assert snap["counters"]['scheduler_refreshes_total{node="a"}'] == 2
+        assert 'handler_refreshes_total{node="a"}' not in snap["counters"]
         sub.cancel()
 
     def test_explain_refresh_renders_cascade(self, make_owner, system, clock):
@@ -341,9 +336,12 @@ class TestIntrospectionAndDashboard:
         tel = system.enable_telemetry()
         sub = c.metadata.subscribe(TOP)
         clock.advance_by(10.0)
-        ticks = tel.bus.events(kind="sched.refresh")
-        assert [(e.node, e.key) for e in ticks] == [("a", "src")]
+        # The tick seed's one record carries the scheduler's fields.
+        ticks = tel.bus.events(kind="handler.refresh")
+        assert [(e.node, e.key, e.mode, e.error) for e in ticks] == [
+            ("a", "src", "virtual", False)]
         assert ticks[0].queue_latency == 0.0
+        assert ticks[0].changed is True
         sub.cancel()
         cancels = tel.bus.events(kind="sched.cancel")
         assert [(e.node, e.key, e.in_flight) for e in cancels] == [

@@ -12,9 +12,9 @@ from repro.common.clock import VirtualClock
 from repro.common.racecheck import RaceCheck
 from repro.telemetry.events import (
     SubscribeEvent,
-    WaveHop,
     WaveRefresh,
-    WaveStart,
+    WaveSummary,
+    WaveSuppressed,
     event_to_dict,
     key_of,
 )
@@ -26,29 +26,29 @@ class TestRecording:
         clock = VirtualClock()
         clock.advance_to(42.0)
         bus = TraceBus(clock)
-        event = bus.record(WaveStart(node="n", key="k"))
+        event = bus.record(WaveSummary(source="n/k"))
         assert event.ts == 42.0
         assert event.mono > 0.0
         assert event.thread == threading.get_ident()
 
     def test_record_without_clock_uses_monotonic(self):
         bus = TraceBus()
-        event = bus.record(WaveStart())
+        event = bus.record(WaveSummary())
         assert event.ts == event.mono
 
     def test_emitted_counts_all_records(self):
         bus = TraceBus(capacity=2)
         for _ in range(5):
-            bus.record(WaveStart())
+            bus.record(WaveSummary())
         assert bus.emitted == 5
         assert len(bus) == 2
 
     def test_ring_drops_oldest_and_counts(self):
         bus = TraceBus(capacity=3)
         for i in range(5):
-            bus.record(WaveStart(node=f"n{i}"))
+            bus.record(WaveSummary(source=f"n{i}"))
         assert bus.dropped == 2
-        assert [e.node for e in bus.events()] == ["n2", "n3", "n4"]
+        assert [e.source for e in bus.events()] == ["n2", "n3", "n4"]
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestRecording:
 
     def test_clear_keeps_counters(self):
         bus = TraceBus()
-        bus.record(WaveStart())
+        bus.record(WaveSummary())
         bus.clear()
         assert len(bus) == 0
         assert bus.emitted == 1
@@ -72,10 +72,10 @@ class TestSpans:
     def test_span_events_filters(self):
         bus = TraceBus()
         s1, s2 = bus.new_span(), bus.new_span()
-        bus.record(WaveStart(span=s1))
-        bus.record(WaveHop(span=s2))
+        bus.record(WaveSummary(span=s1))
+        bus.record(WaveSuppressed(span=s2))
         bus.record(WaveRefresh(span=s1))
-        assert [e.kind for e in bus.span_events(s1)] == ["wave.start", "wave.refresh"]
+        assert [e.kind for e in bus.span_events(s1)] == ["wave.summary", "wave.refresh"]
 
     def test_span_allocation_is_race_free(self):
         bus = TraceBus()
@@ -96,10 +96,10 @@ class TestSpans:
 class TestQuery:
     def test_kind_exact_and_prefix_match(self):
         bus = TraceBus()
-        bus.record(WaveStart())
-        bus.record(WaveHop())
+        bus.record(WaveSummary())
+        bus.record(WaveSuppressed())
         bus.record(SubscribeEvent())
-        assert len(bus.events(kind="wave.hop")) == 1
+        assert len(bus.events(kind="wave.suppressed")) == 1
         assert len(bus.events(kind="wave")) == 2
         assert len(bus.events(kind="subscribe")) == 1
         # A prefix is a dotted namespace, not a substring.
@@ -111,28 +111,28 @@ class TestListeners:
         bus = TraceBus()
         received: list[str] = []
         detach = bus.listen(lambda e: received.append(e.kind))
-        bus.record(WaveStart())
+        bus.record(WaveSummary())
         detach()
-        bus.record(WaveHop())
-        assert received == ["wave.start"]
+        bus.record(WaveSuppressed())
+        assert received == ["wave.summary"]
 
     def test_jsonl_writer_streams_valid_json(self):
         clock = VirtualClock()
         bus = TraceBus(clock)
         sink = io.StringIO()
         bus.listen(jsonl_writer(sink))
-        bus.record(WaveStart(span=3, node="a", key="x", wave_size=2))
+        bus.record(WaveSummary(span=3, source="a/x", wave_size=2))
         bus.record(WaveRefresh(span=3, node="b", key="y", changed=True))
         lines = [json.loads(line) for line in sink.getvalue().splitlines()]
-        assert [rec["kind"] for rec in lines] == ["wave.start", "wave.refresh"]
+        assert [rec["kind"] for rec in lines] == ["wave.summary", "wave.refresh"]
         assert lines[0]["span"] == lines[1]["span"] == 3
         assert lines[1]["changed"] is True
 
 
 class TestEventHelpers:
     def test_event_to_dict_includes_kind(self):
-        data = event_to_dict(WaveStart(span=1, node="n", key="k", wave_size=4))
-        assert data["kind"] == "wave.start"
+        data = event_to_dict(WaveSummary(span=1, source="n/k", wave_size=4))
+        assert data["kind"] == "wave.summary"
         assert data["wave_size"] == 4
 
     def test_key_of_formats_qualifier(self):
