@@ -9,7 +9,7 @@ instead of eyeballing log output:
 * suite ``subscription`` (``bench_subscribe_many.py``) -> ``BENCH_subscription.json``
 * suite ``export``       (``bench_export.py``)       -> ``BENCH_export.json``
 * suite ``fault``        (``bench_fault_overhead.py``) -> ``BENCH_fault.json``
-* suite ``sharded``      (``bench_sharded_scale.py``) -> ``BENCH_sharded.json``
+* suite ``contention``   (``bench_lock_contention.py``) -> ``BENCH_contention.json``
 
 Reports are written at the repository root (regenerated by every run and
 not committed) and compared against the baselines in
@@ -127,30 +127,21 @@ SUITES: dict[str, dict] = {
                 "compare": False},
         },
     },
-    "sharded": {
-        "module": "bench_sharded_scale",
-        "source": "benchmarks/bench_sharded_scale.py",
-        "report": "BENCH_sharded.json",
+    "contention": {
+        "module": "bench_lock_contention",
+        "source": "benchmarks/bench_lock_contention.py",
+        "report": "BENCH_contention.json",
         "metrics": {
-            "throughput_scaling_2": {
-                "direction": "higher_is_better", "unit": "ratio",
-                "compare": False},
-            "throughput_scaling_4": {
-                "direction": "higher_is_better", "unit": "ratio",
-                "compare": False},
             "throughput_scaling_8": {
                 "direction": "higher_is_better", "unit": "ratio",
                 "compare": True, "gate_min": 3.0},
-            "wait_reduction_8": {
-                "direction": "higher_is_better", "unit": "ratio",
-                "compare": False, "gate_min": 5.0},
+            "wait_share_8": {
+                "direction": "lower_is_better", "unit": "ratio",
+                "compare": False, "gate_max": 0.088},
+            "waves_per_second_1": {
+                "direction": "higher_is_better", "unit": "waves/s",
+                "compare": False},
             "waves_per_second_8": {
-                "direction": "higher_is_better", "unit": "waves/s",
-                "compare": False},
-            "drainer_waves_per_second_1": {
-                "direction": "higher_is_better", "unit": "waves/s",
-                "compare": False},
-            "drainer_waves_per_second_4": {
                 "direction": "higher_is_better", "unit": "waves/s",
                 "compare": False},
         },

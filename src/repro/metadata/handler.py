@@ -98,9 +98,10 @@ class MetadataHandler:
         # node subscribing via several paths is notified once (Section 3.2.3:
         # "duplicate subscriptions by the same node are detected to avoid
         # redundant notifications").  Guarded by its own mutex: the registry
-        # mutates it under the graph write lock, but propagation waves read
-        # it from scheduler worker threads without taking the graph lock
-        # (taking it there would invert the graph -> item lock hierarchy).
+        # attaches outside the graph lock and detaches under it, and
+        # propagation waves read it from scheduler worker threads without
+        # taking the graph lock (taking it there would invert the graph ->
+        # item lock hierarchy).
         self._dependents: dict[int, "MetadataHandler"] = {}
         self._dependents_mutex = threading.Lock()
         self.include_count = 0
@@ -112,6 +113,9 @@ class MetadataHandler:
         self.compute_count = 0
         self.last_update_time: float | None = None
         self.removed = False
+        #: The registry's in-flight include that created this handler, until
+        #: its initial computation succeeded (``None`` from then on).
+        self.pending: Any = None
         self._compare_warned = False
         # Set here, filled on first use (see ``names``): caching through
         # ``functools.cached_property`` writes via ``__dict__``, which
@@ -402,10 +406,7 @@ class MetadataHandler:
                 return False
             self._dependents[id(dependent)] = dependent
         # Outside the dependents mutex (the engine mutex is a leaf lock):
-        # the dependent graph changed, so cached wave plans are stale.  The
-        # system hook keeps the inter-shard edge table in step when the
-        # edge crosses a shard boundary.
-        self.registry.system.edge_attached(self, dependent)
+        # the dependent graph changed, so cached wave plans are stale.
         self.registry.propagation.bump_topology()
         return True
 
@@ -413,7 +414,6 @@ class MetadataHandler:
         with self._dependents_mutex:
             detached = self._dependents.pop(id(dependent), None) is not None
         if detached:
-            self.registry.system.edge_detached(self, dependent)
             self.registry.propagation.bump_topology()
 
     def dependents(self) -> Sequence["MetadataHandler"]:

@@ -88,7 +88,6 @@ def describe_system(system: MetadataSystem) -> dict[str, Any]:
             "hot": system.lock_policy.hot_locks(),
         },
         "registries": [describe_registry(r) for r in system.registries()],
-        "shards": system.describe_shards(),
     }
 
 

@@ -104,10 +104,7 @@ class NoOpLock:
 class LockPolicy:
     """Interface of lock policies; also usable as a registry of created locks."""
 
-    def graph_lock(self, name: str = "graph") -> Any:
-        """Graph-level lock.  ``name`` distinguishes per-shard instances
-        (e.g. ``"graph:shard3"``); the lock-level prefix before the colon
-        keeps it at graph level in the hierarchy."""
+    def graph_lock(self) -> Any:
         raise NotImplementedError
 
     def node_lock(self, owner: Any) -> Any:
@@ -129,8 +126,7 @@ class LockPolicy:
     def hot_locks(self, limit: int = 5) -> list[dict[str, Any]]:
         """Per-lock counters of the busiest live locks — ordered by
         cumulative wait time, then contended acquisitions — so hot spots are
-        visible before sharding decides partition counts.  Empty for
-        policies without per-lock accounting."""
+        visible.  Empty for policies without per-lock accounting."""
         return []
 
 
@@ -144,7 +140,7 @@ class FineGrainedLockPolicy(LockPolicy):
     """
 
     def __init__(self) -> None:
-        # Item locks come and go under different shards' graph locks, so the
+        # Readers (aggregate_stats, hot_locks) take no graph lock, so the
         # bookkeeping has its own (leaf) mutex.
         self._mutex = threading.Lock()
         self._locks: dict[ReentrantRWLock, None] = {}  # insertion-ordered set
@@ -156,8 +152,8 @@ class FineGrainedLockPolicy(LockPolicy):
             self._locks[lock] = None
         return lock
 
-    def graph_lock(self, name: str = "graph") -> ReentrantRWLock:
-        return self._new(name)
+    def graph_lock(self) -> ReentrantRWLock:
+        return self._new("graph")
 
     def node_lock(self, owner: Any) -> ReentrantRWLock:
         return self._new(f"node:{getattr(owner, 'name', owner)!s}")
@@ -201,7 +197,7 @@ class CoarseLockPolicy(LockPolicy):
     def __init__(self) -> None:
         self._lock = ReentrantRWLock("global")
 
-    def graph_lock(self, name: str = "graph") -> ReentrantRWLock:
+    def graph_lock(self) -> ReentrantRWLock:
         return self._lock
 
     def node_lock(self, owner: Any) -> ReentrantRWLock:
@@ -223,8 +219,8 @@ class CoarseLockPolicy(LockPolicy):
 class NoOpLockPolicy(LockPolicy):
     """No locking; correct only for single-threaded execution."""
 
-    def graph_lock(self, name: str = "graph") -> NoOpLock:
-        return NoOpLock(name)
+    def graph_lock(self) -> NoOpLock:
+        return NoOpLock("graph")
 
     def node_lock(self, owner: Any) -> NoOpLock:
         return NoOpLock(f"node:{getattr(owner, 'name', owner)!s}")

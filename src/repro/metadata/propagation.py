@@ -89,15 +89,6 @@ worker threads.  The engine therefore serializes waves across threads:
 Waves fired from within a running wave (a refresh that calls
 ``notify_changed``) are queued behind the current wave, preserving
 single-threaded run-to-completion semantics.
-
-Shard boundaries
-----------------
-
-One engine orders every wave at every shard count; shards partition only
-the graph locks (:class:`~repro.metadata.registry.MetadataSystem`).  A wave
-takes no graph lock, so a plan walks dependent edges across shard
-boundaries like any other edge: a cross-shard write is one wave in global
-dependency order, each member computed once, exactly as on one shard.
 """
 
 from __future__ import annotations
@@ -214,10 +205,9 @@ class _WaveTrace:
 class PropagationEngine:
     """Orders and executes triggered metadata updates.
 
-    One engine is shared by every registry of a metadata system, whatever
-    its shard count, so waves propagate across node and shard boundaries
-    (inter-node dependencies) and into exchangeable-module registries
-    transparently.
+    One engine is shared by every registry of a metadata system, so waves
+    propagate across node boundaries (inter-node dependencies) and into
+    exchangeable-module registries transparently.
     """
 
     def __init__(self, plan_cache: bool = True, coalesce: bool = True) -> None:
@@ -663,7 +653,8 @@ class PropagationEngine:
                 "errors": self.error_count,
                 "planned": self.planned_count,
                 "skipped_poisoned": self.skipped_poisoned_count,
-                # Always 0; benchmarks/e2e/workloads.py publishes them.
+                # Always 0; benchmarks/e2e/workloads.py publishes them.  The
+                # ROADMAP "One benchmark contract" item deletes them.
                 "remote_in": 0,
                 "remote_out": 0,
                 "remote_waves": 0,
@@ -675,5 +666,6 @@ class PropagationEngine:
             }
 
     def shard_stats(self) -> list[dict[str, int]]:
-        # benchmarks/e2e/workloads.py (mixed_rw) reads this.
+        # benchmarks/e2e/workloads.py (mixed_rw) reads this; the ROADMAP
+        # "One benchmark contract" item deletes it.
         return [self.stats()]

@@ -23,40 +23,34 @@ subtree ("the automated removal of handlers, which are no longer needed,
 saves further system resources", Section 2.1).
 
 All registries of one system share a :class:`MetadataSystem`, which bundles
-the clock, the periodic scheduler, the propagation backend, the lock policy
+the clock, the periodic scheduler, the propagation engine, the lock policy
 and global accounting.
 
-Shards (Section 3.2.3 at scale)
--------------------------------
+Locking (Section 4.2)
+---------------------
 
-One graph write lock is exact and simple, and it is the scalability
-ceiling: with thousands of nodes, unrelated subscribes convoy on it.
-``MetadataSystem(..., shards=N)`` partitions the registries:
+Structural mutations take the system's one graph write lock; waves and
+reads take none.  An include runs in two phases so that no initial
+computation runs under that lock:
 
-* **Placement** — each registry owner hashes (``zlib.crc32`` of its name by
-  default, overridable via ``placement``) to a shard at registry creation;
-  every handler of that registry lives on that shard forever.
-* **Per-shard graph locks** — contention is confined to the shards a
-  structural mutation actually touches: a mutation whose dependency
-  closure spans shards locks exactly those, in ascending shard-index order,
-  found by an optimistic pre-walk (:meth:`MetadataSystem.structure_scope`).
-  An inter-shard **edge table** records every dependency edge that crosses
-  a boundary (:meth:`MetadataSystem.cross_shard_edges`).
+1. **Link**, under the graph write lock: walk the closure, detect cycles,
+   create the new handlers, move the counters and enter the new handlers
+   in ``_handlers`` as *pending*.
+2. **Activate**, after the lock is released: in dependency order, attach
+   each new handler to its inputs, activate its probes and run its initial
+   computation (``on_included``) under its own item lock; then it is ready.
 
-One engine orders every wave; shards partition graph locks.  Waves take no
-graph lock, so a wave crossing a boundary is one wave in global dependency
-order, each member computed once, at any shard count (see
-:mod:`repro.metadata.propagation`).  The default single shard is the
-unpartitioned runtime: one lock named ``"graph"``.
+A subscribe that shares another call's pending handler waits until that
+handler is ready, and raises the same error if its initial computation
+failed.  A failed include retakes the graph lock and unlinks its whole
+closure.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-import zlib
-from contextlib import ExitStack, contextmanager
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.common.clock import Clock
 from repro.common.errors import (
@@ -93,27 +87,27 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.hub import Telemetry
 
-__all__ = ["MetadataSystem", "MetadataRegistry", "MetadataSubscription",
-           "default_placement"]
+__all__ = ["MetadataSystem", "MetadataRegistry", "MetadataSubscription"]
 
 #: Failures on cleanup paths (rollback of a failed subscribe, unregister of
 #: an unknown registry) are logged here rather than raised: raising would
 #: mask the original error the cleanup was handling.
 log = logging.getLogger(__name__)
 
-#: Bounded optimistic retries of the closure pre-walk before a structural
-#: mutation falls back to locking every shard.
-_SCOPE_RETRIES = 3
 
+class _Inclusion:
+    """One subscribe call between its two phases (see the module docs)."""
 
-def default_placement(owner: Any, shards: int) -> int:
-    """Stable hash placement by owner name (``zlib.crc32``).
+    __slots__ = ("created", "shared", "error", "done")
 
-    Deterministic across processes and Python runs (unlike ``hash()``, which
-    is salted), so shard layouts are reproducible in benchmarks and CI.
-    """
-    name = str(getattr(owner, "name", owner))
-    return zlib.crc32(name.encode("utf-8")) % shards
+    def __init__(self) -> None:
+        #: ``(handler, depth)`` of every handler this call created, in
+        #: dependency order (inputs first).
+        self.created: list[tuple[MetadataHandler, int]] = []
+        #: Other calls' pending handlers this call shares.
+        self.shared: list[MetadataHandler] = []
+        self.error: BaseException | None = None
+        self.done = False
 
 
 class MetadataSystem:
@@ -121,9 +115,7 @@ class MetadataSystem:
 
     One system is created per query graph (or per test fixture).  It owns the
     clock, the periodic-update scheduler, the triggered-update propagation
-    backend and the lock policy; registries delegate to it.  ``shards``
-    partitions the registries (see the module docstring); ``placement``
-    maps an owner to its shard (default :func:`default_placement`).
+    engine and the lock policy; registries delegate to it.
     """
 
     def __init__(
@@ -132,11 +124,7 @@ class MetadataSystem:
         scheduler: PeriodicScheduler,
         lock_policy: LockPolicy | None = None,
         propagation: PropagationEngine | None = None,
-        shards: int = 1,
-        placement: Callable[[Any, int], int] | None = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if propagation is None:
             propagation = PropagationEngine()
         elif not isinstance(propagation, PropagationEngine):
@@ -148,16 +136,8 @@ class MetadataSystem:
         self.scheduler = scheduler
         self.lock_policy = lock_policy if lock_policy is not None else NoOpLockPolicy()
         self.propagation = propagation
-        self.shard_count = shards
-        self._placement = placement if placement is not None else default_placement
-        #: Per-shard graph-level locks: the single shard's is ``"graph"``,
-        #: shard K of several is ``"graph:shardK"`` (the prefix before the
-        #: colon keeps it at graph level in the lock hierarchy).
-        self.shard_locks = (
-            [self.lock_policy.graph_lock()] if shards == 1 else
-            [self.lock_policy.graph_lock(f"graph:shard{index}")
-             for index in range(shards)])
-        self.structure_lock = self.shard_locks[0]
+        #: The graph-level lock: structural mutations take it for writing.
+        self.structure_lock = self.lock_policy.graph_lock()
         #: Off-by-default observability (see :mod:`repro.telemetry`).  While
         #: ``None``, every instrumentation hook in the runtime is a single
         #: ``is None`` check — the paper's probe discipline (Section 4.4.1)
@@ -170,13 +150,9 @@ class MetadataSystem:
         self._accounting_mutex = threading.Lock()
         self.handlers_created = 0
         self.handlers_removed = 0
-        # Inter-shard edge table: every dependency edge whose two handlers
-        # live on different shards, keyed by identity so re-included items
-        # (new handler objects) never collide with stale entries.
-        self._edge_mutex = threading.Lock()
-        self._cross_edges: dict[
-            tuple[int, int], tuple[MetadataHandler, MetadataHandler]
-        ] = {}
+        # Signalled whenever an inclusion's activation phase ends; the
+        # subscribes sharing its pending handlers wait on it.
+        self._activated = threading.Condition()
 
     def register(self, registry: "MetadataRegistry") -> None:
         with self._accounting_mutex:
@@ -209,145 +185,25 @@ class MetadataSystem:
         with self._accounting_mutex:
             return tuple(self._registries)
 
-    # -- shards ------------------------------------------------------------------
+    def _finish(self, inclusion: _Inclusion) -> None:
+        """End ``inclusion``'s activation phase and wake its sharers."""
+        with self._activated:
+            inclusion.done = True
+            self._activated.notify_all()
 
-    def shard_of(self, owner: Any) -> int:
-        """Shard index an owner's registry is placed on."""
-        return self._placement(owner, self.shard_count) % self.shard_count
-
-    def structure_lock_for(self, registry: "MetadataRegistry"):
-        """The graph-level lock guarding ``registry``'s shard."""
-        return self.shard_locks[registry.shard_index]
-
-    @contextmanager
-    def structure_scope(self, registry: "MetadataRegistry",
-                        keys: Sequence[MetadataKey] | None = None,
-                        handler: MetadataHandler | None = None) -> Iterator[None]:
-        """Write-scope for a structural mutation rooted at ``registry``:
-        a subscribe of ``keys`` or an unsubscribe of ``handler``.
-
-        One shard takes its one graph write lock.  Several lock exactly the
-        shards the mutation's closure touches, optimistically: a lock-free
-        pre-walk computes the shard set, the shards are locked in ascending
-        index order (same-level locks never form an order cycle this way),
-        and the walk re-runs under the locks to validate.  Wiring that moved
-        in the window forces a retry; after :data:`_SCOPE_RETRIES` the
-        mutation degrades to an all-shard lock, which is always sufficient.
-        """
-        if self.shard_count == 1:
-            with self.structure_lock.write():
-                yield
-            return
-        for _attempt in range(_SCOPE_RETRIES):
-            shards = self._closure_shards(registry, keys, handler)
-            if shards is None:
-                break
-            with ExitStack() as stack:
-                for index in sorted(shards):
-                    stack.enter_context(self.shard_locks[index].write())
-                if self._closure_shards(registry, keys, handler) == shards:
-                    yield
-                    return
-                # Wiring moved between pre-walk and locking; drop the locks
-                # and walk again.
-        with ExitStack() as stack:
-            for lock in self.shard_locks:
-                stack.enter_context(lock.write())
-            yield
-
-    def _closure_shards(self, registry: "MetadataRegistry",
-                        keys: Sequence[MetadataKey] | None,
-                        handler: MetadataHandler | None) -> set[int] | None:
-        """Shard set a subscribe (``keys``) or unsubscribe (``handler``)
-        closure touches; ``None`` when it cannot be computed (unknown items,
-        unresolvable specs — the locked path will raise properly, under the
-        all-shard fallback)."""
-        shards = {registry.shard_index}
-        try:
-            if keys is not None:
-                seen: set[tuple[int, MetadataKey]] = set()
-                stack = [(registry, key) for key in keys]
-                while stack:
-                    reg, key = stack.pop()
-                    ref = (id(reg), key)
-                    if ref in seen:
-                        continue
-                    seen.add(ref)
-                    shards.add(reg.shard_index)
-                    if reg._handlers.get(key) is not None:
-                        # Traversal stops at included items (only their
-                        # counter moves — still this shard's mutation).
-                        continue
-                    definition = reg._definitions.get(key)
-                    if definition is None:
-                        return None
-                    for spec in definition.resolve_specs(reg):
-                        for target, dep_key in reg._resolve_spec(spec):
-                            stack.append((target, dep_key))
-            elif handler is not None:
-                hseen: set[int] = set()
-                hstack = [handler]
-                while hstack:
-                    current = hstack.pop()
-                    if id(current) in hseen:
-                        continue
-                    hseen.add(id(current))
-                    shards.add(current.registry.shard_index)
-                    for _spec, dep in current.dependency_handlers:
-                        hstack.append(dep)
-        except Exception:  # analysis: ignore[LK005]
-            # Deliberately traceless: the pre-walk is advisory.  Returning
-            # None degrades to the all-shard lock, under which the locked
-            # mutation re-raises the same error with full context.
-            return None
-        return shards
-
-    def edge_attached(self, dependency: MetadataHandler,
-                      dependent: MetadataHandler) -> None:
-        """A dependency edge was created; record it if it crosses shards."""
-        if dependency.registry.shard_index == dependent.registry.shard_index:
-            return
-        with self._edge_mutex:
-            self._cross_edges[(id(dependency), id(dependent))] = (
-                dependency, dependent)
-
-    def edge_detached(self, dependency: MetadataHandler,
-                      dependent: MetadataHandler) -> None:
-        """A dependency edge was removed; forget it if it crossed shards."""
-        if dependency.registry.shard_index == dependent.registry.shard_index:
-            return
-        with self._edge_mutex:
-            self._cross_edges.pop((id(dependency), id(dependent)), None)
-
-    def cross_shard_edges(self) -> tuple[tuple[MetadataHandler, MetadataHandler], ...]:
-        """Live boundary edges as ``(dependency, dependent)`` pairs."""
-        with self._edge_mutex:
-            return tuple(self._cross_edges.values())
-
-    def describe_shards(self) -> Mapping[str, Any]:
-        """Per-shard placement and lock snapshot, plus the one propagation
-        engine's (surfaces as the ``"shards"`` section of
-        ``describe_system``)."""
-        registries = [0] * self.shard_count
-        handlers = [0] * self.shard_count
-        for registry in self.registries():
-            registries[registry.shard_index] += 1
-            handlers[registry.shard_index] += len(registry.included_keys())
-        shards = []
-        for index, lock in enumerate(self.shard_locks):
-            stats = getattr(lock, "stats", None)
-            shards.append({
-                "index": index,
-                "registries": registries[index],
-                "handlers": handlers[index],
-                "lock": stats.to_dict() if stats is not None else {},
-            })
-        return {
-            "count": self.shard_count,
-            "cross_shard_edges": len(self.cross_shard_edges()),
-            "propagation": self.propagation.stats(),
-            "shards": shards,
-        }
+    def _await(self, handlers: Sequence[MetadataHandler]) -> None:
+        """Wait until every pending handler in ``handlers`` is ready; raise
+        the error of the first whose initial computation failed."""
+        with self._activated:
+            for handler in handlers:
+                inclusion = handler.pending
+                while inclusion is not None and not inclusion.done:
+                    self._activated.wait()
+        for handler in handlers:
+            inclusion = handler.pending
+            if inclusion is not None:
+                assert inclusion.error is not None
+                raise inclusion.error
 
     def enable_telemetry(self, capacity: int = 4096) -> Telemetry:
         """Attach (or return the already-attached) telemetry hub.
@@ -490,9 +346,6 @@ class MetadataRegistry:
     def __init__(self, owner: Any, system: MetadataSystem) -> None:
         self.owner = owner
         self.system = system
-        #: Index of the shard this registry's handlers live on — fixed at
-        #: creation (hash placement by owner, Section 3.2.3 at scale).
-        self.shard_index = system.shard_of(owner)
         self._definitions: dict[MetadataKey, MetadataDefinition] = {}
         self._handlers: dict[MetadataKey, MetadataHandler] = {}
         self._probes: dict[str, Probe] = {}
@@ -527,7 +380,7 @@ class MetadataRegistry:
         dependencies — as long as the item is not currently included.
         """
         key = definition.key
-        with self.system.structure_lock_for(self).write():
+        with self.system.structure_lock.write():
             if key in self._definitions and not override:
                 raise DuplicateMetadataError(
                     f"metadata item {key!r} already defined on {self._owner_name()}; "
@@ -542,7 +395,7 @@ class MetadataRegistry:
 
     def undefine(self, key: MetadataKey) -> None:
         """Withdraw a published item (must not be included)."""
-        with self.system.structure_lock_for(self).write():
+        with self.system.structure_lock.write():
             if key in self._handlers:
                 raise MetadataError(
                     f"cannot undefine {key!r} on {self._owner_name()} while it is included"
@@ -554,7 +407,7 @@ class MetadataRegistry:
 
     def add_probe(self, probe: Probe) -> Probe:
         """Register a monitoring probe referenced by definitions' ``monitors``."""
-        with self.system.structure_lock_for(self).write():
+        with self.system.structure_lock.write():
             if probe.name in self._probes:
                 raise DuplicateMetadataError(
                     f"probe {probe.name!r} already registered on {self._owner_name()}"
@@ -605,16 +458,7 @@ class MetadataRegistry:
 
     def subscribe(self, key: MetadataKey) -> MetadataSubscription:
         """Subscribe to a metadata item; include it and its dependency closure."""
-        tel = self.system.telemetry
-        span = 0
-        if tel is not None:
-            span = tel.bus.new_span()
-            tel.emit(SubscribeEvent(span=span, node=self._owner_name(),
-                                    key=key_of(key)))
-        with self.system.structure_scope(self, keys=[key]):
-            handler = self._include(key, [], span)
-            handler.consumer_count += 1
-            return MetadataSubscription(self, handler)
+        return self.subscribe_many([key])[0]
 
     def subscribe_many(
         self, keys: Iterable[MetadataKey]
@@ -624,45 +468,52 @@ class MetadataRegistry:
         The per-key path acquires the graph write lock once per subscribe;
         installing a query that consumes dozens of items pays that cost —
         and the include-cascade bookkeeping — once per key.  The bulk path
-        resolves the transitive include-closure of all ``keys`` inside a
-        single graph -> node -> item critical section: shared dependencies
-        are resolved once and reused by reference for the rest of the batch.
+        links the transitive include-closure of all ``keys`` inside a single
+        graph write-lock critical section: shared dependencies are resolved
+        once and reused by reference for the rest of the batch.
 
         Atomic: if any key fails to include, the already-included keys are
         rolled back and the system is left unchanged.  Returns one
         subscription per key, in input order (duplicates allowed — each gets
-        its own subscription against the shared handler).
+        its own subscription against the shared handler).  The include runs
+        in two phases (see the module docs).
         """
         keys = list(keys)
-        tel = self.system.telemetry
+        system = self.system
+        tel = system.telemetry
         span = 0
         if tel is not None:
             span = tel.bus.new_span()
             for key in keys:
                 tel.emit(SubscribeEvent(span=span, node=self._owner_name(),
                                         key=key_of(key)))
-        subscriptions: list["MetadataSubscription"] = []
-        with self.system.structure_scope(self, keys=keys):
-            included: list[MetadataHandler] = []
+        inclusion = _Inclusion()
+        roots: list[MetadataHandler] = []
+        with system.structure_lock.write():
             try:
                 for key in keys:
-                    included.append(self._include(key, [], span))
+                    roots.append(self._link(key, [], inclusion, span))
             except Exception:
-                # Unwind the keys that did include; as in _include's own
-                # rollback, a failing cleanup step must not mask the error.
-                for handler in reversed(included):
-                    try:
-                        self._exclude(handler.key, span)
-                    except Exception:
-                        log.exception(
-                            "rollback of failed subscribe_many on %s: could "
-                            "not exclude %r", self._owner_name(), handler.key,
-                        )
+                self._unlink(roots, span)
                 raise
-            for handler in included:
+            for handler in roots:
                 handler.consumer_count += 1
-                subscriptions.append(MetadataSubscription(self, handler))
-        return subscriptions
+        if inclusion.created or inclusion.shared:
+            try:
+                system._await(inclusion.shared)
+                for handler, depth in inclusion.created:
+                    handler.registry._activate(handler, depth, span)
+            except BaseException as exc:
+                inclusion.error = exc
+                with system.structure_lock.write():
+                    for handler in roots:
+                        handler.consumer_count -= 1
+                    self._unlink(roots, span)
+                raise
+            finally:
+                if inclusion.created:
+                    system._finish(inclusion)
+        return [MetadataSubscription(self, handler) for handler in roots]
 
     def _unsubscribe(self, handler: MetadataHandler) -> None:
         tel = self.system.telemetry
@@ -671,7 +522,7 @@ class MetadataRegistry:
             span = tel.bus.new_span()
             tel.emit(UnsubscribeEvent(span=span, node=self._owner_name(),
                                       key=key_of(handler.key)))
-        with self.system.structure_scope(self, handler=handler):
+        with self.system.structure_lock.write():
             handler.consumer_count -= 1
             self._exclude(handler.key, span)
 
@@ -718,13 +569,16 @@ class MetadataRegistry:
 
     # -- include / exclude machinery (Section 2.4) ----------------------------------------
 
-    def _include(self, key: MetadataKey, stack: list, span: int = 0) -> MetadataHandler:
-        """Depth-first inclusion of ``key`` and its dependency closure.
+    def _link(self, key: MetadataKey, stack: list, inclusion: _Inclusion,
+              span: int) -> MetadataHandler:
+        """Phase 1, under the graph write lock: depth-first linking of
+        ``key`` and its dependency closure.
 
         ``stack`` carries the in-progress traversal path for cycle detection;
         ``span`` is the causal trace-span id of the triggering subscribe (0
         while telemetry is off).  Returns the (new or shared) handler with
-        its counter incremented.
+        its counter incremented; a new one is pending, and listed in
+        ``inclusion.created`` after its inputs.
         """
         if key not in self._definitions:
             raise UnknownMetadataError(self.owner, key)
@@ -736,12 +590,15 @@ class MetadataRegistry:
             ]
             raise DependencyCycleError(cycle + [f"{self._owner_name()}/{key!r}"])
 
-        tel = self.system.telemetry
         existing = self._handlers.get(key)
         if existing is not None:
             # "The traversal stops at items already provided" — but the
             # counter still moves, so sharing is accounted for.
             existing.include_count += 1
+            pending = existing.pending
+            if pending is not None and pending is not inclusion:
+                inclusion.shared.append(existing)
+            tel = self.system.telemetry
             if tel is not None:
                 tel.emit(IncludeEvent(span=span, node=self._owner_name(),
                                       key=key_of(key), shared=True,
@@ -750,86 +607,85 @@ class MetadataRegistry:
 
         definition = self._definitions[key]
         handler = create_handler(self, definition)
-
         stack.append(ref)
         try:
             for spec in definition.resolve_specs(self):
                 for target_registry, dep_key in self._resolve_spec(spec):
-                    dep_handler = target_registry._include(dep_key, stack, span)
-                    handler.dependency_handlers.append((spec, dep_handler))
-            # Waves reach the handler through these edges, so it is attached
-            # only once every input is resolved: recomputed earlier, it would
-            # read an input it does not have yet.
-            for spec, dep_handler in handler.dependency_handlers:
-                dep_handler.attach_dependent(handler)
+                    handler.dependency_handlers.append(
+                        (spec, target_registry._link(dep_key, stack, inclusion, span)))
         except Exception:
-            # Roll back partially included dependencies so a failed subscribe
-            # leaves the system unchanged.  A failing cleanup step must not
-            # mask the inclusion error being propagated — log it and keep
-            # rolling back the remaining dependencies.  The half-built
-            # handler is flagged removed so a propagation wave that raced
-            # the rollback window never recomputes it.
-            handler.removed = True
+            # Unlink the dependencies linked so far, so a failed subscribe
+            # leaves the system unchanged.
             handler.retire_lock()
-            for spec, dep_handler in handler.dependency_handlers:
-                try:
-                    dep_handler.detach_dependent(handler)
-                    dep_handler.registry._exclude(dep_handler.key)
-                except Exception:
-                    log.exception(
-                        "rollback of failed include %s/%r: could not exclude "
-                        "dependency %s/%r",
-                        self._owner_name(), key,
-                        dep_handler.registry._owner_name(), dep_handler.key,
-                    )
+            self._unlink([dep for _spec, dep in handler.dependency_handlers], span)
             raise
         finally:
             stack.pop()
-
-        for probe_name in definition.monitors:
-            self.probe(probe_name).activate()
-
-        self._handlers[key] = handler
+        handler.pending = inclusion
         handler.include_count = 1
+        self._handlers[key] = handler
+        inclusion.created.append((handler, len(stack)))
+        return handler
+
+    def _activate(self, handler: MetadataHandler, depth: int, span: int) -> None:
+        """Phase 2, with no graph lock held: attach ``handler`` to its (ready)
+        inputs, activate its probes and run its initial computation.
+
+        On failure the handler is left linked but inactive — detached, its
+        probes deactivated, flagged removed so a wave that raced the window
+        skips it — for the caller to unlink.
+        """
+        activated = []
         try:
+            # Waves reach the handler through these edges, so it is attached
+            # only once every input is ready.
+            for _spec, dep_handler in handler.dependency_handlers:
+                dep_handler.attach_dependent(handler)
+            for probe_name in handler.definition.monitors:
+                probe = self.probe(probe_name)
+                probe.activate()
+                activated.append(probe)
             handler.on_included()
         except Exception:
-            # Initial computation failed: undo the inclusion entirely.  As
-            # above, cleanup failures are logged with the failing handler's
-            # key instead of masking the computation error.
-            del self._handlers[key]
             handler.removed = True
-            handler.retire_lock()
-            for probe_name in definition.monitors:
+            for probe in activated:
                 try:
-                    self.probe(probe_name).deactivate()
+                    probe.deactivate()
                 except Exception:
                     log.exception(
                         "undo of failed inclusion %s/%r: could not "
                         "deactivate probe %r",
-                        self._owner_name(), key, probe_name,
+                        self._owner_name(), handler.key, probe.name,
                     )
-            for spec, dep_handler in handler.dependency_handlers:
-                try:
-                    dep_handler.detach_dependent(handler)
-                    dep_handler.registry._exclude(dep_handler.key)
-                except Exception:
-                    log.exception(
-                        "undo of failed inclusion %s/%r: could not exclude "
-                        "dependency %s/%r",
-                        self._owner_name(), key,
-                        dep_handler.registry._owner_name(), dep_handler.key,
-                    )
+            for _spec, dep_handler in handler.dependency_handlers:
+                dep_handler.detach_dependent(handler)
             raise
+        handler.pending = None
+        tel = self.system.telemetry
         if tel is not None:
             tel.emit(IncludeEvent(span=span, node=self._owner_name(),
-                                  key=key_of(key), shared=False,
-                                  depth=len(stack)))
+                                  key=key_of(handler.key), shared=False,
+                                  depth=depth))
         self.system.handler_created(handler)
-        return handler
+
+    def _unlink(self, handlers: Sequence[MetadataHandler], span: int) -> None:
+        """Exclude each of ``handlers`` once, under the graph write lock — the
+        rollback of a failed include.  A failing step is logged, not raised:
+        it must not mask the error being rolled back."""
+        for handler in reversed(handlers):
+            try:
+                handler.registry._exclude(handler.key, span)
+            except Exception:
+                log.exception(
+                    "rollback of failed include on %s: could not exclude "
+                    "%s/%r", self._owner_name(),
+                    handler.registry._owner_name(), handler.key,
+                )
 
     def _exclude(self, key: MetadataKey, span: int = 0) -> None:
-        """Decrement ``key``'s counter; remove and cascade at zero."""
+        """Decrement ``key``'s counter; remove and cascade at zero.  A
+        handler that never became ready has no probes to deactivate and was
+        never counted as created."""
         handler = self._handlers.get(key)
         if handler is None:
             raise SubscriptionError(
@@ -847,16 +703,19 @@ class MetadataRegistry:
         # Invalidate cached wave plans: even a handler with no remaining
         # edges must not linger in the plan cache (its id could be reused).
         self.system.propagation.bump_topology()
-        if tel is not None:
-            tel.emit(ExcludeEvent(span=span, node=self._owner_name(),
-                                  key=key_of(key), removed=True))
-        for probe_name in handler.definition.monitors:
-            self.probe(probe_name).deactivate()
+        ready = handler.pending is None
+        if ready:
+            if tel is not None:
+                tel.emit(ExcludeEvent(span=span, node=self._owner_name(),
+                                      key=key_of(key), removed=True))
+            for probe_name in handler.definition.monitors:
+                self.probe(probe_name).deactivate()
         for spec, dep_handler in handler.dependency_handlers:
             dep_handler.detach_dependent(handler)
             dep_handler.registry._exclude(dep_handler.key, span)
         handler.retire_lock()
-        self.system.handler_removed(handler)
+        if ready:
+            self.system.handler_removed(handler)
 
     # -- dependency spec resolution ------------------------------------------------------
 

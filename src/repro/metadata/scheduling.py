@@ -49,18 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry.hub import Telemetry
 
 
-def _shard_of(handler: Any) -> int:
-    """Shard index for telemetry attribution; -1 on unsharded systems.
-
-    Deliberately lenient (tests register bare fake handlers without a
-    registry/system chain).
-    """
-    registry = getattr(handler, "registry", None)
-    system = getattr(registry, "system", None)
-    if getattr(system, "shard_count", 1) > 1:
-        return getattr(registry, "shard_index", 0)
-    return -1
-
 __all__ = ["PeriodicTask", "PeriodicScheduler", "VirtualTimeScheduler", "ThreadedScheduler"]
 
 #: A periodic refresh outliving the unregister backstop is a hung compute —
@@ -230,8 +218,7 @@ class PeriodicScheduler:
             tel.emit(HandlerRefresh(node=node, key=key, changed=outcome is True,
                                     duration=time.monotonic() - t0,
                                     queue_latency=lateness,
-                                    error=outcome is FAILED, mode=self.mode,
-                                    shard=_shard_of(task.handler)))
+                                    error=outcome is FAILED, mode=self.mode))
             if outcome is FAILED and delay is not None:
                 breaker = task.handler.breaker
                 tel.emit(RetryScheduled(

@@ -167,8 +167,7 @@ class HandlerRefresh(TraceEvent):
     ``changed`` is whether dependents are told.  The scheduler's fields:
     ``queue_latency`` is how far past its deadline the refresh started (the
     paper's *lateness*), ``error`` marks a provider that raised (the handler
-    kept its last-good value), ``shard`` the refreshed handler's owning shard
-    (-1 on unsharded systems), so periodic load is attributable per shard.
+    kept its last-good value).
     """
 
     kind = "handler.refresh"
@@ -182,7 +181,6 @@ class HandlerRefresh(TraceEvent):
     #: a manual refresh.  Errors aggregate into
     #: ``scheduler_refresh_errors_total{mode=...}``.
     mode: str = ""
-    shard: int = -1
 
 
 @dataclass(slots=True)

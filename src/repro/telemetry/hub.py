@@ -94,7 +94,6 @@ _SERIES: dict[str, tuple[Any, ...]] = {
     "wave_duration_seconds": ("histogram", ()),
     # periodic scheduling
     "scheduler_refreshes_total": ("counter", ("node",)),
-    "shard_scheduler_refreshes_total": ("counter", ("shard",)),
     "scheduler_queue_latency": ("histogram", ()),
     "scheduler_run_duration_seconds": ("histogram", ()),
     "scheduler_errors_total": ("counter", ("node",)),
@@ -143,8 +142,6 @@ def _fold_handler_refresh(b: _BoundInstruments, e: ev.HandlerRefresh) -> None:
     # ``scheduler_refreshes_total - scheduler_errors_total``, its durations
     # ``scheduler_run_duration_seconds``.
     b["scheduler_refreshes_total", e.node].inc()
-    if e.shard >= 0:
-        b["shard_scheduler_refreshes_total", e.shard].inc()
     b["scheduler_queue_latency"].observe(e.queue_latency)
     b["scheduler_run_duration_seconds"].observe(e.duration)
     if e.error:
@@ -351,7 +348,7 @@ def render_dashboard(telemetry: Telemetry, width: int = 68,
     ``lock_policy`` — a :class:`~repro.metadata.locks.LockPolicy` (e.g.
     ``system.lock_policy``) — adds a lock-contention section: aggregate
     acquisition/contention/wait counters plus the hottest individual locks,
-    the view that tells a sharding decision where the partitions should go.
+    the view that names the lock threads wait on.
     """
     snap = telemetry.metrics.snapshot()
     lines = ["telemetry dashboard".center(width, "-")]

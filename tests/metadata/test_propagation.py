@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.metadata.item import (
@@ -11,7 +13,11 @@ from repro.metadata.item import (
     NodeDep,
     SelfDep,
 )
+from repro.metadata.locks import FineGrainedLockPolicy
 from repro.metadata.propagation import PropagationEngine
+from repro.metadata.registry import MetadataSystem
+from repro.metadata.scheduling import VirtualTimeScheduler
+from repro.telemetry.hub import explain_refresh
 
 A, B, C, D, E = (MetadataKey(k) for k in "abcde")
 
@@ -137,6 +143,15 @@ class TestWaveOrdering:
 
 
 class TestEngineAccounting:
+    def test_system_holds_the_engine_it_is_given(self, clock):
+        engine = PropagationEngine(plan_cache=False)
+        system = MetadataSystem(clock, VirtualTimeScheduler(clock),
+                                propagation=engine)
+        assert system.propagation is engine
+        with pytest.raises(TypeError):
+            MetadataSystem(clock, VirtualTimeScheduler(clock),
+                           propagation=object())  # type: ignore[arg-type]
+
     def test_stats_exposed(self, make_owner, clock, system):
         owner = make_owner()
         make_periodic(owner.metadata, A, [1, 2, 3])
@@ -304,3 +319,96 @@ class TestNestedEvents:
         assert sd.get() == state["y"]
         sb.cancel()
         sd.cancel()
+
+
+class TestCrossRegistryWaves:
+    """A wave crossing registries is one wave on the one engine: it takes
+    no graph lock and recomputes each member once."""
+
+    @pytest.fixture
+    def system(self, clock):
+        return MetadataSystem(clock, VirtualTimeScheduler(clock),
+                              lock_policy=FineGrainedLockPolicy())
+
+    def ring(self, make_owner, count: int):
+        """``count`` owners; owner i's B reads owner i+1's on-demand A."""
+        owners = [make_owner(f"node{i}") for i in range(count)]
+        states = [{"v": 0} for _ in owners]
+        for owner, state in zip(owners, states):
+            owner.metadata.define(MetadataDefinition(
+                A, Mechanism.ON_DEMAND, compute=lambda ctx, state=state: state["v"]))
+        for i, owner in enumerate(owners):
+            owner.metadata.define(MetadataDefinition(
+                B, Mechanism.TRIGGERED, compute=lambda ctx: ctx.value(A) + 1,
+                dependencies=[NodeDep(owners[(i + 1) % count], A)]))
+        return owners, states
+
+    def test_wave_takes_no_graph_lock(self, make_owner, system):
+        owners, states = self.ring(make_owner, 2)
+        subscription = owners[0].metadata.subscribe(B)  # reads node1's A
+        assert subscription.get() == 1
+        lock = system.structure_lock.stats.snapshot()
+        before = system.propagation.stats()
+        states[1]["v"] = 5
+        owners[1].metadata.notify_changed(A)
+        assert subscription.get() == 6
+        after = system.propagation.stats()
+        assert system.structure_lock.stats.snapshot() == lock
+        assert {key: after[key] - before[key]
+                for key in ("waves", "drains", "refreshes")} == {
+            "waves": 1, "drains": 1, "refreshes": 1}
+        subscription.cancel()
+
+    def test_events_fired_batch_is_one_merged_wave(self, make_owner, system):
+        owners, states = self.ring(make_owner, 2)
+        # C on node0 reads both owners' A.
+        owners[0].metadata.define(MetadataDefinition(
+            C, Mechanism.TRIGGERED, compute=lambda ctx: sum(ctx.values(A)),
+            dependencies=[SelfDep(A), NodeDep(owners[1], A)]))
+        subscriptions = [owner.metadata.subscribe(B) for owner in owners]
+        subscriptions.append(owners[0].metadata.subscribe(C))
+        before = system.propagation.stats()
+        for state in states:
+            state["v"] += 1
+        system.propagation.events_fired(
+            [owner.metadata.handler(A) for owner in owners])
+        after = system.propagation.stats()
+        # Both sources travel as one wave: the shared C recomputes once
+        # beside the two B items.
+        assert {key: after[key] - before[key]
+                for key in ("waves", "drains", "merged_waves", "refreshes")} == {
+            "waves": 2, "drains": 1, "merged_waves": 1, "refreshes": 3}
+        assert [s.get() for s in subscriptions] == [2, 2, 2]
+        for subscription in subscriptions:
+            subscription.cancel()
+
+    def test_explain_refresh_of_a_cross_registry_chain(self, make_owner, system):
+        """``node0/a -> node1/b -> node2/c``: the top's explanation is the one
+        wave's causal chain, each hop naming the edge it came over."""
+        owners = [make_owner(f"node{i}") for i in range(3)]
+        state = {"v": 1}
+        owners[0].metadata.define(MetadataDefinition(
+            A, Mechanism.ON_DEMAND, compute=lambda ctx: state["v"]))
+        owners[1].metadata.define(MetadataDefinition(
+            B, Mechanism.TRIGGERED, dependencies=[NodeDep(owners[0], A)],
+            compute=lambda ctx: ctx.value(A) + 1))
+        owners[2].metadata.define(MetadataDefinition(
+            C, Mechanism.TRIGGERED, dependencies=[NodeDep(owners[1], B)],
+            compute=lambda ctx: ctx.value(B) + 1))
+        subscription = owners[2].metadata.subscribe(C)
+        tel = system.enable_telemetry()
+        state["v"] = 5
+        owners[0].metadata.notify_changed(A)
+        assert subscription.get() == 7
+        report = explain_refresh(tel, "node2", C)
+        assert re.sub(r"\(\d+\.\dus\)", "(…us)", report) == """\
+why did node2/c refresh?  (last refresh at t=0)
+span 1 (7 events)
+  t=0 enqueued by change of node0/a (queue depth 1)
+  t=0 wave started at node0/a covering 3 handler(s)
+    hop node0/a -> node1/b
+    refresh node1/b [changed] (…us)
+    hop node1/b -> node2/c
+    refresh node2/c [changed] (…us)
+  wave end: 2 refreshed, 0 suppressed, 0 error(s)"""
+        subscription.cancel()

@@ -1,4 +1,4 @@
-"""Include/exclude rollback under failure (registry._include's unwind paths).
+"""Include/exclude rollback under failure (the registry's unlink paths).
 
 A failed subscribe must leave the system exactly as it was: shared
 transitive dependencies keep their pre-failure counters, probes are

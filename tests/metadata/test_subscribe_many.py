@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import UnknownMetadataError
-from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
+from repro.common.errors import HandlerError, UnknownMetadataError
+from repro.metadata.item import (
+    Mechanism,
+    MetadataDefinition,
+    MetadataKey,
+    NodeDep,
+    SelfDep,
+)
 
 A, B, C, D = (MetadataKey(k) for k in "abcd")
 Q1, Q2, Q3 = (MetadataKey(f"q{i}") for i in (1, 2, 3))
@@ -112,3 +118,61 @@ class TestSubscribeMany:
         values = {s.key: s.get() for s in subscriptions}
         assert values[B] == 2
         assert values[Q3] == 4
+
+
+class TestCrossRegistryRollback:
+    """A batch whose second key fails in another registry's initial
+    computation leaves both registries exactly as if the call never
+    happened."""
+
+    def build_pair(self, make_owner):
+        node0, node1 = make_owner("node0"), make_owner("node1")
+        state = {"v": 0}
+        node1.metadata.define(MetadataDefinition(
+            A, Mechanism.ON_DEMAND, compute=lambda ctx: state["v"]))
+        # Q1 (node0) reads node1's A: it includes cleanly.
+        node0.metadata.define(MetadataDefinition(
+            Q1, Mechanism.TRIGGERED, compute=lambda ctx: ctx.value(A) + 1,
+            dependencies=[NodeDep(node1, A)]))
+        # Q2 (node0) reads node1's static C, whose initial computation
+        # raises after Q1's closure is already included.
+        node1.metadata.define(MetadataDefinition(
+            C, Mechanism.STATIC, compute=lambda ctx: (_ for _ in ()).throw(
+                RuntimeError("inclusion failure on node1"))))
+        node0.metadata.define(MetadataDefinition(
+            Q2, Mechanism.TRIGGERED, compute=lambda ctx: ctx.value(C),
+            dependencies=[NodeDep(node1, C)]))
+        return node0, node1, state
+
+    def test_failing_include_in_one_registry_rolls_back_the_other(
+            self, make_owner, system):
+        node0, node1, _state = self.build_pair(make_owner)
+        with pytest.raises(HandlerError):
+            node0.metadata.subscribe_many([Q1, Q2])
+        assert node0.metadata.included_keys() == []
+        assert node1.metadata.included_keys() == []
+        stats = system.stats()
+        assert stats["handlers_created"] == stats["handlers_removed"]
+        assert stats["handlers_included"] == 0
+
+    def test_behavior_after_rollback_matches_a_fresh_system(self, make_owner, system):
+        def run(node0, node1, state):
+            (subscription,) = node0.metadata.subscribe_many([Q1])
+            state["v"] += 7
+            node1.metadata.notify_changed(A)
+            value = subscription.get()
+            subscription.cancel()
+            return value
+
+        fresh = self.build_pair(make_owner)
+        before = system.propagation.stats()
+        expected = run(*fresh)
+        counts = {key: system.propagation.stats()[key] - before[key]
+                  for key in ("waves", "refreshes")}
+        node0, node1, state = self.build_pair(make_owner)
+        with pytest.raises(HandlerError):
+            node0.metadata.subscribe_many([Q1, Q2])
+        before = system.propagation.stats()
+        assert run(node0, node1, state) == expected == 8
+        assert {key: system.propagation.stats()[key] - before[key]
+                for key in ("waves", "refreshes")} == counts

@@ -54,27 +54,23 @@ from repro.telemetry.hub import explain_refresh
 
 A, B, T, C = (MetadataKey(k) for k in "ABTC")
 AGG = MetadataKey("agg")
-SHARD_COUNTS = (1, 4)
 
 
 class _Node:
-    def __init__(self, name: str, index: int = 0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.index = index
         self.metadata: MetadataRegistry | None = None
 
 
-def _registry(system: MetadataSystem, name: str, index: int = 0) -> MetadataRegistry:
-    node = _Node(name, index)
+def _registry(system: MetadataSystem, name: str) -> MetadataRegistry:
+    node = _Node(name)
     node.metadata = MetadataRegistry(node, system)
     return node.metadata
 
 
-def _virtual_system(shards: int = 1):
+def _virtual_system():
     clock = VirtualClock()
-    return clock, MetadataSystem(
-        clock, VirtualTimeScheduler(clock), shards=shards,
-        placement=lambda owner, count: owner.index % count)
+    return clock, MetadataSystem(clock, VirtualTimeScheduler(clock))
 
 
 def _assert_accounting(system: MetadataSystem) -> dict:
@@ -212,17 +208,16 @@ class TestOneWavePerTick:
 
 class _Hazard:
     """``A`` periodic, ``B`` periodic <- ``A``, ``T`` triggered <- ``A``,
-    ``C`` periodic <- ``T``; one registry per item, so that under a sharded
-    system (round-robin on ``index``) every edge crosses a shard boundary
-    at 2 and at 4 shards."""
+    ``C`` periodic <- ``T``; one registry per item, so every edge crosses
+    a registry boundary."""
 
-    def __init__(self, shards: int, periods: dict[str, float]) -> None:
-        self.clock, self.system = _virtual_system(shards)
+    def __init__(self, periods: dict[str, float]) -> None:
+        self.clock, self.system = _virtual_system()
         self.counts = dict.fromkeys("ABTC", 0)
-        ra = _registry(self.system, "a", 0)
-        rb = _registry(self.system, "b", 1)
-        rt = _registry(self.system, "t", 1)
-        rc = _registry(self.system, "c", 2)
+        ra = _registry(self.system, "a")
+        rb = _registry(self.system, "b")
+        rt = _registry(self.system, "t")
+        rc = _registry(self.system, "c")
         self.registries = {"A": ra, "B": rb, "T": rt, "C": rc}
         ra.define(MetadataDefinition(
             A, Mechanism.PERIODIC, period=periods["A"],
@@ -256,12 +251,9 @@ class _Hazard:
         return {name: self.counts[name] - before[name] for name in before}
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
 class TestExactlyOnceInOrder:
-    def test_one_period(self, shards):
-        hazard = _Hazard(shards, dict.fromkeys("ABC", 5.0))
-        if shards > 1:
-            assert len(hazard.system.cross_shard_edges()) == 3
+    def test_one_period(self):
+        hazard = _Hazard(dict.fromkeys("ABC", 5.0))
         # Values one timer per task gave (dependency order = registration
         # order made A -> wave(T) -> C hold there too).
         expected = [dict(A=2, B=20, T=102, C=102), dict(A=3, B=30, T=103, C=103),
@@ -271,11 +263,10 @@ class TestExactlyOnceInOrder:
             assert hazard.values() == values  # C read *this* tick's T
         stats = _assert_accounting(hazard.system)
         assert stats["refreshes"] == 3  # T, once per tick
-        if shards == 1:
-            assert (stats["drains"], stats["merged_waves"]) == (3, 3)
+        assert (stats["drains"], stats["merged_waves"]) == (3, 3)
 
-    def test_mixed_periods_share_only_even_ticks(self, shards):
-        hazard = _Hazard(shards, dict(A=10.0, B=5.0, C=5.0))
+    def test_mixed_periods_share_only_even_ticks(self):
+        hazard = _Hazard(dict(A=10.0, B=5.0, C=5.0))
         assert hazard.advance(5.0) == dict(A=0, B=1, T=0, C=1)
         assert hazard.values() == dict(A=1, B=10, T=101, C=101)
         assert hazard.advance(5.0) == dict(A=1, B=1, T=1, C=1)
@@ -285,8 +276,8 @@ class TestExactlyOnceInOrder:
         assert hazard.values() == dict(A=3, B=30, T=103, C=103)
         _assert_accounting(hazard.system)
 
-    def test_a_big_advance_fires_every_tick_in_deadline_order(self, shards):
-        hazard = _Hazard(shards, dict(A=5.0, B=10.0, C=15.0))
+    def test_a_big_advance_fires_every_tick_in_deadline_order(self):
+        hazard = _Hazard(dict(A=5.0, B=10.0, C=15.0))
         assert hazard.advance(30.0) == dict(A=6, B=3, T=6, C=2)
         assert hazard.values() == dict(A=7, B=70, T=107, C=107)
         _assert_accounting(hazard.system)
@@ -658,23 +649,17 @@ class TestThreadedTicks:
     churning subscriptions.  Under contention a worker settles its share on
     its own thread (a busy drainer only propagates), so the per-tick
     exactly-once-in-order guarantee is checked where it holds — one worker,
-    idle engine — and the invariants everywhere.  Each test runs at one
-    shard and at four (looped, so the test ids stay put)."""
+    idle engine — and the invariants everywhere."""
 
-    def _system(self, pool_size: int, shards: int):
+    def _system(self, pool_size: int):
         clock = SystemClock()
         scheduler = ThreadedScheduler(clock, pool_size=pool_size)
         system = MetadataSystem(clock, scheduler,
-                                lock_policy=FineGrainedLockPolicy(),
-                                shards=shards)
+                                lock_policy=FineGrainedLockPolicy())
         return scheduler, system
 
     def test_single_worker_tick_is_one_ordered_wave(self):
-        for shards in SHARD_COUNTS:
-            self.run_single_worker(shards)
-
-    def run_single_worker(self, shards: int) -> None:
-        scheduler, system = self._system(pool_size=1, shards=shards)
+        scheduler, system = self._system(pool_size=1)
         registry = _registry(system, "ordered")
         counts = dict.fromkeys("ABTC", 0)
         mismatches: list[tuple] = []
@@ -720,12 +705,8 @@ class TestThreadedTicks:
 
     @pytest.mark.parametrize("pool_size", [1, 3])
     def test_ticks_beside_event_waves_and_churn(self, pool_size):
-        for shards in SHARD_COUNTS:
-            self.run_churn(pool_size, shards)
-
-    def run_churn(self, pool_size: int, shards: int) -> None:
-        scheduler, system = self._system(pool_size, shards)
-        registries = [_registry(system, f"node{i}", i) for i in range(4)]
+        scheduler, system = self._system(pool_size)
+        registries = [_registry(system, f"node{i}") for i in range(4)]
         state = {"event": 0}
         event = MetadataKey("event")
         for index, registry in enumerate(registries):
@@ -792,7 +773,7 @@ class TestThreadedTicks:
         assert [task.error_count for task in tasks] == [0] * len(tasks)
         assert not any(task._running for task in tasks)
         assert min(task.fire_count for task in tasks) >= 1, (
-            shards, [task.fire_count for task in tasks])
+            [task.fire_count for task in tasks])
         stats = _assert_accounting(system)
         assert stats["errors"] == 0
         assert stats["periodic_tasks"] == 0

@@ -6,11 +6,10 @@ recomputes (``refreshes``) or is skipped because its subtree is poisoned
 
     planned == refreshes + skipped_poisoned
 
-is exact — pinned here over hand-built diamonds, seeded random DAGs (same
-counters cached or uncached, traced or untraced; the same counters and
-values at one, two and four shards; and the trace's own events recount
-them, on one shard and across two), and a threaded chaos run mixing
-injected faults with subscription churn.
+is exact — pinned here over hand-built diamonds, seeded random DAGs whose
+edges cross registries (same counters cached or uncached, traced or
+untraced; and the trace's own events recount them), and a threaded chaos
+run mixing injected faults with subscription churn.
 """
 
 from __future__ import annotations
@@ -166,6 +165,66 @@ class TestDiamondContainment:
         sd.cancel()
 
 
+class TestCrossRegistryPoison:
+    """``node0``'s B reads its on-demand A; ``node1``'s C reads ``node0``'s
+    B.  When B fails in a wave, the poison reaches across the registry
+    boundary within the same pass."""
+
+    def build(self, make_owner):
+        node0, node1 = make_owner("node0"), make_owner("node1")
+        state = {"v": 1, "fail": False}
+
+        def derived(ctx):
+            if state["fail"]:
+                raise RuntimeError("injected provider failure")
+            return ctx.value(A)
+
+        node0.metadata.define(MetadataDefinition(
+            A, Mechanism.ON_DEMAND, compute=lambda ctx: state["v"]))
+        node0.metadata.define(MetadataDefinition(
+            B, Mechanism.TRIGGERED, dependencies=[SelfDep(A)], compute=derived))
+        node1.metadata.define(MetadataDefinition(
+            C, Mechanism.TRIGGERED, dependencies=[NodeDep(node0, B)],
+            compute=lambda ctx: ctx.value(B) + 1))
+        return node0, node1.metadata.subscribe(C), state
+
+    def test_poison_crosses_the_boundary_as_planned_and_skipped(
+            self, make_owner, system):
+        node0, subscription, state = self.build(make_owner)
+        assert subscription.get() == 2
+        state["fail"] = True
+        node0.metadata.notify_changed(A)
+        state["fail"] = False
+        # One wave: B failed, C was planned and skipped in the same pass,
+        # keeping its stale value.
+        assert subscription.get() == 2
+        stats = assert_invariant(system.propagation)
+        assert (stats["waves"], stats["drains"]) == (1, 1)
+        assert (stats["errors"], stats["refreshes"],
+                stats["skipped_poisoned"]) == (1, 1, 1)
+        state["v"] = 3
+        node0.metadata.notify_changed(A)
+        assert subscription.get() == 4  # recovers on the next healthy wave
+        assert_invariant(system.propagation)
+        subscription.cancel()
+
+    def test_poisoned_member_is_traced_in_the_failing_wave(self, make_owner, system):
+        node0, subscription, state = self.build(make_owner)
+        tel = system.enable_telemetry()
+        state["fail"] = True
+        node0.metadata.notify_changed(A)
+        (summary,) = tel.bus.events(kind="wave.summary")
+        poisoned = tel.bus.events(kind="wave.poisoned")
+        assert [(e.node, e.reason) for e in poisoned] == [
+            ("node0", "compute-failed"), ("node1", "poisoned-input")]
+        assert all(e.span == summary.span for e in poisoned)
+        assert summary.poisoned == 2
+        assert tel.metrics.counter(
+            "wave_poisoned_total", {"reason": "poisoned-input"}).value == 1
+        assert_invariant(system.propagation)
+        subscription.cancel()
+
+
 def build_random_dag(system, rng: random.Random, plan: FaultPlan,
                      nodes: int = 30, owners: int = 1):
     """Seeded random DAG: one periodic source, ``nodes`` triggered items,
@@ -221,11 +280,9 @@ def build_random_dag(system, rng: random.Random, plan: FaultPlan,
 
 
 class TestRandomDagProperty:
-    """Seeded property test: the invariant holds, neither way of obtaining
-    the plan nor the trace recorder moves a counter, and neither does the
-    shard count — the same DAG over four owners gives every ``stats()``
-    counter and every subscribed value alike at one, two and four shards,
-    where most edges cross a boundary.
+    """Seeded property test over a DAG dealt across four owners, so most
+    edges cross a registry boundary: the invariant holds, and neither way
+    of obtaining the plan nor the trace recorder moves a counter.
 
     Plan caching and tracing are independent (one decides where the plan
     comes from, the other what the one loop reports), so each is varied
@@ -244,13 +301,12 @@ class TestRandomDagProperty:
                      "planned", "refreshes", "skipped_poisoned", "suppressed",
                      "errors")
 
-    def run_variant(self, seed: int, shards: int, plan_cache: bool,
+    def run_variant(self, seed: int, plan_cache: bool,
                     traced: bool) -> tuple[dict, list]:
         clock = VirtualClock()
         system = MetadataSystem(
             clock, VirtualTimeScheduler(clock),
-            propagation=PropagationEngine(plan_cache=plan_cache),
-            shards=shards, placement=lambda owner, count: owner.index % count)
+            propagation=PropagationEngine(plan_cache=plan_cache))
         if traced:
             system.enable_telemetry(capacity=65536)
         plan = FaultPlan(seed=seed, active=False)
@@ -261,7 +317,7 @@ class TestRandomDagProperty:
         plan.activate()
         for _ in range(12):
             clock.advance_by(10.0)
-            # Event waves and ticks cross boundaries (poison included).
+            # Event waves and ticks cross registries (poison included).
             for sub in rng.sample(subs, k=3):
                 sub.handler.registry.notify_changed(sub.handler.key)
         stats = assert_invariant(system.propagation)
@@ -273,16 +329,12 @@ class TestRandomDagProperty:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
     def test_invariant_and_path_equivalence(self, seed):
-        # The shard count is looped, not parametrized, so the test ids stay.
-        results = {(name, shards): self.run_variant(seed, shards, *flags)
-                   for shards in (1, 2, 4)
+        results = {name: self.run_variant(seed, *flags)
                    for name, flags in self.VARIANTS.items()}
-        baseline, _ = results["cached-untraced", 1]
+        baseline, expected = results["cached-untraced"]
         assert baseline["planned"] > 0
-        for (name, shards), (stats, values) in results.items():
-            assert results[name, 1] == (stats, values), (
-                f"{name} at {shards} shards diverged from one shard "
-                f"for seed {seed}")
+        for name, (stats, values) in results.items():
+            assert values == expected, f"{name} values diverged for seed {seed}"
             assert ({k: stats[k] for k in self.WAVE_COUNTERS}
                     == {k: baseline[k] for k in self.WAVE_COUNTERS}), (
                 f"{name} diverged from cached-untraced for seed {seed}")
@@ -292,20 +344,17 @@ class TestTraceFoldsToCounters:
     """The trace recounts the engine: every counter has one emission site,
     so tallying a storm's events by kind and reason gives ``stats()``."""
 
-    @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("seed", [1, 2024])
-    def test_events_recount_the_accounting(self, seed, shards):
+    def test_events_recount_the_accounting(self, seed):
         clock = VirtualClock()
         scheduler = VirtualTimeScheduler(clock)
-        system = MetadataSystem(
-            clock, scheduler, shards=shards,
-            placement=lambda owner, count: owner.index % count)
+        system = MetadataSystem(clock, scheduler)
         tel = system.enable_telemetry(capacity=1 << 17)
         plan = FaultPlan(seed=seed, active=False)
         rng = random.Random(seed)
         for i in range(30):
             plan.fail_rate(f"n{i}", 0.2)
-        anchor, subs = build_random_dag(system, rng, plan, owners=shards)
+        anchor, subs = build_random_dag(system, rng, plan, owners=2)
         plan.activate()
         for _ in range(12):
             clock.advance_by(10.0)
@@ -353,16 +402,10 @@ class TestPoisoningUnderChurnStress:
     """
 
     def test_invariant_survives_chaos(self):
-        # Looped, not parametrized, so the test id stays.
-        for shards in (1, 4):
-            self.run_chaos(shards)
-
-    def run_chaos(self, shards: int) -> None:
         clock = SystemClock()
         scheduler = ThreadedScheduler(clock, pool_size=2)
         system = MetadataSystem(clock, scheduler,
-                                lock_policy=FineGrainedLockPolicy(),
-                                shards=shards)
+                                lock_policy=FineGrainedLockPolicy())
 
         class Owner:
             name = "chaos"

@@ -1,8 +1,8 @@
 """Property: scheduler ticks equal a from-scratch in-order recompute.
 
 Random DAGs of periodic / triggered / on-demand items (random periods from
-{5, 10, 15}), one registry per item so that at 2 and 4 shards most edges
-cross a boundary, driven by random subscribe / cancel / source-change /
+{5, 10, 15}), one registry per item so that every edge crosses a registry
+boundary, driven by random subscribe / cancel / source-change /
 clock-advance sequences.  After every operation each subscribed value must
 equal what an independent model gives — a plain simulator that, at every
 deadline, walks *all* items in dependency order, recomputing the periodic
@@ -10,7 +10,7 @@ items due then and every triggered item one of whose inputs just changed.
 That is the correctness criterion of incremental view maintenance: the
 batched result equals the full in-order recompute, with each member
 computed once per pass — every triggered item's compute count equals the
-model's at every shard count.
+model's.
 
 Alongside: ``planned == refreshes + skipped_poisoned``, nothing pending, and
 no periodic item ever computed more often than its deadlines elapsed (a
@@ -35,7 +35,6 @@ PERIODIC, TRIGGERED, ON_DEMAND = "periodic", "triggered", "on_demand"
 class _Owner:
     def __init__(self, index: int) -> None:
         self.name = f"n{index}"
-        self.index = index
         self.metadata: MetadataRegistry | None = None
 
 
@@ -128,56 +127,52 @@ class Model:
 
 
 @given(kinds=kinds_strategy, edges=edges_strategy, ops=ops_strategy,
-       first=st.lists(st.integers(0, N - 1), min_size=1, max_size=3),
-       shards=st.sampled_from([1, 2, 4]))
+       first=st.lists(st.integers(0, N - 1), min_size=1, max_size=3))
 # A slow periodic item reading a fast one: at their shared deadline one timer
 # per task fired the slow one first (its timer was armed earlier).
 @example(kinds=[5.0, 10.0] + [TRIGGERED] * (N - 2), edges={(1, 0)}, first=[1],
-         ops=[("advance", 10.0)], shards=1)
+         ops=[("advance", 10.0)])
 # The hazard: periodic <- triggered <- periodic, plus periodic <- periodic.
 @example(kinds=[5.0, 5.0, TRIGGERED, 5.0] + [ON_DEMAND] * (N - 4),
          edges={(1, 0), (2, 0), (3, 2)}, first=[3, 1],
-         ops=[("advance", 5.0), ("advance", 5.0)], shards=2)
-# A cross-shard diamond through an on-demand item: 4 reads 0 directly and 1
-# through on-demand 3, with 1 on another shard than 0 and 4.  The wave must
-# not refresh 4 before 1.
+         ops=[("advance", 5.0), ("advance", 5.0)])
+# A diamond through an on-demand item: 4 reads 0 directly and 1 through
+# on-demand 3.  The wave must not refresh 4 before 1.
 @example(kinds=[5.0, TRIGGERED, TRIGGERED, ON_DEMAND, TRIGGERED, TRIGGERED],
          edges={(1, 0), (4, 0), (3, 1), (4, 3)}, first=[4],
-         ops=[("advance", 5.0)], shards=2)
+         ops=[("advance", 5.0)])
 # The same diamond driven by an event wave from an on-demand 0.
 @example(kinds=[ON_DEMAND, TRIGGERED, TRIGGERED, ON_DEMAND, TRIGGERED, TRIGGERED],
          edges={(1, 0), (4, 0), (3, 1), (4, 3)}, first=[4],
-         ops=[("change", 0)], shards=2)
-# A cross-shard diamond of triggered items driven by an event wave: 3 reads
-# 0 directly and through 1 -> 2, each edge crossing a boundary.  Routed
-# crossings recomputed 3 once per arrival; one wave computes it once.
+         ops=[("change", 0)])
+# A diamond of triggered items driven by an event wave: 3 reads 0 directly
+# and through 1 -> 2.  One wave computes 3 once.
 @example(kinds=[ON_DEMAND, TRIGGERED, TRIGGERED, TRIGGERED, ON_DEMAND, ON_DEMAND],
          edges={(1, 0), (2, 1), (3, 0), (3, 2)}, first=[3],
-         ops=[("change", 0)], shards=2)
-# One event wave crossing into two shards whose fronts meet at 5 through
-# on-demand 3: 5 must not refresh before 2 did.
+         ops=[("change", 0)])
+# One event wave whose two fronts meet at 5 through on-demand 3: 5 must not
+# refresh before 2 did.
 @example(kinds=[ON_DEMAND, TRIGGERED, TRIGGERED, ON_DEMAND, TRIGGERED, TRIGGERED],
          edges={(1, 0), (2, 0), (3, 2), (5, 1), (5, 3)}, first=[5],
-         ops=[("change", 0)], shards=4)
-# A member reading two periodic items, one through an on-demand item on
-# another shard: the tick must refresh both before the member.
+         ops=[("change", 0)])
+# A member reading two periodic items, one through an on-demand item: the
+# tick must refresh both before the member.
 @example(kinds=[TRIGGERED, TRIGGERED, 5.0, 5.0, ON_DEMAND, TRIGGERED],
          edges={(5, 3), (5, 4), (4, 2)}, first=[5],
-         ops=[("advance", 5.0)], shards=2)
+         ops=[("advance", 5.0)])
 # The same chain without the direct edge 4 <- 0: on-demand 3 never notifies,
-# so 4 keeps its value at any shard count.
+# so 4 keeps its value.
 @example(kinds=[5.0, TRIGGERED, TRIGGERED, ON_DEMAND, TRIGGERED, TRIGGERED],
          edges={(1, 0), (3, 1), (4, 3)}, first=[4],
-         ops=[("advance", 5.0)], shards=2)
+         ops=[("advance", 5.0)])
 @settings(max_examples=150, deadline=None)
-def test_ticks_equal_a_full_in_order_recompute(kinds, edges, first, ops, shards):
+def test_ticks_equal_a_full_in_order_recompute(kinds, edges, first, ops):
     ops = [("subscribe", i) for i in first] + ops
     deps = [sorted(j for i, j in edges if i == item) for item in range(N)]
     model = Model(kinds, deps)
     clock = VirtualClock()
     scheduler = VirtualTimeScheduler(clock)
-    system = MetadataSystem(clock, scheduler, shards=shards,
-                            placement=lambda owner, count: owner.index % count)
+    system = MetadataSystem(clock, scheduler)
     owners = [_Owner(i) for i in range(N)]
     computes = [0] * N
     for i, owner in enumerate(owners):

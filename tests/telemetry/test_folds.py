@@ -48,10 +48,9 @@ ROWS: list = [
                        mode="virtual"),
      {'scheduler_refreshes_total{node="a"}': 1}, {},
      {"scheduler_queue_latency": 0.5, "scheduler_run_duration_seconds": 0.25}),
-    (ev.HandlerRefresh(node="a", queue_latency=0.5, duration=0.25, shard=0,
+    (ev.HandlerRefresh(node="a", queue_latency=0.5, duration=0.25,
                        error=True, mode="virtual"),
      {'scheduler_refreshes_total{node="a"}': 1,
-      'shard_scheduler_refreshes_total{shard="0"}': 1,
       'scheduler_errors_total{node="a"}': 1,
       'scheduler_refresh_errors_total{mode="virtual"}': 1}, {},
      {"scheduler_queue_latency": 0.5, "scheduler_run_duration_seconds": 0.25}),
@@ -122,9 +121,8 @@ def _row_id(row) -> str:
     flags = [f.name for f in event.__dataclass_fields__.values()
              if getattr(event, f.name) is True
              or getattr(event, f.name) and type(getattr(event, f.name)) is tuple]
-    shard = ["shard"] if getattr(event, "shard", -1) >= 0 else []
     mode = [event.mode] if getattr(event, "mode", "") else []
-    return "-".join([type(event).__name__, *mode, *flags, *shard])
+    return "-".join([type(event).__name__, *mode, *flags])
 
 
 def test_every_event_class_has_a_row():

@@ -13,9 +13,7 @@ assert the hard invariants:
   scheduler ends with zero active tasks;
 * **no deadlock** — everything completes within the harness timeout.
 
-All tests are also marked ``stress`` so CI can re-run them in a loop.  The
-tests that build a threaded system run it at one shard and at four (looped
-inside the test, so the test ids stay put).
+All tests are also marked ``stress`` so CI can re-run them in a loop.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ REMOTE = MetadataKey("remote")
 
 THREADS = 4
 ITERATIONS = 250  # >= 200 per the acceptance criteria
-SHARD_COUNTS = (1, 4)
 
 
 class _Owner:
@@ -83,16 +80,11 @@ class TestNoLostWaves:
     """
 
     def test_concurrent_notify_changed_accounts_every_wave(self):
-        for shards in SHARD_COUNTS:
-            self.run_storm(shards)
-
-    def run_storm(self, shards: int) -> None:
         clock = VirtualClock()
         system = MetadataSystem(
             clock,
             VirtualTimeScheduler(clock),
             lock_policy=FineGrainedLockPolicy(),
-            shards=shards,
         )
         owner = _attach_registry(system, "node")
         state = {"n": 0}
@@ -135,15 +127,10 @@ class TestMixedWorkloadStress:
     """Subscribe/unsubscribe churn + event storms + a threaded worker pool."""
 
     def test_pool_of_four_with_churn_and_events(self):
-        for shards in SHARD_COUNTS:
-            self.run_pool(shards)
-
-    def run_pool(self, shards: int) -> None:
         clock = SystemClock()
         scheduler = ThreadedScheduler(clock, pool_size=4)
         system = MetadataSystem(
             clock, scheduler, lock_policy=FineGrainedLockPolicy(),
-            shards=shards,
         )
         node_a = _attach_registry(system, "a")
         node_b = _attach_registry(system, "b")
@@ -221,6 +208,59 @@ class TestMixedWorkloadStress:
         assert stats["errors"] == 0
 
 
+class TestCrossRegistryStorm:
+    """Notify storms race subscription churn whose closures cross
+    registries; the accounting laws hold exactly at quiescence."""
+
+    def test_storm_preserves_accounting_laws(self):
+        clock = VirtualClock()
+        system = MetadataSystem(clock, VirtualTimeScheduler(clock),
+                                lock_policy=FineGrainedLockPolicy())
+        owners = [_attach_registry(system, f"node{i}") for i in range(4)]
+        states = [{"v": 0} for _ in owners]
+        locks = [threading.Lock() for _ in owners]
+        for owner, state, lock in zip(owners, states, locks):
+            def src(ctx, state=state, lock=lock):
+                with lock:
+                    return state["v"]
+            owner.metadata.define(MetadataDefinition(
+                SRC, Mechanism.ON_DEMAND, compute=src))
+        for i, owner in enumerate(owners):
+            owner.metadata.define(MetadataDefinition(
+                MID, Mechanism.TRIGGERED, compute=lambda ctx: ctx.value(SRC) + 1,
+                dependencies=[NodeDep(owners[(i + 1) % len(owners)], SRC)]))
+        anchors = [owners[i].metadata.subscribe(MID) for i in (0, 1)]
+
+        def notify(worker, i):
+            index = (worker + i) % len(owners)
+            with locks[index]:
+                states[index]["v"] += 1
+            owners[index].metadata.notify_changed(SRC)
+
+        def churn(worker, i):
+            subscription = owners[2 + worker % 2].metadata.subscribe(MID)
+            try:
+                subscription.get()
+            finally:
+                subscription.cancel()
+
+        check = RaceCheck(iterations=150, timeout=60.0, name="cross-registry-storm")
+        check.add(notify, threads=2)
+        check.add(churn, threads=2)
+        check.run()
+
+        for anchor in anchors:
+            anchor.cancel()
+        stats = system.propagation.stats()
+        assert stats["planned"] == stats["refreshes"] + stats["skipped_poisoned"]
+        assert stats["pending"] == 0
+        # The anchors keep node1's and node2's SRC included, so at least
+        # half of the notifies reached a live source.
+        assert stats["waves"] >= 150
+        assert stats["refreshes"] > 0
+        assert system.included_handler_count == 0
+
+
 class TestSchedulerCancelRace:
     """A task cancelled while (or just before) firing must never refresh
     after ``unregister`` / ``subscription.cancel()`` returns.
@@ -233,15 +273,10 @@ class TestSchedulerCancelRace:
     """
 
     def test_no_fire_after_cancel_returns(self):
-        for shards in SHARD_COUNTS:
-            self.run_cancel_race(shards)
-
-    def run_cancel_race(self, shards: int) -> None:
         clock = SystemClock()
         scheduler = ThreadedScheduler(clock, pool_size=4)
         system = MetadataSystem(
             clock, scheduler, lock_policy=FineGrainedLockPolicy(),
-            shards=shards,
         )
         owner = _attach_registry(system, "node")
         fires: list[int] = []
