@@ -14,6 +14,7 @@ Two pieces:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,12 +38,10 @@ class Shedder(Operator):
     base_cost_per_element = 0.1  # dropping is nearly free
 
     def __init__(self, name: str, seed: int = 0) -> None:
-        import numpy as np  # deferred: see repro.sources.synthetic.StreamDriver
-
         super().__init__(name)
         self.drop_probability = 0.0
         self.dropped = 0
-        self._rng = np.random.default_rng(seed)
+        self._rng = random.Random(seed)
 
     def on_element(self, element: StreamElement, port: int) -> None:
         if self.drop_probability > 0.0 and self._rng.random() < self.drop_probability:

@@ -19,8 +19,9 @@ reports those so the baseline can be re-written and ratcheted down.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.analysis.findings import Finding
 

@@ -54,8 +54,9 @@ from __future__ import annotations
 
 import ast
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.findings import CODES, Finding
 from repro.analysis.lockcheck import (

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 __all__ = [
     "Severity",

@@ -57,9 +57,10 @@ import linecache
 import threading
 import time
 import traceback
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from repro.analysis.findings import CODES, Finding
 from repro.analysis.lockcheck import LEVELS, suppression_covers

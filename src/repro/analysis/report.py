@@ -14,7 +14,8 @@ The JSON document is the CLI's ``--format json`` schema and round-trips:
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping
+from collections.abc import Mapping
+from typing import Any, Iterable
 
 from repro.analysis.findings import (
     Finding,

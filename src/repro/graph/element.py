@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any, Sequence
 
 from repro.common.errors import SchemaError
 

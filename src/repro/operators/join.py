@@ -20,7 +20,8 @@ estimates need.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional
+from collections.abc import Mapping
+from typing import Any, Callable, Optional
 
 from repro.common.errors import GraphError
 from repro.costmodel import model as costmodel

@@ -9,14 +9,12 @@ traces the PIPES deployments of [8] used.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from repro.common.errors import SimulationError
 from repro.sources.synthetic import ArrivalProcess, StreamDriver
-
-if TYPE_CHECKING:  # pragma: no cover - numpy is imported where it is first used
-    import numpy as np
 
 __all__ = ["Trace", "TraceReplayDriver", "record_trace"]
 
@@ -90,7 +88,7 @@ class TraceReplayDriver(StreamDriver):
 
 
 class _NullArrivals(ArrivalProcess):
-    def next_gap(self, now: float, rng: np.random.Generator) -> float:  # pragma: no cover
+    def next_gap(self, now: float, rng: random.Random) -> float:  # pragma: no cover
         return float("inf")
 
     def mean_rate(self) -> float:  # pragma: no cover
@@ -105,9 +103,7 @@ def record_trace(
     start: float = 0.0,
 ) -> Trace:
     """Materialise a synthetic workload into a replayable :class:`Trace`."""
-    import numpy as np  # deferred: see repro.sources.synthetic.StreamDriver
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     events: list[tuple[float, Any]] = []
     now = start + arrivals.next_gap(start, rng)
     seq = 0

@@ -16,12 +16,12 @@ executor.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+import random
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Any, Callable, Optional, Sequence
 
 from repro.common.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - numpy is imported where it is first used
-    import numpy as np
 
 __all__ = [
     "ArrivalProcess",
@@ -42,7 +42,7 @@ __all__ = [
 class ArrivalProcess:
     """Produces the gap to the next element, given the current time."""
 
-    def next_gap(self, now: float, rng: np.random.Generator) -> float:
+    def next_gap(self, now: float, rng: random.Random) -> float:
         raise NotImplementedError
 
     def mean_rate(self) -> float:
@@ -58,7 +58,7 @@ class ConstantRate(ArrivalProcess):
             raise SimulationError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
 
-    def next_gap(self, now: float, rng: np.random.Generator) -> float:
+    def next_gap(self, now: float, rng: random.Random) -> float:
         return 1.0 / self.rate
 
     def mean_rate(self) -> float:
@@ -73,8 +73,8 @@ class PoissonArrivals(ArrivalProcess):
             raise SimulationError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
 
-    def next_gap(self, now: float, rng: np.random.Generator) -> float:
-        return float(rng.exponential(1.0 / self.rate))
+    def next_gap(self, now: float, rng: random.Random) -> float:
+        return rng.expovariate(self.rate)
 
     def mean_rate(self) -> float:
         return self.rate
@@ -109,7 +109,7 @@ class BurstyArrivals(ArrivalProcess):
     def _position(self, now: float) -> float:
         return (now - self.phase) % self.cycle
 
-    def next_gap(self, now: float, rng: np.random.Generator) -> float:
+    def next_gap(self, now: float, rng: random.Random) -> float:
         gap = 1.0 / self.peak_rate
         position = self._position(now)
         if position + gap <= self.on_duration:
@@ -138,7 +138,7 @@ class DriftingRate(ArrivalProcess):
     def rate_at(self, now: float) -> float:
         return self.base_rate + self.amplitude * math.sin(2 * math.pi * now / self.period)
 
-    def next_gap(self, now: float, rng: np.random.Generator) -> float:
+    def next_gap(self, now: float, rng: random.Random) -> float:
         return 1.0 / self.rate_at(now)
 
     def mean_rate(self) -> float:
@@ -152,7 +152,7 @@ class TraceArrivals(ArrivalProcess):
         self.timestamps = sorted(float(t) for t in timestamps)
         self._index = 0
 
-    def next_gap(self, now: float, rng: np.random.Generator) -> float:
+    def next_gap(self, now: float, rng: random.Random) -> float:
         while self._index < len(self.timestamps) and self.timestamps[self._index] <= now:
             self._index += 1
         if self._index >= len(self.timestamps):
@@ -170,7 +170,7 @@ class TraceArrivals(ArrivalProcess):
 # Value generators
 # ---------------------------------------------------------------------------
 
-ValueGenerator = Callable[["np.random.Generator", int, float], Any]
+ValueGenerator = Callable[[random.Random, int, float], Any]
 
 
 class UniformValues:
@@ -183,8 +183,8 @@ class UniformValues:
         self.low = low
         self.high = high
 
-    def __call__(self, rng: np.random.Generator, seq: int, now: float) -> dict:
-        return {self.field: int(rng.integers(self.low, self.high)), "seq": seq}
+    def __call__(self, rng: random.Random, seq: int, now: float) -> dict:
+        return {self.field: rng.randrange(self.low, self.high), "seq": seq}
 
 
 class NormalValues:
@@ -197,31 +197,32 @@ class NormalValues:
         self.mean = mean
         self.stddev = stddev
 
-    def __call__(self, rng: np.random.Generator, seq: int, now: float) -> dict:
-        return {self.field: float(rng.normal(self.mean, self.stddev)), "seq": seq}
+    def __call__(self, rng: random.Random, seq: int, now: float) -> dict:
+        return {self.field: rng.normalvariate(self.mean, self.stddev), "seq": seq}
 
 
 class ZipfValues:
     """Zipf-skewed categorical values in ``[0, n)`` — skewed join keys.
 
-    Uses an explicit truncated-Zipf CDF (numpy's ``zipf`` is unbounded).
+    Uses an explicit truncated-Zipf CDF: a draw ``u`` in ``[0, 1)`` maps to
+    the first rank whose cumulative probability is at least ``u``.
     """
 
     def __init__(self, field: str = "k", n: int = 100, skew: float = 1.1) -> None:
-        import numpy as np  # deferred: see StreamDriver
-
         if n <= 0 or skew <= 0:
             raise SimulationError("invalid Zipf parameters")
         self.field = field
         self.n = n
         self.skew = skew
-        weights = np.arange(1, n + 1, dtype=float) ** (-skew)
-        self._cdf = np.cumsum(weights / weights.sum())
+        weights = [rank ** -skew for rank in range(1, n + 1)]
+        total = math.fsum(weights)  # sum() of floats rounds differently from 3.12 on
+        self._cdf = list(accumulate(weight / total for weight in weights))
+        # Rounding can leave the sum a hair below 1.0; a draw in that gap
+        # would map to rank n, outside [0, n).
+        self._cdf[-1] = 1.0
 
-    def __call__(self, rng: np.random.Generator, seq: int, now: float) -> dict:
-        u = rng.random()
-        value = int(self._cdf.searchsorted(u))
-        return {self.field: value, "seq": seq}
+    def __call__(self, rng: random.Random, seq: int, now: float) -> dict:
+        return {self.field: bisect_left(self._cdf, rng.random()), "seq": seq}
 
 
 class SequentialValues:
@@ -230,7 +231,7 @@ class SequentialValues:
     def __init__(self, field: str = "x") -> None:
         self.field = field
 
-    def __call__(self, rng: np.random.Generator, seq: int, now: float) -> dict:
+    def __call__(self, rng: random.Random, seq: int, now: float) -> dict:
         return {self.field: seq, "seq": seq}
 
 
@@ -250,14 +251,10 @@ class StreamDriver:
         seed: int = 0,
         start: float = 0.0,
     ) -> None:
-        # Imported here, not at module level: `import repro` stays numpy-free
-        # for processes that only build registries.
-        import numpy as np
-
         self.source = source
         self.arrivals = arrivals
         self.values = values if values is not None else UniformValues()
-        self.rng = np.random.default_rng(seed)
+        self.rng = random.Random(seed)
         self.start = float(start)
         self.produced = 0
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 import math
 import threading
-from typing import Iterator, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Iterator, Sequence
 
 from repro.common.histogram import FixedBoundHistogram
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.sources.synthetic import (
 
 
 def collect_arrivals(process, duration, seed=0):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     now = process.next_gap(0.0, rng)
     times = []
     while now <= duration:
@@ -107,7 +108,7 @@ class TestTraceArrivals:
 class TestValueGenerators:
     def test_uniform_bounds_and_seq(self):
         gen = UniformValues("v", 10, 20)
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         for seq in range(50):
             payload = gen(rng, seq, 0.0)
             assert 10 <= payload["v"] < 20
@@ -119,23 +120,53 @@ class TestValueGenerators:
 
     def test_normal_distribution_shape(self):
         gen = NormalValues("v", mean=100.0, stddev=5.0)
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         values = [gen(rng, i, 0.0)["v"] for i in range(2000)]
         assert np.mean(values) == pytest.approx(100.0, abs=0.5)
         assert np.std(values) == pytest.approx(5.0, rel=0.1)
 
     def test_zipf_is_skewed(self):
         gen = ZipfValues("k", n=50, skew=1.5)
-        rng = np.random.default_rng(2)
+        rng = random.Random(2)
         values = [gen(rng, i, 0.0)["k"] for i in range(5000)]
         assert all(0 <= v < 50 for v in values)
         counts = np.bincount(values, minlength=50)
         assert counts[0] > counts[10] > 0  # heavy head
 
+    def test_zipf_top_draw_stays_in_range(self):
+        class TopDraw:
+            def random(self):
+                return math.nextafter(1.0, 0.0)
+
+        assert ZipfValues("k", n=50, skew=1.5)(TopDraw(), 0, 0.0)["k"] == 49
+
     def test_sequential(self):
         gen = SequentialValues("x")
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert [gen(rng, i, 0.0)["x"] for i in range(3)] == [0, 1, 2]
+
+
+class TestGoldenDraws:
+    """The first draws for seed 0, pinned so every supported Python agrees."""
+
+    @pytest.mark.parametrize("generator, expected", [
+        (UniformValues("v", 0, 100), [49, 97, 53, 5, 33]),
+        (NormalValues("v", 10.0, 2.0),
+         [9.632263557813484, 10.065008258155164, 11.39765538650796,
+          9.80726430996945, 12.827015580096242]),
+        (ZipfValues("v", n=50, skew=1.5), [9, 5, 0, 0, 1]),
+    ], ids=["uniform", "normal", "zipf"])
+    def test_values(self, generator, expected):
+        rng = random.Random(0)
+        draws = [generator(rng, seq, 0.0)["v"] for seq in range(5)]
+        assert draws == pytest.approx(expected, rel=1e-12)
+
+    def test_poisson_gaps(self):
+        rng = random.Random(0)
+        process = PoissonArrivals(2.0)
+        assert [process.next_gap(0.0, rng) for _ in range(5)] == pytest.approx(
+            [0.9303035555326117, 0.7093145764858809, 0.2728565727707964,
+             0.14982115610690708, 0.35797737488357534], rel=1e-12)
 
 
 class TestStreamDriver:
