@@ -64,6 +64,9 @@ class QueryGraph:
         self.default_metadata_period = default_metadata_period
         self._nodes: dict[str, GraphNode] = {}
         self._queues: list[StreamQueue] = []
+        # Nodes whose input queues may hold elements: every push adds its
+        # consumer, and :meth:`pending_nodes` forgets the ones it finds empty.
+        self._ready: set[GraphNode] = set()
         self.frozen = False
         self._updating = False
         self._pending_nodes: list[GraphNode] = []
@@ -116,7 +119,7 @@ class QueryGraph:
         if isinstance(producer, Sink):
             raise WiringError(f"cannot connect out of sink {producer.name}")
         queue = StreamQueue(producer, consumer, port=len(consumer.upstream_nodes),
-                            capacity=capacity)
+                            capacity=capacity, ready=self._ready)
         consumer._add_upstream(producer, queue)
         producer.output_queues.append(queue)
         self._queues.append(queue)
@@ -340,6 +343,26 @@ class QueryGraph:
                 f"node {node.name} has no metadata registry; call freeze() first"
             )
         return node.metadata.subscribe(key)
+
+    def pending_nodes(self) -> list[GraphNode]:
+        """The nodes with queued input, read off the ready set (the
+        schedulers' readiness: no node is asked that nothing was pushed to).
+
+        A ready node found empty is forgotten.  A producer thread may push
+        to it between that check and the discard, so the node is checked
+        once more after the discard; the push appends before it marks, so
+        the node is either seen here or marked again.
+        """
+        ready = self._ready
+        nodes: list[GraphNode] = []
+        for node in tuple(ready):
+            if not node.has_pending():
+                ready.discard(node)
+                if not node.has_pending():
+                    continue
+                ready.add(node)
+            nodes.append(node)
+        return nodes
 
     def total_pending_elements(self) -> int:
         """Elements buffered in all inter-operator queues (Chain's objective)."""

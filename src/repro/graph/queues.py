@@ -5,6 +5,10 @@ elements between producer and consumer.  Queue lengths are the quantity the
 Chain scheduling strategy [5] minimises, so queues keep enqueue/dequeue
 statistics and expose their length to the owning operator's
 ``operator.queue_length`` metadata item.
+
+A push also marks the consumer *ready*: it joins the graph's ready set, so
+an operator scheduler reads which nodes have work instead of asking every
+node at every step (see :meth:`QueryGraph.pending_nodes`).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ class StreamQueue:
         consumer: "GraphNode",
         port: int,
         capacity: int | None = None,
+        ready: set | None = None,
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"queue capacity must be positive, got {capacity}")
@@ -43,6 +48,9 @@ class StreamQueue:
         self.dropped = 0  # elements rejected at capacity (load shedding)
         self.peak_length = 0
         self.closed = False
+        # The set the consumer joins when an element arrives (the graph's
+        # ready set; a queue built on its own keeps a private one).
+        self._ready = ready if ready is not None else set()
 
     def push(self, element: StreamElement) -> bool:
         """Enqueue ``element``; returns False when dropped at capacity."""
@@ -52,6 +60,9 @@ class StreamQueue:
             self.dropped += 1
             return False
         self._elements.append(element)
+        # Append first, mark second: a scheduler that forgets the consumer
+        # re-checks the queue after the discard, so one of the two sees it.
+        self._ready.add(self.consumer)
         self.enqueued += 1
         if len(self._elements) > self.peak_length:
             self.peak_length = len(self._elements)

@@ -210,12 +210,12 @@ class MetadataHandler:
         refresh is a one-source wave (a scheduler tick publishes through its
         own wave instead, see :meth:`PeriodicHandler.periodic_refresh`)."""
         tel = self.registry.system.telemetry
-        t0 = time.monotonic() if tel is not None else 0.0
+        t0 = time.monotonic_ns() if tel is not None else 0
         publish = self._refresh_value()
         if tel is not None:
             node, key = self.names
             tel.emit(HandlerRefresh(node=node, key=key, changed=publish,
-                                    duration=time.monotonic() - t0))
+                                    duration=(time.monotonic_ns() - t0) / 1e9))
         if publish:
             self.registry.propagation.value_changed(self)
 

@@ -156,7 +156,8 @@ class _WaveTrace:
                                     sources=sources, folded=folded,
                                     pending=pending)
         self._via: tuple[str, ...] = ()
-        self._started = self._stopwatch = time.monotonic()
+        # Whole nanoseconds, as the wire format writes durations.
+        self._started = self._stopwatch = time.monotonic_ns()
 
     def planned(self, size: int) -> None:
         self._summary.wave_size = size
@@ -177,11 +178,11 @@ class _WaveTrace:
         """The next member is about to recompute: keep the dependency edges
         the wave crossed into it and start the stopwatch."""
         self._via = tuple([dep.ident for dep in changed_preds])
-        self._stopwatch = time.monotonic()
+        self._stopwatch = time.monotonic_ns()
 
     def refreshed(self, handler: "MetadataHandler", outcome: "bool | str",
                   is_source: bool) -> None:
-        duration = time.monotonic() - self._stopwatch
+        duration = (time.monotonic_ns() - self._stopwatch) / 1e9
         if outcome is _EXCLUDED:
             self.suppressed(handler, "excluded")
             return
@@ -198,7 +199,7 @@ class _WaveTrace:
                                duration=duration, via=self._via))
 
     def end(self) -> None:
-        self._summary.duration = time.monotonic() - self._started
+        self._summary.duration = (time.monotonic_ns() - self._started) / 1e9
         self._emit(self._summary)
 
 

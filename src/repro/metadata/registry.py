@@ -214,6 +214,12 @@ class MetadataSystem:
         """
         if self.telemetry is None:
             telemetry = Telemetry(self.clock, capacity)
+            # Handlers included before the hub came are named on the wire
+            # with their mechanism too.
+            for registry in self.registries():
+                for key in registry.included_keys():
+                    handler = registry.handler(key)
+                    telemetry.mechanisms[handler.names] = handler.mechanism.value
             self.telemetry = telemetry
             self.propagation.telemetry = telemetry
             self.scheduler.telemetry = telemetry

@@ -192,7 +192,7 @@ class PeriodicScheduler:
             lateness = max(0.0, self.clock.now() - deadline)
             task.total_lateness += lateness
         tel = self.telemetry
-        t0 = time.monotonic() if tel is not None else 0.0
+        t0 = time.monotonic_ns() if tel is not None else 0
         outcome: "bool | str" = False
         try:
             outcome = task.handler.periodic_refresh() is True
@@ -216,7 +216,7 @@ class PeriodicScheduler:
             # The refresh's only record: periodic_refresh emits none.
             node, key = task.handler.names
             tel.emit(HandlerRefresh(node=node, key=key, changed=outcome is True,
-                                    duration=time.monotonic() - t0,
+                                    duration=(time.monotonic_ns() - t0) / 1e9,
                                     queue_latency=lateness,
                                     error=outcome is FAILED, mode=self.mode))
             if outcome is FAILED and delay is not None:

@@ -17,6 +17,10 @@ volume shed per unit cost); the priority of *o* is the steepest such slope
 (the lower envelope's first segment starting at *o*).  At each step the ready
 operator with the highest priority runs — sinks are always drained first
 since delivering results frees queue memory at zero processing cost.
+
+Every strategy reads the same readiness: the graph's ready set, which queue
+pushes fill (:meth:`~repro.graph.graph.QueryGraph.pending_nodes`), so a step
+costs the handful of nodes that have work, not a scan of the whole plan.
 """
 
 from __future__ import annotations
@@ -52,27 +56,38 @@ class RoundRobinScheduler(OperatorScheduler):
     """Cycles through operators and sinks in topological order."""
 
     def __init__(self) -> None:
-        self._nodes: list[GraphNode] = []
+        self._graph: Optional[QueryGraph] = None
+        self._position: dict[GraphNode, int] = {}
         self._cursor = 0
 
     def attach(self, graph: QueryGraph) -> None:
         if not graph.frozen:
             raise GraphError("scheduler requires a frozen graph")
-        self._nodes = [
-            node for node in graph.topological_order()
-            if isinstance(node, (Operator, Sink))
-        ]
+        self._graph = graph
+        nodes = [node for node in graph.topological_order()
+                 if isinstance(node, (Operator, Sink))]
+        self._position = {node: index for index, node in enumerate(nodes)}
         self._cursor = 0
 
     def next_node(self) -> Optional[GraphNode]:
-        nodes, cursor = self._nodes, self._cursor
-        count = len(nodes)
-        for offset in range(count):
-            node = nodes[(cursor + offset) % count]
-            if node.has_pending():
-                self._cursor = (cursor + offset + 1) % count
-                return node
-        return None
+        """The ready node first at or after the cursor in topological order:
+        the node a scan of every node from the cursor would stop at."""
+        if self._graph is None:
+            return None
+        position, cursor = self._position, self._cursor
+        count = len(position)
+        best: Optional[GraphNode] = None
+        best_offset = count
+        for node in self._graph.pending_nodes():
+            index = position.get(node)
+            if index is None:
+                continue
+            offset = (index - cursor) % count
+            if offset < best_offset:
+                best, best_offset = node, offset
+        if best is not None:
+            self._cursor = (cursor + best_offset + 1) % count
+        return best
 
 
 class ChainScheduler(OperatorScheduler):
@@ -83,6 +98,10 @@ class ChainScheduler(OperatorScheduler):
         self._graph: Optional[QueryGraph] = None
         self._operators: list[Operator] = []
         self._sinks: list[Sink] = []
+        # Topological positions: the first ready sink, and the tie-break
+        # between operators of equal priority.
+        self._sink_position: dict[GraphNode, int] = {}
+        self._operator_position: dict[GraphNode, int] = {}
         self._subscriptions: dict[str, MetadataSubscription] = {}
         self._priorities: dict[str, float] = {}
         self._last_refresh = -math.inf
@@ -95,6 +114,8 @@ class ChainScheduler(OperatorScheduler):
         order = graph.topological_order()
         self._operators = [n for n in order if isinstance(n, Operator)]
         self._sinks = [n for n in order if isinstance(n, Sink)]
+        self._sink_position = {n: i for i, n in enumerate(self._sinks)}
+        self._operator_position = {n: i for i, n in enumerate(self._operators)}
         # The scheduler is a metadata consumer: one subscription to the
         # average selectivity of every operator it schedules.
         for operator in self._operators:
@@ -155,15 +176,19 @@ class ChainScheduler(OperatorScheduler):
         if now - self._last_refresh >= self.refresh_interval:
             self._recompute_priorities()
             self._last_refresh = now
+        pending = self._graph.pending_nodes() if self._graph else []
         # Sinks first: result delivery frees memory for free.
-        for sink in self._sinks:
-            if sink.has_pending():
-                return sink
-        ready = [op for op in self._operators if op.has_pending()]
+        sink_position = self._sink_position
+        sinks = [node for node in pending if node in sink_position]
+        if sinks:
+            return min(sinks, key=sink_position.__getitem__)
+        position = self._operator_position
+        ready = [node for node in pending if node in position]
         if not ready:
             return None
-        return max(ready, key=lambda op: (self._priorities.get(op.name, 0.0),
-                                          -self._operators.index(op)))
+        priorities = self._priorities
+        return max(ready, key=lambda op: (priorities.get(op.name, 0.0),
+                                          -position[op]))
 
 
 class PriorityScheduler(OperatorScheduler):
@@ -180,6 +205,9 @@ class PriorityScheduler(OperatorScheduler):
         self._graph: Optional[QueryGraph] = None
         self._operators: list[Operator] = []
         self._sinks: list[Sink] = []
+        # Sinks, then operators, each in topological order: the order a
+        # priority tie is broken in.
+        self._position: dict[GraphNode, int] = {}
         self._subscriptions: dict[str, MetadataSubscription] = {}
         self._effective: dict[str, float] = {}
 
@@ -190,6 +218,8 @@ class PriorityScheduler(OperatorScheduler):
         order = graph.topological_order()
         self._operators = [n for n in order if isinstance(n, Operator)]
         self._sinks = [n for n in order if isinstance(n, Sink)]
+        self._position = {
+            n: i for i, n in enumerate([*self._sinks, *self._operators])}
         for sink in self._sinks:
             self._subscriptions[sink.name] = sink.metadata.subscribe(md.PRIORITY)
         self._recompute()
@@ -220,9 +250,10 @@ class PriorityScheduler(OperatorScheduler):
         return self._effective.get(node.name, float("-inf"))
 
     def next_node(self) -> Optional[GraphNode]:
-        ready_sinks = [s for s in self._sinks if s.has_pending()]
-        ready_ops = [o for o in self._operators if o.has_pending()]
-        candidates = ready_sinks + ready_ops
+        position = self._position
+        pending = self._graph.pending_nodes() if self._graph else []
+        candidates = sorted([node for node in pending if node in position],
+                            key=position.__getitem__)
         if not candidates:
             return None
         sink_priority = {

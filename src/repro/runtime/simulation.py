@@ -131,10 +131,9 @@ class SimulationExecutor:
             if not math.isinf(self.service_capacity):
                 self._credits -= 1.0
         # Backlog remains but the budget is spent: continue one quantum later.
-        # The nodes are asked, not the scheduler: ``next_node`` is a choice,
-        # and a choice that is not stepped skips that node's turn.
-        if self._drain_timer is None and any(
-                node.has_pending() for node in self.graph.nodes()):
+        # The graph's readiness is read, not the scheduler: ``next_node`` is
+        # a choice, and a choice that is not stepped skips that node's turn.
+        if self._drain_timer is None and self.graph.pending_nodes():
             def resume() -> None:
                 self._drain_timer = None
                 self._drain()

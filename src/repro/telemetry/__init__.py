@@ -19,7 +19,10 @@ the machinery maintaining it — observable in motion:
   batches off the trace bus and ships traces + metric snapshots to rotating
   jsonl files, a TCP line-protocol peer, or in-memory fan-out subscribers —
   with O(batch) memory and exact drop accounting under overload
-  (``telemetry.attach_exporter(...)``).
+  (``telemetry.attach_exporter(...)``);
+* :mod:`repro.telemetry.wire` — the normalized line stream the line sinks
+  write (handler ids declared once per stream, defaults omitted, integer
+  nanoseconds) and :func:`load_trace`, which reads it back into events.
 
 Telemetry is off by default and costs a single ``is None`` check per hook
 while disabled — the same zero-overhead-when-inactive discipline the paper's
@@ -30,6 +33,8 @@ monitoring probes follow.  Enable it per system::
     print(render_dashboard(telemetry))
     print(explain_refresh(telemetry, join, md.EST_CPU_USAGE))
     prometheus_text = telemetry.metrics.to_prometheus()
+    # ...or, from an exported file:
+    print(explain_refresh(load_trace("trace.jsonl"), join, md.EST_CPU_USAGE))
 """
 
 from repro.telemetry.events import (
@@ -73,6 +78,7 @@ from repro.telemetry.sinks import (
     TcpLineSink,
 )
 from repro.telemetry.trace import TraceBus, TraceSubscription, jsonl_writer
+from repro.telemetry.wire import StreamEncoder, decode_lines, load_trace
 
 __all__ = [
     "Telemetry",
@@ -108,6 +114,9 @@ __all__ = [
     "explain_refresh",
     "format_span",
     "jsonl_writer",
+    "StreamEncoder",
+    "decode_lines",
+    "load_trace",
     "event_to_dict",
     "key_of",
     "node_of",

@@ -35,10 +35,8 @@ stands still.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = [
     "TraceEvent",
@@ -65,10 +63,6 @@ __all__ = [
     "key_of",
     "node_of",
     "event_to_dict",
-    "render_lines",
-    "COMPACT",
-    "SPACED",
-    "ENCODERS",
 ]
 
 
@@ -369,17 +363,6 @@ class AnalysisFinding(TraceEvent):
     subject: str = ""
 
 
-class _CompiledPerClass(dict):
-    """``event class -> renderer``; a class is compiled at its first event."""
-
-    def __init__(self, compile: Callable[[type[TraceEvent]], Any]) -> None:
-        self._compile = compile
-
-    def __missing__(self, cls: type[TraceEvent]) -> Any:
-        render = self[cls] = self._compile(cls)
-        return render
-
-
 def _compile_renderer(cls: type[TraceEvent]) -> Callable[[Any], dict[str, Any]]:
     """``lambda e: {"kind": <kind>, "span": e.span, ...}`` for one class.
 
@@ -392,7 +375,15 @@ def _compile_renderer(cls: type[TraceEvent]) -> Callable[[Any], dict[str, Any]]:
     return eval(f"lambda e: {{'kind': {cls.kind!r}{items}}}")
 
 
-_RENDERERS = _CompiledPerClass(_compile_renderer)
+class _Renderers(dict):
+    """``event class -> renderer``; a class is compiled at its first event."""
+
+    def __missing__(self, cls: type[TraceEvent]) -> Callable[[Any], dict[str, Any]]:
+        render = self[cls] = _compile_renderer(cls)
+        return render
+
+
+_RENDERERS = _Renderers()
 
 
 def event_to_dict(event: TraceEvent) -> dict[str, Any]:
@@ -404,98 +395,3 @@ def event_to_dict(event: TraceEvent) -> dict[str, Any]:
     event, and nothing is copied.
     """
     return _RENDERERS[type(event)](event)
-
-
-#: ``(item separator, key separator)`` of the two wire formats: compact for
-#: the export sinks, ``json.dumps``'s own default for ``trace.jsonl_writer``.
-COMPACT = (",", ":")
-SPACED = (", ", ": ")
-
-#: The generic encoder of each wire format, built once (``json.dumps`` with
-#: non-default arguments builds a ``JSONEncoder`` per call).  It encodes the
-#: records that are not events (``metrics.snapshot``) and, inside an event
-#: line, any field value that is not of the field's declared type.
-ENCODERS = {
-    separators: json.JSONEncoder(default=str, separators=separators).encode
-    for separators in (COMPACT, SPACED)
-}
-
-#: Per declared field type (the type of the field's default): the guard
-#: under which a value has one cheap JSON spelling, and that spelling.
-#: ``type(x) is`` keeps a bool out of an int field and an int out of a float
-#: field; ``x - x == 0.0`` is false for ``inf`` and ``nan``, whose spelling
-#: stays the encoder's business — as does a field of any other type.  A
-#: tuple field (``via``, ``folded``) is spelled by ``array``, which returns
-#: ``None`` for anything but a tuple of ``str`` / ``int``.
-_SPELLINGS = {
-    bool: "T if {x} is True else F if {x} is False else ",
-    int: "{x} if type({x}) is int else ",
-    float: "float_repr({x}) if type({x}) is float and {x} - {x} == 0.0 else ",
-    str: "escape({x}) if type({x}) is str else ",
-    tuple: "array({x}) or ",
-}
-
-
-def _array_spelling(item_sep: str) -> Callable[[Any], "str | None"]:
-    """The JSON array a tuple of ``str`` / ``int`` encodes to, or ``None``."""
-    escape = json.encoder.encode_basestring_ascii
-
-    def array(values: Any) -> "str | None":
-        if type(values) is not tuple:
-            return None
-        items = []
-        for value in values:
-            if type(value) is str:
-                items.append(escape(value))
-            elif type(value) is int:
-                items.append(int.__repr__(value))
-            else:
-                return None
-        return f"[{item_sep.join(items)}]"
-
-    return array
-
-
-def _compile_line(
-    separators: tuple[str, str], cls: type[TraceEvent]
-) -> Callable[[Any], str]:
-    r"""``lambda e: f'{"kind":"wave.summary","span":{e.span if ... },...}\n'``.
-
-    The line ``ENCODERS[separators]`` produces for ``event_to_dict(e)``, byte
-    for byte, with no dict and no encoder run per event: key text is escaped
-    here, once, and each field is one guarded expression from
-    :data:`_SPELLINGS` that leaves any value not of the declared type to the
-    generic encoder — for that value only.
-    """
-    item_sep, key_sep = separators
-    escape = json.encoder.encode_basestring_ascii
-
-    def literal(text: str) -> str:
-        # A JSON string, spelled for the inside of an f'...' literal.
-        return repr(escape(text))[1:-1].replace("{", "{{").replace("}", "}}")
-
-    parts = [f'"kind"{key_sep}{literal(cls.kind)}']
-    for field in dataclasses.fields(cls):
-        x = f"e.{field.name}"
-        spelling = _SPELLINGS.get(type(field.default), "").format(x=x)
-        parts.append(
-            f"{literal(field.name)}{key_sep}{{{spelling}encode({x})}}")
-    return eval(f"lambda e: f'{{{{{item_sep.join(parts)}}}}}\\n'", {
-        "T": "true", "F": "false", "escape": escape,
-        "float_repr": float.__repr__, "encode": ENCODERS[separators],
-        "array": _array_spelling(item_sep),
-    })
-
-
-_LINES = {
-    separators: _CompiledPerClass(functools.partial(_compile_line, separators))
-    for separators in ENCODERS
-}
-
-
-def render_lines(
-    events: Iterable[TraceEvent], separators: tuple[str, str] = COMPACT
-) -> str:
-    """``events`` as newline-terminated ASCII JSON lines of one wire format."""
-    lines = _LINES[separators]
-    return "".join([lines[type(event)](event) for event in events])

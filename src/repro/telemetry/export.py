@@ -22,7 +22,8 @@ discipline):
   loss.
 * **own drainer thread** — batches of up to ``batch_size`` events are
   handed to every sink as one :class:`~repro.telemetry.sinks.EventBatch`
-  (the JSON lines rendered once for all line sinks, record dicts only for a
+  (the normalized JSON lines of :mod:`repro.telemetry.wire` rendered once
+  by the exporter's encoder for all line sinks, record dicts only for a
   sink that iterates); a failing sink is counted
   (``export_sink_errors_total``) and skipped for that batch, never retried
   synchronously, never allowed to stall the other sinks.
@@ -54,6 +55,7 @@ from typing import Any, Sequence, TYPE_CHECKING
 
 from repro.telemetry.sinks import EventBatch, ExportSink, Record
 from repro.telemetry.trace import TraceSubscription
+from repro.telemetry.wire import StreamEncoder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (hub -> export)
     from repro.telemetry.hub import Telemetry
@@ -155,6 +157,9 @@ class TelemetryExporter:
         ]
         self.metrics_snapshots = 0
         self.subscription: TraceSubscription = telemetry.bus.subscribe(name)
+        #: Renders every batch's lines; its ids are shared by the sinks'
+        #: line streams.
+        self.encoder = StreamEncoder(telemetry.mechanisms)
         # Serializes delivery between the drainer thread and explicit
         # flush()/close() callers; sinks therefore never see concurrent
         # write_batch calls from one exporter.
@@ -218,7 +223,7 @@ class TelemetryExporter:
             batch = self.subscription.pop_batch(self.batch_size)
             if not batch:
                 return 0
-            self._deliver(EventBatch(batch))
+            self._deliver(EventBatch(batch, self.encoder))
             return len(batch)
 
     def _deliver(self, records: Sequence[Record]) -> None:

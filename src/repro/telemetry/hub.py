@@ -2,11 +2,12 @@
 
 A :class:`Telemetry` instance is what the runtime's instrumentation hooks
 talk to.  It owns a :class:`~repro.telemetry.trace.TraceBus` and a
-:class:`~repro.telemetry.metrics.MetricsRegistry`; :meth:`Telemetry.emit`
-buffers the event and folds it into the matching metric series in one call,
-so hooks never need to know about metric names.  Which series an event moves
-is data: :data:`_FOLDS` maps each event class to its fold, :data:`_SERIES`
-lists every series a fold may address.
+:class:`~repro.telemetry.metrics.MetricsRegistry`; :attr:`Telemetry.emit`
+stamps the event, buffers it and folds it into the matching metric series in
+one call, so hooks never need to know about metric names.  Which series an
+event moves is data: :func:`_bind_folds` binds one fold per event class to
+the hub's series once, and :data:`_SERIES` lists every series a fold may
+address.
 
 Telemetry is **off by default** and attached per
 :class:`~repro.metadata.registry.MetadataSystem` via
@@ -21,18 +22,21 @@ Human-facing views:
 * :func:`render_dashboard` — a text dashboard of the aggregated series
   (the upgraded ``examples/monitoring_dashboard.py`` output), and
 * :func:`explain_refresh` — the Figure-3-style causal cascade behind the
-  most recent refresh of one handler, reconstructed from the wave span.
+  most recent refresh of one handler, reconstructed from the wave span —
+  from the live bus, or from an exported file read back with
+  :func:`~repro.telemetry.wire.load_trace`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from repro.common.clock import Clock
 from repro.telemetry import events as ev
 from repro.telemetry.metrics import MetricsRegistry, SIZE_BOUNDS
-from repro.telemetry.trace import TraceBus
+from repro.telemetry.trace import Folds, TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (export -> hub)
     from repro.telemetry.export import TelemetryExporter
@@ -41,28 +45,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (export -> hub)
 __all__ = ["Telemetry", "render_dashboard", "explain_refresh", "format_span"]
 
 
-class _BoundInstruments(dict[Any, Any]):
-    """One hub's instruments, keyed the way folds address them.
+class _Series(dict[Any, Any]):
+    """One series of one hub: label value -> instrument (``None`` for an
+    unlabelled series, a tuple of values for a series with several labels).
 
-    A key is the series name (unlabelled series) or ``(series, *label
-    values)`` in the label order of :data:`_SERIES`.  A missing key is bound
-    through the registry's public get-or-create, so a series appears in
-    snapshots exactly when its first event is folded; from then on a fold
-    never calls get-or-create — it pays one dict lookup plus ``inc`` /
-    ``observe``.  (Two threads missing the same key both receive the
-    registry's one instrument, so the race is benign.)
+    A missing value is bound through the registry's public get-or-create,
+    so a series appears in snapshots exactly when its first event is
+    folded; from then on a fold pays one lookup on the label value and
+    moves the instrument's state directly — folds run under the bus lock,
+    which serializes them, so they skip the registry lock.  (The registry
+    lock still guards creation and reads; two hubs never share a series.)
     """
 
-    def __init__(self, metrics: MetricsRegistry) -> None:
+    def __init__(self, metrics: MetricsRegistry, name: str) -> None:
         super().__init__()
         self._metrics = metrics
+        self._name = name
 
-    def __missing__(self, key: Any) -> Any:
-        name, *values = key if isinstance(key, tuple) else (key,)
-        kind, label_names, *bounds = _SERIES[name]
+    def __missing__(self, value: Any) -> Any:
+        kind, label_names, *bounds = _SERIES[self._name]
+        values = value if isinstance(value, tuple) else (value,) * len(label_names)
         labels = dict(zip(label_names, values, strict=True))
-        create = getattr(self._metrics, kind)
-        instrument = self[key] = create(name, labels, *bounds)
+        instrument = self[value] = getattr(self._metrics, kind)(
+            self._name, labels, *bounds)
         return instrument
 
 
@@ -114,117 +119,169 @@ _SERIES: dict[str, tuple[Any, ...]] = {
 }
 
 
-_Fold = Callable[[_BoundInstruments, Any], None]
+_Fold = Callable[[Any], None]
 
 
-def _fold_exclude(b: _BoundInstruments, e: ev.ExcludeEvent) -> None:
-    if e.removed:
-        b["excludes_total", e.node].inc()
+def _bind_folds(metrics: MetricsRegistry,
+                mechanisms: dict[tuple[str, str], str]) -> dict[type, _Fold]:
+    """The aggregation spec, bound to one hub's series: event class ->
+    ``fold(event)``, which moves that event's series.
 
+    Counters and gauges move ``_value``, histograms observe into ``_hist``:
+    the instruments' own methods would take the registry lock per update,
+    and the bus lock the folds run under already serializes them.  A
+    ``HandlerCreated`` also records the handler's mechanism for the wire
+    format's name rows.
+    """
+    s = functools.partial(_Series, metrics)
+    subscribes, unsubscribes = s("subscribes_total"), s("unsubscribes_total")
+    includes, excludes = s("includes_total"), s("excludes_total")
+    created, retired = s("handlers_created_total"), s("handlers_retired_total")
+    live, probes = s("handlers_live"), s("probes_active")
+    refreshes, durations = (s("handler_refreshes_total"),
+                            s("refresh_duration_seconds"))
+    waves, sizes, depths = (s("waves_total"), s("wave_size"),
+                            s("wave_queue_depth"))
+    coalesced, hops = s("waves_coalesced_total"), s("wave_hops_total")
+    wave_refreshes, wave_errors = (s("wave_refreshes_total"),
+                                   s("wave_errors_total"))
+    suppressed, poisoned = s("wave_suppressed_total"), s("wave_poisoned_total")
+    wave_durations = s("wave_duration_seconds")
+    ticks, tick_errors = (s("scheduler_refreshes_total"),
+                          s("scheduler_errors_total"))
+    latencies, runs = (s("scheduler_queue_latency"),
+                       s("scheduler_run_duration_seconds"))
+    mode_errors = s("scheduler_refresh_errors_total")
+    cancels, races, timeouts = (s("scheduler_cancels_total"),
+                                s("scheduler_cancel_races_total"),
+                                s("scheduler_cancel_timeouts_total"))
+    failures, deadlines = (s("handler_failures_total"),
+                           s("handler_deadline_exceeded_total"))
+    retries, half_open = s("handler_retries_total"), s("circuit_probes_total")
+    opened, open_now, closed = (s("circuits_opened_total"), s("circuits_open"),
+                                s("circuits_closed_total"))
+    findings = s("analysis_findings_total")
 
-def _fold_handler_created(b: _BoundInstruments, e: ev.HandlerCreated) -> None:
-    b["handlers_created_total", e.node, e.mechanism].inc()
-    b["handlers_live"].inc()
+    def subscribe(e: ev.SubscribeEvent) -> None:
+        subscribes[e.node]._value += 1
 
+    def unsubscribe(e: ev.UnsubscribeEvent) -> None:
+        unsubscribes[e.node]._value += 1
 
-def _fold_handler_retired(b: _BoundInstruments, e: ev.HandlerRetired) -> None:
-    b["handlers_retired_total", e.node, e.mechanism].inc()
-    b["handlers_live"].dec()
+    def include(e: ev.IncludeEvent) -> None:
+        includes[e.node, "true" if e.shared else "false"]._value += 1
 
+    def exclude(e: ev.ExcludeEvent) -> None:
+        if e.removed:
+            excludes[e.node]._value += 1
 
-def _fold_handler_refresh(b: _BoundInstruments, e: ev.HandlerRefresh) -> None:
-    if not e.mode:
-        # A manual refresh (or an on-demand read under a failure policy).
-        b["handler_refreshes_total", e.node].inc()
-        b["refresh_duration_seconds"].observe(e.duration)
-        return
-    # A tick seed moves the scheduler's series only: its refreshes are
-    # ``scheduler_refreshes_total - scheduler_errors_total``, its durations
-    # ``scheduler_run_duration_seconds``.
-    b["scheduler_refreshes_total", e.node].inc()
-    b["scheduler_queue_latency"].observe(e.queue_latency)
-    b["scheduler_run_duration_seconds"].observe(e.duration)
-    if e.error:
-        b["scheduler_errors_total", e.node].inc()
-        b["scheduler_refresh_errors_total", e.mode].inc()
+    def handler_created(e: ev.HandlerCreated) -> None:
+        created[e.node, e.mechanism]._value += 1
+        live[None]._value += 1.0
+        mechanisms[e.node, e.key] = e.mechanism
 
+    def handler_retired(e: ev.HandlerRetired) -> None:
+        retired[e.node, e.mechanism]._value += 1
+        live[None]._value -= 1.0
 
-def _fold_wave_refresh(b: _BoundInstruments, e: ev.WaveRefresh) -> None:
-    b["wave_refreshes_total", e.node].inc()
-    b["refresh_duration_seconds"].observe(e.duration)
-    if e.via:
-        b["wave_hops_total"].inc(len(e.via))
-    if e.error:
-        b["wave_errors_total", e.node].inc()
+    def handler_refresh(e: ev.HandlerRefresh) -> None:
+        if not e.mode:
+            # A manual refresh (or an on-demand read under a failure policy).
+            refreshes[e.node]._value += 1
+            durations[None]._hist.observe(e.duration)
+            return
+        # A tick seed moves the scheduler's series only: its refreshes are
+        # ``scheduler_refreshes_total - scheduler_errors_total``, its
+        # durations ``scheduler_run_duration_seconds``.
+        ticks[e.node]._value += 1
+        latencies[None]._hist.observe(e.queue_latency)
+        runs[None]._hist.observe(e.duration)
+        if e.error:
+            tick_errors[e.node]._value += 1
+            mode_errors[e.mode]._value += 1
 
+    def probe_activated(e: ev.ProbeActivated) -> None:
+        probes[None]._value += 1.0
 
-def _fold_wave_summary(b: _BoundInstruments, e: ev.WaveSummary) -> None:
-    b["waves_total"].inc()
-    b["wave_size"].observe(e.wave_size)
-    b["wave_queue_depth"].observe(e.pending)
-    if e.folded:
-        b["waves_coalesced_total"].inc(len(e.folded))
-    b["wave_duration_seconds"].observe(e.duration)
+    def probe_deactivated(e: ev.ProbeDeactivated) -> None:
+        probes[None]._value -= 1.0
 
+    def wave_refresh(e: ev.WaveRefresh) -> None:
+        wave_refreshes[e.node]._value += 1
+        durations[None]._hist.observe(e.duration)
+        if e.via:
+            hops[None]._value += len(e.via)
+        if e.error:
+            wave_errors[e.node]._value += 1
 
-def _fold_scheduler_cancel(b: _BoundInstruments, e: ev.SchedulerCancel) -> None:
-    b["scheduler_cancels_total"].inc()
-    if e.in_flight:
-        b["scheduler_cancel_races_total"].inc()
-    if e.timed_out:
-        b["scheduler_cancel_timeouts_total"].inc()
+    def wave_suppressed(e: ev.WaveSuppressed) -> None:
+        suppressed[e.reason]._value += 1
 
+    def wave_poisoned(e: ev.WavePoisoned) -> None:
+        poisoned[e.reason]._value += 1
 
-def _fold_handler_failure(b: _BoundInstruments, e: ev.HandlerFailure) -> None:
-    b["handler_failures_total", e.node].inc()
-    if e.deadline_exceeded:
-        b["handler_deadline_exceeded_total"].inc()
+    def wave_summary(e: ev.WaveSummary) -> None:
+        waves[None]._value += 1
+        sizes[None]._hist.observe(e.wave_size)
+        depths[None]._hist.observe(e.pending)
+        if e.folded:
+            coalesced[None]._value += len(e.folded)
+        wave_durations[None]._hist.observe(e.duration)
 
+    def scheduler_cancel(e: ev.SchedulerCancel) -> None:
+        cancels[None]._value += 1
+        if e.in_flight:
+            races[None]._value += 1
+        if e.timed_out:
+            timeouts[None]._value += 1
 
-def _fold_circuit_open(b: _BoundInstruments, e: ev.CircuitOpen) -> None:
-    b["circuits_opened_total"].inc()
-    # A reopen (failed probe) never left the open family, so the gauge is
-    # only moved on first opens; CircuitClose decrements.
-    if not e.reopened:
-        b["circuits_open"].inc()
+    def handler_failure(e: ev.HandlerFailure) -> None:
+        failures[e.node]._value += 1
+        if e.deadline_exceeded:
+            deadlines[None]._value += 1
 
+    def retry_scheduled(e: ev.RetryScheduled) -> None:
+        retries[None]._value += 1
 
-def _fold_circuit_close(b: _BoundInstruments, e: ev.CircuitClose) -> None:
-    b["circuits_closed_total"].inc()
-    b["circuits_open"].dec()
+    def circuit_open(e: ev.CircuitOpen) -> None:
+        opened[None]._value += 1
+        # A reopen (failed probe) never left the open family, so the gauge
+        # is only moved on first opens; CircuitClose decrements.
+        if not e.reopened:
+            open_now[None]._value += 1.0
 
+    def circuit_half_open(e: ev.CircuitHalfOpen) -> None:
+        half_open[None]._value += 1
 
-def _fold_nothing(b: _BoundInstruments, e: ev.TraceEvent) -> None:
-    """Fold of an event class the hub keeps no series for."""
+    def circuit_close(e: ev.CircuitClose) -> None:
+        closed[None]._value += 1
+        open_now[None]._value -= 1.0
 
+    def analysis_finding(e: ev.AnalysisFinding) -> None:
+        findings[e.code]._value += 1
 
-#: The aggregation spec: event class -> ``fold(bound, event)``, which moves
-#: that event's series.  :meth:`Telemetry.emit` dispatches on
-#: ``type(event)``; a subclass of a listed class resolves to its nearest
-#: listed base once per hub, anything else to ``_fold_nothing``.
-_FOLDS: dict[type, _Fold] = {
-    ev.SubscribeEvent: lambda b, e: b["subscribes_total", e.node].inc(),
-    ev.UnsubscribeEvent: lambda b, e: b["unsubscribes_total", e.node].inc(),
-    ev.IncludeEvent: lambda b, e: b[
-        "includes_total", e.node, "true" if e.shared else "false"].inc(),
-    ev.ExcludeEvent: _fold_exclude,
-    ev.HandlerCreated: _fold_handler_created,
-    ev.HandlerRetired: _fold_handler_retired,
-    ev.HandlerRefresh: _fold_handler_refresh,
-    ev.ProbeActivated: lambda b, e: b["probes_active"].inc(),
-    ev.ProbeDeactivated: lambda b, e: b["probes_active"].dec(),
-    ev.WaveRefresh: _fold_wave_refresh,
-    ev.WaveSuppressed: lambda b, e: b["wave_suppressed_total", e.reason].inc(),
-    ev.WavePoisoned: lambda b, e: b["wave_poisoned_total", e.reason].inc(),
-    ev.WaveSummary: _fold_wave_summary,
-    ev.SchedulerCancel: _fold_scheduler_cancel,
-    ev.HandlerFailure: _fold_handler_failure,
-    ev.RetryScheduled: lambda b, e: b["handler_retries_total"].inc(),
-    ev.CircuitOpen: _fold_circuit_open,
-    ev.CircuitHalfOpen: lambda b, e: b["circuit_probes_total"].inc(),
-    ev.CircuitClose: _fold_circuit_close,
-    ev.AnalysisFinding: lambda b, e: b["analysis_findings_total", e.code].inc(),
-}
+    return {
+        ev.SubscribeEvent: subscribe,
+        ev.UnsubscribeEvent: unsubscribe,
+        ev.IncludeEvent: include,
+        ev.ExcludeEvent: exclude,
+        ev.HandlerCreated: handler_created,
+        ev.HandlerRetired: handler_retired,
+        ev.HandlerRefresh: handler_refresh,
+        ev.ProbeActivated: probe_activated,
+        ev.ProbeDeactivated: probe_deactivated,
+        ev.WaveRefresh: wave_refresh,
+        ev.WaveSuppressed: wave_suppressed,
+        ev.WavePoisoned: wave_poisoned,
+        ev.WaveSummary: wave_summary,
+        ev.SchedulerCancel: scheduler_cancel,
+        ev.HandlerFailure: handler_failure,
+        ev.RetryScheduled: retry_scheduled,
+        ev.CircuitOpen: circuit_open,
+        ev.CircuitHalfOpen: circuit_half_open,
+        ev.CircuitClose: circuit_close,
+        ev.AnalysisFinding: analysis_finding,
+    }
 
 
 class Telemetry:
@@ -240,16 +297,23 @@ class Telemetry:
         self.metrics = MetricsRegistry(prefix)
         #: Export pipelines attached via :meth:`attach_exporter`.
         self.exporters: list[TelemetryExporter] = []
-        self._bound = _BoundInstruments(self.metrics)
-        # Starts as the spec; grows one entry per other event class seen.
-        self._folds = dict(_FOLDS)
+        #: ``(node, key) -> mechanism`` of every handler this hub has heard
+        #: of (created since, or live when ``enable_telemetry`` attached it):
+        #: what the wire format's name rows declare.
+        self.mechanisms: dict[tuple[str, str], str] = {}
+        self.bus.folds = Folds(_bind_folds(self.metrics, self.mechanisms))
+        #: Buffer ``event`` and fold it into the metric series: the bus's
+        #: :meth:`~repro.telemetry.trace.TraceBus.record`, one call.
+        self.emit: Callable[[ev.TraceEvent], ev.TraceEvent] = self.bus.record
         # Ring overwrites were previously visible only on the bus object;
         # mirroring them into a counter puts overload on every dashboard
         # and wire-format export.
+        self._dropped = _Series(self.metrics, "trace_events_dropped_total")
         self.bus.on_drop = self._count_ring_drop
 
     def _count_ring_drop(self) -> None:
-        self._bound["trace_events_dropped_total"].inc()
+        # Called outside the bus lock, so through the instrument's own lock.
+        self._dropped[None].inc()
 
     # -- export pipelines ---------------------------------------------------
 
@@ -288,22 +352,6 @@ class Telemetry:
         for exporter in self.exporters:
             exporter.close()
         self.exporters.clear()
-
-    # -- capture + aggregation ---------------------------------------------
-
-    def emit(self, event: ev.TraceEvent) -> None:
-        """Buffer ``event`` and fold it into the metric series."""
-        self.bus.record(event)
-        fold = self._folds.get(type(event))
-        if fold is None:
-            fold = self._resolve_fold(type(event))
-        fold(self._bound, event)
-
-    def _resolve_fold(self, cls: type[ev.TraceEvent]) -> _Fold:
-        fold = next((_FOLDS[base] for base in cls.__mro__ if base in _FOLDS),
-                    _fold_nothing)
-        self._folds[cls] = fold
-        return fold
 
     # -- introspection ------------------------------------------------------
 
@@ -537,10 +585,13 @@ def _format_events(span: int, events: Sequence[ev.TraceEvent]) -> str:
     return "\n".join([f"span {span} ({len(lines)} events)", *lines])
 
 
-def explain_refresh(telemetry: Telemetry, node: Any, key: Any) -> str:
+def explain_refresh(trace: "Telemetry | Sequence[ev.TraceEvent]", node: Any,
+                    key: Any) -> str:
     """Why did this handler refresh?  Render the causal wave cascade behind
-    the most recent (buffered) refresh of ``(node, key)``.
+    the most recent refresh of ``(node, key)``.
 
+    ``trace`` is a live hub (its buffered events are read) or the events of
+    an export read back by :func:`~repro.telemetry.wire.load_trace`.
     ``node`` may be a graph node or a name; ``key`` a ``MetadataKey`` or its
     string form.  Returns the span log of the triggering wave narrowed to
     the item's causal ancestors: the enqueueing change, every dependency hop
@@ -552,12 +603,14 @@ def explain_refresh(telemetry: Telemetry, node: Any, key: Any) -> str:
     (compute failure, poisoned input, or quarantine skip) rather than a
     refresh, the explanation leads with that failure causality instead.
     """
+    events = trace.bus.events() if isinstance(trace, Telemetry) else trace
     node_name = str(getattr(node, "name", node))
     key_name = ev.key_of(key)
     latest: ev.TraceEvent | None = None
-    for kind in ("wave.refresh", "wave.poisoned"):
-        for event in reversed(telemetry.bus.events(kind=kind)):
-            if event.node == node_name and event.key == key_name:  # type: ignore[attr-defined]
+    target = (node_name, key_name)
+    for kind in (ev.WaveRefresh.kind, ev.WavePoisoned.kind):
+        for event in reversed(events):
+            if event.kind == kind and (event.node, event.key) == target:  # type: ignore[attr-defined]
                 if latest is None or event.mono > latest.mono:
                     latest = event
                 break
@@ -573,8 +626,9 @@ def explain_refresh(telemetry: Telemetry, node: Any, key: Any) -> str:
             f"why did {node_name}/{key_name} refresh?  "
             f"(last refresh at t={latest.ts:g})"
         )
+    span = [event for event in events if event.span == latest.span]
     return header + "\n" + _format_events(latest.span, _causal_ancestors(
-        telemetry.bus.span_events(latest.span), _ident(node_name, key_name)))
+        span, _ident(node_name, key_name)))
 
 
 def _causal_ancestors(events: Sequence[ev.TraceEvent],

@@ -5,9 +5,9 @@ TelemetryExporter`: it receives *batches* of plain-dict records on the
 exporter's drainer thread — never on an emitting thread.  A batch of trace
 events arrives as an :class:`EventBatch`, which iterates and ``len()``s as
 the events' :func:`~repro.telemetry.events.event_to_dict` records, built
-only if a sink asks, and carries the batch's JSON-lines ``payload``,
-rendered once and shared by every line sink; the periodic
-``metrics.snapshot`` record arrives as a one-element list.
+only if a sink asks, and carries the batch's normalized ``payload`` lines
+(:mod:`repro.telemetry.wire`), rendered once and shared by every line sink;
+the periodic ``metrics.snapshot`` record arrives as a one-element list.
 
 The contract every sink implements:
 
@@ -24,12 +24,13 @@ Shipped sinks:
 
 ``JsonlFileSink``
     JSON-lines to a rotating file set (``path``, ``path.1`` … ``path.N``) —
-    bounded disk, constant memory.
+    bounded disk, constant memory.  Every file is a line stream of its own.
 ``TcpLineSink``
     JSON-lines over one TCP connection with lazy connect and exponential
     reconnect backoff; while the peer is down, batches are dropped-and-
     counted instead of buffered (bounded memory beats completeness here —
-    the ring already absorbed the burst once).
+    the ring already absorbed the burst once).  Every connection is a line
+    stream of its own.
 ``FanOutSink``
     In-memory pub-sub: many dashboard clients tail one exporter, each
     through its own bounded buffer with per-subscriber drop accounting.
@@ -46,8 +47,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any, IO, Iterator, Sequence
 
-from repro.telemetry.events import (
-    COMPACT, ENCODERS, TraceEvent, event_to_dict, render_lines)
+from repro.telemetry.events import TraceEvent, event_to_dict
+from repro.telemetry.wire import StreamEncoder, encode_json
 
 __all__ = [
     "EventBatch",
@@ -66,11 +67,17 @@ class EventBatch(Sequence[Record]):
 
     A sequence of record dicts, built from the events the first time a sink
     iterates or indexes it (a line sink never does, nor a
-    :class:`FanOutSink` nobody tails), plus :attr:`payload`.
+    :class:`FanOutSink` nobody tails), plus :attr:`payload`, rendered by
+    ``encoder`` — the exporter's, whose ids its line streams share; a batch
+    built without one gets an encoder of its own.
     """
 
-    def __init__(self, events: Sequence[TraceEvent]) -> None:
+    def __init__(self, events: Sequence[TraceEvent],
+                 encoder: StreamEncoder | None = None) -> None:
         self._events = events
+        self.encoder = encoder if encoder is not None else StreamEncoder()
+        #: Ids the encoder had declared before this batch.
+        self.declared_before = 0
 
     @functools.cached_property
     def records(self) -> list[Record]:
@@ -78,9 +85,12 @@ class EventBatch(Sequence[Record]):
 
     @functools.cached_property
     def payload(self) -> str:
-        """The batch as compact JSON lines, rendered once, straight from the
-        events (ASCII, so ``len(payload)`` is its size on the wire)."""
-        return render_lines(self._events)
+        """The batch as normalized JSON lines, rendered once, straight from
+        the events (ASCII, so ``len(payload)`` is its size on the wire).
+        It declares the ids it uses first; the ones declared before it are
+        :attr:`declared_before`."""
+        self.declared_before = self.encoder.declared
+        return self.encoder.encode(self._events)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -90,14 +100,6 @@ class EventBatch(Sequence[Record]):
 
     def __getitem__(self, index: Any) -> Any:
         return self.records[index]
-
-
-def encode_lines(records: Sequence[Record]) -> str:
-    """Render a batch as newline-terminated compact JSON lines."""
-    if isinstance(records, EventBatch):
-        return records.payload
-    encode = ENCODERS[COMPACT]
-    return "".join([encode(record) + "\n" for record in records])
 
 
 class ExportSink:
@@ -119,7 +121,35 @@ class ExportSink:
         return f"{type(self).__name__}({self.name!r})"
 
 
-class JsonlFileSink(ExportSink):
+class _LineSink(ExportSink):
+    """A sink that writes one line stream at a time.
+
+    It tracks which of its encoder's ids the current stream has declared,
+    so a new stream (a rotated file, a reconnect) declares, before its
+    first batch, every id that batch uses without declaring it.
+    """
+
+    def __init__(self) -> None:
+        self._encoder: StreamEncoder | None = None
+        self._declared = 0
+
+    def _new_stream(self) -> None:
+        self._encoder = None  # the next batch's encoder restarts the count
+
+    def _lines(self, records: Sequence[Record]) -> str:
+        """The text of ``records`` for the current stream."""
+        if not isinstance(records, EventBatch):
+            return "".join([encode_json(record) + "\n" for record in records])
+        payload = records.payload
+        encoder = records.encoder
+        if encoder is not self._encoder:
+            self._encoder, self._declared = encoder, 0
+        missing = encoder.name_rows[self._declared:records.declared_before]
+        self._declared = encoder.declared
+        return "".join(missing) + payload if missing else payload
+
+
+class JsonlFileSink(_LineSink):
     """JSON-lines into a rotating file set.
 
     When the active file reaches ``max_bytes`` it is rotated: ``path`` is
@@ -142,6 +172,7 @@ class JsonlFileSink(ExportSink):
             raise ValueError(f"max_bytes must be >= 1 or None, got {max_bytes}")
         if max_files < 1:
             raise ValueError(f"max_files must be >= 1, got {max_files}")
+        super().__init__()
         self.path = Path(path)
         self.max_bytes = max_bytes
         self.max_files = max_files
@@ -154,11 +185,12 @@ class JsonlFileSink(ExportSink):
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._stream = self.path.open("a", encoding="utf-8")
             self._bytes = self.path.stat().st_size
+            self._new_stream()
         return self._stream
 
     def write_batch(self, records: Sequence[Record]) -> None:
         stream = self._ensure_open()
-        payload = encode_lines(records)
+        payload = self._lines(records)
         stream.write(payload)
         self._bytes += len(payload)
         if self.max_bytes is not None and self._bytes >= self.max_bytes:
@@ -191,7 +223,7 @@ class JsonlFileSink(ExportSink):
             self._stream = None
 
 
-class TcpLineSink(ExportSink):
+class TcpLineSink(_LineSink):
     """JSON-lines over a single TCP connection, with reconnect/backoff.
 
     The socket is connected lazily on the first batch.  A connect or send
@@ -218,6 +250,7 @@ class TcpLineSink(ExportSink):
         if backoff <= 0 or max_backoff < backoff:
             raise ValueError(
                 f"need 0 < backoff <= max_backoff, got {backoff}/{max_backoff}")
+        super().__init__()
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
@@ -258,13 +291,14 @@ class TcpLineSink(ExportSink):
             raise
         sock.settimeout(self.connect_timeout)
         self._sock = sock
+        self._new_stream()
         self._consecutive_failures = 0
         self.connects += 1
         return sock
 
     def write_batch(self, records: Sequence[Record]) -> None:
         sock = self._ensure_connected()
-        payload = encode_lines(records).encode("utf-8")
+        payload = self._lines(records).encode("utf-8")
         try:
             sock.sendall(payload)
         except OSError:

@@ -31,6 +31,7 @@ from repro.telemetry.sinks import (
     TcpLineSink,
 )
 from repro.telemetry.trace import TraceBus, jsonl_writer
+from repro.telemetry.wire import StreamEncoder
 
 
 class CollectingSink(ExportSink):
@@ -568,22 +569,22 @@ class TestFanOutSink:
 # ---------------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, name: str) -> list[int]:
-    """Wrap ``sinks_module.<name>``; the returned list grows by one per call."""
+def _count_calls(monkeypatch, name: str, owner=sinks_module) -> list[int]:
+    """Wrap ``owner.<name>``; the returned list grows by one per call."""
     calls: list[int] = []
-    original = getattr(sinks_module, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(sinks_module, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 class TestEventBatchDelivery:
     def test_line_sinks_share_one_payload_per_batch(self, tmp_path, monkeypatch):
-        renders = _count_calls(monkeypatch, "render_lines")
+        renders = _count_calls(monkeypatch, "encode", StreamEncoder)
         dicts = _count_calls(monkeypatch, "event_to_dict")
         server = _LineReceiver()
         try:
@@ -595,7 +596,8 @@ class TestEventBatchDelivery:
             for i in range(700):
                 tel.emit(WaveRefresh(node=f"n{i}", key="k", duration=i / 7))
             exporter.close()
-            assert _wait_for(lambda: server.line_count() == 700)
+            # 700 events, each on a node of its own: 700 name rows too.
+            assert _wait_for(lambda: server.line_count() == 1400)
             sent = b"".join(line + b"\n" for line in server.lines)
         finally:
             server.stop()
@@ -608,7 +610,7 @@ class TestEventBatchDelivery:
 
     def test_fanout_renders_records_only_for_subscribers(self, monkeypatch):
         dicts = _count_calls(monkeypatch, "event_to_dict")
-        renders = _count_calls(monkeypatch, "render_lines")
+        renders = _count_calls(monkeypatch, "encode", StreamEncoder)
         tel = Telemetry(capacity=4096)
         fan = FanOutSink()
         exporter = tel.attach_exporter(fan, metrics_interval=None, start=False)
@@ -741,8 +743,9 @@ class TestJsonlWriterHardening:
         bus = TraceBus(VirtualClock())
         bus.listen(writer)
         bus.record(WaveSummary(source="n/k"))
-        line = json.loads(stream.getvalue())
-        assert line["kind"] == "wave.summary"
+        name, line = map(json.loads, stream.getvalue().splitlines())
+        assert (name["kind"], line["kind"]) == ("name", "wave.summary")
+        assert line["id"] == name["id"]
         assert writer.errors == 0
 
 

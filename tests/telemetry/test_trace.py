@@ -124,6 +124,9 @@ class TestListeners:
         bus.record(WaveSummary(span=3, source="a/x", wave_size=2))
         bus.record(WaveRefresh(span=3, node="b", key="y", changed=True))
         lines = [json.loads(line) for line in sink.getvalue().splitlines()]
+        names = [rec for rec in lines if rec["kind"] == "name"]
+        assert [(rec["node"], rec["key"]) for rec in names] == [("a", "x"), ("b", "y")]
+        lines = [rec for rec in lines if rec["kind"] != "name"]
         assert [rec["kind"] for rec in lines] == ["wave.summary", "wave.refresh"]
         assert lines[0]["span"] == lines[1]["span"] == 3
         assert lines[1]["changed"] is True
