@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Analyzer throughput benchmark: verifier and lock lint at plan scale.
+"""Analyzer throughput benchmark: verifier and static lock pass at plan scale.
 
 Pre-flight checking is only viable if it stays far below plan-deployment
 latency.  This benchmark times
@@ -9,9 +9,8 @@ latency.  This benchmark times
   periodic measurement, a triggered estimate depending on the previous
   node's estimate, and an on-demand reader), and
 * :func:`repro.analysis.lockcheck.lint_paths` over the shipped runtime
-  (``src/repro``), the same corpus the CI self-lint walks,
-* :func:`repro.analysis.callgraph.build_call_graph` + its fixpoint findings
-  over the same corpus (the interprocedural deadlock pass), and
+  (``src/repro``) — the whole static lock pass, LK000-LK007 from one parse
+  and one walk per file, over the largest tree the CI self-lint walks, and
 * :func:`repro.analysis.lockgraph.analyze_payload` cycle detection over
   synthetic lock-order graphs of growing size (a ring of N locks plus one
   order-reversing edge, the worst case for SCC extraction).
@@ -35,7 +34,6 @@ import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis.callgraph import build_call_graph
 from repro.analysis.lockcheck import lint_paths
 from repro.analysis.lockgraph import analyze_payload
 from repro.analysis.plan import build_index, verify_system
@@ -141,7 +139,7 @@ def main() -> int:
     parser.add_argument("--output", type=Path, default=None)
     args = parser.parse_args()
 
-    report: dict = {"verifier": [], "lint": {}}
+    report: dict = {"verifier": [], "lock_pass": {}}
 
     print(f"{'nodes':>6} {'items':>7} {'index (ms)':>11} {'verify (ms)':>12} "
           f"{'findings':>9}")
@@ -163,26 +161,14 @@ def main() -> int:
                 "synthetic chain plan must verify clean; got: "
                 + "; ".join(str(f) for f in findings))
 
-    lint_s = best_of(lambda: lint_paths([str(SRC_REPRO)]), args.rounds)
+    pass_s = best_of(lambda: lint_paths([str(SRC_REPRO)]), args.rounds)
+    lock_findings = lint_paths([str(SRC_REPRO)])
     n_files = len(list(SRC_REPRO.rglob("*.py")))
-    print(f"\nlock lint over src/repro: {lint_s * 1e3:.1f} ms "
-          f"({n_files} files, {lint_s / n_files * 1e3:.2f} ms/file)")
-    report["lint"] = {"seconds": lint_s, "files": n_files}
-
-    build_s = best_of(lambda: build_call_graph([str(SRC_REPRO)]), args.rounds)
-    graph = build_call_graph([str(SRC_REPRO)])
-    findings_s = best_of(graph.findings, args.rounds)
-    inter_findings = graph.findings()
-    print(f"interprocedural pass over src/repro: build {build_s * 1e3:.1f} ms "
-          f"({len(graph.functions)} functions), "
-          f"fixpoint+findings {findings_s * 1e3:.2f} ms, "
-          f"{len(inter_findings)} findings")
-    report["interprocedural"] = {
-        "build_seconds": build_s,
-        "findings_seconds": findings_s,
-        "functions": len(graph.functions),
-        "findings": len(inter_findings),
-    }
+    print(f"\nstatic lock pass over src/repro: {pass_s * 1e3:.1f} ms "
+          f"({n_files} files, {pass_s / n_files * 1e3:.2f} ms/file), "
+          f"{len(lock_findings)} findings")
+    report["lock_pass"] = {"seconds": pass_s, "files": n_files,
+                           "findings": len(lock_findings)}
 
     report["lockgraph"] = []
     print(f"\n{'locks':>6} {'edges':>7} {'cycle detect (ms)':>18} "

@@ -10,9 +10,10 @@ fatal interleaving never happened, with both acquisition stacks per edge.
 
 The second half is the static twin: a mis-wired registry whose compute
 path, while holding its item-level ``_lock``, calls a helper that takes the
-graph-level ``structure_lock`` — invisible to a per-function lint, but the
-interprocedural call-graph pass reports it as **LK007** with the full call
-chain.
+graph-level ``structure_lock`` — invisible inside either function alone, but
+the static lock pass follows the call and reports **LK007** with the full
+call chain.  The registry is kept as source text and linted in memory, so
+this file itself stays clean under the repository's self-lint.
 
 Run with::
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.analysis.callgraph import analyze_paths
+from repro.analysis.lockcheck import lint_source
 from repro.analysis.lockgraph import record_locks
 from repro.analysis.report import render_text
 from repro.common.rwlock import ReentrantRWLock
@@ -48,9 +49,12 @@ class MisorderedCache:
                 self.counters["right"] += 1
 
 
-class MiswiredRegistry:
-    """A compute path that re-enters the graph level under its item lock."""
+#: A compute path that re-enters the graph level under its item lock.
+MISWIRED_REGISTRY = """\
+from repro.common.rwlock import ReentrantRWLock
 
+
+class MiswiredRegistry:
     def __init__(self) -> None:
         self.structure_lock = ReentrantRWLock("graph")
         self._lock = ReentrantRWLock("item:demo")
@@ -62,9 +66,10 @@ class MiswiredRegistry:
 
     def compute_under_item_lock(self, key: str) -> None:
         with self._lock.write():
-            # Three frames up this becomes a graph-lock acquisition — the
-            # per-function lint cannot see it; LK007 can.
+            # One frame down this becomes a graph-lock acquisition — no
+            # single function shows it; LK007 follows the call.
             self._register_globally(key)
+"""
 
 
 def main() -> None:
@@ -84,10 +89,10 @@ def main() -> None:
           f"({recorder.acquisitions} acquisitions, no deadlock occurred) ==")
     print(render_text(runtime_findings, verbose=True))
 
-    # -- static half: whole-program analysis of this very file -------------
-    static_findings = analyze_paths([__file__])
+    # -- static half: the lock pass over the mis-wired registry ------------
+    static_findings = lint_source(MISWIRED_REGISTRY, "miswired_registry.py")
     print()
-    print("== interprocedural analysis of this file ==")
+    print("== static lock pass over miswired_registry.py ==")
     print(render_text(static_findings, verbose=True))
 
     codes = sorted({f.code for f in runtime_findings}

@@ -1,25 +1,23 @@
-"""Static analyzers for the metadata runtime.
+"""Analyzers for the metadata runtime.
 
-Two analyzer families behind one findings pipeline:
+Three analyzers behind one findings pipeline:
 
 * :mod:`repro.analysis.plan` — the **plan verifier**: pure functions over a
   live :class:`~repro.metadata.registry.MetadataSystem` that reject the
   paper's correctness pitfalls (Sections 3.1-3.2, Figures 4-5) before a
   single tuple flows — dependency cycles, dangling edges, update-mechanism
-  misuse (codes ``MD001``-``MD008``).
-* :mod:`repro.analysis.lockcheck` — the **lock-discipline lint**: a stdlib
-  ``ast`` pass that knows the graph -> node -> item lock hierarchy and flags
+  misuse (codes ``MD001``-``MD009``).
+* :mod:`repro.analysis.lockcheck` — the **static lock pass**: one stdlib
+  ``ast`` walk that knows the graph -> node -> item lock hierarchy and flags
   inversions, blocking calls under locks, read->write upgrades, and silent
-  broad excepts in critical sections (codes ``LK001``-``LK005``).
-* :mod:`repro.analysis.callgraph` — the **interprocedural pass**: a
-  whole-program call graph with may-block / may-acquire(level) summaries
-  that catches transitive blocking calls and lock-order inversions through
-  call chains (codes ``LK006``/``LK007``).
-* :mod:`repro.analysis.lockgraph` — the **deadlock sanitizer**: a runtime
-  lock-order recorder fed by the ``ReentrantRWLock`` observer hook; cycle
-  detection over the recorded graph reports potential deadlocks, hierarchy
-  inversions, and locks held across blocking calls (codes
-  ``LD001``-``LD003``).
+  broad excepts (codes ``LK000``-``LK005``), plus may-block /
+  may-acquire(level) summaries over the call graph that catch the same
+  blocking calls and inversions through call chains (``LK006``/``LK007``).
+* :mod:`repro.analysis.lockgraph` — the **runtime recorder** (deadlock
+  sanitizer): a lock-order recorder fed by the ``ReentrantRWLock`` observer
+  hook; cycle detection over the recorded graph reports potential
+  deadlocks, hierarchy inversions, and locks held across blocking calls
+  (codes ``LD001``-``LD003``).
 
 All emit :class:`~repro.analysis.findings.Finding` objects; reporters,
 baseline handling, and the ``python -m repro.analysis`` CLI live in
@@ -40,8 +38,7 @@ from repro.analysis.findings import (
     max_severity,
     sort_findings,
 )
-from repro.analysis.callgraph import CallGraph, analyze_paths, build_call_graph
-from repro.analysis.lockcheck import lint_file, lint_paths, lint_source
+from repro.analysis.lockcheck import lint_paths, lint_source, lint_sources
 from repro.analysis.lockgraph import (
     LockOrderRecorder,
     analyze_payload,
@@ -52,9 +49,6 @@ from repro.analysis.plan import PlanIndex, build_index, resolve_plan, verify_sys
 from repro.analysis.report import parse_report, render_json, render_text
 
 __all__ = [
-    "CallGraph",
-    "analyze_paths",
-    "build_call_graph",
     "LockOrderRecorder",
     "analyze_payload",
     "load_payload",
@@ -69,9 +63,9 @@ __all__ = [
     "finding_from_dict",
     "max_severity",
     "sort_findings",
-    "lint_file",
     "lint_paths",
     "lint_source",
+    "lint_sources",
     "PlanIndex",
     "build_index",
     "resolve_plan",

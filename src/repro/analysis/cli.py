@@ -3,17 +3,15 @@
 Usage::
 
     python -m repro.analysis [paths...] [--plan SPEC]...
-                             [--interprocedural] [--lock-report FILE]...
+                             [--lock-report FILE]...
                              [--format text|json] [--fail-on error|warning]
                              [--baseline FILE] [--write-baseline FILE]
                              [--output FILE] [--verbose]
 
-``paths`` are files or directories to run the lock-discipline lint over;
-``--interprocedural`` additionally runs the whole-program call-graph pass
-(codes ``LK006``/``LK007``) over the same paths; ``--lock-report`` analyzes
-a runtime lock-order recording written by
-:meth:`repro.analysis.lockgraph.LockOrderRecorder.save` (or the
-``--record-locks`` pytest option), emitting ``LD001``-``LD003``;
+``paths`` are files or directories to run the static lock pass over (codes
+``LK000``-``LK007``); ``--lock-report`` analyzes a runtime lock-order
+recording written by :meth:`repro.analysis.lockgraph.LockOrderRecorder.save`
+(or the ``--record-locks`` pytest option), emitting ``LD001``-``LD003``;
 ``--plan`` names a plan factory for the graph verifier as either
 ``package.module:factory`` or ``path/to/script.py:factory``.  The factory is
 called with no arguments and may return a ``MetadataSystem`` directly, any
@@ -35,7 +33,6 @@ import sys
 from typing import Callable, Sequence
 
 from repro.analysis.baseline import Baseline, apply_baseline
-from repro.analysis.callgraph import analyze_paths as analyze_interprocedural
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.lockcheck import lint_paths
 from repro.analysis.lockgraph import analyze_payload, load_payload
@@ -75,9 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Analyzers for the metadata runtime: plan verifier "
-                    "(MD001-MD009), lock-discipline lint (LK001-LK005), "
-                    "interprocedural pass (LK006/LK007), and runtime "
-                    "lock-order recordings (LD001-LD003).")
+                    "(MD001-MD009), static lock pass (LK000-LK007), and "
+                    "runtime lock-order recordings (LD001-LD003).")
     parser.add_argument(
         "paths", nargs="*",
         help="files or directories to lint for lock discipline")
@@ -85,10 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--plan", action="append", default=[], metavar="SPEC",
         help="plan factory to verify, as module:factory or file.py:factory "
              "(repeatable)")
-    parser.add_argument(
-        "--interprocedural", action="store_true",
-        help="also run the whole-program call-graph pass over the lint "
-             "paths (transitive blocking/inversion, codes LK006/LK007)")
     parser.add_argument(
         "--lock-report", action="append", default=[], metavar="FILE",
         help="runtime lock-order recording (from --record-locks or "
@@ -129,8 +121,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.paths and not args.plan and not args.lock_report:
         parser.error("nothing to analyze: give lint paths, --plan, "
                      "and/or --lock-report")
-    if args.interprocedural and not args.paths:
-        parser.error("--interprocedural needs lint paths to analyze")
 
     findings: list[Finding] = []
 
@@ -141,8 +131,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.paths:
         findings.extend(lint_paths(args.paths))
-        if args.interprocedural:
-            findings.extend(analyze_interprocedural(args.paths))
 
     for report_path in args.lock_report:
         try:

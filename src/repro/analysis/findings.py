@@ -77,9 +77,9 @@ class CodeInfo:
 
 #: Every code the analyzer families can emit.  ``MD``-codes come from the
 #: plan verifier (metadata dependency graphs and update-mechanism misuse);
-#: ``LK``-codes from the lock-discipline lint (``LK006``/``LK007`` from its
-#: interprocedural upgrade); ``LD``-codes from the runtime lock-order
-#: recorder (:mod:`repro.analysis.lockgraph`).
+#: ``LK``-codes from the static lock pass (:mod:`repro.analysis.lockcheck`);
+#: ``LD``-codes from the runtime lock-order recorder
+#: (:mod:`repro.analysis.lockgraph`).
 CODES: dict[str, CodeInfo] = {
     info.code: info
     for info in (

@@ -1,13 +1,15 @@
-"""Lock-discipline lint over the runtime's source (codes ``LK001``+).
+"""Static lock-discipline pass over the runtime's source (codes ``LK000``+).
 
-PR 1 established the documented lock hierarchy **graph -> node -> item**
+The runtime documents one lock hierarchy, **graph -> node -> item**
 (``repro.metadata.locks.LOCK_HIERARCHY``, docs/METADATA_GUIDE.md
-"Concurrency model") by hand; nothing so far *prevented* the next change
-from silently violating it.  This module is that tooling: a stdlib-``ast``
-pass that walks every function, tracks the locks held along each
-``with``-statement nesting, and flags
+"Concurrency model").  This module keeps the next change from silently
+violating it: a stdlib-``ast`` pass that parses every file once, walks every
+function tracking the locks held along each ``with``-statement nesting, and
+joins the functions into a call graph so chains across functions and
+modules are checked too:
 
 =====  ====================================================================
+LK000  the file could not be parsed
 LK001  acquiring an earlier-level lock while holding a later one (e.g. an
        item lock held while the node or graph lock is requested) — the
        classic lock-inversion deadlock shape
@@ -23,12 +25,18 @@ LK005  a bare/broad ``except`` anywhere whose body neither re-raises,
        logs, nor records the error (no counter increment, no assignment
        to an error-named slot) — failures that leave no trace are what
        make refresh problems undiagnosable in production
+LK006  a call made under a hierarchy lock whose callee *may block*
+       (transitively) — the convoy/latency hazard LK002 cannot see
+LK007  a call made under a hierarchy lock whose callee *may acquire* a
+       strictly earlier level (e.g. the graph lock requested somewhere
+       below a call made under an item lock) — the transitive form of
+       LK001, reported with the full call chain down to the acquisition
 =====  ====================================================================
 
 How the hierarchy is encoded
 ----------------------------
 
-The lint recognizes hierarchy locks *by naming convention*, which the
+The pass recognizes hierarchy locks *by naming convention*, which the
 runtime follows strictly: an expression ``E.read()`` / ``E.write()`` used as
 a context manager is a hierarchy acquisition when the name or attribute at
 the end of ``E`` matches
@@ -41,15 +49,40 @@ the end of ``E`` matches
 are always per-handler item locks; plain ``with self._lock:`` mutexes do
 not match because they carry no read/write call.)  Plain mutexes and
 conditions (``_mutex``, ``_cond``, names ending in ``lock``) are tracked
-only as generic lock-held regions for LK004.
+only as generic lock-held regions for LK004.  A direct
+``lock.acquire_read()`` / ``acquire_write()`` (the hot element path in
+``graph/node.py``) counts as an acquisition when the receiver's name ends
+in one of the names above.
 
-The analysis is intentionally per-function: cross-function lock flows (a
-callee acquiring under a caller's lock) are invisible, which keeps the lint
-free of false positives at the cost of missing inter-procedural inversions
-— those are what `tests/test_concurrency_stress.py` is for.
+LK006/LK007 summaries
+---------------------
+
+Per function, a *may-block* witness chain (the function can reach a call
+from :data:`BLOCKING_CATALOGUE`) and a *may-acquire(level)* witness chain
+per hierarchy level are computed as a fixpoint over the SCC condensation of
+the call graph (recursion converges because summaries only grow within a
+component).  Call resolution is deliberately conservative — precision over
+recall, so the self-lint of ``src/repro`` stays quiet without suppression
+noise:
+
+* ``f(...)`` — a function in the same (nested) scope, the same module, or
+  an explicit ``from m import f``;
+* ``self.m(...)`` — method ``m`` of the enclosing class, else the unique
+  method of that name repo-wide;
+* ``mod.f(...)`` — ``f`` in an imported module;
+* ``obj.m(...)`` — only when exactly one analyzed function is named ``m``
+  (unique-name heuristic); ambiguous names resolve to nothing.
+
+Lock-acquisition machinery is exempt: ``with lock.read():`` context
+expressions are *acquisitions*, not call sites, and
+:mod:`repro.common.rwlock` itself never seeds a may-block chain — waiting
+for the lock you are acquiring is what acquisition *is*, and ordering
+hazards on it are exactly what LD001/LK007 report.  A blocking call directly
+under the lock is LK002's finding; LK006 never repeats it.
 
 Suppression: append ``# analysis: ignore[LK00x]`` (or a bare
-``# analysis: ignore``) to the offending line.
+``# analysis: ignore``) to the offending line — the call site for
+LK006/LK007.
 """
 
 from __future__ import annotations
@@ -57,19 +90,22 @@ from __future__ import annotations
 import ast
 import os
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, TypeVar
 
 from repro.analysis.findings import CODES, Finding
 
 __all__ = [
     "lint_source",
-    "lint_file",
+    "lint_sources",
     "lint_paths",
     "iter_python_files",
+    "module_name_for",
     "blocking_call",
     "classify_with_item",
     "suppression_covers",
+    "strongly_connected",
     "BLOCKING_CATALOGUE",
     "LEVELS",
 ]
@@ -77,6 +113,8 @@ __all__ = [
 #: Hierarchy levels in acquisition order (mirrors locks.LOCK_HIERARCHY).
 LEVELS: dict[str, int] = {"graph": 0, "node": 1, "item": 2}
 
+#: Lock names -> level.  ``with``-items match the name exactly; direct
+#: ``acquire_*`` receivers match it as a suffix, in this order.
 _LEVEL_BY_NAME: dict[str, str] = {
     "structure_lock": "graph",
     "graph_lock": "graph",
@@ -89,13 +127,22 @@ _GENERIC_LOCK_RE = re.compile(r"(?:^|_)(?:lock|mutex|cond)$")
 
 _IGNORE_RE = re.compile(r"#\s*analysis:\s*ignore(?:\[(?P<codes>[A-Z0-9, ]+)\])?")
 
+#: Modules whose functions never seed nor propagate summaries: the lock
+#: implementation blocks *by definition* (that is what acquiring a contended
+#: lock means) and acquires no hierarchy level of its own — its callers'
+#: ``with``-acquisitions carry the level information.
+_EXEMPT_MODULES = {"repro.common.rwlock"}
+
+#: Direct acquisition methods (``lock.acquire_write()`` outside a ``with``).
+_ACQUIRE_METHODS = {"acquire_read": "read", "acquire_write": "write"}
+
 
 def suppression_covers(line_text: str, code: str) -> bool:
     """True when ``line_text`` carries ``# analysis: ignore`` for ``code``.
 
     A bare ``ignore`` covers every code; ``ignore[LK001, LD002]`` covers the
-    listed codes only.  Shared by the lint, the interprocedural pass and the
-    runtime lock-order recorder so every analyzer honours the same comment.
+    listed codes only.  Shared by this pass and the runtime lock-order
+    recorder so every analyzer honours the same comment.
     """
     match = _IGNORE_RE.search(line_text)
     if not match:
@@ -115,6 +162,34 @@ def _terminal_name(expr: ast.expr) -> str | None:
     return None
 
 
+def _level_of_receiver(name: str) -> str | None:
+    for suffix, level in _LEVEL_BY_NAME.items():
+        if name.endswith(suffix):
+            return level
+    return None
+
+
+def module_name_for(path: str) -> str:
+    """Dotted module name of a source path.
+
+    ``src/repro/analysis/cli.py`` -> ``repro.analysis.cli``; the component
+    after a ``src`` directory starts the package, falling back to a
+    ``repro`` component, falling back to the bare stem.
+    """
+    parts = os.path.normpath(path).split(os.sep)
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts and parts[-1] == "__init__":
+        parts.pop()
+    if "src" in parts:
+        parts = parts[parts.index("src") + 1:]
+    elif "repro" in parts:
+        parts = parts[parts.index("repro"):]
+    else:
+        parts = parts[-1:]
+    return ".".join(p for p in parts if p and p not in (".", "..")) or "<module>"
+
+
 @dataclass(frozen=True)
 class _HeldLock:
     level: str | None      # hierarchy level, or None for generic mutexes
@@ -124,11 +199,7 @@ class _HeldLock:
 
 
 def classify_with_item(item: ast.withitem) -> _HeldLock | None:
-    """Classify one ``with`` context manager as a lock acquisition.
-
-    Public because the interprocedural pass (:mod:`repro.analysis.callgraph`)
-    uses the same classification for its may-acquire summaries.
-    """
+    """Classify one ``with`` context manager as a lock acquisition."""
     ctx = item.context_expr
     # E.read() / E.write(): RW acquisition; hierarchy level from E's name.
     if (isinstance(ctx, ast.Call) and isinstance(ctx.func, ast.Attribute)
@@ -227,10 +298,10 @@ _BLOCKING_SLEEP = {"sleep"}
 #: Human-readable catalogue of the blocking operations the analyzers
 #: recognize.  :func:`blocking_call` is the executable form; this table is
 #: what the documentation renders and what tests assert coverage against.
-#: The interprocedural may-block summaries (:mod:`repro.analysis.callgraph`)
-#: and the runtime recorder's blocking instrumentation
-#: (:mod:`repro.analysis.lockgraph`) both build on the same function, so the
-#: static and dynamic checks agree on what "blocking" means.
+#: LK002 and the LK006 may-block summaries use the same function, and the
+#: runtime recorder's blocking instrumentation
+#: (:mod:`repro.analysis.lockgraph`) builds on this table, so the static and
+#: dynamic checks agree on what "blocking" means.
 BLOCKING_CATALOGUE: dict[str, str] = {
     "sleep": "time.sleep / bare sleep",
     "join": "thread join (str.join excluded by argument shape)",
@@ -315,40 +386,79 @@ def blocking_call(call: ast.Call) -> str | None:
     return None
 
 
-#: Backwards-compatible private alias (the public name is :func:`blocking_call`).
-_blocking_call = blocking_call
+# ---------------------------------------------------------------------------
+# One walk per module: LK000-LK005 plus the facts the summaries need
+# ---------------------------------------------------------------------------
 
 
-class _FunctionLinter(ast.NodeVisitor):
-    """Walks one function body tracking the stack of held locks."""
+@dataclass(frozen=True)
+class _CallSite:
+    """One resolvable call expression inside a function body."""
 
-    def __init__(self, path: str, scope: str, source_lines: Sequence[str],
+    line: int
+    text: str                      # rendered callee expression
+    kind: str                      # "name" | "self" | "dotted" | "attr"
+    base: str                      # receiver name ("" for bare names)
+    attr: str                      # called name
+    holder: _HeldLock | None       # innermost hierarchy lock held, if any
+
+
+@dataclass
+class _Function:
+    qualname: str                  # module.Class.method / module.func
+    module: str
+    scope: str                     # Finding scope: Class.method / func
+    cls: str | None
+    name: str
+    file: str
+    blocking: list[tuple[int, str]] = field(default_factory=list)
+    acquires: list[tuple[int, str, str, str]] = field(default_factory=list)
+    #                 (line, level, expr, mode)
+    calls: list[_CallSite] = field(default_factory=list)
+
+
+@dataclass
+class _Module:
+    name: str
+    file: str
+    source_lines: Sequence[str]
+    imports: dict[str, str] = field(default_factory=dict)       # alias -> module
+    from_imports: dict[str, tuple[str, str]] = field(default_factory=dict)
+    functions: list[_Function] = field(default_factory=list)    # walk order
+
+
+def _emit(findings: list[Finding], module: _Module, code: str, line: int,
+          scope: str, message: str, details: dict[str, Any]) -> None:
+    """Append a finding unless its line carries a matching suppression."""
+    lines = module.source_lines
+    if 1 <= line <= len(lines) and suppression_covers(lines[line - 1], code):
+        return
+    findings.append(Finding(
+        code=code, message=message, severity=CODES[code].severity,
+        file=module.file, line=line, scope=scope, details=details))
+
+
+class _FunctionWalker(ast.NodeVisitor):
+    """Walks one function body tracking the stack of held locks: reports
+    LK001-LK005 and records the function's blocking calls, acquisitions and
+    call sites for the LK006/LK007 summaries."""
+
+    def __init__(self, fn: _Function, module: _Module,
                  findings: list[Finding]) -> None:
-        self.path = path
-        self.scope = scope
-        self.source_lines = source_lines
+        self.fn = fn
+        self.module = module
         self.findings = findings
         self.held: list[_HeldLock] = []
 
-    # -- reporting ---------------------------------------------------------
-
-    def _suppressed(self, line: int, code: str) -> bool:
-        if 1 <= line <= len(self.source_lines):
-            return suppression_covers(self.source_lines[line - 1], code)
-        return False
-
-    def _report(self, code: str, line: int, message: str, **details: object) -> None:
-        if self._suppressed(line, code):
-            return
-        self.findings.append(Finding(
-            code=code, message=message, severity=CODES[code].severity,
-            file=self.path, line=line, scope=self.scope,
-            details=dict(details)))
-
-    # -- nesting ------------------------------------------------------------
+    def _report(self, code: str, line: int, message: str,
+                **details: object) -> None:
+        _emit(self.findings, self.module, code, line, self.fn.scope,
+              message, dict(details))
 
     def _hierarchy_held(self) -> list[_HeldLock]:
         return [lock for lock in self.held if lock.level is not None]
+
+    # -- with regions --------------------------------------------------------
 
     def visit_With(self, node: ast.With) -> None:
         self._handle_with(node)
@@ -361,10 +471,18 @@ class _FunctionLinter(ast.NodeVisitor):
         for item in node.items:
             lock = classify_with_item(item)
             if lock is None:
+                # Not a lock acquisition: its expression runs under the
+                # locks held so far and may block or call out itself
+                # (``with closing(sock.recv(1)):``).
+                self.visit(item.context_expr)
+                if item.optional_vars is not None:
+                    self.visit(item.optional_vars)
                 continue
             if lock.level is not None:
                 self._check_order(lock)
                 self._check_upgrade(lock)
+                self.fn.acquires.append(
+                    (lock.line, lock.level, lock.expr, lock.mode))
             acquired.append(lock)
             self.held.append(lock)
         for stmt in node.body:
@@ -400,13 +518,17 @@ class _FunctionLinter(ast.NodeVisitor):
                     f"first and rely on the write->read downgrade instead",
                     lock=lock.expr)
 
-    # -- blocking calls and swallowed errors -------------------------------
+    # -- calls ---------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self._hierarchy_held():
-            blocking = blocking_call(node)
-            if blocking is not None:
-                holder = self._hierarchy_held()[-1]
+        hierarchy = self._hierarchy_held()
+        holder = hierarchy[-1] if hierarchy else None
+        blocking = blocking_call(node)
+        if blocking is None:
+            self._record_call(node, holder)
+        else:
+            self.fn.blocking.append((node.lineno, blocking))
+            if holder is not None:
                 self._report(
                     "LK002", node.lineno,
                     f"blocking call `{blocking}` while holding "
@@ -415,6 +537,37 @@ class _FunctionLinter(ast.NodeVisitor):
                     f"critical section",
                     call=blocking, lock=holder.expr)
         self.generic_visit(node)
+
+    def _record_call(self, node: ast.Call, holder: _HeldLock | None) -> None:
+        func = node.func
+        # Direct acquisition: ``lock.acquire_write()`` on a level-named
+        # receiver counts as an acquisition, not a call site.
+        if isinstance(func, ast.Attribute) and func.attr in _ACQUIRE_METHODS:
+            level = _level_of_receiver(_terminal_name(func.value) or "")
+            if level is not None:
+                self.fn.acquires.append(
+                    (node.lineno, level, ast.unparse(func.value),
+                     _ACQUIRE_METHODS[func.attr]))
+            return
+        base = ""
+        if isinstance(func, ast.Name):
+            kind, attr = "name", func.id
+        elif isinstance(func, ast.Attribute):
+            attr = func.attr
+            value = func.value
+            if isinstance(value, ast.Name) and value.id == "self":
+                kind = "self"
+            elif isinstance(value, ast.Name):
+                kind, base = "dotted", value.id
+            else:
+                kind = "attr"
+        else:
+            return  # calling a computed expression: unresolvable
+        self.fn.calls.append(_CallSite(
+            line=node.lineno, text=ast.unparse(func), kind=kind, base=base,
+            attr=attr, holder=holder))
+
+    # -- swallowed errors ----------------------------------------------------
 
     def visit_Try(self, node: ast.Try) -> None:
         for handler in node.handlers:
@@ -442,32 +595,38 @@ class _FunctionLinter(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
+    # -- nested scopes -------------------------------------------------------
+
     # Nested function definitions get a fresh lock context (a nested def's
     # body does not run under the enclosing with-statement).
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        _lint_function(self.path, node, self.scope, self.source_lines,
+        _walk_function(node, self.fn.scope, self.fn.cls, self.module,
                        self.findings)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        _lint_function(self.path, node, self.scope, self.source_lines,
+        _walk_function(node, self.fn.scope, self.fn.cls, self.module,
                        self.findings)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
-        return  # lambdas cannot contain with-statements
+        return  # opaque: a lambda body runs at an unknown time/lock context
 
 
-def _lint_function(path: str, node: ast.FunctionDef | ast.AsyncFunctionDef,
-                   parent_scope: str, source_lines: Sequence[str],
+def _walk_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
+                   parent_scope: str, cls: str | None, module: _Module,
                    findings: list[Finding]) -> None:
     scope = f"{parent_scope}.{node.name}" if parent_scope else node.name
-    linter = _FunctionLinter(path, scope, source_lines, findings)
+    fn = _Function(qualname=f"{module.name}.{scope}", module=module.name,
+                   scope=scope, cls=cls, name=node.name, file=module.file)
+    module.functions.append(fn)
+    walker = _FunctionWalker(fn, module, findings)
     for stmt in node.body:
-        linter.visit(stmt)
+        walker.visit(stmt)
 
 
-def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Lint one module's source text."""
-    findings: list[Finding] = []
+def _walk_module(path: str, source: str,
+                 findings: list[Finding]) -> _Module | None:
+    """Parse one file, report its LK000-LK005 findings and index its
+    functions and imports; None when it does not parse."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -475,25 +634,290 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
             code="LK000", severity=CODES["LK000"].severity,
             message=f"could not parse: {exc.msg}",
             file=path, line=exc.lineno or 0))
-        return findings
-    source_lines = source.splitlines()
+        return None
+    module = _Module(name=module_name_for(path), file=path,
+                     source_lines=source.splitlines())
 
-    def walk(node: ast.AST, scope: str) -> None:
+    def walk(node: ast.AST, scope: str, cls: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                _lint_function(path, child, scope, source_lines, findings)
+                _walk_function(child, scope, cls, module, findings)
             elif isinstance(child, ast.ClassDef):
-                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                name = f"{scope}.{child.name}" if scope else child.name
+                walk(child, name, child.name)
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    module.imports[alias.asname or alias.name.split(".")[0]] \
+                        = alias.name
+            elif isinstance(child, ast.ImportFrom):
+                if child.module and child.level == 0:
+                    for alias in child.names:
+                        module.from_imports[alias.asname or alias.name] = \
+                            (child.module, alias.name)
             else:
-                walk(child, scope)
+                walk(child, scope, cls)
 
-    walk(tree, "")
+    walk(tree, "", None)
+    return module
+
+
+# ---------------------------------------------------------------------------
+# The call graph with may-block / may-acquire summaries (LK006/LK007)
+# ---------------------------------------------------------------------------
+
+_Node = TypeVar("_Node", bound=Hashable)
+
+
+def strongly_connected(nodes: Iterable[_Node],
+                       adjacency: Mapping[_Node, Iterable[_Node]]
+                       ) -> list[list[_Node]]:
+    """Tarjan's SCC, iterative (call and lock-order graphs can be deep).
+
+    Components come out callee-first (reverse topological order of the
+    condensation), which is the propagation order the summaries want.
+    """
+    index_of: dict[_Node, int] = {}
+    low: dict[_Node, int] = {}
+    on_stack: set[_Node] = set()
+    stack: list[_Node] = []
+    sccs: list[list[_Node]] = []
+
+    def enter(node: _Node) -> tuple[_Node, Iterator[_Node]]:
+        index_of[node] = low[node] = len(index_of)
+        stack.append(node)
+        on_stack.add(node)
+        return node, iter(adjacency.get(node, ()))
+
+    for root in nodes:
+        if root in index_of:
+            continue
+        work = [enter(root)]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index_of:
+                    work.append(enter(child))
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index_of[child])
+            else:
+                work.pop()
+                if low[node] == index_of[node]:
+                    component: list[_Node] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    sccs.append(component)
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return sccs
+
+
+class _CallGraph:
+    """Indexed functions + resolved edges + may-block/may-acquire summaries."""
+
+    def __init__(self, modules: Iterable[_Module]) -> None:
+        # A later file with the same module name replaces the earlier one.
+        self.modules = {module.name: module for module in modules}
+        self.functions = {fn.qualname: fn for module in self.modules.values()
+                          for fn in module.functions}
+        self._by_name: dict[str, list[str]] = {}
+        for qualname, fn in self.functions.items():
+            self._by_name.setdefault(fn.name, []).append(qualname)
+        self.edges: dict[str, dict[str, int]] = {}   # caller -> callee -> line
+        #: (caller, lock-held call site, resolved callee), in walk order
+        self.held_calls: list[tuple[_Function, _CallSite, str]] = []
+        for qualname, fn in self.functions.items():
+            if fn.module in _EXEMPT_MODULES:
+                continue
+            targets = self.edges.setdefault(qualname, {})
+            for call in fn.calls:
+                target = self._resolve(fn, call)
+                if target is None or target == qualname or \
+                        self.functions[target].module in _EXEMPT_MODULES:
+                    continue
+                targets.setdefault(target, call.line)
+                if call.holder is not None:
+                    self.held_calls.append((fn, call, target))
+        #: qualname -> witness chain ending in a blocking call
+        self.may_block: dict[str, list[dict[str, Any]]] = {}
+        #: qualname -> level -> witness chain ending in an acquisition
+        self.may_acquire: dict[str, dict[str, list[dict[str, Any]]]] = {}
+        self._summarize()
+
+    # -- resolution ----------------------------------------------------------
+
+    def _resolve(self, fn: _Function, call: _CallSite) -> str | None:
+        module = self.modules[fn.module]
+        if call.kind == "name":
+            # Enclosing scopes innermost-first, then module level.
+            parts = fn.scope.split(".")
+            for depth in range(len(parts) - 1, -1, -1):
+                prefix = ".".join(parts[:depth])
+                candidate = (f"{fn.module}.{prefix}.{call.attr}"
+                             if prefix else f"{fn.module}.{call.attr}")
+                if candidate in self.functions:
+                    return candidate
+            imported = module.from_imports.get(call.attr)
+            if imported is not None:
+                candidate = f"{imported[0]}.{imported[1]}"
+                if candidate in self.functions:
+                    return candidate
+            return None
+        if call.kind == "self":
+            if fn.cls is not None:
+                candidate = f"{fn.module}.{fn.cls}.{call.attr}"
+                if candidate in self.functions:
+                    return candidate
+            return self._unique_method(call.attr)
+        if call.kind == "dotted":
+            target_module = module.imports.get(call.base)
+            if target_module is None:
+                imported = module.from_imports.get(call.base)
+                if imported is not None:
+                    # ``from repro.common import rwlock`` style module import.
+                    dotted = f"{imported[0]}.{imported[1]}"
+                    if any(q.startswith(dotted + ".") for q in self.functions):
+                        target_module = dotted
+            if target_module is not None:
+                candidate = f"{target_module}.{call.attr}"
+                if candidate in self.functions:
+                    return candidate
+                return None
+            # ``base`` is an object, not a module: fall through to the
+            # unique-name heuristic.
+        return self._unique_method(call.attr)
+
+    def _unique_method(self, name: str) -> str | None:
+        candidates = self._by_name.get(name, [])
+        if len(candidates) == 1:
+            return candidates[0]
+        return None
+
+    # -- summaries -----------------------------------------------------------
+
+    def _summarize(self) -> None:
+        # Seed with each function's own blocking calls / acquisitions.
+        for qualname, fn in self.functions.items():
+            if fn.module in _EXEMPT_MODULES:
+                continue
+            if fn.blocking:
+                line, desc = fn.blocking[0]
+                self.may_block[qualname] = [{
+                    "function": qualname, "file": fn.file, "line": line,
+                    "blocking": desc}]
+            levels: dict[str, list[dict[str, Any]]] = {}
+            for line, level, expr, mode in fn.acquires:
+                if level not in levels:
+                    levels[level] = [{
+                        "function": qualname, "file": fn.file, "line": line,
+                        "acquires": level, "lock": expr, "mode": mode}]
+            if levels:
+                self.may_acquire[qualname] = levels
+
+        # Propagate callee -> caller, one SCC at a time (Tarjan's emission
+        # order is callee-first); iterate inside a component until stable.
+        for component in strongly_connected(self.functions, self.edges):
+            changed = True
+            while changed:
+                changed = False
+                for caller in component:
+                    fn = self.functions[caller]
+                    for callee, line in self.edges.get(caller, {}).items():
+                        step = {"function": caller, "file": fn.file,
+                                "line": line, "calls": callee}
+                        callee_block = self.may_block.get(callee)
+                        if callee_block is not None and \
+                                caller not in self.may_block:
+                            self.may_block[caller] = [step] + callee_block
+                            changed = True
+                        callee_acq = self.may_acquire.get(callee)
+                        if callee_acq:
+                            mine = self.may_acquire.setdefault(caller, {})
+                            for level, chain in callee_acq.items():
+                                if level not in mine:
+                                    mine[level] = [step] + chain
+                                    changed = True
+
+    # -- findings ------------------------------------------------------------
+
+    def findings(self) -> list[Finding]:
+        """LK006/LK007 at every lock-held call site whose callee summary
+        says the call can block or acquire an earlier level."""
+        findings: list[Finding] = []
+        for fn, call, target in self.held_calls:
+            module = self.modules[fn.module]
+            holder = call.holder
+            assert holder is not None and holder.level is not None
+            chain = self.may_block.get(target)
+            if chain is not None:
+                path = self._render_chain(fn.qualname, call, chain)
+                _emit(
+                    findings, module, "LK006", call.line, fn.scope,
+                    f"call `{call.text}` while holding {holder.level}-level "
+                    f"lock `{holder.expr}` (line {holder.line}) can block: "
+                    f"{' -> '.join(path)}; park the work outside the "
+                    "critical section",
+                    {"call": call.text, "lock": holder.expr,
+                     "lock_level": holder.level,
+                     "path": [dict(s) for s in chain]})
+            for level, acq_chain in sorted(
+                    self.may_acquire.get(target, {}).items()):
+                if LEVELS[level] >= LEVELS[holder.level]:
+                    continue
+                path = self._render_chain(fn.qualname, call, acq_chain)
+                _emit(
+                    findings, module, "LK007", call.line, fn.scope,
+                    f"transitive lock-order inversion: call `{call.text}` "
+                    f"while holding {holder.level}-level lock "
+                    f"`{holder.expr}` (line {holder.line}) eventually "
+                    f"acquires a {level}-level lock: {' -> '.join(path)}; "
+                    "the documented hierarchy is graph -> node -> item, "
+                    "never backwards",
+                    {"call": call.text, "lock": holder.expr,
+                     "lock_level": holder.level, "acquires_level": level,
+                     "path": [dict(s) for s in acq_chain]})
+        return findings
+
+    @staticmethod
+    def _render_chain(caller: str, call: _CallSite,
+                      chain: list[dict[str, Any]]) -> list[str]:
+        path = [f"{caller}:{call.line}"]
+        for step in chain:
+            if "blocking" in step:
+                path.append(f"`{step['blocking']}` at "
+                            f"{step['file']}:{step['line']}")
+            elif "acquires" in step:
+                path.append(f"`{step['lock']}`.{step['mode']} at "
+                            f"{step['file']}:{step['line']}")
+            else:
+                path.append(f"{step['function']}:{step['line']}")
+        return path
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+
+def lint_sources(sources: Mapping[str, str]) -> list[Finding]:
+    """Run the whole pass (LK000-LK007) over in-memory modules as one
+    program; ``sources`` maps path -> source text, and each module's name
+    comes from :func:`module_name_for` (``pkg/util.py`` -> ``util``)."""
+    findings: list[Finding] = []
+    modules = [module for path, text in sources.items()
+               if (module := _walk_module(path, text, findings)) is not None]
+    findings.extend(_CallGraph(modules).findings())
     return findings
 
 
-def lint_file(path: str) -> list[Finding]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return lint_source(fh.read(), path)
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """Run the whole pass over one module's source text."""
+    return lint_sources({path: source})
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -511,8 +935,9 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
 
 
 def lint_paths(paths: Iterable[str]) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    findings: list[Finding] = []
+    """Run the whole pass over every ``.py`` file under ``paths``."""
+    sources: dict[str, str] = {}
     for file_path in iter_python_files(paths):
-        findings.extend(lint_file(file_path))
-    return findings
+        with open(file_path, "r", encoding="utf-8") as fh:
+            sources[file_path] = fh.read()
+    return lint_sources(sources)

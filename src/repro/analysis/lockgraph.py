@@ -1,9 +1,8 @@
 """Runtime lock-order recording and deadlock analysis (codes ``LD001``+).
 
-The static lock lint (:mod:`repro.analysis.lockcheck`) sees one function body
-at a time; the interprocedural pass (:mod:`repro.analysis.callgraph`) sees
-the whole program but only what the AST can prove.  This module closes the
-remaining gap with **sanitizer-grade runtime observation**: a
+The static lock pass (:mod:`repro.analysis.lockcheck`) sees the whole
+program but only what the AST can prove.  This module closes the remaining
+gap with **sanitizer-grade runtime observation**: a
 :class:`LockOrderRecorder` installed as the process-wide
 :class:`~repro.common.rwlock.ReentrantRWLock` observer records, from real
 executions (the stress suite, a :class:`~repro.common.racecheck.RaceCheck`
@@ -63,7 +62,11 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.analysis.findings import CODES, Finding
-from repro.analysis.lockcheck import LEVELS, suppression_covers
+from repro.analysis.lockcheck import (
+    LEVELS,
+    strongly_connected,
+    suppression_covers,
+)
 from repro.common.rwlock import ReentrantRWLock
 
 __all__ = [
@@ -470,57 +473,6 @@ def emit_findings(findings: list[Finding], telemetry: Any) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _strongly_connected(nodes: list[int],
-                        adjacency: dict[int, list[int]]) -> list[list[int]]:
-    """Tarjan's SCC, iterative (recorded graphs can be deep)."""
-    index_of: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index_of:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = adjacency.get(node, [])
-            advanced = False
-            while child_index < len(children):
-                child = children[child_index]
-                child_index += 1
-                if child not in index_of:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                component: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
-
-
 def _cycle_path(members: set[int], adjacency: dict[int, list[int]],
                 start: int) -> list[int]:
     """One concrete cycle through ``start`` inside an SCC (for reporting)."""
@@ -572,7 +524,7 @@ def analyze_payload(payload: Mapping[str, Any]) -> list[Finding]:
     for src, dst in sorted(edge_by_pair):
         adjacency.setdefault(src, []).append(dst)
     nodes = sorted({n for pair in edge_by_pair for n in pair})
-    for component in _strongly_connected(nodes, adjacency):
+    for component in strongly_connected(nodes, adjacency):
         if len(component) < 2:
             continue
         members = set(component)

@@ -1,7 +1,8 @@
-"""Interprocedural lock-discipline tests: LK006/LK007 through call chains,
-the conservative resolution rules, suppression comments (single- and
-multi-code), async-with lock regions, and the self-lint gate over
-``src/repro``."""
+"""Static lock pass tests through call chains: LK006/LK007 across functions
+and modules, the conservative resolution rules, suppression comments
+(single- and multi-code), async-with lock regions, and the self-lint gate
+over ``src/repro``.  Every fixture runs the whole pass, so the per-function
+codes (LK001-LK005) show up beside the chain codes."""
 
 from __future__ import annotations
 
@@ -9,25 +10,20 @@ import os
 import textwrap
 
 from repro.analysis import Severity
-from repro.analysis.callgraph import (
-    analyze_paths,
-    build_call_graph,
-    build_call_graph_from_sources,
+from repro.analysis.lockcheck import (
+    iter_python_files,
+    lint_paths,
+    lint_sources,
     module_name_for,
 )
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
 
 
-def graph_of(**sources):
-    return build_call_graph_from_sources({
-        name: (f"{name}.py", textwrap.dedent(text))
-        for name, text in sources.items()
-    })
-
-
 def findings_of(**sources):
-    return graph_of(**sources).findings()
+    return lint_sources({
+        f"{name}.py": textwrap.dedent(text) for name, text in sources.items()
+    })
 
 
 def codes(findings):
@@ -74,8 +70,8 @@ class TestMayBlockChains:
         assert path[-1]["blocking"] == "time.sleep"
 
     def test_direct_blocking_left_to_lk002(self):
-        # A blocking call directly under the lock is the intraprocedural
-        # lint's finding (LK002); the interprocedural pass must not repeat it.
+        # A blocking call directly under the lock is LK002; the chain
+        # summaries must not repeat it as LK006.
         findings = findings_of(m="""
             import time
 
@@ -83,7 +79,7 @@ class TestMayBlockChains:
                 with self.node_lock.read():
                     time.sleep(0.5)
         """)
-        assert findings == []
+        assert codes(findings) == ["LK002"]
 
     def test_call_outside_lock_is_clean(self):
         findings = findings_of(m="""
@@ -312,11 +308,20 @@ class TestAsyncWith:
 
 class TestSelfLint:
     def test_src_repro_is_clean_at_head(self):
-        graph = build_call_graph([REPO_SRC])
-        assert len(graph.functions) > 500  # non-vacuous: the corpus loaded
-        findings = graph.findings()
+        findings = lint_paths([REPO_SRC])
         assert findings == [], "\n".join(str(f) for f in findings)
-
-    def test_analyze_paths_matches_graph_findings(self):
-        assert codes(analyze_paths([REPO_SRC])) == codes(
-            build_call_graph([REPO_SRC]).findings())
+        # Non-vacuous: the same corpus plus a probe that calls a runtime
+        # method taking the graph lock under an item lock yields LK007.
+        sources = {}
+        for path in iter_python_files([REPO_SRC]):
+            with open(path, encoding="utf-8") as fh:
+                sources[path] = fh.read()
+        sources["probe.py"] = textwrap.dedent("""
+            def probe(self, registry, key):
+                with self.handler._lock.write():
+                    registry.undefine(key)
+        """)
+        findings = lint_sources(sources)
+        assert codes(findings) == ["LK007"]
+        assert findings[0].details["path"][0]["function"] == \
+            "repro.metadata.registry.MetadataRegistry.undefine"

@@ -37,6 +37,16 @@ def inverted(self):
             pass
 """
 
+TRANSITIVE_INVERSION = """
+def take_graph(registry):
+    with registry.structure_lock.write():
+        pass
+
+def inverted_through_call(self, registry):
+    with self.handler._lock.write():
+        take_graph(registry)
+"""
+
 WARNING_ONLY = """
 import time
 def slow(self):
@@ -95,6 +105,13 @@ class TestExitCodes:
         path = tree("bad.py", VIOLATION)
         assert main([path, "--fail-on", "error"]) == 1
         assert "LK001" in capsys.readouterr().out
+
+    def test_transitive_inversion_fails_without_a_flag(self, tree, capsys):
+        path = tree("chain.py", TRANSITIVE_INVERSION)
+        assert main([path]) == 1
+        out = capsys.readouterr().out
+        assert "LK007" in out
+        assert "LK001" not in out
 
     def test_warnings_pass_unless_fail_on_warning(self, tree, capsys):
         path = tree("warn.py", WARNING_ONLY)

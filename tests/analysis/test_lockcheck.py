@@ -1,6 +1,6 @@
-"""Lock-discipline lint tests: each LK code on a minimal fixture, the
-suppression comment, the false-positive guards, and the acceptance gate that
-``src/repro`` at HEAD carries zero lint errors."""
+"""Static lock pass tests: each per-function LK code on a minimal fixture,
+the suppression comment, the false-positive guards, and the acceptance gate
+that the trees CI lints carry no finding at all."""
 
 from __future__ import annotations
 
@@ -9,7 +9,10 @@ import textwrap
 
 from repro.analysis import Severity, lint_paths, lint_source
 
-REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
+SELF_LINT_TREES = [os.path.join(REPO_ROOT, "src", "repro"),
+                   os.path.join(REPO_ROOT, "examples"),
+                   os.path.join(REPO_ROOT, "benchmarks")]
 
 
 def lint(snippet: str):
@@ -93,6 +96,19 @@ class TestBlockingCalls:
         """)
         assert findings == []
 
+    def test_blocking_in_non_lock_with_item_lk002(self):
+        # A non-lock ``with`` item's expression runs under the locks already
+        # held, so a blocking call inside it is as bad as one in the body.
+        findings = lint("""
+            import contextlib
+            def bad(self):
+                with self._lock.write():
+                    with contextlib.closing(self.sock.recv(1)):
+                        pass
+        """)
+        assert codes(findings) == ["LK002"]
+        assert "self.sock.recv" in findings[0].message
+
     def test_blocking_outside_lock_is_fine(self):
         findings = lint("""
             import time
@@ -105,8 +121,7 @@ class TestBlockingCalls:
 
 class TestBlockingCatalogue:
     """The extended catalogue: sockets, synchronization waits, subprocesses
-    and selectors — shared verbatim with the interprocedural may-block
-    summaries."""
+    and selectors — shared verbatim with the LK006 may-block summaries."""
 
     def test_socket_recv_any_receiver_lk002(self):
         findings = lint("""
@@ -290,7 +305,8 @@ class TestParseFailure:
 
 class TestSelfLint:
     def test_src_repro_has_no_errors_at_head(self):
-        """Acceptance gate: the shipped runtime obeys its own discipline."""
-        findings = lint_paths([REPO_SRC])
-        errors = [f for f in findings if f.severity is Severity.ERROR]
-        assert errors == [], "\n".join(str(f) for f in errors)
+        """Acceptance gate: the runtime, its examples and its benchmarks obey
+        their own discipline — no finding at any severity, LK000-LK007 in
+        one pass, over the trees CI lints."""
+        findings = lint_paths(SELF_LINT_TREES)
+        assert findings == [], "\n".join(str(f) for f in findings)

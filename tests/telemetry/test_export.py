@@ -386,9 +386,14 @@ class _LineReceiver(socketserver.ThreadingTCPServer):
             def handle(self):
                 with server.lines_lock:
                     server.connections.append(self.connection)
-                for line in self.rfile:
-                    with server.lines_lock:
-                        server.lines.append(line.rstrip(b"\n"))
+                # ``stop()`` tears down live connections; a reset ends the
+                # stream like EOF instead of printing a server traceback.
+                try:
+                    for line in self.rfile:
+                        with server.lines_lock:
+                            server.lines.append(line.rstrip(b"\n"))
+                except ConnectionError:
+                    pass
 
         super().__init__(("127.0.0.1", port), Handler)
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
