@@ -37,124 +37,51 @@ Quickstart::
     ...                                               # Figure-3 cascade
 """
 
-from repro.adaptation import (
-    AdaptiveResourceManager,
-    LoadShedder,
-    MetadataProfiler,
-    PlanMigrationAdvisor,
-    QoSMonitor,
-    Shedder,
-)
-from repro.common import (
-    Clock,
-    ReentrantRWLock,
-    ReproError,
-    SystemClock,
-    VirtualClock,
-)
-from repro.costmodel import estimated_vs_measured, install_estimates
-from repro.graph import (
-    GraphNode,
-    QueryBuilder,
-    Operator,
-    QueryGraph,
-    Schema,
-    Sink,
-    Source,
-    StreamElement,
-    StreamQueue,
-)
-from repro.metadata import (
-    CoarseLockPolicy,
-    FineGrainedLockPolicy,
-    Mechanism,
-    MetadataDefinition,
-    MetadataKey,
-    MetadataRegistry,
-    MetadataSubscription,
-    MetadataSystem,
-    NoOpLockPolicy,
-    ThreadedScheduler,
-    VirtualTimeScheduler,
-    catalogue,
-)
-from repro.metadata.item import (
-    DownstreamDep,
-    ModuleDep,
-    NodeDep,
-    SelfDep,
-    UpstreamDep,
-)
-from repro.operators import (
-    CountWindow,
-    DistinctFilter,
-    Filter,
-    HashSweepArea,
-    ListSweepArea,
-    Map,
-    Project,
-    SlidingAggregate,
-    SlidingWindowJoin,
-    TimeWindow,
-    Union,
-)
-from repro.runtime import (
-    ChainScheduler,
-    PriorityScheduler,
-    RoundRobinScheduler,
-    SimulationExecutor,
-    ThreadedExecutor,
-)
-from repro.telemetry import (
-    Telemetry,
-    explain_refresh,
-    render_dashboard,
-)
-from repro.sources import (
-    BurstyArrivals,
-    ConstantRate,
-    DriftingRate,
-    NormalValues,
-    PoissonArrivals,
-    SequentialValues,
-    StreamDriver,
-    Trace,
-    TraceReplayDriver,
-    UniformValues,
-    ZipfValues,
-    record_trace,
-)
+import importlib
+from typing import Any
+
+#: Where each re-exported name lives.  Names resolve on first access
+#: (PEP 562), so importing one submodule does not load the others.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.adaptation": ("AdaptiveResourceManager", "LoadShedder", "MetadataProfiler",
+                         "PlanMigrationAdvisor", "QoSMonitor", "Shedder"),
+    "repro.common": ("Clock", "ReentrantRWLock", "ReproError", "SystemClock",
+                     "VirtualClock"),
+    "repro.costmodel": ("estimated_vs_measured", "install_estimates"),
+    "repro.graph": ("GraphNode", "QueryBuilder", "Operator", "QueryGraph", "Schema",
+                    "Sink", "Source", "StreamElement", "StreamQueue"),
+    "repro.metadata": ("CoarseLockPolicy", "FineGrainedLockPolicy", "Mechanism",
+                       "MetadataDefinition", "MetadataKey", "MetadataRegistry",
+                       "MetadataSubscription", "MetadataSystem", "NoOpLockPolicy",
+                       "ThreadedScheduler", "VirtualTimeScheduler", "catalogue"),
+    "repro.metadata.item": ("DownstreamDep", "ModuleDep", "NodeDep", "SelfDep",
+                            "UpstreamDep"),
+    "repro.operators": ("CountWindow", "DistinctFilter", "Filter", "HashSweepArea",
+                        "ListSweepArea", "Map", "Project", "SlidingAggregate",
+                        "SlidingWindowJoin", "TimeWindow", "Union"),
+    "repro.runtime": ("ChainScheduler", "PriorityScheduler", "RoundRobinScheduler",
+                      "SimulationExecutor", "ThreadedExecutor"),
+    "repro.telemetry": ("Telemetry", "explain_refresh", "render_dashboard"),
+    "repro.sources": ("BurstyArrivals", "ConstantRate", "DriftingRate", "NormalValues",
+                      "PoissonArrivals", "SequentialValues", "StreamDriver", "Trace",
+                      "TraceReplayDriver", "UniformValues", "ZipfValues", "record_trace"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORIGIN})
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # graph
-    "QueryGraph", "QueryBuilder", "GraphNode", "Source", "Operator", "Sink",
-    "Schema", "StreamElement", "StreamQueue",
-    # operators
-    "Filter", "DistinctFilter", "Map", "Project", "Union", "TimeWindow", "CountWindow",
-    "SlidingWindowJoin", "SlidingAggregate", "ListSweepArea", "HashSweepArea",
-    # metadata
-    "catalogue", "MetadataKey", "MetadataDefinition", "Mechanism",
-    "MetadataSystem", "MetadataRegistry", "MetadataSubscription",
-    "SelfDep", "UpstreamDep", "DownstreamDep", "NodeDep", "ModuleDep",
-    "VirtualTimeScheduler", "ThreadedScheduler",
-    "FineGrainedLockPolicy", "CoarseLockPolicy", "NoOpLockPolicy",
-    # runtime
-    "SimulationExecutor", "ThreadedExecutor",
-    "RoundRobinScheduler", "ChainScheduler", "PriorityScheduler",
-    # sources
-    "StreamDriver", "ConstantRate", "PoissonArrivals", "BurstyArrivals",
-    "DriftingRate", "UniformValues", "NormalValues", "ZipfValues",
-    "SequentialValues", "Trace", "TraceReplayDriver", "record_trace",
-    # cost model
-    "install_estimates", "estimated_vs_measured",
-    # adaptation
-    "MetadataProfiler", "AdaptiveResourceManager", "LoadShedder", "Shedder",
-    "PlanMigrationAdvisor", "QoSMonitor",
-    # telemetry
-    "Telemetry", "render_dashboard", "explain_refresh",
-    # common
-    "Clock", "VirtualClock", "SystemClock", "ReentrantRWLock", "ReproError",
-]
+__all__ = ["__version__", *_ORIGIN]

@@ -228,9 +228,9 @@ class FixedBoundHistogram:
 class HistogramBuilder:
     """Accumulates values between metadata refreshes.
 
-    The monitoring-probe side of the value-distribution item: ``add`` is
-    called per element (cheap append with a cap), ``snapshot_and_reset`` once
-    per period by the periodic handler.
+    The sample store of :class:`~repro.metadata.monitor.DistributionProbe`:
+    ``add`` is called per element (cheap append with a cap),
+    ``snapshot_and_reset`` once per period by the periodic handler.
     """
 
     def __init__(self, buckets: int = 20, max_samples: int = 10_000) -> None:
@@ -250,9 +250,13 @@ class HistogramBuilder:
 
     def snapshot_and_reset(self) -> EquiWidthHistogram:
         histogram = EquiWidthHistogram.build(self._values, self.buckets)
+        self.clear()
+        return histogram
+
+    def clear(self) -> None:
+        """Forget every sample and the dropped count."""
         self._values = []
         self.dropped = 0
-        return histogram
 
     def __len__(self) -> int:
         return len(self._values)

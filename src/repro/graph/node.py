@@ -36,7 +36,7 @@ from repro.metadata.item import (
     MetadataKey,
     SelfDep,
 )
-from repro.metadata.monitor import CostProbe, GaugeProbe, RateProbe
+from repro.metadata.monitor import CostProbe, DistributionProbe, GaugeProbe, RateProbe
 from repro.metadata.registry import MetadataRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -152,12 +152,10 @@ class Source(GraphNode):
 
     def __init__(self, name: str, schema: Schema) -> None:
         super().__init__(name)
-        from repro.common.histogram import HistogramBuilder
-
         self._schema = schema
         self._out_probe: Optional[RateProbe] = None
+        self._distribution_probe: Optional[DistributionProbe] = None
         self.produced = 0
-        self._histogram_builder = HistogramBuilder()
         self._distribution_field: Optional[str] = (
             schema.fields[0] if schema.fields else None
         )
@@ -172,14 +170,15 @@ class Source(GraphNode):
         self.produced += 1
         if self._out_probe is not None:
             self._out_probe.record()
-        if self._distribution_field:
+        distribution = self._distribution_probe
+        if distribution is not None and distribution.active and self._distribution_field:
             try:
                 value = element.field(self._distribution_field)
             # Non-mapping payloads fall back to "no sample" — not an error.
             except Exception:  # noqa: BLE001  # analysis: ignore[LK005]
                 value = None
             if isinstance(value, (int, float)):
-                self._histogram_builder.add(value)
+                distribution.record(value)
         self.emit(element)
         return element
 
@@ -187,6 +186,7 @@ class Source(GraphNode):
         super().register_metadata(registry)
         clock = registry.clock
         self._out_probe = registry.add_probe(RateProbe("out", clock))
+        self._distribution_probe = registry.add_probe(DistributionProbe("distribution"))
         period = self.metadata_period
 
         registry.define(MetadataDefinition(
@@ -212,22 +212,12 @@ class Source(GraphNode):
         ))
         registry.define(MetadataDefinition(
             md.VALUE_DISTRIBUTION, Mechanism.PERIODIC, period=period,
-            compute=lambda ctx: self._distribution_snapshot(),
+            monitors=("distribution",),
+            compute=lambda ctx: self._distribution_probe.snapshot_and_reset(),
             description="equi-width histogram of the values produced in the "
                         "last period (the 'data distributions' source "
                         "metadata of Section 1)",
         ))
-
-    def _distribution_snapshot(self) -> dict:
-        histogram = self._histogram_builder.snapshot_and_reset()
-        snapshot = {"count": histogram.total, "histogram": histogram}
-        if histogram.total:
-            snapshot.update({
-                "min": histogram.low,
-                "max": histogram.high,
-                "mean": histogram.mean(),
-            })
-        return snapshot
 
 
 class Operator(GraphNode):

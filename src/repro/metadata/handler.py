@@ -23,7 +23,6 @@ Four concrete handler types implement Figure 2's maintenance concepts:
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -63,6 +62,14 @@ log = logging.getLogger(__name__)
 
 _UNSET = object()
 
+#: The dependency index of every handler that has not built its own; a
+#: rebuild replaces the tuple, never mutates it.
+_NO_INDEX: tuple[int, dict] = (0, {})
+
+#: The dependents of every handler that never had one; the first attach
+#: gives the handler a dict of its own, so this one is never written.
+_NO_DEPENDENTS: dict[int, "MetadataHandler"] = {}
+
 
 class MetadataHandler:
     """Base class of all metadata handlers.
@@ -90,20 +97,20 @@ class MetadataHandler:
         self.dependency_handlers: list[tuple[DependencySpec, "MetadataHandler"]] = []
         # (length of the list above when indexed, key -> its handlers in
         # resolution order), for compute-time reads; one tuple so a rebuild
-        # is published atomically.
+        # is published atomically.  Shared and empty until first built.
         self._dependency_index: tuple[
-            int, dict[MetadataKey, list["MetadataHandler"]]] = (0, {})
+            int, dict[MetadataKey, tuple["MetadataHandler", ...]]] = _NO_INDEX
         # Handlers that depend on this one and expect change notifications.
         # Kept as an ordered identity set; duplicates are rejected so that a
         # node subscribing via several paths is notified once (Section 3.2.3:
         # "duplicate subscriptions by the same node are detected to avoid
-        # redundant notifications").  Guarded by its own mutex: the registry
-        # attaches outside the graph lock and detaches under it, and
-        # propagation waves read it from scheduler worker threads without
-        # taking the graph lock (taking it there would invert the graph ->
-        # item lock hierarchy).
-        self._dependents: dict[int, "MetadataHandler"] = {}
-        self._dependents_mutex = threading.Lock()
+        # redundant notifications").  Guarded by a leaf mutex the handlers of
+        # one registry share: the registry attaches outside the graph lock
+        # and detaches under it, and propagation waves read it from
+        # scheduler worker threads without taking the graph lock (taking it
+        # there would invert the graph -> item lock hierarchy).
+        self._dependents: dict[int, "MetadataHandler"] = _NO_DEPENDENTS
+        self._dependents_mutex = registry.dependents_mutex
         self.include_count = 0
         self.consumer_count = 0  # explicit consumer subscriptions only
         self._value: Any = _UNSET
@@ -391,7 +398,8 @@ class MetadataHandler:
         if size != len(resolved):
             index = {}
             for _spec, dependency in resolved:
-                index.setdefault(dependency.key, []).append(dependency)
+                dep_key = dependency.key
+                index[dep_key] = index.get(dep_key, ()) + (dependency,)
             self._dependency_index = (len(resolved), index)
         return index.get(key, ())
 
@@ -402,9 +410,12 @@ class MetadataHandler:
         registered — the duplicate-notification suppression of Section 3.2.3.
         """
         with self._dependents_mutex:
-            if id(dependent) in self._dependents:
+            dependents = self._dependents
+            if id(dependent) in dependents:
                 return False
-            self._dependents[id(dependent)] = dependent
+            if dependents is _NO_DEPENDENTS:
+                dependents = self._dependents = {}
+            dependents[id(dependent)] = dependent
         # Outside the dependents mutex (the engine mutex is a leaf lock):
         # the dependent graph changed, so cached wave plans are stale.
         self.registry.propagation.bump_topology()

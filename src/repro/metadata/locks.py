@@ -71,12 +71,10 @@ _NULL_GUARD = _NullGuard()
 
 
 class NoOpLock:
-    """Lock-shaped object that does nothing; used by :class:`NoOpLockPolicy`."""
+    """Lock-shaped object that does nothing; :class:`NoOpLockPolicy` hands
+    out one shared instance for every level."""
 
-    __slots__ = ("name",)
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
+    __slots__ = ()
 
     def read(self) -> _NullGuard:
         return _NULL_GUARD
@@ -216,14 +214,18 @@ class CoarseLockPolicy(LockPolicy):
         return [{"name": self._lock.name, **stats.to_dict()}]
 
 
+_NO_LOCK = NoOpLock()
+
+
 class NoOpLockPolicy(LockPolicy):
-    """No locking; correct only for single-threaded execution."""
+    """No locking; correct only for single-threaded execution.  Every graph,
+    node and item shares one stateless :class:`NoOpLock`."""
 
     def graph_lock(self) -> NoOpLock:
-        return NoOpLock("graph")
+        return _NO_LOCK
 
     def node_lock(self, owner: Any) -> NoOpLock:
-        return NoOpLock(f"node:{getattr(owner, 'name', owner)!s}")
+        return _NO_LOCK
 
     def item_lock(self, handler: Any) -> NoOpLock:
-        return NoOpLock(f"item:{handler.key!r}")
+        return _NO_LOCK

@@ -356,6 +356,8 @@ class MetadataRegistry:
         self._handlers: dict[MetadataKey, MetadataHandler] = {}
         self._probes: dict[str, Probe] = {}
         self.node_lock = system.lock_policy.node_lock(owner)
+        #: Guards every handler's dependents set (see ``MetadataHandler``).
+        self.dependents_mutex = threading.Lock()
         system.register(self)
 
     # -- shared services -------------------------------------------------------

@@ -40,15 +40,17 @@ from __future__ import annotations
 
 import functools
 import os
-import socket
 import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, IO, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, IO, Iterator, Sequence
 
 from repro.telemetry.events import TraceEvent, event_to_dict
 from repro.telemetry.wire import StreamEncoder, encode_json
+
+if TYPE_CHECKING:  # pragma: no cover - imported when a TcpLineSink connects
+    import socket
 
 __all__ = [
     "EventBatch",
@@ -283,6 +285,8 @@ class TcpLineSink(_LineSink):
             raise ConnectionError(
                 f"tcp sink {self.host}:{self.port} backing off "
                 f"({self._next_attempt - now:.3f}s remaining)")
+        import socket  # only a connecting TCP sink pays for the module
+
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.connect_timeout)

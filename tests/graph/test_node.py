@@ -55,6 +55,36 @@ class TestSourceMetadata:
         assert snapshot["min"] >= 0
         subscription.cancel()
 
+    def test_unsubscribed_distribution_holds_no_samples(self, pipeline):
+        """Section 4.4.1: monitoring code stays inactive until an item that
+        needs it is included."""
+        graph, source, fil, sink = pipeline
+        feed(graph, source, 100, gap=1.0)
+        probe = source.metadata.probe("distribution")
+        assert not probe.active
+        assert len(probe) == 0
+
+    def test_late_subscriber_starts_from_an_empty_period(self, pipeline):
+        graph, source, fil, sink = pipeline
+        feed(graph, source, 100, gap=1.0)
+        assert graph.clock.now() == 100.0
+        subscription = source.metadata.subscribe(md.VALUE_DISTRIBUTION)
+        assert subscription.get()["count"] == 0
+        feed(graph, source, 10, gap=1.0)
+        graph.clock.advance_by(50.0)
+        assert subscription.get()["count"] == 10
+        subscription.cancel()
+
+    def test_cancel_deactivates_and_empties_the_probe(self, pipeline):
+        graph, source, fil, sink = pipeline
+        subscription = source.metadata.subscribe(md.VALUE_DISTRIBUTION)
+        probe = source.metadata.probe("distribution")
+        feed(graph, source, 10, gap=1.0)
+        assert probe.active and len(probe) == 10
+        subscription.cancel()
+        assert not probe.active
+        assert len(probe) == 0
+
     def test_est_output_rate_tracks_measured(self, pipeline):
         graph, source, fil, sink = pipeline
         subscription = source.metadata.subscribe(md.EST_OUTPUT_RATE)

@@ -159,6 +159,23 @@ class TestTriggeredHandler:
         assert subscription.handler.compute_count == 1
         subscription.cancel()
 
+    def test_registry_handlers_share_one_dependents_mutex(self, make_owner):
+        owner, other = make_owner("n"), make_owner("m")
+        for registry in (owner.metadata, other.metadata):
+            registry.define(MetadataDefinition(B, Mechanism.STATIC, value=5))
+            registry.define(MetadataDefinition(
+                A, Mechanism.TRIGGERED, compute=lambda ctx: ctx.value(B),
+                dependencies=[SelfDep(B)],
+            ))
+        a, b = owner.metadata.subscribe(A), owner.metadata.subscribe(B)
+        c = other.metadata.subscribe(A)
+        assert a.handler._dependents_mutex is b.handler._dependents_mutex
+        assert a.handler._dependents_mutex is owner.metadata.dependents_mutex
+        assert c.handler._dependents_mutex is not a.handler._dependents_mutex
+        assert b.handler.dependents() == (a.handler,)
+        for subscription in (a, b, c):
+            subscription.cancel()
+
     def test_refreshes_when_dependency_changes(self, make_owner, clock):
         owner = make_owner()
         values = iter([1, 2, 3, 4])

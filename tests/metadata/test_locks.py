@@ -115,6 +115,16 @@ class TestNoOpPolicy:
         assert lock.acquire_write() is True
         lock.release_write()
 
+    def test_items_share_one_lock(self):
+        system, registry = _system(NoOpLockPolicy())
+        registry.define(MetadataDefinition(A, Mechanism.STATIC, value=1))
+        registry.define(MetadataDefinition(B, Mechanism.STATIC, value=2))
+        a, b = registry.subscribe(A), registry.subscribe(B)
+        assert a.handler._lock is b.handler._lock
+        assert a.handler._lock is registry.node_lock is system.structure_lock
+        a.cancel()
+        b.cancel()
+
 
 def _system(policy):
     clock = VirtualClock()

@@ -9,6 +9,7 @@ from repro.common.errors import MetadataError
 from repro.metadata.monitor import (
     CostProbe,
     CounterProbe,
+    DistributionProbe,
     GaugeProbe,
     MeanProbe,
     Probe,
@@ -132,6 +133,41 @@ class TestMeanProbe:
         probe.record(5.0)
         probe.activate()
         assert probe.mean_and_reset() == 0.0
+
+
+class TestDistributionProbe:
+    def test_inactive_records_nothing(self):
+        probe = DistributionProbe("d")
+        probe.record(1.0)
+        assert len(probe) == 0
+        probe.activate()
+        assert probe.snapshot_and_reset()["count"] == 0
+
+    def test_snapshot_summarises_and_resets(self):
+        probe = DistributionProbe("d")
+        probe.activate()
+        for value in (1.0, 2.0, 3.0):
+            probe.record(value)
+        snapshot = probe.snapshot_and_reset()
+        assert (snapshot["count"], snapshot["dropped"]) == (3, 0)
+        assert (snapshot["min"], snapshot["max"]) == (1.0, 3.0)
+        assert len(probe) == 0
+
+    def test_capped_period_reports_dropped(self):
+        probe = DistributionProbe("d", max_samples=5)
+        probe.activate()
+        for value in range(8):
+            probe.record(value)
+        snapshot = probe.snapshot_and_reset()
+        assert (snapshot["count"], snapshot["dropped"]) == (5, 3)
+        assert probe.snapshot_and_reset()["dropped"] == 0
+
+    def test_deactivation_empties(self):
+        probe = DistributionProbe("d")
+        probe.activate()
+        probe.record(1.0)
+        probe.deactivate()
+        assert len(probe) == 0
 
 
 class TestActivationThreadSafety:
