@@ -18,9 +18,9 @@ captured wave trace.
 With ``--export`` the same run additionally ships every trace event (and
 periodic metric snapshots) through the batched export pipeline while the
 simulation executes — to a rotating jsonl file, a TCP line-protocol peer,
-or both — and a tiny in-process tail client (a :class:`FanOutSink`
-subscriber on the same exporter) live-counts the records it receives, the
-way an external dashboard would.
+or both — and a tiny in-process tail client (its own cursor on the trace
+bus, ``telemetry.bus.subscribe``) live-counts the events it reads, the way
+an external dashboard would.
 
 Run with::
 
@@ -36,7 +36,7 @@ import argparse
 import threading
 from collections import Counter
 
-from repro.telemetry import FanOutSink, JsonlFileSink, TcpLineSink
+from repro.telemetry import JsonlFileSink, TcpLineSink
 
 from repro import (
     DriftingRate,
@@ -93,14 +93,14 @@ def parse_export_spec(spec: str):
         f"invalid --export spec {spec!r}: expected jsonl:PATH or tcp:HOST:PORT")
 
 
-def run_tail_client(subscriber, counts: Counter, stop: threading.Event) -> None:
-    """The 'external dashboard': count exported records live, by kind."""
-    while not stop.is_set():
-        if subscriber.wait(0.05):
-            for record in subscriber.pop():
-                counts[record.get("kind", "?")] += 1
-    for record in subscriber.pop():
-        counts[record.get("kind", "?")] += 1
+def run_tail_client(subscription, counts: Counter, stop: threading.Event) -> None:
+    """The 'external dashboard': count trace events live, by kind."""
+    while True:
+        stopping = stop.wait(0.05)
+        while batch := subscription.pop_batch():
+            counts.update(event.kind for event in batch)
+        if stopping:
+            return
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -122,13 +122,12 @@ def main(argv: list[str] | None = None) -> None:
     tail_thread = None
     if args.export:
         sinks = [parse_export_spec(spec) for spec in args.export]
-        fanout = FanOutSink()
-        tail = fanout.subscribe()
+        tail = telemetry.bus.subscribe("tail")
         tail_thread = threading.Thread(
             target=run_tail_client, args=(tail, tail_counts, tail_stop),
             name="tail-client", daemon=True)
         tail_thread.start()
-        exporter = telemetry.attach_exporter(*sinks, fanout, name="dashboard")
+        exporter = telemetry.attach_exporter(*sinks, name="dashboard")
 
     profiler = MetadataProfiler()
     profiler.watch(join, md.EST_CPU_USAGE, label="estimated CPU usage")
@@ -162,6 +161,7 @@ def main(argv: list[str] | None = None) -> None:
         tail_stop.set()
         assert tail_thread is not None
         tail_thread.join(timeout=5.0)
+        tail.close()
         print()
         print("live export (tail client saw the stream as a dashboard would)")
         for kind, count in tail_counts.most_common(8):

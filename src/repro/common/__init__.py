@@ -27,10 +27,8 @@ from repro.common.racecheck import (
 )
 from repro.common.rwlock import LockStats, ReentrantRWLock
 from repro.common.stats import (
-    Ewma,
     OnlineMean,
     OnlineVariance,
-    SlidingWindowStats,
     WindowedCounter,
 )
 
@@ -47,10 +45,8 @@ __all__ = [
     "RaceCheckError",
     "RaceCheckTimeout",
     "WorkerReport",
-    "Ewma",
     "OnlineMean",
     "OnlineVariance",
-    "SlidingWindowStats",
     "WindowedCounter",
     "ReproError",
     "GraphError",

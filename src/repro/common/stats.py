@@ -5,27 +5,20 @@ local metadata items") are built from the estimators in this module:
 
 * :class:`OnlineMean` / :class:`OnlineVariance` — Welford's numerically stable
   single-pass algorithm.
-* :class:`Ewma` — exponentially weighted moving average for drifting rates.
 * :class:`WindowedCounter` — the per-period element counter that backs the
   periodically updated input-rate item of Section 3.1 ("each element is still
   considered in the result as the overhead for counting incoming elements is
   low").
-* :class:`SlidingWindowStats` — time-window mean over (timestamp, value)
-  samples for staleness-error measurements in the freshness benchmark.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Tuple
 
 __all__ = [
     "OnlineMean",
     "OnlineVariance",
-    "Ewma",
     "WindowedCounter",
-    "SlidingWindowStats",
 ]
 
 
@@ -89,41 +82,6 @@ class OnlineVariance:
         self._m2 = 0.0
 
 
-class Ewma:
-    """Exponentially weighted moving average.
-
-    ``alpha`` is the weight of the newest sample; the first sample seeds the
-    average directly.
-    """
-
-    __slots__ = ("alpha", "_value", "_seeded")
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._value = 0.0
-        self._seeded = False
-
-    def add(self, value: float) -> None:
-        if self._seeded:
-            self._value += self.alpha * (value - self._value)
-        else:
-            self._value = float(value)
-            self._seeded = True
-
-    def value(self) -> float:
-        return self._value
-
-    @property
-    def seeded(self) -> bool:
-        return self._seeded
-
-    def reset(self) -> None:
-        self._value = 0.0
-        self._seeded = False
-
-
 class WindowedCounter:
     """Counts events and converts them to a rate per fixed time window.
 
@@ -164,40 +122,3 @@ class WindowedCounter:
     def window_start(self) -> float:
         return self._window_start
 
-
-class SlidingWindowStats:
-    """Mean over samples within a trailing time window.
-
-    Used by experiments to compute ground-truth averages against which the
-    metadata framework's (possibly stale) values are compared.
-    """
-
-    def __init__(self, window: float) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = float(window)
-        self._samples: Deque[Tuple[float, float]] = deque()
-        self._sum = 0.0
-
-    def add(self, timestamp: float, value: float) -> None:
-        """Record ``value`` observed at ``timestamp`` (non-decreasing)."""
-        self._samples.append((timestamp, value))
-        self._sum += value
-        self._evict(timestamp)
-
-    def _evict(self, now: float) -> None:
-        horizon = now - self.window
-        while self._samples and self._samples[0][0] < horizon:
-            _, old = self._samples.popleft()
-            self._sum -= old
-
-    def mean(self, now: float | None = None) -> float:
-        """Mean of samples still inside the window; 0.0 when empty."""
-        if now is not None:
-            self._evict(now)
-        if not self._samples:
-            return 0.0
-        return self._sum / len(self._samples)
-
-    def __len__(self) -> int:
-        return len(self._samples)

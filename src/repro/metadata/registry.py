@@ -78,8 +78,6 @@ from repro.metadata.propagation import PropagationEngine
 from repro.metadata.scheduling import PeriodicScheduler
 from repro.telemetry.events import (
     ExcludeEvent,
-    HandlerCreated,
-    HandlerRetired,
     IncludeEvent,
     SubscribeEvent,
     UnsubscribeEvent,
@@ -240,23 +238,13 @@ class MetadataSystem:
             telemetry.close_exporters()
         return telemetry
 
-    def handler_created(self, handler: MetadataHandler) -> None:
+    def handler_created(self) -> None:
         with self._accounting_mutex:
             self.handlers_created += 1
-        tel = self.telemetry
-        if tel is not None:
-            node, key = handler.names
-            tel.emit(HandlerCreated(node=node, key=key,
-                                    mechanism=handler.mechanism.value))
 
-    def handler_removed(self, handler: MetadataHandler) -> None:
+    def handler_removed(self) -> None:
         with self._accounting_mutex:
             self.handlers_removed += 1
-        tel = self.telemetry
-        if tel is not None:
-            node, key = handler.names
-            tel.emit(HandlerRetired(node=node, key=key,
-                                    mechanism=handler.mechanism.value))
 
     @property
     def included_handler_count(self) -> int:
@@ -610,7 +598,8 @@ class MetadataRegistry:
             if tel is not None:
                 tel.emit(IncludeEvent(span=span, node=self._owner_name(),
                                       key=key_of(key), shared=True,
-                                      depth=len(stack)))
+                                      depth=len(stack),
+                                      mechanism=existing.mechanism.value))
             return existing
 
         definition = self._definitions[key]
@@ -673,8 +662,9 @@ class MetadataRegistry:
         if tel is not None:
             tel.emit(IncludeEvent(span=span, node=self._owner_name(),
                                   key=key_of(handler.key), shared=False,
-                                  depth=depth))
-        self.system.handler_created(handler)
+                                  depth=depth,
+                                  mechanism=handler.mechanism.value))
+        self.system.handler_created()
 
     def _unlink(self, handlers: Sequence[MetadataHandler], span: int) -> None:
         """Exclude each of ``handlers`` once, under the graph write lock — the
@@ -704,7 +694,8 @@ class MetadataRegistry:
         if handler.include_count > 0:
             if tel is not None:
                 tel.emit(ExcludeEvent(span=span, node=self._owner_name(),
-                                      key=key_of(key), removed=False))
+                                      key=key_of(key), removed=False,
+                                      mechanism=handler.mechanism.value))
             return
         del self._handlers[key]
         handler.on_removed()
@@ -715,7 +706,8 @@ class MetadataRegistry:
         if ready:
             if tel is not None:
                 tel.emit(ExcludeEvent(span=span, node=self._owner_name(),
-                                      key=key_of(key), removed=True))
+                                      key=key_of(key), removed=True,
+                                      mechanism=handler.mechanism.value))
             for probe_name in handler.definition.monitors:
                 self.probe(probe_name).deactivate()
         for spec, dep_handler in handler.dependency_handlers:
@@ -723,7 +715,7 @@ class MetadataRegistry:
             dep_handler.registry._exclude(dep_handler.key, span)
         handler.retire_lock()
         if ready:
-            self.system.handler_removed(handler)
+            self.system.handler_removed()
 
     # -- dependency spec resolution ------------------------------------------------------
 

@@ -4,22 +4,24 @@ The paper argues that only *currently required* metadata should be
 maintained (Sections 2 and 4.4.1); this package makes that working set — and
 the machinery maintaining it — observable in motion:
 
-* :mod:`repro.telemetry.events` — typed trace events for every lifecycle the
-  runtime executes (subscribe/include chains, handler create/retire,
-  propagation waves with causal span ids, one record per refreshed member
-  and one summary per wave, periodic scheduling, probe activation);
-* :mod:`repro.telemetry.trace` — the thread-safe ring-buffered trace bus;
+* :mod:`repro.telemetry.events` — typed trace events, one per fact, for
+  every lifecycle the runtime executes (subscribe/include chains whose
+  unshared includes are the handler creations, exclude cascades whose
+  removing excludes are the retirements, propagation waves with causal
+  span ids, one record per refreshed member and one summary per wave,
+  periodic scheduling, probe activation);
+* :mod:`repro.telemetry.trace` — the thread-safe ring-buffered trace bus,
+  read through one kind of cursor (``bus.subscribe()``);
 * :mod:`repro.telemetry.metrics` — counters/gauges/fixed-bound histograms
-  with Prometheus-text and JSON-lines exporters;
+  with a Prometheus-text exporter;
 * :mod:`repro.telemetry.hub` — the :class:`Telemetry` facade the runtime's
   hooks emit into, plus the text dashboard and the "why did this handler
   refresh?" span renderer;
 * :mod:`repro.telemetry.export` / :mod:`repro.telemetry.sinks` — the
   batched, back-pressured export pipeline: a drainer thread pulls bounded
   batches off the trace bus and ships traces + metric snapshots to rotating
-  jsonl files, a TCP line-protocol peer, or in-memory fan-out subscribers —
-  with O(batch) memory and exact drop accounting under overload
-  (``telemetry.attach_exporter(...)``);
+  jsonl files or a TCP line-protocol peer — with O(batch) memory and exact
+  drop accounting under overload (``telemetry.attach_exporter(...)``);
 * :mod:`repro.telemetry.wire` — the normalized line stream the line sinks
   write (handler ids declared once per stream, defaults omitted, integer
   nanoseconds) and :func:`load_trace`, which reads it back into events.
@@ -39,9 +41,7 @@ monitoring probes follow.  Enable it per system::
 
 from repro.telemetry.events import (
     ExcludeEvent,
-    HandlerCreated,
     HandlerRefresh,
-    HandlerRetired,
     IncludeEvent,
     ProbeActivated,
     ProbeDeactivated,
@@ -52,7 +52,6 @@ from repro.telemetry.events import (
     WaveRefresh,
     WaveSummary,
     WaveSuppressed,
-    event_to_dict,
     key_of,
     node_of,
 )
@@ -72,12 +71,10 @@ from repro.telemetry.export import SinkProgress, TelemetryExporter
 from repro.telemetry.sinks import (
     EventBatch,
     ExportSink,
-    FanOutSink,
-    FanOutSubscriber,
     JsonlFileSink,
     TcpLineSink,
 )
-from repro.telemetry.trace import TraceBus, TraceSubscription, jsonl_writer
+from repro.telemetry.trace import TraceBus, TraceSubscription
 from repro.telemetry.wire import StreamEncoder, decode_lines, load_trace
 
 __all__ = [
@@ -88,8 +85,6 @@ __all__ = [
     "EventBatch",
     "JsonlFileSink",
     "TcpLineSink",
-    "FanOutSink",
-    "FanOutSubscriber",
     "TraceBus",
     "TraceSubscription",
     "MetricsRegistry",
@@ -101,8 +96,6 @@ __all__ = [
     "UnsubscribeEvent",
     "IncludeEvent",
     "ExcludeEvent",
-    "HandlerCreated",
-    "HandlerRetired",
     "HandlerRefresh",
     "ProbeActivated",
     "ProbeDeactivated",
@@ -113,11 +106,9 @@ __all__ = [
     "render_dashboard",
     "explain_refresh",
     "format_span",
-    "jsonl_writer",
     "StreamEncoder",
     "decode_lines",
     "load_trace",
-    "event_to_dict",
     "key_of",
     "node_of",
 ]

@@ -1,9 +1,10 @@
 """Typed trace events of the telemetry layer.
 
 Every observable step of the metadata runtime's lifecycles — subscription
-(with its transitive include chain), handler creation and retirement,
+(with its transitive include chain, whose unshared steps are the handler
+creations), exclusion (whose removing steps are the retirements),
 propagation waves, periodic scheduling and probe activation — is described
-by one small event dataclass.  A refreshed member is *one* record: a tick
+by one small event dataclass, and each fact by exactly one event.  A refreshed member is *one* record: a tick
 seed's ``handler.refresh`` carries the scheduler's fields, a dependent's
 ``wave.refresh`` names the changed inputs it was reached through (``via``),
 and each wave ends in one ``wave.summary``.  Events are *plain data*: they
@@ -34,9 +35,8 @@ stands still.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "TraceEvent",
@@ -44,8 +44,6 @@ __all__ = [
     "UnsubscribeEvent",
     "IncludeEvent",
     "ExcludeEvent",
-    "HandlerCreated",
-    "HandlerRetired",
     "HandlerRefresh",
     "ProbeActivated",
     "ProbeDeactivated",
@@ -62,7 +60,6 @@ __all__ = [
     "AnalysisFinding",
     "key_of",
     "node_of",
-    "event_to_dict",
 ]
 
 
@@ -114,8 +111,10 @@ class IncludeEvent(TraceEvent):
     """One step of the depth-first inclusion traversal (Section 2.4).
 
     ``shared`` marks "the traversal stops at items already provided": the
-    handler existed and only its counter moved.  ``depth`` is the traversal
-    depth at which this item was reached (0 = the subscribed item itself).
+    handler existed and only its counter moved; an unshared include is the
+    record of a handler's creation, emitted once it is ready.  ``depth`` is
+    the traversal depth at which this item was reached (0 = the subscribed
+    item itself); ``mechanism`` is the handler's.
     """
 
     kind = "include"
@@ -123,32 +122,19 @@ class IncludeEvent(TraceEvent):
     key: str = ""
     shared: bool = False
     depth: int = 0
+    mechanism: str = ""
 
 
 @dataclass(slots=True)
 class ExcludeEvent(TraceEvent):
     """One counter decrement of the exclusion cascade; ``removed`` marks the
-    decrements that reached zero and took the handler down."""
+    decrements that reached zero and took a ready handler down — the record
+    of its retirement.  ``mechanism`` is the handler's."""
 
     kind = "exclude"
     node: str = ""
     key: str = ""
     removed: bool = False
-
-
-@dataclass(slots=True)
-class HandlerCreated(TraceEvent):
-    kind = "handler.created"
-    node: str = ""
-    key: str = ""
-    mechanism: str = ""
-
-
-@dataclass(slots=True)
-class HandlerRetired(TraceEvent):
-    kind = "handler.retired"
-    node: str = ""
-    key: str = ""
     mechanism: str = ""
 
 
@@ -361,37 +347,3 @@ class AnalysisFinding(TraceEvent):
     code: str = ""
     severity: str = ""
     subject: str = ""
-
-
-def _compile_renderer(cls: type[TraceEvent]) -> Callable[[Any], dict[str, Any]]:
-    """``lambda e: {"kind": <kind>, "span": e.span, ...}`` for one class.
-
-    The field names are read off the dataclass here, once; the compiled
-    dict display then costs one slot load per field and no name lookups
-    (the technique ``dataclasses`` itself uses for ``__init__``).  Only
-    field names of event classes — identifiers — reach the source text.
-    """
-    items = "".join(f", {f.name!r}: e.{f.name}" for f in dataclasses.fields(cls))
-    return eval(f"lambda e: {{'kind': {cls.kind!r}{items}}}")
-
-
-class _Renderers(dict):
-    """``event class -> renderer``; a class is compiled at its first event."""
-
-    def __missing__(self, cls: type[TraceEvent]) -> Callable[[Any], dict[str, Any]]:
-        render = self[cls] = _compile_renderer(cls)
-        return render
-
-
-_RENDERERS = _Renderers()
-
-
-def event_to_dict(event: TraceEvent) -> dict[str, Any]:
-    """Flat JSON-friendly dict of an event (``kind`` first).
-
-    Every event field is a ``str``/``int``/``float``/``bool`` or an
-    immutable tuple of them, so the record is built straight from the
-    instance by a builder compiled once per event class — no reflection per
-    event, and nothing is copied.
-    """
-    return _RENDERERS[type(event)](event)

@@ -22,9 +22,9 @@ discipline):
   loss.
 * **own drainer thread** — batches of up to ``batch_size`` events are
   handed to every sink as one :class:`~repro.telemetry.sinks.EventBatch`
-  (the normalized JSON lines of :mod:`repro.telemetry.wire` rendered once
-  by the exporter's encoder for all line sinks, record dicts only for a
-  sink that iterates); a failing sink is counted
+  (the events, and their normalized JSON lines of
+  :mod:`repro.telemetry.wire` rendered once by the exporter's encoder for
+  all line sinks); a failing sink is counted
   (``export_sink_errors_total``) and skipped for that batch, never retried
   synchronously, never allowed to stall the other sinks.
 * **overhead budget** — ``cpu_budget`` caps the fraction of wall-clock time
@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence, TYPE_CHECKING
 
-from repro.telemetry.sinks import EventBatch, ExportSink, Record
+from repro.telemetry.sinks import Batch, EventBatch, ExportSink, Record
 from repro.telemetry.trace import TraceSubscription
 from repro.telemetry.wire import StreamEncoder
 
@@ -226,15 +226,15 @@ class TelemetryExporter:
             self._deliver(EventBatch(batch, self.encoder))
             return len(batch)
 
-    def _deliver(self, records: Sequence[Record]) -> None:
+    def _deliver(self, batch: Batch) -> None:
         # Caller holds _deliver_lock.
         metrics = self.telemetry.metrics
         for sink, progress in zip(self.sinks, self.progress):
             try:
-                sink.write_batch(records)
+                sink.write_batch(batch)
             except Exception as exc:
                 progress.errors += 1
-                progress.dropped += len(records)
+                progress.dropped += len(batch)
                 progress.last_error = repr(exc)
                 metrics.counter(
                     "export_sink_errors_total", {"sink": sink.name}).inc()
@@ -246,7 +246,7 @@ class TelemetryExporter:
                         self.name, sink.name, exc_info=True)
             else:
                 progress.batches += 1
-                progress.events += len(records)
+                progress.events += len(batch)
         # Fold ring-overwrite drops into the metric series (drainer-only
         # counter sync, so the increment is race-free).
         drops = self.subscription.dropped

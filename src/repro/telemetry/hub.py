@@ -129,9 +129,10 @@ def _bind_folds(metrics: MetricsRegistry,
 
     Counters and gauges move ``_value``, histograms observe into ``_hist``:
     the instruments' own methods would take the registry lock per update,
-    and the bus lock the folds run under already serializes them.  A
-    ``HandlerCreated`` also records the handler's mechanism for the wire
-    format's name rows.
+    and the bus lock the folds run under already serializes them.  An
+    unshared include is a handler's creation and a removing exclude its
+    retirement: they move the handler series, and a creation also records
+    the handler's mechanism for the wire format's name rows.
     """
     s = functools.partial(_Series, metrics)
     subscribes, unsubscribes = s("subscribes_total"), s("unsubscribes_total")
@@ -170,19 +171,16 @@ def _bind_folds(metrics: MetricsRegistry,
 
     def include(e: ev.IncludeEvent) -> None:
         includes[e.node, "true" if e.shared else "false"]._value += 1
+        if not e.shared:
+            created[e.node, e.mechanism]._value += 1
+            live[None]._value += 1.0
+            mechanisms[e.node, e.key] = e.mechanism
 
     def exclude(e: ev.ExcludeEvent) -> None:
         if e.removed:
             excludes[e.node]._value += 1
-
-    def handler_created(e: ev.HandlerCreated) -> None:
-        created[e.node, e.mechanism]._value += 1
-        live[None]._value += 1.0
-        mechanisms[e.node, e.key] = e.mechanism
-
-    def handler_retired(e: ev.HandlerRetired) -> None:
-        retired[e.node, e.mechanism]._value += 1
-        live[None]._value -= 1.0
+            retired[e.node, e.mechanism]._value += 1
+            live[None]._value -= 1.0
 
     def handler_refresh(e: ev.HandlerRefresh) -> None:
         if not e.mode:
@@ -265,8 +263,6 @@ def _bind_folds(metrics: MetricsRegistry,
         ev.UnsubscribeEvent: unsubscribe,
         ev.IncludeEvent: include,
         ev.ExcludeEvent: exclude,
-        ev.HandlerCreated: handler_created,
-        ev.HandlerRetired: handler_retired,
         ev.HandlerRefresh: handler_refresh,
         ev.ProbeActivated: probe_activated,
         ev.ProbeDeactivated: probe_deactivated,

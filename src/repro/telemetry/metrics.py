@@ -3,13 +3,11 @@
 The metrics registry is the aggregation side of the telemetry layer: the
 :class:`~repro.telemetry.hub.Telemetry` hub folds every trace event into
 per-node and system-wide series here, and external tooling reads them out
-through two standard wire formats:
-
-* :meth:`MetricsRegistry.to_prometheus` — the Prometheus text exposition
-  format (``name{label="..."} value``, histogram ``_bucket``/``_sum``/
-  ``_count`` series with cumulative ``le`` bounds), and
-* :meth:`MetricsRegistry.to_jsonlines` — one JSON object per series per
-  line, for log-pipeline ingestion.
+through :meth:`MetricsRegistry.to_prometheus`, the Prometheus text
+exposition format (``name{label="..."} value``, histogram ``_bucket``/
+``_sum``/``_count`` series with cumulative ``le`` bounds).  The export
+pipeline ships :meth:`MetricsRegistry.snapshot` in-band as its
+``metrics.snapshot`` record.
 
 Instruments are get-or-create by ``(name, labels)`` and thread-safe: all
 mutation and export goes through one registry lock, which is fine because
@@ -23,7 +21,6 @@ the default bound sets below cover the runtime's two measurement families
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from collections.abc import Mapping
@@ -271,31 +268,6 @@ class MetricsRegistry:
                     )
                 lines.append(f"{name}_sum{suffix} {_fmt(instrument.sum)}")
                 lines.append(f"{name}_count{suffix} {instrument.count}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def to_jsonlines(self) -> str:
-        """One JSON object per series per line."""
-        lines: list[str] = []
-        for instrument in self._series():
-            record: dict = {
-                "name": f"{self.prefix}_{instrument.name}",
-                "labels": dict(instrument.labels),
-            }
-            if isinstance(instrument, Counter):
-                record["type"] = "counter"
-                record["value"] = instrument.value
-            elif isinstance(instrument, Gauge):
-                record["type"] = "gauge"
-                record["value"] = instrument.value
-            else:
-                record["type"] = "histogram"
-                record["count"] = instrument.count
-                record["sum"] = instrument.sum
-                record["buckets"] = {
-                    ("+Inf" if math.isinf(b) else _fmt(b)): c
-                    for b, c in instrument.cumulative()
-                }
-            lines.append(json.dumps(record, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,13 +1,13 @@
 """Pluggable sinks for the telemetry export pipeline.
 
 A sink is the terminal stage of :class:`~repro.telemetry.export.
-TelemetryExporter`: it receives *batches* of plain-dict records on the
-exporter's drainer thread — never on an emitting thread.  A batch of trace
-events arrives as an :class:`EventBatch`, which iterates and ``len()``s as
-the events' :func:`~repro.telemetry.events.event_to_dict` records, built
-only if a sink asks, and carries the batch's normalized ``payload`` lines
-(:mod:`repro.telemetry.wire`), rendered once and shared by every line sink;
-the periodic ``metrics.snapshot`` record arrives as a one-element list.
+TelemetryExporter`: it receives *batches* on the exporter's drainer thread
+— never on an emitting thread.  A batch of trace events arrives as an
+:class:`EventBatch`, which iterates, indexes and ``len()``s as the
+:class:`~repro.telemetry.events.TraceEvent` objects themselves and carries
+the batch's normalized ``payload`` lines (:mod:`repro.telemetry.wire`),
+rendered once and shared by every line sink; the periodic
+``metrics.snapshot`` record arrives as a one-element list of a plain dict.
 
 The contract every sink implements:
 
@@ -18,7 +18,7 @@ The contract every sink implements:
 * :meth:`ExportSink.flush` / :meth:`ExportSink.close` are called by the
   exporter's own ``flush``/``close`` and must be idempotent.
 * Sinks do their own I/O buffering; batches arrive already bounded
-  (``batch_size`` records), so sink memory is O(batch).
+  (``batch_size`` events), so sink memory is O(batch).
 
 Shipped sinks:
 
@@ -31,22 +31,20 @@ Shipped sinks:
     counted instead of buffered (bounded memory beats completeness here —
     the ring already absorbed the burst once).  Every connection is a line
     stream of its own.
-``FanOutSink``
-    In-memory pub-sub: many dashboard clients tail one exporter, each
-    through its own bounded buffer with per-subscriber drop accounting.
+
+An in-process reader (a live dashboard tail) needs no sink: it opens its
+own cursor with :meth:`~repro.telemetry.trace.TraceBus.subscribe`.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import threading
 import time
-from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, IO, Iterator, Sequence
 
-from repro.telemetry.events import TraceEvent, event_to_dict
+from repro.telemetry.events import TraceEvent
 from repro.telemetry.wire import StreamEncoder, encode_json
 
 if TYPE_CHECKING:  # pragma: no cover - imported when a TcpLineSink connects
@@ -57,19 +55,15 @@ __all__ = [
     "ExportSink",
     "JsonlFileSink",
     "TcpLineSink",
-    "FanOutSink",
-    "FanOutSubscriber",
 ]
 
 Record = dict[str, Any]
 
 
-class EventBatch(Sequence[Record]):
+class EventBatch(Sequence[TraceEvent]):
     """One drained batch of trace events, as the sinks see it.
 
-    A sequence of record dicts, built from the events the first time a sink
-    iterates or indexes it (a line sink never does, nor a
-    :class:`FanOutSink` nobody tails), plus :attr:`payload`, rendered by
+    A sequence of the events themselves, plus :attr:`payload`, rendered by
     ``encoder`` — the exporter's, whose ids its line streams share; a batch
     built without one gets an encoder of its own.
     """
@@ -80,10 +74,6 @@ class EventBatch(Sequence[Record]):
         self.encoder = encoder if encoder is not None else StreamEncoder()
         #: Ids the encoder had declared before this batch.
         self.declared_before = 0
-
-    @functools.cached_property
-    def records(self) -> list[Record]:
-        return [event_to_dict(event) for event in self._events]
 
     @functools.cached_property
     def payload(self) -> str:
@@ -97,11 +87,16 @@ class EventBatch(Sequence[Record]):
     def __len__(self) -> int:
         return len(self._events)
 
-    def __iter__(self) -> Iterator[Record]:
-        return iter(self.records)
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return iter(self._events)
 
     def __getitem__(self, index: Any) -> Any:
-        return self.records[index]
+        return self._events[index]
+
+
+#: What :meth:`ExportSink.write_batch` receives: trace events, or the
+#: one-record list of a metrics snapshot.
+Batch = EventBatch | Sequence[Record]
 
 
 class ExportSink:
@@ -110,7 +105,7 @@ class ExportSink:
     #: Short name used in progress accounting and metric labels.
     name = "sink"
 
-    def write_batch(self, records: Sequence[Record]) -> None:
+    def write_batch(self, batch: Batch) -> None:
         raise NotImplementedError
 
     def flush(self) -> None:
@@ -138,15 +133,15 @@ class _LineSink(ExportSink):
     def _new_stream(self) -> None:
         self._encoder = None  # the next batch's encoder restarts the count
 
-    def _lines(self, records: Sequence[Record]) -> str:
-        """The text of ``records`` for the current stream."""
-        if not isinstance(records, EventBatch):
-            return "".join([encode_json(record) + "\n" for record in records])
-        payload = records.payload
-        encoder = records.encoder
+    def _lines(self, batch: Batch) -> str:
+        """The text of ``batch`` for the current stream."""
+        if not isinstance(batch, EventBatch):
+            return "".join([encode_json(record) + "\n" for record in batch])
+        payload = batch.payload
+        encoder = batch.encoder
         if encoder is not self._encoder:
             self._encoder, self._declared = encoder, 0
-        missing = encoder.name_rows[self._declared:records.declared_before]
+        missing = encoder.name_rows[self._declared:batch.declared_before]
         self._declared = encoder.declared
         return "".join(missing) + payload if missing else payload
 
@@ -190,9 +185,9 @@ class JsonlFileSink(_LineSink):
             self._new_stream()
         return self._stream
 
-    def write_batch(self, records: Sequence[Record]) -> None:
+    def write_batch(self, batch: Batch) -> None:
         stream = self._ensure_open()
-        payload = self._lines(records)
+        payload = self._lines(batch)
         stream.write(payload)
         self._bytes += len(payload)
         if self.max_bytes is not None and self._bytes >= self.max_bytes:
@@ -300,9 +295,9 @@ class TcpLineSink(_LineSink):
         self.connects += 1
         return sock
 
-    def write_batch(self, records: Sequence[Record]) -> None:
+    def write_batch(self, batch: Batch) -> None:
         sock = self._ensure_connected()
-        payload = self._lines(records).encode("utf-8")
+        payload = self._lines(batch).encode("utf-8")
         try:
             sock.sendall(payload)
         except OSError:
@@ -322,106 +317,3 @@ class TcpLineSink(_LineSink):
     def close(self) -> None:
         self._disconnect()
 
-
-class FanOutSubscriber:
-    """One tail client of a :class:`FanOutSink`.
-
-    Records pile into a bounded deque; when the client falls behind, the
-    oldest records are discarded and counted in :attr:`dropped` — per
-    subscriber, so one stalled dashboard cannot slow the exporter or starve
-    the other clients.
-    """
-
-    def __init__(self, sink: "FanOutSink", capacity: int) -> None:
-        self._sink = sink
-        self.capacity = capacity
-        self._records: deque[Record] = deque()
-        self._lock = threading.Lock()
-        self._ready = threading.Event()
-        self.received = 0
-        self.dropped = 0
-        self.closed = False
-
-    def _offer(self, records: Sequence[Record]) -> None:
-        with self._lock:
-            if self.closed:
-                return
-            for record in records:
-                if len(self._records) >= self.capacity:
-                    self._records.popleft()
-                    self.dropped += 1
-                self._records.append(record)
-            self.received += len(records)
-        self._ready.set()
-
-    def pop(self, max_records: int | None = None) -> list[Record]:
-        """Buffered records, oldest first (may be empty; never blocks)."""
-        with self._lock:
-            take = len(self._records) if max_records is None \
-                else min(max_records, len(self._records))
-            batch = [self._records.popleft() for _ in range(take)]
-            if not self._records:
-                self._ready.clear()
-        return batch
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until records are available (or ``timeout``); True if so."""
-        return self._ready.wait(timeout)
-
-    def close(self) -> None:
-        with self._lock:
-            self.closed = True
-            self._records.clear()
-        self._ready.set()  # release any waiter
-        self._sink._remove(self)
-
-
-class FanOutSink(ExportSink):
-    """In-memory fan-out: every batch is offered to every live subscriber.
-
-    ``capacity`` bounds each subscriber's buffer (O(capacity) per client);
-    delivery is a lock-snapshot plus per-subscriber appends, so the
-    exporter's cost grows linearly in clients and never blocks on any of
-    them.
-    """
-
-    name = "fanout"
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._subscribers: list[FanOutSubscriber] = []
-
-    def subscribe(self, capacity: int | None = None) -> FanOutSubscriber:
-        subscriber = FanOutSubscriber(self, capacity or self.capacity)
-        with self._lock:
-            self._subscribers.append(subscriber)
-        return subscriber
-
-    def _remove(self, subscriber: FanOutSubscriber) -> None:
-        with self._lock:
-            try:
-                self._subscribers.remove(subscriber)
-            except ValueError:
-                pass
-
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
-
-    def write_batch(self, records: Sequence[Record]) -> None:
-        with self._lock:
-            subscribers = tuple(self._subscribers)
-        for subscriber in subscribers:
-            subscriber._offer(records)
-
-    def close(self) -> None:
-        with self._lock:
-            subscribers = tuple(self._subscribers)
-            self._subscribers.clear()
-        for subscriber in subscribers:
-            with subscriber._lock:
-                subscriber.closed = True
-            subscriber._ready.set()

@@ -12,47 +12,38 @@ counted.
 Design constraints, in the spirit of the paper's probes (Section 4.4.1):
 
 * recording must be cheap — three stamps, one lock, one slot store and one
-  fold; no I/O, no formatting, no copy of the listener list — because it
-  runs inside propagation waves and scheduler workers.  Measured with
-  ``timeit`` (best of 5 x 200k calls, ring never full) on a 2-vCPU Intel
-  Xeon VM under CPython 3.11: a record on a bare bus takes 1.4 µs, and a
-  hub's emit of a ``wave.refresh`` — stamps, slot and fold — 2.4 µs;
+  fold; no I/O, no formatting, no reader called — because it runs inside
+  propagation waves and scheduler workers.  Measured with ``timeit`` (best
+  of 5 x 200k calls, ring never full) on a 2-vCPU Intel Xeon VM under
+  CPython 3.11: a record on a bare bus takes 1.4 µs, and a hub's emit of a
+  ``wave.refresh`` — stamps, slot and fold — 2.4 µs;
 * when telemetry is disabled nothing in this module runs at all — the hooks
   in the runtime check a single ``telemetry is None`` before building any
   event.
 
-Two consumption styles share the one bounded buffer:
-
-* **push** — listeners registered with :meth:`TraceBus.listen` receive every
-  event synchronously after it is buffered (:func:`jsonl_writer` builds a
-  listener that streams the export wire format to a text stream), and
-* **pull** — :meth:`TraceBus.subscribe` returns a
-  :class:`TraceSubscription`: a cursor over the ring that a drainer thread
-  (the export pipeline, :mod:`repro.telemetry.export`) pops batches from.
-  A subscription is just a sequence number: it costs ``record`` one
-  cursor comparison per overwrite once the ring is full, nothing before.
-  When the ring laps a slow subscriber, the overwritten events are counted
-  as that subscriber's drops — and as the bus's (:attr:`TraceBus.dropped`)
-  only then: overwriting an event every open subscription has already read
-  loses nothing.  Emitters are never blocked, the same load-shedding
-  discipline the ring itself follows.
+Events are read one way: :meth:`TraceBus.subscribe` returns a
+:class:`TraceSubscription`, a cursor over the ring that a reader — the
+export pipeline's drainer (:mod:`repro.telemetry.export`), a live tail —
+pops batches from.  A subscription is just a sequence number: it costs
+``record`` one cursor comparison per overwrite once the ring is full,
+nothing before.  When the ring laps a slow subscriber, the overwritten
+events are counted as that subscriber's drops — and as the bus's
+(:attr:`TraceBus.dropped`) only then: overwriting an event every open
+subscription has already read loses nothing.  Emitters are never blocked,
+the same load-shedding discipline the ring itself follows.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import threading
 import time
-from typing import IO, Any, Callable, cast
+from typing import Any, Callable, cast
 
 from repro.common.clock import Clock
 from repro.telemetry.events import TraceEvent
-from repro.telemetry.wire import StreamEncoder
 
-__all__ = ["TraceBus", "TraceSubscription", "Folds", "jsonl_writer"]
-
-log = logging.getLogger(__name__)
+__all__ = ["TraceBus", "TraceSubscription", "Folds"]
 
 _monotonic = time.monotonic
 _get_ident = threading.get_ident
@@ -109,9 +100,6 @@ class TraceBus:
         #: ``trace_events_dropped_total`` counter so overload is visible in
         #: the metric series, not only in :attr:`dropped`.
         self.on_drop: Callable[[], None] | None = None
-        # Replaced, never mutated, by listen()/detach(), so record() reads
-        # it without copying.
-        self._listeners: tuple[Callable[[TraceEvent], None], ...] = ()
         self._subscriptions: list[TraceSubscription] = []
         #: ``event class -> fold(event)``, run under the bus lock as the
         #: event takes its slot (the hub binds its metric series here); a
@@ -133,8 +121,8 @@ class TraceBus:
     # -- capture -----------------------------------------------------------
 
     def record(self, event: TraceEvent) -> TraceEvent:
-        """Stamp and buffer ``event``, fold it into the hub's series and
-        deliver it to push listeners — one call per event."""
+        """Stamp and buffer ``event`` and fold it into the hub's series —
+        one call per event."""
         mono = event.mono = _monotonic()
         now = self._now
         event.ts = now() if now is not None else mono
@@ -158,28 +146,9 @@ class TraceBus:
             self._ring[emitted % capacity] = event
             self.emitted = emitted + 1
             self.folds[type(event)](event)
-            listeners = self._listeners
         if dropped and self.on_drop is not None:
             self.on_drop()
-        for listener in listeners:
-            listener(event)
         return event
-
-    def listen(self, listener: Callable[[TraceEvent], None]) -> Callable[[], None]:
-        """Stream every subsequent event to ``listener``; returns a detacher."""
-        with self._lock:
-            self._listeners += (listener,)
-
-        def detach() -> None:
-            with self._lock:
-                listeners = list(self._listeners)
-                try:
-                    listeners.remove(listener)
-                except ValueError:
-                    return
-                self._listeners = tuple(listeners)
-
-        return detach
 
     # -- pull subscriptions ------------------------------------------------
 
@@ -342,48 +311,3 @@ class TraceSubscription:
             f"delivered={self.delivered}, dropped={self.dropped})"
         )
 
-
-def jsonl_writer(
-    stream: IO[str],
-    on_error: Callable[[BaseException], None] | None = None,
-) -> Callable[[TraceEvent], None]:
-    """Build a listener that streams events to ``stream`` as one line
-    stream of the export wire format (:mod:`repro.telemetry.wire`; each
-    event is a batch of its own, so every row names its thread).
-
-    Usage::
-
-        detach = bus.listen(jsonl_writer(open("trace.jsonl", "w")))
-
-    A closed or raising stream must never disrupt the emitting thread (the
-    listener runs inside propagation waves): write failures are swallowed,
-    counted on the returned callable's ``errors`` attribute, logged once,
-    and reported to ``on_error`` when given (the telemetry hub uses that to
-    feed the ``export_sink_errors_total`` counter).
-    """
-
-    lock = threading.Lock()
-    encoder = StreamEncoder()
-    state = {"errors": 0, "logged": False}
-
-    def write(event: TraceEvent) -> None:
-        try:
-            with lock:
-                stream.write(encoder.encode((event,)))
-        except Exception as exc:
-            state["errors"] += 1
-            write.errors = state["errors"]  # type: ignore[attr-defined]
-            if not state["logged"]:
-                state["logged"] = True
-                log.warning(
-                    "jsonl_writer: stream raised; suppressing further "
-                    "write errors (counted instead)", exc_info=True,
-                )
-            if on_error is not None:
-                try:
-                    on_error(exc)
-                except Exception:  # pragma: no cover - defensive
-                    log.exception("jsonl_writer: on_error callback raised")
-
-    write.errors = 0  # type: ignore[attr-defined]
-    return write

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from repro.common.stats import (
-    Ewma,
     OnlineMean,
     OnlineVariance,
-    SlidingWindowStats,
     WindowedCounter,
 )
 
@@ -65,33 +63,6 @@ class TestOnlineVariance:
         assert var.variance() == pytest.approx(np.var(values), rel=1e-6)
 
 
-class TestEwma:
-    def test_first_sample_seeds(self):
-        ewma = Ewma(alpha=0.5)
-        ewma.add(10.0)
-        assert ewma.value() == 10.0
-        assert ewma.seeded
-
-    def test_smoothing(self):
-        ewma = Ewma(alpha=0.5)
-        ewma.add(0.0)
-        ewma.add(10.0)
-        assert ewma.value() == 5.0
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            Ewma(alpha=0.0)
-        with pytest.raises(ValueError):
-            Ewma(alpha=1.5)
-
-    def test_reset(self):
-        ewma = Ewma()
-        ewma.add(1.0)
-        ewma.reset()
-        assert not ewma.seeded
-        assert ewma.value() == 0.0
-
-
 class TestWindowedCounter:
     def test_rate_and_reset(self):
         counter = WindowedCounter(start_time=0.0)
@@ -119,25 +90,3 @@ class TestWindowedCounter:
         counter.increment(10)
         assert counter.count == 10
 
-
-class TestSlidingWindowStats:
-    def test_mean_within_window(self):
-        stats = SlidingWindowStats(window=10.0)
-        stats.add(0.0, 1.0)
-        stats.add(5.0, 3.0)
-        assert stats.mean(now=5.0) == pytest.approx(2.0)
-
-    def test_eviction(self):
-        stats = SlidingWindowStats(window=10.0)
-        stats.add(0.0, 100.0)
-        stats.add(20.0, 2.0)
-        assert stats.mean(now=20.0) == pytest.approx(2.0)
-        assert len(stats) == 1
-
-    def test_empty_mean(self):
-        stats = SlidingWindowStats(window=5.0)
-        assert stats.mean() == 0.0
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            SlidingWindowStats(window=0.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.stats import Ewma, OnlineMean, OnlineVariance, SlidingWindowStats
+from repro.common.stats import OnlineMean, OnlineVariance
 
 floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -41,44 +41,3 @@ class TestWelfordMatchesNumpy:
             var.add(v)
         assert var.variance() >= 0.0
 
-
-class TestEwmaProperties:
-    @given(
-        values=st.lists(st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=50),
-        alpha=st.floats(0.01, 1.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_stays_within_observed_range(self, values, alpha):
-        ewma = Ewma(alpha)
-        for v in values:
-            ewma.add(v)
-        assert min(values) - 1e-9 <= ewma.value() <= max(values) + 1e-9
-
-    @given(value=st.floats(-1e3, 1e3, allow_nan=False), alpha=st.floats(0.01, 1.0))
-    @settings(max_examples=50, deadline=None)
-    def test_constant_input_is_fixed_point(self, value, alpha):
-        ewma = Ewma(alpha)
-        for _ in range(10):
-            ewma.add(value)
-        assert ewma.value() == pytest.approx(value)
-
-
-class TestSlidingWindowStats:
-    @given(
-        samples=st.lists(
-            st.tuples(st.floats(0.0, 100.0, allow_nan=False), floats),
-            min_size=1,
-            max_size=80,
-        ),
-        window=st.floats(1.0, 50.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_mean_equals_reference(self, samples, window):
-        samples = sorted(samples, key=lambda s: s[0])
-        stats = SlidingWindowStats(window)
-        for t, v in samples:
-            stats.add(t, v)
-        now = samples[-1][0]
-        inside = [v for t, v in samples if t >= now - window]
-        expected = float(np.mean(inside)) if inside else 0.0
-        assert stats.mean(now) == pytest.approx(expected, rel=1e-9, abs=1e-6)

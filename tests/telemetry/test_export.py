@@ -6,7 +6,7 @@ The contracts under test are the ones `docs/METADATA_GUIDE.md` promises:
   or slows the emitting thread;
 * ``flush``/``close`` deliver every event still retained by the ring;
 * the TCP sink reconnects with backoff after a dropped connection;
-* fan-out delivers identical record sequences to every subscriber.
+* every cursor on one bus reads the same event sequence.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ import time
 
 import pytest
 
-from repro.common.clock import VirtualClock
-from repro.telemetry.events import WaveRefresh, WaveSummary, event_to_dict
+from repro.telemetry.events import TraceEvent, WaveRefresh, WaveSummary
 from repro.telemetry.hub import Telemetry, render_dashboard
 from repro.telemetry import sinks as sinks_module
 from repro.telemetry.sinks import (
     EventBatch,
     ExportSink,
-    FanOutSink,
     JsonlFileSink,
     TcpLineSink,
 )
-from repro.telemetry.trace import TraceBus, jsonl_writer
+from repro.telemetry.trace import TraceBus
 from repro.telemetry.wire import StreamEncoder
 
 
@@ -40,15 +38,15 @@ class CollectingSink(ExportSink):
     name = "collect"
 
     def __init__(self) -> None:
-        self.batches: list[list[dict]] = []
+        self.batches: list[list] = []
         self.flushes = 0
         self.closes = 0
         self.fail = False
 
-    def write_batch(self, records: list[dict]) -> None:
+    def write_batch(self, batch) -> None:
         if self.fail:
             raise IOError("sink down")
-        self.batches.append(records)
+        self.batches.append(list(batch))
 
     def flush(self) -> None:
         self.flushes += 1
@@ -57,15 +55,19 @@ class CollectingSink(ExportSink):
         self.closes += 1
 
     @property
-    def records(self) -> list[dict]:
-        return [record for batch in self.batches for record in batch]
+    def items(self) -> list:
+        """Everything written: trace events and metrics snapshot dicts."""
+        return [item for batch in self.batches for item in batch]
 
-    def trace_records(self) -> list[dict]:
-        return [r for r in self.records if r["kind"] != "metrics.snapshot"]
+    def events(self) -> list[TraceEvent]:
+        return [item for item in self.items if isinstance(item, TraceEvent)]
+
+    def snapshots(self) -> list[dict]:
+        return [item for item in self.items if isinstance(item, dict)]
 
 
 def drain_events(sink: CollectingSink) -> list[str]:
-    return [r["source"] for r in sink.trace_records()]
+    return [event.source for event in sink.events()]
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,20 @@ class TestTraceSubscription:
         bus.clear()
         assert sub.pop_batch() == []
         assert sub.dropped == 0
+
+    def test_every_cursor_reads_the_same_sequence(self):
+        tel = Telemetry(capacity=4096)
+        cursors = [tel.bus.subscribe(f"tail-{i}") for i in range(5)]
+        exporter = tel.attach_exporter(CollectingSink(), metrics_interval=None,
+                                       start=False)
+        for i in range(300):
+            tel.emit(WaveSummary(source=f"n{i}"))
+        exporter.close()
+        sequences = [[e.source for e in cursor.pop_batch(1000)]
+                     for cursor in cursors]
+        assert sequences[0] == [f"n{i}" for i in range(300)]
+        assert all(seq == sequences[0] for seq in sequences)
+        assert drain_events(exporter.sinks[0]) == sequences[0]
 
     def test_close_detaches(self):
         bus = TraceBus()
@@ -211,7 +227,7 @@ class TestTelemetryExporter:
         for i in range(10):
             tel.emit(WaveSummary(source=f"n{i}"))
         deadline = time.monotonic() + 5.0
-        while len(sink.records) < 10 and time.monotonic() < deadline:
+        while len(sink.events()) < 10 and time.monotonic() < deadline:
             time.sleep(0.005)
         assert drain_events(sink) == [f"n{i}" for i in range(10)]
         exporter.close()
@@ -250,8 +266,9 @@ class TestTelemetryExporter:
                                        metrics_interval=1.0, start=False)
         tel.emit(WaveSummary(source="n"))
         exporter.close()  # close writes one final snapshot
-        snapshots = [r for r in sink.records if r["kind"] == "metrics.snapshot"]
+        snapshots = sink.snapshots()
         assert len(snapshots) == 1
+        assert snapshots[0]["kind"] == "metrics.snapshot"
         assert "waves_total" in snapshots[0]["series"]["counters"]
         assert exporter.metrics_snapshots == 1
 
@@ -326,7 +343,7 @@ class TestTelemetryExporter:
         for i in range(100):
             tel.emit(WaveSummary(source=f"n{i}"))
         deadline = time.monotonic() + 5.0
-        while len(sink.records) < 100 and time.monotonic() < deadline:
+        while len(sink.events()) < 100 and time.monotonic() < deadline:
             time.sleep(0.005)
         exporter.close()
         assert len(drain_events(sink)) == 100
@@ -341,7 +358,7 @@ class TestJsonlFileSink:
     def test_writes_jsonl_and_rotates(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = JsonlFileSink(path, max_bytes=500, max_files=3)
-        record = event_to_dict(WaveRefresh(node="n", key="k"))
+        record = {"kind": "wave.refresh", "node": "n", "key": "k"}
         for _ in range(4):
             sink.write_batch([record] * 5)
         sink.close()
@@ -524,53 +541,8 @@ class TestTcpLineSink:
         assert sink.failures == 1  # fail-fast does not re-count
 
 
-class TestFanOutSink:
-    def test_identical_sequences_to_all_subscribers(self):
-        tel = Telemetry(capacity=4096)
-        fan = FanOutSink()
-        subscribers = [fan.subscribe() for _ in range(5)]
-        exporter = tel.attach_exporter(fan, metrics_interval=None, start=False)
-        for i in range(300):
-            tel.emit(WaveSummary(source=f"n{i}"))
-        exporter.close()
-        sequences = [
-            [r["source"] for r in s.pop() if r["kind"] != "metrics.snapshot"]
-            for s in subscribers
-        ]
-        assert sequences[0] == [f"n{i}" for i in range(300)]
-        assert all(seq == sequences[0] for seq in sequences)
-
-    def test_slow_subscriber_drops_counted_others_unaffected(self):
-        fan = FanOutSink(capacity=8)
-        slow = fan.subscribe()
-        fast = fan.subscribe(capacity=1000)
-        for i in range(100):
-            fan.write_batch([{"kind": "x", "i": i}])
-        assert slow.dropped == 92
-        assert [r["i"] for r in slow.pop()] == list(range(92, 100))
-        assert fast.dropped == 0
-        assert len(fast.pop()) == 100
-
-    def test_wait_and_pop(self):
-        fan = FanOutSink()
-        sub = fan.subscribe()
-        assert not sub.wait(timeout=0.01)
-        fan.write_batch([{"kind": "x"}])
-        assert sub.wait(timeout=1.0)
-        assert sub.pop(1) == [{"kind": "x"}]
-        assert not sub.wait(timeout=0.01)
-
-    def test_unsubscribe_stops_delivery(self):
-        fan = FanOutSink()
-        sub = fan.subscribe()
-        sub.close()
-        fan.write_batch([{"kind": "x"}])
-        assert sub.pop() == []
-        assert fan.subscriber_count() == 0
-
-
 # ---------------------------------------------------------------------------
-# The batch a sink receives: lazy record dicts + one shared payload
+# The batch a sink receives: the events + one shared payload
 # ---------------------------------------------------------------------------
 
 
@@ -590,7 +562,6 @@ def _count_calls(monkeypatch, name: str, owner=sinks_module) -> list[int]:
 class TestEventBatchDelivery:
     def test_line_sinks_share_one_payload_per_batch(self, tmp_path, monkeypatch):
         renders = _count_calls(monkeypatch, "encode", StreamEncoder)
-        dicts = _count_calls(monkeypatch, "event_to_dict")
         server = _LineReceiver()
         try:
             tel = Telemetry(capacity=4096)
@@ -609,40 +580,18 @@ class TestEventBatchDelivery:
         assert path.read_bytes() == sent
         assert [p.events for p in exporter.progress] == [700, 700]
         # 700 events at batch_size 256 -> 3 batches, each rendered once for
-        # both sinks, and nobody asked for a dict.
+        # both sinks.
         assert len(renders) == 3
-        assert dicts == []
 
-    def test_fanout_renders_records_only_for_subscribers(self, monkeypatch):
-        dicts = _count_calls(monkeypatch, "event_to_dict")
-        renders = _count_calls(monkeypatch, "encode", StreamEncoder)
-        tel = Telemetry(capacity=4096)
-        fan = FanOutSink()
-        exporter = tel.attach_exporter(fan, metrics_interval=None, start=False)
-        for i in range(10):
-            tel.emit(WaveSummary(source=f"n{i}"))
-        exporter.flush()
-        assert dicts == [] and renders == []
-        assert exporter.progress[0].events == 10
-
-        tail = fan.subscribe()
-        events = [WaveSummary(source=f"m{i}") for i in range(10)]
-        for event in events:
-            tel.emit(event)
-        exporter.flush()
-        assert tail.pop() == [event_to_dict(event) for event in events]
-        assert len(dicts) == 10
-        exporter.close()
-
-    def test_custom_sink_that_only_iterates_sees_dict_records(self):
+    def test_iterating_sink_sees_the_events(self):
         class IteratingSink(ExportSink):
             def __init__(self) -> None:
-                self.seen: list[dict] = []
+                self.seen: list[TraceEvent] = []
 
-            def write_batch(self, records) -> None:
-                for record in records:
-                    assert type(record) is dict
-                    self.seen.append(record)
+            def write_batch(self, batch) -> None:
+                for event in batch:
+                    assert isinstance(event, TraceEvent)
+                    self.seen.append(event)
 
         tel = Telemetry(capacity=4096)
         sink = IteratingSink()
@@ -651,15 +600,16 @@ class TestEventBatchDelivery:
         for event in events:
             tel.emit(event)
         exporter.close()
-        assert sink.seen == [event_to_dict(event) for event in events]
+        assert sink.seen == events
+        assert all(seen is event for seen, event in zip(sink.seen, events))
 
     def test_batch_is_a_sequence_of_records(self):
         events = [WaveSummary(source="a"), WaveRefresh(node="b")]
         batch = EventBatch(events)
         assert len(batch) == 2
-        assert list(batch) == [event_to_dict(event) for event in events]
-        assert batch[1]["kind"] == "wave.refresh"
-        assert batch[-1] is batch[1]          # built once, then kept
+        assert list(batch) == events
+        assert batch[1] is events[1]          # the events themselves
+        assert batch[-1] is batch[1]
         assert batch.payload is batch.payload
 
     def test_raising_sink_loses_only_its_own_batches(self, tmp_path):
@@ -711,47 +661,8 @@ class TestEventBatchDelivery:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: jsonl_writer hardening + ring drop counter
+# Satellites: ring drop counter
 # ---------------------------------------------------------------------------
-
-
-class _BrokenStream:
-    def write(self, text: str) -> int:
-        raise IOError("stream closed")
-
-
-class TestJsonlWriterHardening:
-    def test_broken_stream_never_disrupts_emitters(self, caplog):
-        bus = TraceBus()
-        writer = jsonl_writer(_BrokenStream())
-        bus.listen(writer)
-        with caplog.at_level("WARNING", logger="repro.telemetry.trace"):
-            for _ in range(5):
-                bus.record(WaveSummary(source="n"))  # must not raise
-        assert bus.emitted == 5
-        assert writer.errors == 5
-        # Logged once, not once per event.
-        warnings = [r for r in caplog.records if "jsonl_writer" in r.message]
-        assert len(warnings) == 1
-
-    def test_on_error_callback_feeds_counters(self):
-        errors: list[BaseException] = []
-        writer = jsonl_writer(_BrokenStream(), on_error=errors.append)
-        writer(WaveSummary(source="n"))
-        assert len(errors) == 1
-        assert isinstance(errors[0], IOError)
-
-    def test_working_stream_unchanged(self):
-        import io
-        stream = io.StringIO()
-        writer = jsonl_writer(stream)
-        bus = TraceBus(VirtualClock())
-        bus.listen(writer)
-        bus.record(WaveSummary(source="n/k"))
-        name, line = map(json.loads, stream.getvalue().splitlines())
-        assert (name["kind"], line["kind"]) == ("name", "wave.summary")
-        assert line["id"] == name["id"]
-        assert writer.errors == 0
 
 
 class TestRingDropCounter:

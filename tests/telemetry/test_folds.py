@@ -27,18 +27,19 @@ ROWS: list = [
     (ev.TraceEvent(), {}, {}, {}),
     (ev.SubscribeEvent(node="a"), {'subscribes_total{node="a"}': 1}, {}, {}),
     (ev.UnsubscribeEvent(node="a"), {'unsubscribes_total{node="a"}': 1}, {}, {}),
-    (ev.IncludeEvent(node="a", shared=False),
-     {'includes_total{node="a",shared="false"}': 1}, {}, {}),
-    (ev.IncludeEvent(node="a", shared=True),
-     {'includes_total{node="a",shared="true"}': 1}, {}, {}),
-    (ev.ExcludeEvent(node="a", removed=True), {'excludes_total{node="a"}': 1}, {}, {}),
-    (ev.ExcludeEvent(node="a", removed=False), {}, {}, {}),
-    (ev.HandlerCreated(node="a", mechanism="periodic"),
-     {'handlers_created_total{mechanism="periodic",node="a"}': 1},
+    # An unshared include is the handler's creation, a removing exclude its
+    # retirement; shared includes and still-shared excludes only count.
+    (ev.IncludeEvent(node="a", shared=False, mechanism="periodic"),
+     {'includes_total{node="a",shared="false"}': 1,
+      'handlers_created_total{mechanism="periodic",node="a"}': 1},
      {"handlers_live": 1.0}, {}),
-    (ev.HandlerRetired(node="a", mechanism="periodic"),
-     {'handlers_retired_total{mechanism="periodic",node="a"}': 1},
+    (ev.IncludeEvent(node="a", shared=True, mechanism="periodic"),
+     {'includes_total{node="a",shared="true"}': 1}, {}, {}),
+    (ev.ExcludeEvent(node="a", removed=True, mechanism="periodic"),
+     {'excludes_total{node="a"}': 1,
+      'handlers_retired_total{mechanism="periodic",node="a"}': 1},
      {"handlers_live": -1.0}, {}),
+    (ev.ExcludeEvent(node="a", removed=False, mechanism="periodic"), {}, {}, {}),
     # A manual refresh, then a tick seed's: the scheduler's record is the
     # same class and moves the scheduler's series instead.
     (ev.HandlerRefresh(node="a", duration=0.5),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -104,21 +103,6 @@ class TestPrometheusExport:
 
     def test_empty_registry_exports_empty(self):
         assert MetricsRegistry().to_prometheus() == ""
-        assert MetricsRegistry().to_jsonlines() == ""
-
-
-class TestJsonLinesExport:
-    def test_one_valid_json_object_per_series(self):
-        m = MetricsRegistry(prefix="repro")
-        m.counter("waves_total").inc(2)
-        m.histogram("wave_size", bounds=(1, 5)).observe(3)
-        records = [json.loads(line) for line in m.to_jsonlines().splitlines()]
-        by_name = {rec["name"]: rec for rec in records}
-        assert by_name["repro_waves_total"]["value"] == 2
-        hist = by_name["repro_wave_size"]
-        assert hist["type"] == "histogram"
-        assert hist["buckets"]["+Inf"] == 1
-        assert hist["buckets"]["1"] == 0
 
 
 class TestFixedBoundHistogram:

@@ -10,8 +10,6 @@ byte-for-byte the same: zero trace events, unchanged ``stats()``.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.metadata import introspect
@@ -22,6 +20,7 @@ from repro.metadata.item import (
     NodeDep,
 )
 from repro.telemetry.hub import explain_refresh, format_span, render_dashboard
+from repro.telemetry.wire import StreamEncoder, decode_lines
 
 SRC = MetadataKey("src")
 MID = MetadataKey("mid")
@@ -64,12 +63,11 @@ class TestCausalChain:
             ("b", "mid", False),
             ("c", "top", False),
         ]
-        # The whole transitive traversal carries the subscribe's span.
+        # The whole transitive traversal carries the subscribe's span, and
+        # each new handler's include names its mechanism.
         assert all(e.span == span for e in includes)
-        created = tel.bus.events(kind="handler.created")
-        assert {(e.node, e.mechanism) for e in created} == {
-            ("a", "periodic"), ("b", "triggered"), ("c", "triggered"),
-        }
+        assert [e.mechanism for e in includes] == [
+            "periodic", "triggered", "triggered"]
         sub.cancel()
 
     def test_wave_reproduces_full_causal_chain(self, make_owner, system, clock):
@@ -121,16 +119,10 @@ class TestCausalChain:
         assert (snap["counters"]['wave_refreshes_total{node="b"}']
                 + snap["counters"]['wave_refreshes_total{node="c"}']) == refreshes
 
-        # Prometheus text and JSON-lines report the same numbers.
+        # The Prometheus text reports the same numbers.
         prom = tel.metrics.to_prometheus()
         assert f"repro_waves_total {waves}" in prom
         assert f"repro_wave_hops_total {hops}" in prom
-        records = {
-            rec["name"]: rec
-            for rec in map(json.loads, tel.metrics.to_jsonlines().splitlines())
-        }
-        assert records["repro_waves_total"]["value"] == waves
-        assert records["repro_wave_hops_total"]["value"] == hops
 
         # And both agree with the engine's own accounting.
         stats = system.stats()
@@ -172,8 +164,48 @@ class TestCausalChain:
             ("c", "top", True), ("b", "mid", True), ("a", "src", True),
         ]
         assert all(e.span == unsubs[0].span for e in excludes)
-        retired = tel.bus.events(kind="handler.retired")
-        assert len(retired) == 3
+        assert tel.metrics.snapshot()["gauges"]["handlers_live"] == 0.0
+
+    def test_one_event_per_handler_fact(self, make_owner, system):
+        """A handler's creation is its unshared include and its retirement
+        its removing exclude: no other event says either, and the handler
+        series and the wire agree with them."""
+        a, b, c = build_chain(make_owner)
+        shared = a.metadata.subscribe(SRC)   # included before the hub came
+        tel = system.enable_telemetry()
+        cursor = tel.bus.subscribe("facts")
+        sub = c.metadata.subscribe(TOP)      # 2 new handlers + shared a/src
+        sub.cancel()
+        events = cursor.pop_batch(1000)
+        new = [e for e in events if e.kind == "include" and not e.shared]
+        removed = [e for e in events if e.kind == "exclude" and e.removed]
+        assert [(e.node, e.key, e.mechanism) for e in new] == [
+            ("b", "mid", "triggered"), ("c", "top", "triggered")]
+        assert [(e.node, e.key, e.mechanism) for e in removed] == [
+            ("c", "top", "triggered"), ("b", "mid", "triggered")]
+        assert {e.kind for e in events} == {
+            "subscribe", "include", "exclude", "unsubscribe"}
+        snap = tel.metrics.snapshot()
+        created = {name: value for name, value in snap["counters"].items()
+                   if name.startswith("handlers_created_total")}
+        retired = {name: value for name, value in snap["counters"].items()
+                   if name.startswith("handlers_retired_total")}
+        assert created == {
+            'handlers_created_total{mechanism="triggered",node="b"}': 1,
+            'handlers_created_total{mechanism="triggered",node="c"}': 1}
+        assert retired == {
+            'handlers_retired_total{mechanism="triggered",node="b"}': 1,
+            'handlers_retired_total{mechanism="triggered",node="c"}': 1}
+        assert snap["gauges"]["handlers_live"] == len(new) - len(removed) == 0
+        decoded = decode_lines(StreamEncoder().encode(events).splitlines())
+        assert decoded == events
+        assert [(e.kind, e.mechanism) for e in decoded
+                if e.kind in ("include", "exclude")] == [
+            ("include", "periodic"),    # the shared a/src, linked first
+            ("include", "triggered"), ("include", "triggered"),
+            ("exclude", "triggered"), ("exclude", "triggered"),
+            ("exclude", "periodic")]
+        shared.cancel()
 
 
 class TestSuppressionAndSharing:

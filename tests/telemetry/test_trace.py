@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-import json
 import threading
 
 import pytest
@@ -15,10 +13,9 @@ from repro.telemetry.events import (
     WaveRefresh,
     WaveSummary,
     WaveSuppressed,
-    event_to_dict,
     key_of,
 )
-from repro.telemetry.trace import TraceBus, jsonl_writer
+from repro.telemetry.trace import TraceBus
 
 
 class TestRecording:
@@ -106,38 +103,7 @@ class TestQuery:
         assert bus.events(kind="wav") == []
 
 
-class TestListeners:
-    def test_listener_receives_events_until_detached(self):
-        bus = TraceBus()
-        received: list[str] = []
-        detach = bus.listen(lambda e: received.append(e.kind))
-        bus.record(WaveSummary())
-        detach()
-        bus.record(WaveSuppressed())
-        assert received == ["wave.summary"]
-
-    def test_jsonl_writer_streams_valid_json(self):
-        clock = VirtualClock()
-        bus = TraceBus(clock)
-        sink = io.StringIO()
-        bus.listen(jsonl_writer(sink))
-        bus.record(WaveSummary(span=3, source="a/x", wave_size=2))
-        bus.record(WaveRefresh(span=3, node="b", key="y", changed=True))
-        lines = [json.loads(line) for line in sink.getvalue().splitlines()]
-        names = [rec for rec in lines if rec["kind"] == "name"]
-        assert [(rec["node"], rec["key"]) for rec in names] == [("a", "x"), ("b", "y")]
-        lines = [rec for rec in lines if rec["kind"] != "name"]
-        assert [rec["kind"] for rec in lines] == ["wave.summary", "wave.refresh"]
-        assert lines[0]["span"] == lines[1]["span"] == 3
-        assert lines[1]["changed"] is True
-
-
 class TestEventHelpers:
-    def test_event_to_dict_includes_kind(self):
-        data = event_to_dict(WaveSummary(span=1, source="n/k", wave_size=4))
-        assert data["kind"] == "wave.summary"
-        assert data["wave_size"] == 4
-
     def test_key_of_formats_qualifier(self):
         from repro.metadata.item import MetadataKey
 

@@ -8,6 +8,7 @@ stdout captured and asserts on a signature line of its output.
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -16,14 +17,17 @@ import pytest
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
-def run_example(name: str, capsys) -> str:
+def run_example(name: str, capsys, argv: list[str] | None = None) -> str:
     path = EXAMPLES_DIR / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"example_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
-        module.main()
+        if argv is None:
+            module.main()
+        else:
+            module.main(argv)
     finally:
         sys.modules.pop(spec.name, None)
     return capsys.readouterr().out
@@ -41,6 +45,20 @@ class TestExamples:
         assert "mean estimated/measured CPU ratio" in out
         assert "telemetry dashboard" in out
         assert "why did join/estimate.cpu_usage refresh?" in out
+
+    def test_monitoring_dashboard_export(self, capsys, tmp_path):
+        from repro.telemetry import load_trace
+
+        trace = tmp_path / "t.jsonl"
+        out = run_example("monitoring_dashboard", capsys,
+                          ["--export", f"jsonl:{trace}"])
+        tail = out.split("live export", 1)[1].split("queue:", 1)[0]
+        kinds = re.findall(r"^  (\S+)\s+[\d,]+$", tail, re.MULTILINE)
+        assert "include" in kinds
+        assert "handler.created" not in kinds
+        delivered = int(re.search(r"queue: \d+ pending, (\d+) delivered",
+                                  out).group(1))
+        assert len(load_trace(trace)) == delivered > 0
 
     def test_adaptive_resource_management(self, capsys):
         out = run_example("adaptive_resource_management", capsys)
