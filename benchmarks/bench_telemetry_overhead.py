@@ -18,8 +18,10 @@ Regressions of the *disabled* path are caught where they can be measured
 against something real — the parent-vs-change run of ``benchmarks/e2e``
 (the ``pipeline`` workload runs the same plan with telemetry off and on).
 
-``build_workload`` / ``run_round`` are shared with ``bench_export.py`` and
-``bench_fault_overhead.py``.
+``build_workload`` / ``run_round`` are shared with ``bench_export.py``.
+What a healthy failure policy costs per wave is ``wave_storm``'s
+``reliability.policy_wave_p50_us`` against
+``reliability.policyfree_wave_p50_us`` in ``benchmarks/e2e``.
 
 Usage::
 
@@ -57,13 +59,12 @@ class Owner:
     name = "bench"
 
 
-def build_workload(policy=None):
+def build_workload():
     """One registry, an on-demand source and a CHAIN_DEPTH triggered chain.
 
     Every ``notify_changed(SRC)`` starts a wave that refreshes the whole
     chain (values strictly increase, so nothing is suppressed) — the
-    hottest path the instrumentation touches.  ``policy`` attaches a
-    failure policy (and hence a live circuit breaker) to every chain item.
+    hottest path the instrumentation touches.
     """
     clock = VirtualClock()
     system = MetadataSystem(clock, VirtualTimeScheduler(clock))
@@ -79,7 +80,7 @@ def build_workload(policy=None):
         registry.define(MetadataDefinition(
             key, Mechanism.TRIGGERED,
             compute=lambda ctx, dep=previous: ctx.value(dep) + 1,
-            dependencies=[SelfDep(previous)], failure_policy=policy,
+            dependencies=[SelfDep(previous)],
         ))
         previous = key
     subscription = registry.subscribe(previous)

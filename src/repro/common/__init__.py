@@ -1,4 +1,4 @@
-"""Shared substrate: clocks, locks, events, online statistics, errors."""
+"""Shared substrate: clocks, locks, online statistics, errors."""
 
 from repro.common.clock import Clock, SystemClock, Timer, VirtualClock
 from repro.common.errors import (
@@ -18,7 +18,6 @@ from repro.common.errors import (
     UnknownMetadataError,
     WiringError,
 )
-from repro.common.events import EventSource, Subscription
 from repro.common.racecheck import (
     RaceCheck,
     RaceCheckError,
@@ -37,8 +36,6 @@ __all__ = [
     "SystemClock",
     "Timer",
     "VirtualClock",
-    "EventSource",
-    "Subscription",
     "LockStats",
     "ReentrantRWLock",
     "RaceCheck",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time as _time
 from typing import Callable, Protocol, runtime_checkable
 
@@ -196,27 +195,3 @@ class VirtualClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now}, pending={self.pending_timers()})"
-
-
-class _ThreadSafeVirtualClock(VirtualClock):
-    """Virtual clock guarded by a lock, for the threaded executor's tests."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        super().__init__(start)
-        self._lock = threading.RLock()
-
-    def now(self) -> float:
-        with self._lock:
-            return super().now()
-
-    def schedule_at(self, deadline: float, callback: Callable[[], None]) -> Timer:
-        with self._lock:
-            return super().schedule_at(deadline, callback)
-
-    def advance_to(self, deadline: float) -> None:
-        with self._lock:
-            super().advance_to(deadline)
-
-    def _timer_cancelled(self) -> None:
-        with self._lock:
-            super()._timer_cancelled()

@@ -26,7 +26,6 @@ import math
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.common.errors import GraphError, WiringError
-from repro.common.events import EventSource
 from repro.graph.element import Schema, StreamElement
 from repro.graph.queues import StreamQueue
 from repro.metadata import catalogue as md
@@ -59,9 +58,6 @@ class GraphNode:
         self.upstream_nodes: list["GraphNode"] = []
         self.input_queues: list[StreamQueue] = []
         self.output_queues: list[StreamQueue] = []
-        #: fired when internal state relevant to on-demand metadata changes
-        #: and dependents must learn about it immediately (Section 3.2.3)
-        self.state_changed: EventSource[MetadataKey] = EventSource(f"{name}.state")
         self._metadata_period = 50.0
 
     # -- wiring ------------------------------------------------------------
@@ -114,8 +110,9 @@ class GraphNode:
         """Publish this node's metadata items; subclasses extend this."""
 
     def notify_state_changed(self, key: MetadataKey) -> None:
-        """Fire a manual metadata event notification for ``key``."""
-        self.state_changed.publish(key)
+        """Fire a manual metadata event notification for ``key``: internal
+        state relevant to on-demand metadata changed and dependents must
+        learn about it immediately (Section 3.2.3)."""
         if self.metadata is not None:
             self.metadata.notify_changed(key)
 

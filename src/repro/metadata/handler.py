@@ -34,6 +34,7 @@ from repro.metadata.item import (
     MetadataDefinition,
     MetadataKey,
 )
+from repro.metadata.propagation import QUARANTINED
 from repro.reliability.breaker import CircuitBreaker, CircuitState
 from repro.telemetry.events import (
     CircuitClose,
@@ -132,8 +133,9 @@ class MetadataHandler:
         self._ident: str | None = None
         # Handlers without a failure policy carry no breaker at all: the
         # refresh hot path then pays one `is None` check, mirroring the
-        # telemetry discipline (bench_fault_overhead.py records what a
-        # breaker costs on top).
+        # telemetry discipline (wave_storm's reliability.policy_wave_p50_us
+        # against reliability.policyfree_wave_p50_us in benchmarks/e2e
+        # records what a breaker costs on top).
         policy = definition.failure_policy
         self.breaker: CircuitBreaker | None = (
             CircuitBreaker(policy, registry.clock, salt=self.ident)
@@ -230,58 +232,56 @@ class MetadataHandler:
         """Recompute and store the value now; return whether dependents must
         be told (value changed, or this handler publishes every update).
 
-        With a failure policy attached, the attempt is circuit-governed: a
-        quarantined handler returns quietly (consumers keep the stale
-        last-good value), and the final failure of the retry budget still
-        raises — the caller (typically the periodic scheduler) owns logging
-        and the backoff re-arm.
+        A quarantined handler returns quietly (consumers keep the stale
+        last-good value).  There is no immediate retry: the final failure
+        raises, and the caller (typically the periodic scheduler) owns
+        logging and the backoff re-arm.
         """
-        self._ensure_included()
-        if self.breaker is not None:
-            outcome = self._guarded_attempt(retries=0)
-            if outcome is None:
-                return False  # quarantined: rest until the next probe is due
-            changed = outcome
-        else:
-            with self._lock.write():
-                changed = self._store(self._compute())
-        # Re-check after releasing the item lock: a concurrent exclusion that
-        # won the race gets a quiet exit instead of a post-removal wave.
-        return not self.removed and (changed or self.propagates_always)
+        return self._attempt(retries=0) is True
 
-    def recompute_for_propagation(self) -> bool:
+    def recompute_for_propagation(self) -> "bool | str":
         """Recompute during a propagation wave; return whether dependents
         must be told (value changed, or this handler publishes every update).
 
         Unlike :meth:`refresh` this does *not* start a new wave — the running
         wave already covers the dependent closure in topological order.
         With a failure policy the wave retries immediately (a wave cannot
-        sleep); quarantine skips return False so the wave serves the stale
-        value downstream, and the final failure raises into the engine's
-        error accounting, which poisons exactly this dependent subtree.
+        sleep); :data:`~repro.metadata.propagation.QUARANTINED` says the
+        circuit let no attempt through, and the final failure raises — the
+        engine poisons this dependent subtree either way.
         """
+        breaker = self.breaker
+        return self._attempt(0 if breaker is None
+                             else breaker.policy.max_retries)
+
+    def _attempt(self, retries: int) -> "bool | str":
+        """The one refresh attempt behind :meth:`_refresh_value` and
+        :meth:`recompute_for_propagation`: compute and store, through the
+        circuit breaker when there is one (see :meth:`_guarded_attempt`)."""
         self._ensure_included()
-        if self.breaker is not None:
-            outcome = self._guarded_attempt(
-                retries=self.breaker.policy.max_retries)
-            if outcome is None:
-                return False  # quarantined mid-wave: keep last-good value
-            return outcome or self.propagates_always
-        with self._lock.write():
-            changed = self._store(self._compute())
-        return changed or self.propagates_always
+        if self.breaker is None:
+            with self._lock.write():
+                changed = self._store(self._compute())
+        else:
+            changed = self._guarded_attempt(retries)
+            if changed is QUARANTINED:
+                return changed
+        # Re-check after releasing the item lock: a concurrent exclusion that
+        # won the race gets a quiet exit instead of a post-removal wave.
+        return not self.removed and (changed or self.propagates_always)
 
     # -- failure-policy machinery ------------------------------------------
 
     def _guarded_attempt(self, retries: int,
-                         emit_refresh: bool = False) -> bool | None:
+                         emit_refresh: bool = False) -> "bool | str":
         """Circuit-governed compute+store with up to ``1 + retries``
         immediate attempts; ``emit_refresh`` records a successful one as a
         ``handler.refresh`` (an on-demand read, which no caller records).
 
-        Returns the changed flag, or ``None`` when the circuit is
-        quarantined with no probe due (the caller serves the last-good
-        value).  The last failure of the budget re-raises after the breaker
+        Returns the changed flag, or ``QUARANTINED`` when the circuit lets
+        no attempt through (the caller serves the last-good value) — the
+        only place that asks the breaker.  The last failure of the budget,
+        or one that quarantines the circuit, re-raises after the breaker
         recorded it.  Immediate retries are for paths that cannot sleep
         (waves, on-demand access); the periodic backoff retry *is* the
         scheduler re-arm, so periodic callers pass ``retries=0``.
@@ -294,7 +294,7 @@ class MetadataHandler:
             node, key = self.names
             tel.emit(CircuitHalfOpen(node=node, key=key))
         if not allowed:
-            return None
+            return QUARANTINED
         deadline = breaker.policy.attempt_deadline
         attempt = 0
         while True:
@@ -307,7 +307,8 @@ class MetadataHandler:
                 raise
             except Exception as exc:  # noqa: BLE001 - every provider failure feeds the breaker
                 self._record_failure(exc, tel, deadline_exceeded=False)
-                if attempt <= retries and not breaker.attempt_blocked():
+                if attempt <= retries \
+                        and breaker.state is not CircuitState.QUARANTINED:
                     if tel is not None:
                         node, key = self.names
                         tel.emit(RetryScheduled(node=node, key=key,
@@ -359,10 +360,6 @@ class MetadataHandler:
         breaker = self.breaker
         return (breaker is not None and self.has_value
                 and breaker.state is not CircuitState.HEALTHY)
-
-    def peek_status(self) -> tuple[Any, bool]:
-        """Stale-while-failing read: ``(last-good value, stale flag)``."""
-        return self.peek(), self.stale
 
     def peek(self) -> Any:
         """Return the cached value without recomputation or access counting.
@@ -506,7 +503,7 @@ class OnDemandHandler(MetadataHandler):
             if policy.stale_while_failing and self.has_value:
                 return self.peek()
             raise
-        if outcome is None:
+        if outcome is QUARANTINED:
             if policy.stale_while_failing and self.has_value:
                 return self.peek()
             raise HandlerError(

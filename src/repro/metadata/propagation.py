@@ -34,12 +34,14 @@ predecessors' outcomes alone:
 1. *membership*: reaction hooks (``on_dependency_changed``) are dynamic, so
    they are evaluated on every wave, once per edge out of a wave member;
 2. *poison*: a member whose input kept a stale value (failed recompute,
-   quarantined circuit) is skipped and
-   poisons its own dependents — fault containment with the exact law
-   ``planned == refreshes + skipped_poisoned``;
+   quarantined circuit) is skipped and poisons its own dependents — fault
+   containment with the exact law ``planned == refreshes + skipped_poisoned``;
 3. *change cut*: a member none of whose inputs changed is ``suppressed``
    (unchanged values cut the propagation short, saving work);
-4. otherwise the handler recomputes, exactly once per wave.
+4. otherwise the handler is asked to recompute, exactly once per wave.  It
+   alone consults its circuit breaker; the loop only maps the outcome (a
+   quarantined member is skipped and poisons its dependents, a failed one
+   keeps its stale value and does the same).
 
 What differs between kinds of wave is only where the seeds come from:
 
@@ -110,7 +112,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metadata.handler import MetadataHandler
     from repro.telemetry.hub import Telemetry
 
-__all__ = ["FAILED", "PropagationEngine"]
+__all__ = ["FAILED", "PropagationEngine", "QUARANTINED"]
 
 #: One due task of a scheduler tick: the handler, and the scheduler's
 #: ``refresh()`` of it — recompute, book-keep, say whether it published
@@ -122,18 +124,19 @@ _TickSeed = tuple["MetadataHandler", Callable[[], "bool | str"]]
 #: ``refresh``) reports in place of the changed flag when it did not
 #: complete: the provider raised and the handler kept its last-good value.
 FAILED = "failed"
+#: What a handler's recompute reports when its circuit let no attempt
+#: through (quarantined, no probe due): the last-good value stands.
+QUARANTINED = "quarantined"
 _EXCLUDED = "excluded"
 
-#: A wave plan ``(entries, guarded)``.  ``entries`` lists
-#: ``(handler, predecessors)`` in topological order, predecessors being the
-#: entry's (deduplicated) dependencies *within the plan* — they always
-#: precede it, so one forward pass can decide everything incrementally.
-#: ``guarded`` records whether any entry carries a circuit breaker.  A
-#: breaker exists exactly when the definition had a failure policy, fixed
-#: at handler creation — so the flag is as stable as the plan and lets the
-#: loop skip breaker reads entirely on policy-free topologies (the common
-#: case).
-_Plan = tuple[list, bool]
+#: A wave plan: ``(handler, predecessors)`` in topological order,
+#: predecessors being the entry's (deduplicated) dependencies *within the
+#: plan* — they always precede it, so one forward pass can decide everything
+#: incrementally.  Breakers are no part of it: a policy-free wave pays
+#: nothing for them, and what a healthy one costs is ``wave_storm``'s
+#: ``reliability.policy_wave_p50_us`` against
+#: ``reliability.policyfree_wave_p50_us`` (``benchmarks/e2e``).
+_Plan = list
 
 
 class _WaveTrace:
@@ -467,8 +470,7 @@ class PropagationEngine:
             frontier = next_frontier
         # dict preserves discovery order; the stable sort keeps it for ties.
         order = sorted(handlers, key=lambda h: depth[h])
-        return ([(handlers[h], tuple(preds[h].values())) for h in order],
-                any(handlers[h].breaker is not None for h in order))
+        return [(handlers[h], tuple(preds[h].values())) for h in order]
 
     def _plan(self, seeds: "list[MetadataHandler]", tick: bool = False) -> _Plan:
         """The plan for ``seeds``: cached while the topology epoch stands
@@ -520,7 +522,7 @@ class PropagationEngine:
         members = set(fiat)
         changed = set(fiat)
         poisoned: set[int] = set()
-        entries, guarded = self._plan(seeds, tick=bool(ticking))
+        entries = self._plan(seeds, tick=bool(ticking))
         if trace is not None:
             trace.planned(len(entries))
         refreshes = suppressed = skipped = 0
@@ -580,21 +582,22 @@ class PropagationEngine:
                         if trace is not None:
                             trace.suppressed(handler, "unchanged-inputs")
                     continue
-                if guarded and not is_source and handler.breaker is not None \
-                        and handler.breaker.attempt_blocked():
-                    # Quarantined with no probe due: let it rest; dependents
-                    # get its stale last-good value, so their subtree is
-                    # poisoned.
-                    skipped += 1
-                    poisoned.add(hid)
-                    if trace is not None:
-                        trace.poisoned(handler, "quarantined")
-                    continue
-                refreshes += 1
                 if trace is not None:
                     trace.refreshing([p for p in member_preds
                                       if id(p) in changed])
                 outcome = self._recompute(handler)
+                if outcome is QUARANTINED:
+                    if not is_source:
+                        # Resting with no probe due: dependents get its
+                        # stale last-good value, so their subtree is
+                        # poisoned.
+                        skipped += 1
+                        poisoned.add(hid)
+                        if trace is not None:
+                            trace.poisoned(handler, "quarantined")
+                        continue
+                    outcome = False  # its own change still reaches them
+                refreshes += 1
                 if outcome is True:
                     changed.add(hid)
                 elif outcome is FAILED and not is_source:
@@ -620,10 +623,10 @@ class PropagationEngine:
     def _recompute(self, handler: "MetadataHandler") -> "bool | str":
         """Best-effort recompute: a failing provider keeps its old value and
         does not abort the wave for its siblings.  Returns whether
-        dependents must be told, or ``FAILED`` / ``_EXCLUDED`` when the
-        recompute did not complete."""
+        dependents must be told, or ``QUARANTINED`` / ``FAILED`` /
+        ``_EXCLUDED`` when the recompute did not complete."""
         try:
-            return True if handler.recompute_for_propagation() else False
+            return handler.recompute_for_propagation()
         except MetadataNotIncludedError:
             # The handler was excluded between plan construction and its
             # turn to refresh — a normal hazard under concurrent

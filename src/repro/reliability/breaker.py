@@ -3,9 +3,10 @@
 The breaker is the mutable runtime companion of a frozen
 :class:`~repro.reliability.policy.FailurePolicy`.  It is deliberately
 *passive*: it records outcomes and answers "may I attempt?", but never
-sleeps, never schedules, and never emits telemetry.  Callers (handler,
-scheduler, propagation engine) translate the transition strings it returns
-(``"open"``, ``"reopen"``, ``"half_open"``, ``"close"``) into trace events
+sleeps, never schedules, and never emits telemetry.  The handler's attempt
+path is the one caller that asks it; the handler translates the transition
+strings it returns (``"open"``, ``"reopen"``, ``"half_open"``, ``"close"``)
+into trace events
 *outside* the breaker's lock, which keeps the lock a leaf in the repo's
 lock hierarchy (generic ``_mutex`` region — no graph/node/item locks may be
 taken inside it).
@@ -100,15 +101,6 @@ class CircuitBreaker:
                 self._state = CircuitState.HALF_OPEN
                 return True, "half_open"
             return True, None
-
-    def attempt_blocked(self) -> bool:
-        """Read-only twin of :meth:`allow_attempt` for wave planning: True
-        when quarantined with no probe due.  Never promotes to HALF_OPEN, so
-        the probe slot is left for the caller that will actually compute."""
-        with self._mutex:
-            return (self._state is CircuitState.QUARANTINED
-                    and self._next_probe_at is not None
-                    and self.clock.now() < self._next_probe_at)
 
     def record_success(self) -> str | None:
         """Note a successful compute; returns ``"close"`` when this leaves

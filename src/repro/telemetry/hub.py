@@ -636,18 +636,20 @@ def _causal_ancestors(events: Sequence[ev.TraceEvent],
     (refreshes, suppressions) off that chain are dropped, everything else
     (the wave summary, failure causality) stays.  A multi-source wave's
     summary names its *first* source, so it is re-addressed to the source
-    the chain starts from.
+    the chain starts from — the first one in ``via`` order.
     """
     into: dict[str, list[str]] = {}
     for event in events:
         if isinstance(event, ev.WaveRefresh) and event.via:
             into.setdefault(_ident(event.node, event.key), []).extend(event.via)
-    chain = {item}
+    # Insertion-ordered and walked breadth-first, so the root does not
+    # depend on string hashing (``PYTHONHASHSEED``).
+    chain = {item: None}
     frontier = [item]
-    while frontier:
-        for origin in into.get(frontier.pop(), ()):
+    for link in frontier:
+        for origin in into.get(link, ()):
             if origin not in chain:
-                chain.add(origin)
+                chain[origin] = None
                 frontier.append(origin)
     root = next((link for link in chain if link not in into), item)
     kept: list[ev.TraceEvent] = []

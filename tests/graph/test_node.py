@@ -194,13 +194,6 @@ class TestSinkMetadata:
 
 
 class TestEventNotification:
-    def test_notify_state_changed_publishes_event(self, pipeline):
-        graph, source, fil, sink = pipeline
-        seen = []
-        fil.state_changed.listen(seen.append)
-        fil.notify_state_changed(md.STATE_SIZE)
-        assert seen == [md.STATE_SIZE]
-
     def test_metadata_period_validation(self, pipeline):
         graph, source, fil, sink = pipeline
         from repro.common.errors import GraphError

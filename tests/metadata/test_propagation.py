@@ -14,7 +14,7 @@ from repro.metadata.item import (
     SelfDep,
 )
 from repro.metadata.locks import FineGrainedLockPolicy
-from repro.metadata.propagation import PropagationEngine
+from repro.metadata.propagation import QUARANTINED, PropagationEngine
 from repro.metadata.registry import MetadataSystem
 from repro.metadata.scheduling import VirtualTimeScheduler
 from repro.telemetry.hub import explain_refresh
@@ -193,7 +193,6 @@ class _FakeHandler:
     def __init__(self, name, reacts=True):
         self.name = name
         self.removed = False
-        self.breaker = None
         self.reacts = reacts
         self.reaction_calls = 0
         self.recomputes = 0
@@ -263,6 +262,28 @@ class TestWaveCollection:
         d.depends_on(b, c)
         engine.value_changed(source)
         assert order == ["b", "c", "d"]
+
+    def test_quarantined_outcome_poisons_instead_of_refreshing(self):
+        """Quarantine is the handler's answer; the engine only maps it: the
+        member is skipped, never counted as a refresh, and its dependents
+        are poisoned rather than suppressed on a stale input."""
+        engine = PropagationEngine()
+        source = _FakeHandler("src")
+
+        class Resting(_FakeHandler):
+            def recompute_for_propagation(self):
+                self.recomputes += 1
+                return QUARANTINED
+
+        resting = Resting("resting")
+        resting.depends_on(source)
+        below = _FakeHandler("below")
+        below.depends_on(resting)
+        engine.value_changed(source)
+        stats = engine.stats()
+        assert resting.recomputes == 1 and below.recomputes == 0
+        assert (stats["planned"], stats["refreshes"], stats["suppressed"],
+                stats["skipped_poisoned"]) == (2, 0, 0, 2)
 
     def test_concurrently_removed_handler_counts_as_suppressed(self):
         engine = PropagationEngine()

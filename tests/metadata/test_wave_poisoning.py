@@ -165,6 +165,63 @@ class TestDiamondContainment:
         sd.cancel()
 
 
+class TestHealthyPolicyIsInvisible:
+    """A healthy circuit breaker changes no propagation work: one seeded
+    chain, built policy-free and with a policy on every item, fired with
+    the same waves, moves the engine's counters alike."""
+
+    COUNTERS = ("waves", "refreshes", "planned", "suppressed", "errors",
+                "skipped_poisoned")
+
+    def run_chain(self, seed: int, policy: FailurePolicy | None):
+        clock = VirtualClock()
+        system = MetadataSystem(clock, VirtualTimeScheduler(clock))
+
+        class Owner:
+            name = "chain"
+            upstream_nodes: list = []
+            downstream_nodes: list = []
+
+        registry = MetadataRegistry(Owner(), system)
+        state = {"v": 0}
+        registry.define(MetadataDefinition(
+            A, Mechanism.ON_DEMAND, compute=lambda ctx: state["v"],
+            failure_policy=policy))
+        keys = [A]
+        for depth in range(12):
+            key = MetadataKey(f"c{depth}")
+            # Halving links cut some waves short (unchanged inputs).
+            registry.define(MetadataDefinition(
+                key, Mechanism.TRIGGERED, dependencies=[SelfDep(keys[-1])],
+                compute=lambda ctx, dep=keys[-1], halve=depth % 3 == 0:
+                    ctx.value(dep) // 2 if halve else ctx.value(dep) + 1,
+                failure_policy=policy))
+            keys.append(key)
+        subscription = registry.subscribe(keys[-1])
+        rng = random.Random(seed)
+        for _ in range(200):
+            if rng.random() < 0.8:
+                state["v"] = rng.randrange(64)
+                registry.notify_changed(A)
+            else:  # a coalesced wave of two links, one downstream of the other
+                registry.notify_changed_many(rng.sample(keys[1:], k=2))
+        stats = system.propagation.stats()
+        value = subscription.get()
+        subscription.cancel()
+        return {k: stats[k] for k in self.COUNTERS}, value
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_healthy_policy_does_the_policy_free_work(self, seed):
+        plain = self.run_chain(seed, None)
+        guarded = self.run_chain(seed, FailurePolicy(max_retries=1,
+                                                     jitter=0.0))
+        assert guarded == plain
+        counters = plain[0]
+        assert counters["refreshes"] > 0 and counters["suppressed"] > 0
+        assert counters["errors"] == counters["skipped_poisoned"] == 0
+        assert counters["planned"] == counters["refreshes"]
+
+
 class TestCrossRegistryPoison:
     """``node0``'s B reads its on-demand A; ``node1``'s C reads ``node0``'s
     B.  When B fails in a wave, the poison reaches across the registry

@@ -20,7 +20,6 @@ class TestStateMachine:
         breaker, _ = make_breaker()
         assert breaker.state is CircuitState.HEALTHY
         assert breaker.allow_attempt() == (True, None)
-        assert breaker.attempt_blocked() is False
 
     def test_failures_within_budget_mean_retrying(self):
         breaker, _ = make_breaker(max_retries=2)
@@ -36,7 +35,6 @@ class TestStateMachine:
             breaker.record_failure(RuntimeError("x"))
         assert breaker.record_failure(RuntimeError("boom")) == "open"
         assert breaker.state is CircuitState.QUARANTINED
-        assert breaker.attempt_blocked() is True
         assert breaker.allow_attempt() == (False, None)
 
     def test_further_failures_while_quarantined_are_silent(self):
@@ -50,19 +48,8 @@ class TestStateMachine:
         clock.advance_by(29.9)
         assert breaker.allow_attempt() == (False, None)
         clock.advance_by(0.2)
-        assert breaker.attempt_blocked() is False
         assert breaker.allow_attempt() == (True, "half_open")
         assert breaker.state is CircuitState.HALF_OPEN
-
-    def test_attempt_blocked_never_claims_the_probe_slot(self):
-        breaker, clock = make_breaker(max_retries=0, probe_interval=30.0)
-        breaker.record_failure(RuntimeError("x"))
-        clock.advance_by(31.0)
-        assert breaker.attempt_blocked() is False
-        # Read-only planning check left the circuit quarantined; the actual
-        # computing caller still gets the one half_open transition.
-        assert breaker.state is CircuitState.QUARANTINED
-        assert breaker.allow_attempt() == (True, "half_open")
 
     def test_failed_probe_reopens(self):
         breaker, clock = make_breaker(max_retries=0, probe_interval=30.0)

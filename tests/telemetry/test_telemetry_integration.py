@@ -10,6 +10,12 @@ byte-for-byte the same: zero trace events, unchanged ``stats()``.
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.metadata import introspect
@@ -25,6 +31,42 @@ from repro.telemetry.wire import StreamEncoder, decode_lines
 SRC = MetadataKey("src")
 MID = MetadataKey("mid")
 TOP = MetadataKey("top")
+
+#: One coalesced wave of three on-demand sources into one triggered sum,
+#: explained; run under a fixed ``PYTHONHASHSEED``.
+COALESCED_EXPLAIN = """
+from repro.common.clock import VirtualClock
+from repro.metadata.item import Mechanism, MetadataDefinition, MetadataKey, SelfDep
+from repro.metadata.registry import MetadataRegistry, MetadataSystem
+from repro.metadata.scheduling import VirtualTimeScheduler
+from repro.telemetry.hub import explain_refresh
+
+class Owner:
+    name = "n"
+    upstream_nodes: list = []
+    downstream_nodes: list = []
+
+clock = VirtualClock()
+system = MetadataSystem(clock, VirtualTimeScheduler(clock))
+tel = system.enable_telemetry()
+owner = Owner()
+owner.metadata = MetadataRegistry(owner, system)
+sources = [MetadataKey(name) for name in ("left", "mid", "right")]
+state = dict.fromkeys(sources, 1)
+for key in sources:
+    owner.metadata.define(MetadataDefinition(
+        key, Mechanism.ON_DEMAND, compute=lambda ctx, key=key: state[key]))
+total = MetadataKey("total")
+owner.metadata.define(MetadataDefinition(
+    total, Mechanism.TRIGGERED, dependencies=[SelfDep(key) for key in sources],
+    compute=lambda ctx: sum(ctx.value(key) for key in sources)))
+sub = owner.metadata.subscribe(total)
+for key in sources:
+    state[key] += 1
+owner.metadata.notify_changed_many(sources)
+print(explain_refresh(tel, owner, total))
+sub.cancel()
+"""
 
 
 def build_chain(make_owner, values=(1, 2, 3), period=10.0):
@@ -144,6 +186,22 @@ class TestCausalChain:
         assert "b/mid -> c/top" in report
         assert "refresh c/top [changed]" in report
         sub.cancel()
+
+    def test_explain_refresh_is_independent_of_the_hash_seed(self):
+        """A merged wave's summary is re-addressed to the first source in
+        ``via`` order, not to whichever one a string set yields first."""
+        texts = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+            result = subprocess.run([sys.executable, "-c", COALESCED_EXPLAIN],
+                                    env=env, capture_output=True, text=True,
+                                    timeout=60)
+            assert result.returncode == 0, result.stderr
+            texts.append(re.sub(r"\(\d+\.\dus\)", "(us)", result.stdout))
+        assert texts[0] == texts[1]
+        assert "merging 3 sources" in texts[0]
+        assert "change of n/left" in texts[0]
 
     def test_explain_refresh_without_refresh(self, make_owner, system):
         build_chain(make_owner)
