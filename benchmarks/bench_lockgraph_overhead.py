@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """Lock-observer overhead record — what recording lock order costs.
 
 The deadlock sanitizer (``repro.analysis.lockgraph``) watches every
@@ -14,24 +13,15 @@ records both by timing uncontended read/write lock-unlock pairs through:
   :class:`~repro.analysis.lockgraph.LockOrderRecorder` (stack capture off).
 
 Rounds are interleaved so clock drift and cache warmth hit both equally;
-each configuration is scored by its best round.  Nothing is gated: the
-absolute cost of the uncontended path is covered end to end by
-``benchmarks/e2e`` (three of its four workloads run ``FineGrainedLockPolicy``).
-
-Usage::
-
-    python benchmarks/bench_lockgraph_overhead.py --output BENCH_lockgraph.json
-
-The JSON report is uploaded as a CI artifact.
-
-The module is a standalone script on purpose — it is not collected by the
-tier-1 pytest run (``testpaths = ["tests"]``).
+each configuration is scored by its best round.  ``benchmarks/runner.py``
+(suite ``lockgraph``) records the numbers and gates only ``passed``: both
+locks made the same acquisitions.  The absolute cost of the uncontended
+path is covered end to end by ``benchmarks/e2e`` (three of its four
+workloads run ``FineGrainedLockPolicy``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -110,33 +100,6 @@ def measure() -> dict:
         "overhead_recording_pct": overhead_recording_pct,
         "recorded_acquisitions": recorder.acquisitions,
         "work_consistent": consistent,
+        "metrics": {"overhead_recording_pct": overhead_recording_pct},
+        "passed": consistent,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_lockgraph.json",
-                        help="path of the JSON report (default: %(default)s)")
-    args = parser.parse_args(argv)
-
-    result = measure()
-    Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
-
-    print(f"lock-observer overhead benchmark "
-          f"({READ_PAIRS_PER_ROUND} read + {WRITE_PAIRS_PER_ROUND} write "
-          f"pairs/round, best of {ROUNDS})")
-    for name in ("disabled", "recording"):
-        print(f"  {name:<10} {result['seconds_best'][name] * 1e3:8.2f} ms  "
-              f"({result['pairs_per_second_best'][name]:,.0f} pairs/s)")
-    print(f"  recording vs disabled: {result['overhead_recording_pct']:+.2f}% "
-          f"({result['recorded_acquisitions']} acquisitions recorded)")
-    print(f"  report: {args.output}")
-
-    if not result["work_consistent"]:
-        print("FAIL: locks disagreed on acquisition work", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

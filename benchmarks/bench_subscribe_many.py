@@ -1,5 +1,4 @@
-#!/usr/bin/env python3
-"""Batch subscription benchmark — ``subscribe_many`` vs a subscribe loop.
+"""Batch subscription suite — ``subscribe_many`` vs a subscribe loop.
 
 Installing a query that consumes dozens of metadata items is the paper's
 subscription burst (Section 3.1): every item's transitive include closure
@@ -17,22 +16,12 @@ modest, stable ratio (~1.2x), not a blockbuster: the benchmark exists to
 batch path).
 
 Both paths must agree on the resulting structure: same handler count, same
-include counts, same subscription order.
-
-Usage::
-
-    python benchmarks/bench_subscribe_many.py --check \
-        --output BENCH_subscribe_many.json
-
-Standalone on purpose — not collected by tier-1 pytest
-(``testpaths = ["tests"]``); ``benchmarks/runner.py`` folds its metrics
-into ``BENCH_subscription.json``.
+include counts, same subscription order.  ``passed`` is that agreement;
+``benchmarks/runner.py`` (suite ``subscription``) gates the speedup.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -47,7 +36,6 @@ from repro.metadata.scheduling import VirtualTimeScheduler
 DEPTH = 50      # shared dependency chain under every query item
 QUERIES = 200   # items subscribed per round
 ROUNDS = 5      # best-of rounds (fresh registry each round)
-GATE_MIN_SPEEDUP = 1.0  # batching must never be slower than the loop
 
 
 class _Owner:
@@ -128,40 +116,5 @@ def measure() -> dict:
             "batch_subscribes_per_second":
                 results["batch"]["subscribes_per_second"],
         },
-        "passed": equivalent and speedup >= GATE_MIN_SPEEDUP,
+        "passed": equivalent,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_subscribe_many.json",
-                        help="path of the JSON report (default: %(default)s)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero when batching is slower than the "
-                             "loop or the structures diverge")
-    args = parser.parse_args(argv)
-
-    result = measure()
-    Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
-
-    print(f"subscribe_many benchmark ({QUERIES} query items over a "
-          f"{DEPTH}-deep shared chain, best of {ROUNDS})")
-    for mode, data in result["results"].items():
-        print(f"  {mode:<6} {data['seconds_best'] * 1e3:8.2f} ms  "
-              f"({data['subscribes_per_second']:,.0f} subscribes/s)")
-    print(f"  speedup: {result['metrics']['subscribe_many_speedup']:.2f}x  "
-          f"structures equivalent: {result['equivalent']}")
-    print(f"  report: {args.output}")
-
-    if args.check and not result["passed"]:
-        reason = ("loop and batch subscription produced different structures"
-                  if not result["equivalent"]
-                  else "subscribe_many slower than the per-key loop")
-        print(f"FAIL: {reason}", file=sys.stderr)
-        return 1
-    print("PASS" if result["passed"] else "(informational run, no --check)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

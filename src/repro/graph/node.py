@@ -23,9 +23,11 @@ that lists them.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.common.errors import GraphError, WiringError
+from repro.common.stats import OnlineMean, OnlineVariance
 from repro.graph.element import Schema, StreamElement
 from repro.graph.queues import StreamQueue
 from repro.metadata import catalogue as md
@@ -388,7 +390,8 @@ class Operator(GraphNode):
             registry.define(MetadataDefinition(
                 md.AVG_INPUT_RATE.q(port), Mechanism.TRIGGERED,
                 dependencies=[SelfDep(md.INPUT_RATE.q(port))],
-                compute=self._make_online_mean(md.INPUT_RATE.q(port)),
+                compute=_OnlineAggregate(
+                    md.INPUT_RATE.q(port), OnlineMean, OnlineMean.value),
                 always_propagate=True,
                 description=f"online average of the port-{port} input rate "
                             "(triggered by each rate update; Section 3.2.3)",
@@ -396,7 +399,9 @@ class Operator(GraphNode):
             registry.define(MetadataDefinition(
                 md.VAR_INPUT_RATE.q(port), Mechanism.TRIGGERED,
                 dependencies=[SelfDep(md.INPUT_RATE.q(port))],
-                compute=self._make_online_variance(md.INPUT_RATE.q(port)),
+                compute=_OnlineAggregate(
+                    md.INPUT_RATE.q(port), OnlineVariance,
+                    OnlineVariance.variance),
                 always_propagate=True,
                 description=f"online variance of the port-{port} input rate",
             ))
@@ -424,7 +429,8 @@ class Operator(GraphNode):
         registry.define(MetadataDefinition(
             md.AVG_SELECTIVITY, Mechanism.TRIGGERED,
             dependencies=[SelfDep(md.SELECTIVITY)],
-            compute=self._make_online_mean(md.SELECTIVITY),
+            compute=_OnlineAggregate(
+                md.SELECTIVITY, OnlineMean, OnlineMean.value),
             always_propagate=True,
             description="online average of the measured selectivity "
                         "(Figure 3's intra-node aggregate)",
@@ -468,34 +474,33 @@ class Operator(GraphNode):
         )
         return out_rate / in_rate if in_rate else 0.0
 
-    @staticmethod
-    def _make_online_mean(dep_key: MetadataKey) -> Callable:
-        """Compute function folding each dependency update into a mean.
 
-        The aggregate state lives in the closure, so it resets naturally when
-        the handler is removed and recreated — fresh inclusion, fresh average.
-        """
-        from repro.common.stats import OnlineMean
+class _OnlineAggregate:
+    """Compute function folding each dependency update into a ``stat``.
 
-        state = OnlineMean()
+    Each handler that runs the compute starts a new ``stat``, so a removed
+    and re-included item does not fold its predecessor's samples — fresh
+    inclusion, fresh aggregate — and an item never included holds none.
+    The handler is held weakly: a retired handler is not kept alive by its
+    item.
+    """
 
-        def compute(ctx) -> float:
-            state.add(ctx.value(dep_key))
-            return state.value()
+    __slots__ = ("dep_key", "stat", "read", "state", "owner")
 
-        return compute
+    def __init__(self, dep_key: MetadataKey, stat: type,
+                 read: Callable) -> None:
+        self.dep_key = dep_key
+        self.stat = stat
+        self.read = read
+        self.state: Any = None
+        self.owner: weakref.ref | None = None  # the handler owning ``state``
 
-    @staticmethod
-    def _make_online_variance(dep_key: MetadataKey) -> Callable:
-        from repro.common.stats import OnlineVariance
-
-        state = OnlineVariance()
-
-        def compute(ctx) -> float:
-            state.add(ctx.value(dep_key))
-            return state.variance()
-
-        return compute
+    def __call__(self, ctx) -> float:
+        if self.owner is None or self.owner() is not ctx.handler:
+            self.owner = weakref.ref(ctx.handler)
+            self.state = self.stat()
+        self.state.add(ctx.value(self.dep_key))
+        return self.read(self.state)
 
 
 class Sink(GraphNode):

@@ -32,7 +32,7 @@ discipline):
   Under overload the exporter therefore sheds load by *dropping counted
   events*, not by stealing the runtime's capacity — the paper's probe
   discipline (Section 4.4.1) applied to the export path itself, gated in CI
-  by ``benchmarks/bench_export.py``.
+  by the ``export`` suite of ``benchmarks/runner.py``.
 * **explicit flush/close** — :meth:`TelemetryExporter.flush` synchronously
   delivers everything currently buffered; :meth:`TelemetryExporter.close`
   stops the drainer, flushes, writes a final metrics snapshot and closes

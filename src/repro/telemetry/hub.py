@@ -14,8 +14,9 @@ Telemetry is **off by default** and attached per
 ``system.enable_telemetry()``.  The overhead discipline mirrors the paper's
 monitoring probes (Section 4.4.1): while disabled, every hook in the runtime
 is a single ``telemetry is None`` check — no event objects, no locks, no
-metric lookups.  ``benchmarks/bench_telemetry_overhead.py`` records what
-enabling costs; the disabled path is guarded by ``benchmarks/e2e``.
+metric lookups.  The ``pipeline`` workload of ``benchmarks/e2e`` records
+what enabling costs (``telemetry.overhead_pct``) and guards the disabled
+path.
 
 Human-facing views:
 

@@ -120,6 +120,24 @@ class TestOperatorMetadata:
         subscription.cancel()
         assert not fil.metadata.is_included(md.INPUT_RATE.q(0))
 
+    @pytest.mark.parametrize("key", [md.AVG_INPUT_RATE.q(0),
+                                     md.VAR_INPUT_RATE.q(0)])
+    def test_online_aggregate_restarts_on_reinclusion(self, pipeline, key):
+        """Fresh inclusion, fresh aggregate: a re-included item must not
+        fold the samples its removed predecessor saw."""
+        graph, source, fil, sink = pipeline
+        subscription = fil.metadata.subscribe(key)
+        for _ in range(4):
+            feed(graph, source, 1, gap=10.0)
+            feed(graph, source, 5, gap=1.0)
+        assert subscription.get() > 0
+        subscription.cancel()
+        subscription = fil.metadata.subscribe(key)
+        assert subscription.get() == 0.0
+        graph.clock.advance_by(100.0)  # two idle periods: the rate reads 0
+        assert subscription.get() == 0.0
+        subscription.cancel()
+
     def test_io_ratio(self, pipeline):
         graph, source, fil, sink = pipeline
         subscription = fil.metadata.subscribe(md.INPUT_OUTPUT_RATIO)
