@@ -19,23 +19,20 @@ Three analyzers behind one findings pipeline:
   deadlocks, hierarchy inversions, and locks held across blocking calls
   (codes ``LD001``-``LD003``).
 
-All emit :class:`~repro.analysis.findings.Finding` objects; reporters,
-baseline handling, and the ``python -m repro.analysis`` CLI live in
-:mod:`~repro.analysis.report`, :mod:`~repro.analysis.baseline`, and
+Each returns a list of :class:`~repro.analysis.findings.Finding` objects;
+that list is their only output.  The text/JSON reporters and the
+``python -m repro.analysis`` CLI live in :mod:`~repro.analysis.report` and
 :mod:`~repro.analysis.cli`.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, apply_baseline
 from repro.analysis.findings import (
     CODES,
     CodeInfo,
     Finding,
     Severity,
     count_by_severity,
-    finding_from_dict,
-    max_severity,
     sort_findings,
 )
 from repro.analysis.lockcheck import lint_paths, lint_source, lint_sources
@@ -46,22 +43,18 @@ from repro.analysis.lockgraph import (
     record_locks,
 )
 from repro.analysis.plan import PlanIndex, build_index, resolve_plan, verify_system
-from repro.analysis.report import parse_report, render_json, render_text
+from repro.analysis.report import render_json, render_text
 
 __all__ = [
     "LockOrderRecorder",
     "analyze_payload",
     "load_payload",
     "record_locks",
-    "Baseline",
-    "apply_baseline",
     "CODES",
     "CodeInfo",
     "Finding",
     "Severity",
     "count_by_severity",
-    "finding_from_dict",
-    "max_severity",
     "sort_findings",
     "lint_paths",
     "lint_source",
@@ -70,7 +63,6 @@ __all__ = [
     "build_index",
     "resolve_plan",
     "verify_system",
-    "parse_report",
     "render_json",
     "render_text",
 ]

@@ -4,8 +4,7 @@ Usage::
 
     python -m repro.analysis [paths...] [--plan SPEC]...
                              [--lock-report FILE]...
-                             [--format text|json] [--fail-on error|warning]
-                             [--baseline FILE] [--write-baseline FILE]
+                             [--fail-on error|warning]
                              [--output FILE] [--verbose]
 
 ``paths`` are files or directories to run the static lock pass over (codes
@@ -19,8 +18,11 @@ object with a ``metadata_system`` attribute (e.g. a frozen ``QueryGraph``),
 or a tuple/list containing one — :func:`repro.analysis.plan.resolve_plan`
 does the coercion.
 
-Exit status: **0** when no finding at or above the ``--fail-on`` threshold
-survives baselining, **1** when one does, **2** on usage or load errors.
+The findings are printed as text on stdout; ``--output FILE`` also writes
+them as the JSON document of :func:`repro.analysis.report.render_json`.
+
+Exit status: **0** when no finding is at or above the ``--fail-on``
+threshold, **1** when one is, **2** on usage or load errors.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from repro.analysis.baseline import Baseline, apply_baseline
-from repro.analysis.findings import Finding, Severity, sort_findings
+from repro.analysis.findings import Finding, Severity
 from repro.analysis.lockcheck import lint_paths
 from repro.analysis.lockgraph import analyze_payload, load_payload
 from repro.analysis.plan import resolve_plan, verify_system
@@ -87,22 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
              "LockOrderRecorder.save) to analyze for LD001-LD003 "
              "(repeatable)")
     parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)")
-    parser.add_argument(
         "--fail-on", metavar="SEVERITY", default="error",
         help="exit non-zero when a finding of this severity or higher "
-             "survives baselining (default: error)")
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline file of grandfathered finding fingerprints")
-    parser.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="write all current findings to FILE as the new baseline and "
-             "exit 0")
+             "is reported (default: error)")
     parser.add_argument(
         "--output", metavar="FILE",
-        help="also write the report to FILE (useful for CI artifacts)")
+        help="also write the findings to FILE as a JSON report (useful "
+             "for CI artifacts)")
     parser.add_argument(
         "--verbose", action="store_true",
         help="include per-finding details in the text report")
@@ -150,40 +142,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         findings.extend(verify_system(system))
 
-    findings = sort_findings(findings)
-
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(args.write_baseline)
-        print(f"wrote baseline with {len(findings)} finding(s) to "
-              f"{args.write_baseline}")
-        return 0
-
-    suppressed_count = 0
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: --baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed, stale = apply_baseline(findings, baseline)
-        suppressed_count = len(suppressed)
-        for fp in stale:
-            print(f"note: baseline entry {fp} "
-                  f"({baseline.entries[fp]}) no longer matches — "
-                  f"consider re-writing the baseline", file=sys.stderr)
-
-    if args.format == "json":
-        report = render_json(findings)
-    else:
-        report = render_text(findings, verbose=args.verbose)
-        if suppressed_count:
-            report += f"\n({suppressed_count} baselined finding(s) hidden)"
-    print(report)
+    print(render_text(findings, verbose=args.verbose))
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(render_json(findings))
             fh.write("\n")
 
-    failing = [f for f in findings if f.severity.rank >= fail_on.rank]
-    return 1 if failing else 0
+    return 1 if any(f.severity.rank >= fail_on.rank for f in findings) else 0

@@ -7,19 +7,17 @@ location information to act on: graph findings point at ``node/key``
 subjects, source findings at ``file:line`` inside a function scope.
 
 Codes are registered in :data:`CODES` with their default severity and a
-one-line title; the documentation table in ``docs/METADATA_GUIDE.md`` and
-the reporters render from the same registry, so the two cannot drift.
+one-line title.  The code table in ``docs/METADATA_GUIDE.md`` lists the
+same codes and severities, and ``tests/analysis/test_cli.py`` checks that
+the two agree.
 
-Findings are plain data: :meth:`Finding.to_dict` / :func:`finding_from_dict`
-round-trip through JSON (the CLI's ``--format json`` schema), and
-:meth:`Finding.fingerprint` is the stable identity used by the baseline file
-to grandfather pre-existing findings without pinning line numbers.
+Findings are plain data: the analyzers return a list of them, and
+:meth:`Finding.to_dict` is one entry of the CLI's ``--output`` JSON report.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -29,9 +27,7 @@ __all__ = [
     "Finding",
     "CODES",
     "CodeInfo",
-    "finding_from_dict",
     "count_by_severity",
-    "max_severity",
     "sort_findings",
 ]
 
@@ -168,24 +164,11 @@ class Finding:
             return f"{self.file}:{self.line}" if self.line else self.file
         return self.subject
 
-    def fingerprint(self) -> str:
-        """Stable identity for the baseline file.
-
-        Line numbers are deliberately excluded so unrelated edits that move
-        a grandfathered finding do not un-baseline it; the enclosing scope
-        and the normalized message keep the identity precise.
-        """
-        normalized = " ".join(self.message.split())
-        raw = "|".join((self.code, self.file or self.subject, self.scope,
-                        normalized))
-        return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
-
     def to_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {
             "code": self.code,
             "severity": self.severity.value,
             "message": self.message,
-            "fingerprint": self.fingerprint(),
         }
         if self.subject:
             data["subject"] = self.subject
@@ -204,34 +187,11 @@ class Finding:
         return f"{prefix}{self.code} {self.severity.value}: {self.message}"
 
 
-def finding_from_dict(data: Mapping[str, Any]) -> Finding:
-    """Inverse of :meth:`Finding.to_dict` (``fingerprint`` is recomputed)."""
-    return Finding(
-        code=str(data["code"]),
-        message=str(data["message"]),
-        severity=Severity.parse(str(data.get("severity", "error"))),
-        subject=str(data.get("subject", "")),
-        file=str(data.get("file", "")),
-        line=int(data.get("line", 0)),
-        scope=str(data.get("scope", "")),
-        details=dict(data.get("details", {})),
-    )
-
-
 def count_by_severity(findings: Iterable[Finding]) -> dict[str, int]:
     counts = {severity.value: 0 for severity in Severity}
     for finding in findings:
         counts[finding.severity.value] += 1
     return counts
-
-
-def max_severity(findings: Iterable[Finding]) -> Severity | None:
-    """Highest severity present, or ``None`` for an empty list."""
-    best: Severity | None = None
-    for finding in findings:
-        if best is None or finding.severity.rank > best.rank:
-            best = finding.severity
-    return best
 
 
 def sort_findings(findings: Iterable[Finding]) -> list[Finding]:

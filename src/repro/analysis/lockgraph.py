@@ -74,7 +74,6 @@ __all__ = [
     "record_locks",
     "analyze_payload",
     "load_payload",
-    "emit_findings",
     "infer_level",
 ]
 
@@ -422,14 +421,6 @@ class LockOrderRecorder:
         LD003 blocking observations."""
         return analyze_payload(self.to_payload())
 
-    def report(self, telemetry: Any = None) -> list[Finding]:
-        """:meth:`findings`, optionally mirrored into a telemetry hub as
-        ``analysis.finding`` events / ``analysis_findings_total`` counters."""
-        found = self.findings()
-        if telemetry is not None:
-            emit_findings(found, telemetry)
-        return found
-
 
 @contextmanager
 def record_locks(*, instrument_blocking: bool = True,
@@ -454,18 +445,6 @@ def load_payload(path: str) -> dict[str, Any]:
     if not isinstance(data, Mapping) or "edges" not in data:
         raise ValueError(f"{path}: not a lock-order recording")
     return dict(data)
-
-
-def emit_findings(findings: list[Finding], telemetry: Any) -> None:
-    """Mirror LD findings into a telemetry hub (same event/counter family
-    the plan verifier uses, so dashboards see one ``analysis_findings_total``
-    series for static and dynamic findings alike)."""
-    from repro.telemetry.events import AnalysisFinding
-
-    for finding in findings:
-        telemetry.emit(AnalysisFinding(
-            code=finding.code, severity=finding.severity.value,
-            subject=finding.subject or finding.location))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ every definition's symbolic dependency specs against the actual graph wiring
 
 =====  ====================================================================
 MD001  dependency cycle, intra- or inter-node (full cycle path in message)
-MD002  dangling dependency edge: the target node has no registry, or the
-       target item is not defined there
+MD002  dangling dependency edge: the target node has no registry, the
+       target item is not defined there, or the item's dependency resolver
+       raises
 MD003  on-demand handler with periodically-updated inputs — the Figure 5
        bug (the aggregate is sampled at access times, unsynchronized with
        the input's refresh grid; use a triggered handler)
@@ -43,8 +44,8 @@ before any tuple flows).
 
 Definitions with *dynamic* dependency resolvers (Section 4.4.3) are resolved
 by calling the resolver — resolvers are required to be side-effect-free
-inspections of the node.  A resolver that raises makes the item statically
-unresolvable; it is skipped rather than guessed at.
+inspections of the node.  A resolver that raises is ``MD002`` with the
+exception text: subscribing the item would raise the same error.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.metadata.locks import NoOpLockPolicy
 from repro.metadata.monitor import CostProbe, CounterProbe, GaugeProbe, MeanProbe, Probe
 from repro.metadata.registry import MetadataRegistry, MetadataSystem
 from repro.metadata.scheduling import ThreadedScheduler
-from repro.telemetry.events import AnalysisFinding, key_of
+from repro.telemetry.events import key_of
 
 __all__ = ["PlanIndex", "build_index", "verify_system", "resolve_plan"]
 
@@ -79,7 +80,7 @@ class PlanIndex:
 
     Vertices are every *defined* item of every registry (included or not);
     edges are the statically-resolved dependency specs.  Items whose dynamic
-    resolver raised are listed in :attr:`unresolved` and carry no edges.
+    resolver raised carry no edges and list the error in :attr:`dangling`.
     """
 
     def __init__(self) -> None:
@@ -89,8 +90,6 @@ class PlanIndex:
         self.edges: dict[VertexId, list[VertexId]] = {}
         #: vertex -> resolution failures: (spec, error message) pairs.
         self.dangling: dict[VertexId, list[tuple[Any, str]]] = {}
-        #: vertices whose dynamic dependency resolver raised.
-        self.unresolved: dict[VertexId, str] = {}
 
     def registry_of(self, vertex: VertexId) -> MetadataRegistry:
         return self.vertices[vertex][0]
@@ -120,7 +119,10 @@ def build_index(system: MetadataSystem) -> PlanIndex:
         try:
             specs = definition.resolve_specs(registry)
         except Exception as exc:  # noqa: BLE001 - resolver is user code
-            index.unresolved[vertex] = f"{type(exc).__name__}: {exc}"
+            resolver = getattr(definition.dependencies, "__qualname__",
+                               "resolver")
+            index.dangling[vertex] = [
+                (resolver, f"resolver raised {type(exc).__name__}: {exc}")]
             continue
         for spec in specs:
             try:
@@ -334,8 +336,6 @@ def _check_never_fires(index: PlanIndex) -> Iterator[Finding]:
     for vertex, targets in index.edges.items():
         if index.mechanism_of(vertex) is not Mechanism.TRIGGERED:
             continue
-        if vertex in index.unresolved:
-            continue  # dynamic resolver failed; cannot judge statically
         if vertex in index.dangling:
             continue  # incomplete edge set; MD002 already reports this item
         live = [t for t in targets
@@ -434,14 +434,8 @@ def _check_retry_probe_consumption(index: PlanIndex) -> Iterator[Finding]:
 # ---------------------------------------------------------------------------
 
 
-def verify_system(system: MetadataSystem, *,
-                  emit_telemetry: bool = True) -> list[Finding]:
-    """Run every plan check against ``system`` and return sorted findings.
-
-    When the system has telemetry enabled and ``emit_telemetry`` is true,
-    each finding is also emitted as an ``analysis.finding`` trace event and
-    folded into the ``analysis_findings_total{code=...}`` counter.
-    """
+def verify_system(system: MetadataSystem) -> list[Finding]:
+    """Run every plan check against ``system`` and return sorted findings."""
     index = build_index(system)
     findings: list[Finding] = []
     findings.extend(_check_cycles(index))
@@ -453,12 +447,4 @@ def verify_system(system: MetadataSystem, *,
     findings.extend(_check_period_aliasing(index))
     findings.extend(_check_duplicate_subscription(index))
     findings.extend(_check_retry_probe_consumption(index))
-    findings = sort_findings(findings)
-
-    tel = system.telemetry
-    if emit_telemetry and tel is not None:
-        for finding in findings:
-            tel.emit(AnalysisFinding(code=finding.code,
-                                     severity=finding.severity.value,
-                                     subject=finding.subject))
-    return findings
+    return sort_findings(findings)

@@ -1,8 +1,6 @@
 """Reporters: render a list of findings as text or JSON.
 
-The JSON document is the CLI's ``--format json`` schema and round-trips:
-``render_json`` -> ``parse_report`` recovers the same findings (see
-``tests/analysis/test_cli.py``).  Schema::
+The JSON document is what the CLI's ``--output FILE`` writes.  Schema::
 
     {
       "version": 1,
@@ -14,17 +12,11 @@ The JSON document is the CLI's ``--format json`` schema and round-trips:
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from typing import Any, Iterable
 
-from repro.analysis.findings import (
-    Finding,
-    count_by_severity,
-    finding_from_dict,
-    sort_findings,
-)
+from repro.analysis.findings import Finding, count_by_severity, sort_findings
 
-__all__ = ["render_text", "render_json", "parse_report", "REPORT_VERSION"]
+__all__ = ["render_text", "render_json", "REPORT_VERSION"]
 
 REPORT_VERSION = 1
 
@@ -60,10 +52,3 @@ def render_json(findings: Iterable[Finding], *, indent: int = 2) -> str:
     }
     return json.dumps(document, indent=indent)
 
-
-def parse_report(text: str) -> list[Finding]:
-    """Inverse of :func:`render_json`."""
-    document = json.loads(text)
-    if not isinstance(document, Mapping) or "findings" not in document:
-        raise ValueError("not an analysis report document")
-    return [finding_from_dict(item) for item in document["findings"]]

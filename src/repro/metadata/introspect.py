@@ -71,7 +71,7 @@ def describe_system(system: MetadataSystem) -> dict[str, Any]:
     from repro.analysis.plan import verify_system
 
     telemetry = system.telemetry
-    findings = verify_system(system, emit_telemetry=False)
+    findings = verify_system(system)
     return {
         "stats": system.stats(),
         "telemetry": telemetry.describe() if telemetry is not None

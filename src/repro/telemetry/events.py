@@ -57,7 +57,6 @@ __all__ = [
     "CircuitOpen",
     "CircuitHalfOpen",
     "CircuitClose",
-    "AnalysisFinding",
     "key_of",
     "node_of",
 ]
@@ -332,18 +331,3 @@ class CircuitClose(TraceEvent):
     kind = "circuit.close"
     node: str = ""
     key: str = ""
-
-
-@dataclass(slots=True)
-class AnalysisFinding(TraceEvent):
-    """The static verifier reported one finding against this system.
-
-    Emitted by :func:`repro.analysis.plan.verify_system` when the analyzed
-    system has telemetry attached; aggregated into the
-    ``analysis_findings_total{code=...}`` counter so dashboards can watch
-    plan health alongside the runtime series."""
-
-    kind = "analysis.finding"
-    code: str = ""
-    severity: str = ""
-    subject: str = ""

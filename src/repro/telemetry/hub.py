@@ -115,8 +115,6 @@ _SERIES: dict[str, tuple[Any, ...]] = {
     "circuits_open": ("gauge", ()),
     "circuit_probes_total": ("counter", ()),
     "circuits_closed_total": ("counter", ()),
-    # static analysis
-    "analysis_findings_total": ("counter", ("code",)),
 }
 
 
@@ -162,7 +160,6 @@ def _bind_folds(metrics: MetricsRegistry,
     retries, half_open = s("handler_retries_total"), s("circuit_probes_total")
     opened, open_now, closed = (s("circuits_opened_total"), s("circuits_open"),
                                 s("circuits_closed_total"))
-    findings = s("analysis_findings_total")
 
     def subscribe(e: ev.SubscribeEvent) -> None:
         subscribes[e.node]._value += 1
@@ -255,10 +252,6 @@ def _bind_folds(metrics: MetricsRegistry,
     def circuit_close(e: ev.CircuitClose) -> None:
         closed[None]._value += 1
         open_now[None]._value -= 1.0
-
-    def analysis_finding(e: ev.AnalysisFinding) -> None:
-        findings[e.code]._value += 1
-
     return {
         ev.SubscribeEvent: subscribe,
         ev.UnsubscribeEvent: unsubscribe,
@@ -277,7 +270,6 @@ def _bind_folds(metrics: MetricsRegistry,
         ev.CircuitOpen: circuit_open,
         ev.CircuitHalfOpen: circuit_half_open,
         ev.CircuitClose: circuit_close,
-        ev.AnalysisFinding: analysis_finding,
     }
 
 

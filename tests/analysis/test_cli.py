@@ -1,26 +1,17 @@
-"""CLI, reporter round-trip, and baseline tests.
+"""CLI and reporter tests.
 
 Acceptance: exit 0 on a clean tree, non-zero with ``--fail-on error`` on a
-seeded violation, ``--format json`` round-trips through the documented
-schema."""
+seeded violation, ``--output`` writes the documented JSON schema."""
 
 from __future__ import annotations
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Baseline,
-    Finding,
-    Severity,
-    apply_baseline,
-    finding_from_dict,
-    parse_report,
-    render_json,
-    render_text,
-)
+from repro.analysis import CODES, Finding, Severity, render_text
 from repro.analysis.cli import load_plan_factory, main
 
 CLEAN = """
@@ -149,76 +140,31 @@ class TestPlanOption:
 
 
 class TestJsonRoundTrip:
-    def test_schema_round_trips(self, tree, capsys):
-        path = tree("bad.py", VIOLATION)
-        main([path, "--format", "json"])
-        out = capsys.readouterr().out
-        document = json.loads(out)
+    def test_schema_round_trips(self, tree, tmp_path, capsys):
+        path = tree("bad.py", VIOLATION + WARNING_ONLY)
+        report_path = tmp_path / "report.json"
+        assert main([path, "--output", str(report_path)]) == 1
+        assert "LK001" in capsys.readouterr().out
+        document = json.loads(report_path.read_text())
         assert document["version"] == 1
-        assert document["summary"]["error"] == 1
-        recovered = parse_report(out)
-        assert [f.code for f in recovered] == ["LK001"]
-        assert recovered[0].severity is Severity.ERROR
-        assert recovered[0].line > 0
-
-    def test_render_parse_inverse(self):
-        original = [
-            Finding(code="MD003", message="mismatch", subject="op/x",
-                    severity=Severity.ERROR, details={"input": "op/y"}),
-            Finding(code="LK002", message="blocking call",
-                    severity=Severity.WARNING, file="a.py", line=7,
-                    scope="R.m"),
-        ]
-        recovered = parse_report(render_json(original))
-        assert recovered == [original[0], original[1]]
-
-    def test_finding_dict_round_trip(self):
-        finding = Finding(code="MD001", message="cycle: a -> b -> a",
-                          subject="n/a", details={"cycle": ["n/a", "n/b"]})
-        assert finding_from_dict(finding.to_dict()) == finding
+        assert document["summary"] == {"error": 1, "warning": 1, "info": 0}
+        assert [(f["code"], f["severity"], f["file"]) for f in
+                document["findings"]] == [("LK001", "error", path),
+                                          ("LK002", "warning", path)]
+        assert all(f["line"] > 0 for f in document["findings"])
 
     def test_output_file_written(self, tree, tmp_path, capsys):
-        path = tree("bad.py", VIOLATION)
+        plan = tree("plan_mod.py", PLAN_MODULE)
         report_path = tmp_path / "report.json"
-        main([path, "--output", str(report_path)])
+        main(["--plan", f"{plan}:build_plan", "--output", str(report_path)])
         capsys.readouterr()
-        assert parse_report(report_path.read_text())[0].code == "LK001"
-
-
-class TestBaseline:
-    def test_baseline_workflow(self, tree, tmp_path, capsys):
-        path = tree("bad.py", VIOLATION)
-        baseline_path = str(tmp_path / "baseline.json")
-
-        # 1. Grandfather the standing violation.
-        assert main([path, "--write-baseline", baseline_path]) == 0
-        # 2. The baselined tree is green.
-        assert main([path, "--baseline", baseline_path]) == 1 - 1
-        out = capsys.readouterr().out
-        assert "baselined finding(s) hidden" in out
-        # 3. A new violation still fails.
-        path2 = tree("bad2.py", VIOLATION + WARNING_ONLY)
-        assert main([path, path2, "--baseline", baseline_path]) == 1
-        capsys.readouterr()
-
-    def test_fingerprint_survives_line_moves(self):
-        before = Finding(code="LK001", message="out of order", file="a.py",
-                         line=10, scope="R.m", severity=Severity.ERROR)
-        after = Finding(code="LK001", message="out  of order", file="a.py",
-                        line=99, scope="R.m", severity=Severity.ERROR)
-        assert before.fingerprint() == after.fingerprint()
-
-    def test_stale_entries_reported(self, tmp_path, capsys):
-        baseline = Baseline({"deadbeefdeadbeef": "LK001 @ gone.py:1"})
-        fresh, suppressed, stale = apply_baseline([], baseline)
-        assert (fresh, suppressed) == ([], [])
-        assert stale == ["deadbeefdeadbeef"]
-
-    def test_baseline_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(ValueError):
-            Baseline.load(str(path))
+        document = json.loads(report_path.read_text())
+        assert document["version"] == 1
+        assert document["summary"]["error"] == 1
+        [finding] = document["findings"]
+        assert (finding["code"], finding["severity"]) == ("MD003", "error")
+        assert finding["subject"] == "op/avg_rate"
+        assert "file" not in finding and "line" not in finding
 
 
 class TestTextReport:
@@ -231,3 +177,15 @@ class TestTextReport:
         assert "2 finding(s): 1 error, 1 warning" in text
         # Errors sort first.
         assert text.index("MD002") < text.index("MD006")
+
+
+def test_guide_code_table_matches_registry():
+    """The guide's finding-code table lists exactly ``CODES``."""
+    guide = Path(__file__).parents[2] / "docs" / "METADATA_GUIDE.md"
+    section = guide.read_text(encoding="utf-8").split(
+        "### Finding codes", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| `")]
+    table = {code.strip(" `"): severity.strip() for code, severity in rows}
+    assert table == {code: info.severity.value
+                     for code, info in CODES.items()}

@@ -1,5 +1,5 @@
-"""Plan-verifier tests: every code MD001-MD008 pinned with a minimal
-triggering plan, plus the dependency-cycle handling coverage (the registry
+"""Plan-verifier tests: codes MD001-MD008 pinned with a minimal triggering
+plan (MD009 lives in ``test_reliability_checks.py``), plus the dependency-cycle handling coverage (the registry
 rejects subscription on a cycle AND the verifier reports it statically)."""
 
 from __future__ import annotations
@@ -99,6 +99,21 @@ class TestDangling:
         owner.metadata.define(triggered(A, [NodeDep(stranger, B)]))
         findings = verify_system(system)
         assert "MD002" in codes(findings)
+
+    def test_raising_resolver_md002(self, make_owner, system):
+        owner = make_owner("n")
+
+        def lookup(registry):
+            return [SelfDep({"x": B}["missing"])]
+
+        owner.metadata.define(triggered(A, lookup))
+        [finding] = verify_system(system)
+        assert (finding.code, finding.severity) == ("MD002", Severity.ERROR)
+        assert finding.subject == "n/a"
+        assert "resolver raised KeyError: 'missing'" in finding.message
+        # The finding predicts the runtime failure.
+        with pytest.raises(KeyError):
+            owner.metadata.subscribe(A)
 
 
 class TestMechanismMismatch:
@@ -284,17 +299,6 @@ class TestInfrastructure:
         assert resolve_plan(("drivers", GraphLike(), None)) is system
         with pytest.raises(MetadataError):
             resolve_plan(object())
-
-    def test_findings_feed_telemetry_counter(self, make_owner, system):
-        owner = make_owner("n")
-        owner.metadata.define(triggered(A, [SelfDep(B)]))  # dangling -> MD002
-        telemetry = system.enable_telemetry()
-        verify_system(system)
-        counters = telemetry.metrics.snapshot()["counters"]
-        assert any("analysis_findings_total" in name and "MD002" in name
-                   for name in counters)
-        events = telemetry.bus.events(kind="analysis.finding")
-        assert events and events[0].code == "MD002"
 
     def test_describe_system_includes_analysis_section(self, make_owner, system):
         from repro.metadata.introspect import describe_system

@@ -112,8 +112,6 @@ ROWS: list = [
     (ev.CircuitHalfOpen(node="a"), {"circuit_probes_total": 1}, {}, {}),
     (ev.CircuitClose(node="a"),
      {"circuits_closed_total": 1}, {"circuits_open": -1.0}, {}),
-    (ev.AnalysisFinding(code="MD003", severity="error"),
-     {'analysis_findings_total{code="MD003"}': 1}, {}, {}),
 ]
 
 

@@ -139,7 +139,7 @@ HOSTILE_VALUES = [
 
 
 def test_every_event_class_is_covered():
-    assert len(EVENT_CLASSES) == 19  # the base class and 18 concrete ones
+    assert len(EVENT_CLASSES) == 18  # the base class and 17 concrete ones
     assert ev.TraceEvent in EVENT_CLASSES
 
 
