@@ -25,8 +25,8 @@ LD003  a lock observed held across a blocking call (``time.sleep``,
 
 While **no** recorder is installed — the shipped default — every hook in
 ``ReentrantRWLock`` is a single ``observer is None`` check, the same
-discipline the telemetry hooks follow (its cost is recorded by
-``benchmarks/runner.py --only lockgraph``).
+discipline the telemetry hooks follow (the end-to-end benchmark's
+parent-vs-change run guards that path).
 
 Usage::
 

@@ -134,6 +134,12 @@ class QueryGraph:
         if self.frozen:
             raise GraphError("graph already frozen")
         order = self.topological_order()
+        self._attach(order)
+        self.frozen = True
+        return self
+
+    def _attach(self, order: list[GraphNode]) -> None:
+        """Check the wiring of every node in ``order``, then attach each."""
         for node in order:
             if node.arity is not None and len(node.upstream_nodes) != node.arity:
                 raise WiringError(
@@ -146,8 +152,6 @@ class QueryGraph:
                 raise WiringError(f"node {node.name} has no downstream consumer")
         for node in order:
             node.attach(self)
-        self.frozen = True
-        return self
 
     # -- runtime query installation (Section 1: "new queries are installed") ----
 
@@ -178,18 +182,7 @@ class QueryGraph:
             raise GraphError("no update in progress")
         pending = list(self._pending_nodes)
         order = [n for n in self.topological_order() if n in pending]
-        for node in order:
-            if node.arity is not None and len(node.upstream_nodes) != node.arity:
-                raise WiringError(
-                    f"node {node.name} requires {node.arity} input(s), "
-                    f"has {len(node.upstream_nodes)}"
-                )
-            if node.arity is None and not node.upstream_nodes:
-                raise WiringError(f"node {node.name} requires at least one input")
-            if not isinstance(node, Sink) and not node.output_queues:
-                raise WiringError(f"node {node.name} has no downstream consumer")
-        for node in order:
-            node.attach(self)
+        self._attach(order)
         self._updating = False
         self._pending_nodes = []
         return order

@@ -27,12 +27,6 @@ discipline):
   all line sinks); a failing sink is counted
   (``export_sink_errors_total``) and skipped for that batch, never retried
   synchronously, never allowed to stall the other sinks.
-* **overhead budget** — ``cpu_budget`` caps the fraction of wall-clock time
-  the drainer spends delivering (it sleeps the remainder between batches).
-  Under overload the exporter therefore sheds load by *dropping counted
-  events*, not by stealing the runtime's capacity — the paper's probe
-  discipline (Section 4.4.1) applied to the export path itself, gated in CI
-  by the ``export`` suite of ``benchmarks/runner.py``.
 * **explicit flush/close** — :meth:`TelemetryExporter.flush` synchronously
   delivers everything currently buffered; :meth:`TelemetryExporter.close`
   stops the drainer, flushes, writes a final metrics snapshot and closes
@@ -63,10 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (hub -> export)
 __all__ = ["TelemetryExporter", "SinkProgress", "format_events"]
 
 log = logging.getLogger(__name__)
-
-#: Backstop for budget-pacing sleeps so a pathological batch cannot park
-#: the drainer for minutes.
-_MAX_PACING_SLEEP = 0.5
 
 
 def format_events(count: int) -> str:
@@ -128,7 +118,6 @@ class TelemetryExporter:
         batch_size: int = 256,
         flush_interval: float = 0.05,
         metrics_interval: float | None = 1.0,
-        cpu_budget: float | None = None,
         name: str = "exporter",
     ) -> None:
         if not sinks:
@@ -142,16 +131,12 @@ class TelemetryExporter:
             raise ValueError(
                 f"metrics_interval must be positive or None, "
                 f"got {metrics_interval}")
-        if cpu_budget is not None and not 0.0 < cpu_budget <= 1.0:
-            raise ValueError(
-                f"cpu_budget must be in (0, 1], got {cpu_budget}")
         self.name = name
         self.telemetry = telemetry
         self.sinks = list(sinks)
         self.batch_size = batch_size
         self.flush_interval = flush_interval
         self.metrics_interval = metrics_interval
-        self.cpu_budget = cpu_budget
         self.progress: list[SinkProgress] = [
             SinkProgress(sink.name) for sink in self.sinks
         ]
@@ -201,17 +186,8 @@ class TelemetryExporter:
         while not self._stop.is_set():
             self._wake.wait(self.flush_interval)
             self._wake.clear()
-            while not self._stop.is_set():
-                started = time.perf_counter()
-                if self._drain_once() == 0:
-                    break
-                busy = time.perf_counter() - started
-                budget = self.cpu_budget
-                if budget is not None and busy > 0.0:
-                    # Pay back (1-b)/b idle time per busy interval so the
-                    # drainer's CPU share stays at ~b even when saturated.
-                    time.sleep(min(busy * (1.0 - budget) / budget,
-                                   _MAX_PACING_SLEEP))
+            while not self._stop.is_set() and self._drain_once():
+                pass
             if next_metrics is not None and time.monotonic() >= next_metrics:
                 self._export_metrics()
                 assert self.metrics_interval is not None
@@ -330,7 +306,6 @@ class TelemetryExporter:
             "running": self.running,
             "closed": self._closed,
             "batch_size": self.batch_size,
-            "cpu_budget": self.cpu_budget,
             "metrics_snapshots": self.metrics_snapshots,
             "queue": {
                 "capacity": self.telemetry.bus.capacity,

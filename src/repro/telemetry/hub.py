@@ -312,7 +312,6 @@ class Telemetry:
         batch_size: int = 256,
         flush_interval: float = 0.05,
         metrics_interval: float | None = 1.0,
-        cpu_budget: float | None = None,
         name: str | None = None,
         start: bool = True,
     ) -> "TelemetryExporter":
@@ -329,7 +328,7 @@ class Telemetry:
 
         exporter = TelemetryExporter(
             self, sinks, batch_size=batch_size, flush_interval=flush_interval,
-            metrics_interval=metrics_interval, cpu_budget=cpu_budget,
+            metrics_interval=metrics_interval,
             name=name or f"exporter-{len(self.exporters) + 1}")
         self.exporters.append(exporter)
         if start:

@@ -18,6 +18,10 @@ from repro.metadata.item import (
     NodeDep,
     SelfDep,
 )
+from repro.metadata.locks import FineGrainedLockPolicy
+from repro.metadata.registry import MetadataRegistry, MetadataSystem
+from repro.metadata.scheduling import VirtualTimeScheduler
+from tests.conftest import RegistryOwner
 
 A, B, C, D = (MetadataKey(k) for k in "abcd")
 Q1, Q2, Q3 = (MetadataKey(f"q{i}") for i in (1, 2, 3))
@@ -54,6 +58,25 @@ class TestSubscribeMany:
         assert fingerprint(loop_owner.metadata) == fingerprint(batch_owner.metadata)
         assert [s.key for s in batch_subs] == [s.key for s in loop_subs]
         assert [s.get() for s in batch_subs] == [s.get() for s in loop_subs]
+
+    def test_graph_write_lock_taken_once_per_batch(self, clock):
+        keys = [Q1, Q2, Q3]
+        acquired = {}
+        for mode in ("loop", "batch"):
+            system = MetadataSystem(clock, VirtualTimeScheduler(clock),
+                                    lock_policy=FineGrainedLockPolicy())
+            owner = RegistryOwner(mode)
+            owner.metadata = MetadataRegistry(owner, system)
+            define_chain(owner.metadata)
+            stats = system.structure_lock.stats
+            before = stats.write_acquired
+            if mode == "batch":
+                owner.metadata.subscribe_many(keys)
+            else:
+                for key in keys:
+                    owner.metadata.subscribe(key)
+            acquired[mode] = stats.write_acquired - before
+        assert acquired == {"loop": len(keys), "batch": 1}
 
     def test_shared_closure_resolved_once_per_reference(self, make_owner):
         owner = make_owner()

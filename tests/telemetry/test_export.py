@@ -16,6 +16,7 @@ import socket
 import socketserver
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -219,6 +220,47 @@ class TestTelemetryExporter:
             "export_queue_dropped_total", {"exporter": exporter.name})
         assert counter.value == sub.dropped
 
+    def test_memory_stays_flat_as_event_count_grows(self):
+        """Exporting 10x the events peaks within one ring plus one batch of
+        the smaller run: the exporter holds O(ring + batch), not O(events)."""
+        ring, batch = 256, 64
+
+        class NullSink(ExportSink):
+            name = "null"
+
+            def write_batch(self, batch) -> None:
+                pass
+
+        def traced_peak(events: int) -> int:
+            tel = Telemetry(capacity=ring)
+            exporter = tel.attach_exporter(
+                NullSink(), batch_size=batch, metrics_interval=None,
+                start=False)
+            tracemalloc.start()
+            try:
+                for i in range(events):
+                    tel.emit(WaveRefresh(node="n", key="k", changed=True))
+                    if i % batch == batch - 1:
+                        exporter.flush()
+                exporter.close()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # What one retained event costs: a full ring of them, per slot.
+        tel = Telemetry(capacity=ring)
+        tracemalloc.start()
+        try:
+            for _ in range(ring):
+                tel.emit(WaveRefresh(node="n", key="k", changed=True))
+            event_bytes = tracemalloc.get_traced_memory()[0] / ring
+        finally:
+            tracemalloc.stop()
+
+        events = 4 * ring
+        assert (traced_peak(10 * events)
+                <= traced_peak(events) + (ring + batch) * event_bytes)
+
     def test_background_drainer_delivers_without_flush(self):
         tel = Telemetry(capacity=4096)
         sink = CollectingSink()
@@ -331,22 +373,7 @@ class TestTelemetryExporter:
         with pytest.raises(ValueError):
             tel.attach_exporter(CollectingSink(), batch_size=0)
         with pytest.raises(ValueError):
-            tel.attach_exporter(CollectingSink(), cpu_budget=1.5)
-        with pytest.raises(ValueError):
             tel.attach_exporter(CollectingSink(), flush_interval=0.0)
-
-    def test_cpu_budget_paces_but_still_delivers(self):
-        tel = Telemetry(capacity=8192)
-        sink = CollectingSink()
-        exporter = tel.attach_exporter(sink, flush_interval=0.005,
-                                       metrics_interval=None, cpu_budget=0.5)
-        for i in range(100):
-            tel.emit(WaveSummary(source=f"n{i}"))
-        deadline = time.monotonic() + 5.0
-        while len(sink.events()) < 100 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        exporter.close()
-        assert len(drain_events(sink)) == 100
 
 
 # ---------------------------------------------------------------------------
