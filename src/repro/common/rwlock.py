@@ -116,6 +116,15 @@ class LockStats:
             write_wait_seconds=self.write_wait_seconds + other.write_wait_seconds,
         )
 
+    def add(self, other: "LockStats") -> None:
+        """Fold ``other``'s counters into these, in place."""
+        self.read_acquired += other.read_acquired
+        self.write_acquired += other.write_acquired
+        self.read_contended += other.read_contended
+        self.write_contended += other.write_contended
+        self.read_wait_seconds += other.read_wait_seconds
+        self.write_wait_seconds += other.write_wait_seconds
+
     def to_dict(self) -> dict[str, float]:
         """Plain-data view for ``describe_system()`` and JSON reports."""
         return {
@@ -181,7 +190,7 @@ class ReentrantRWLock:
             shared_state = new_value
     """
 
-    __slots__ = ("name", "stats", "_mutex", "_cond", "_writer", "_write_depth",
+    __slots__ = ("_name", "stats", "_mutex", "_cond", "_writer", "_write_depth",
                  "_readers", "_waiters", "_waiting_writers", "_read_guard",
                  "_write_guard")
 
@@ -190,8 +199,10 @@ class ReentrantRWLock:
     #: ``None`` — the default — keeps every hook a single identity check.
     observer: Any = None
 
-    def __init__(self, name: str = "") -> None:
-        self.name = name
+    def __init__(self, name: "str | Callable[[], str]" = "") -> None:
+        #: The name, or a callable that makes it the first time it is read
+        #: (most locks are never named in a report).
+        self._name = name
         self.stats = LockStats()
         self._mutex = threading.Lock()
         #: Built over ``_mutex`` by the first thread that has to wait.
@@ -207,6 +218,13 @@ class ReentrantRWLock:
         # Built on first use: a node or graph lock rarely needs both.
         self._read_guard: _ReadGuard | None = None
         self._write_guard: _WriteGuard | None = None
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        if not isinstance(name, str):
+            name = self._name = name()
+        return name
 
     # -- observer ----------------------------------------------------------
 

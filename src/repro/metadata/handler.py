@@ -67,17 +67,15 @@ _UNSET = object()
 #: rebuild replaces the tuple, never mutates it.
 _NO_INDEX: tuple[int, dict] = (0, {})
 
-#: The dependents of every handler that never had one; the first attach
-#: gives the handler a dict of its own, so this one is never written.
-_NO_DEPENDENTS: dict[int, "MetadataHandler"] = {}
 
-
-class MetadataHandler:
+class MetadataHandler(ComputeContext):
     """Base class of all metadata handlers.
 
-    Subclasses implement :meth:`get` (consumer access) and may override the
-    lifecycle hooks :meth:`on_included` / :meth:`on_removed` and the change
-    reaction :meth:`on_dependency_changed`.
+    Consumers read the stored value through :meth:`get`; subclasses may
+    override it (on-demand access computes instead), the lifecycle hooks
+    :meth:`on_included` / :meth:`on_removed` and the change reaction
+    :meth:`on_dependency_changed`.  A handler is also the
+    :class:`~repro.metadata.item.ComputeContext` its compute receives.
     """
 
     mechanism: Mechanism
@@ -101,16 +99,14 @@ class MetadataHandler:
         # is published atomically.  Shared and empty until first built.
         self._dependency_index: tuple[
             int, dict[MetadataKey, tuple["MetadataHandler", ...]]] = _NO_INDEX
-        # Handlers that depend on this one and expect change notifications.
-        # Kept as an ordered identity set; duplicates are rejected so that a
-        # node subscribing via several paths is notified once (Section 3.2.3:
+        # Handlers that depend on this one and expect change notifications,
+        # in attach order; duplicates are rejected so that a node
+        # subscribing via several paths is notified once (Section 3.2.3:
         # "duplicate subscriptions by the same node are detected to avoid
-        # redundant notifications").  Guarded by a leaf mutex the handlers of
-        # one registry share: the registry attaches outside the graph lock
-        # and detaches under it, and propagation waves read it from
-        # scheduler worker threads without taking the graph lock (taking it
-        # there would invert the graph -> item lock hierarchy).
-        self._dependents: dict[int, "MetadataHandler"] = _NO_DEPENDENTS
+        # redundant notifications").  Copy-on-write under a leaf mutex the
+        # handlers of one registry share, so waves read it from any thread
+        # with no lock (the graph lock there would invert the hierarchy).
+        self._dependents: tuple["MetadataHandler", ...] = ()
         self._dependents_mutex = registry.dependents_mutex
         self.include_count = 0
         self.consumer_count = 0  # explicit consumer subscriptions only
@@ -173,25 +169,26 @@ class MetadataHandler:
 
     # -- value management ----------------------------------------------------
 
-    def _compute(self) -> Any:
-        """Evaluate the definition's compute function."""
-        self.compute_count += 1
-        ctx = ComputeContext(self.registry, self)
-        try:
-            return self.definition.compute(ctx)
-        except MetadataNotIncludedError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - wrap provider failures
-            raise HandlerError(
-                f"computing metadata {self.ref} failed: {exc}"
-            ) from exc
+    def _removed_error(self) -> MetadataNotIncludedError:
+        return MetadataNotIncludedError(
+            f"metadata handler {self.ref} has been removed")
 
-    def _store(self, value: Any) -> bool:
-        """Replace the cached value; return True when it actually changed."""
-        old = self._value
-        self._value = value
-        self.update_count += 1
-        self.last_update_time = self.registry.clock.now()
+    def _update(self) -> bool:
+        """Compute and store the value under the item write lock; return
+        True when it actually changed."""
+        with self._lock.write():
+            self.compute_count += 1
+            try:
+                value = self.definition.compute(self)
+            except MetadataNotIncludedError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - wrap provider failures
+                raise HandlerError(
+                    f"computing metadata {self.ref} failed: {exc}") from exc
+            old = self._value
+            self._value = value
+            self.update_count += 1
+            self.last_update_time = self.registry.now()
         if old is _UNSET:
             return True
         try:
@@ -209,18 +206,14 @@ class MetadataHandler:
                     getattr(self.registry.owner, "name", self.registry.owner))
             return True
 
-    @property
-    def propagates_always(self) -> bool:
-        """Publish every refresh, not only value changes (see class docs)."""
-        return self.publishes_every_update or self.definition.always_propagate
-
     def refresh(self) -> None:
         """Recompute the value now and propagate to dependents — a lone
         refresh is a one-source wave (a scheduler tick publishes through its
-        own wave instead, see :meth:`PeriodicHandler.periodic_refresh`)."""
+        own wave instead, see :meth:`PeriodicHandler.periodic_refresh`).
+        Quarantined, it returns quietly; a failure raises, with no retry."""
         tel = self.registry.system.telemetry
         t0 = time.monotonic_ns() if tel is not None else 0
-        publish = self._refresh_value()
+        publish = self._attempt(wave=False) is True
         if tel is not None:
             node, key = self.names
             tel.emit(HandlerRefresh(node=node, key=key, changed=publish,
@@ -228,47 +221,34 @@ class MetadataHandler:
         if publish:
             self.registry.propagation.value_changed(self)
 
-    def _refresh_value(self) -> bool:
-        """Recompute and store the value now; return whether dependents must
-        be told (value changed, or this handler publishes every update).
+    def _attempt(self, wave: bool = True) -> "bool | str":
+        """The one refresh attempt: compute and store, through the circuit
+        breaker when there is one (see :meth:`_guarded_attempt`); return
+        whether dependents must be told (value changed, or this handler
+        publishes every update).  As :meth:`recompute_for_propagation` it is
+        a wave's recompute, which starts no wave of its own.
 
-        A quarantined handler returns quietly (consumers keep the stale
-        last-good value).  There is no immediate retry: the final failure
-        raises, and the caller (typically the periodic scheduler) owns
-        logging and the backoff re-arm.
+        A wave retries immediately (it cannot sleep); ``wave=False`` (a lone
+        refresh, a periodic tick, whose backoff retry is the scheduler
+        re-arm) makes one attempt.  ``QUARANTINED`` says the circuit let no
+        attempt through; the final failure raises.
         """
-        return self._attempt(retries=0) is True
-
-    def recompute_for_propagation(self) -> "bool | str":
-        """Recompute during a propagation wave; return whether dependents
-        must be told (value changed, or this handler publishes every update).
-
-        Unlike :meth:`refresh` this does *not* start a new wave — the running
-        wave already covers the dependent closure in topological order.
-        With a failure policy the wave retries immediately (a wave cannot
-        sleep); :data:`~repro.metadata.propagation.QUARANTINED` says the
-        circuit let no attempt through, and the final failure raises — the
-        engine poisons this dependent subtree either way.
-        """
+        if self.removed:
+            raise self._removed_error()
         breaker = self.breaker
-        return self._attempt(0 if breaker is None
-                             else breaker.policy.max_retries)
-
-    def _attempt(self, retries: int) -> "bool | str":
-        """The one refresh attempt behind :meth:`_refresh_value` and
-        :meth:`recompute_for_propagation`: compute and store, through the
-        circuit breaker when there is one (see :meth:`_guarded_attempt`)."""
-        self._ensure_included()
-        if self.breaker is None:
-            with self._lock.write():
-                changed = self._store(self._compute())
+        if breaker is None:
+            changed = self._update()
         else:
-            changed = self._guarded_attempt(retries)
+            changed = self._guarded_attempt(
+                breaker.policy.max_retries if wave else 0)
             if changed is QUARANTINED:
                 return changed
         # Re-check after releasing the item lock: a concurrent exclusion that
         # won the race gets a quiet exit instead of a post-removal wave.
-        return not self.removed and (changed or self.propagates_always)
+        return not self.removed and (changed or self.publishes_every_update
+                                     or self.definition.always_propagate)
+
+    recompute_for_propagation = _attempt
 
     # -- failure-policy machinery ------------------------------------------
 
@@ -301,8 +281,7 @@ class MetadataHandler:
             attempt += 1
             t0 = time.monotonic()
             try:
-                with self._lock.write():
-                    changed = self._store(self._compute())
+                changed = self._update()
             except MetadataNotIncludedError:
                 raise
             except Exception as exc:  # noqa: BLE001 - every provider failure feeds the breaker
@@ -376,14 +355,16 @@ class MetadataHandler:
         return self._value is not _UNSET
 
     def get(self) -> Any:
-        """Consumer access; mechanism-specific, implemented by subclasses."""
-        raise NotImplementedError
-
-    def _ensure_included(self) -> None:
+        """Consumer access: the stored value (static, periodic and triggered
+        items; on-demand items compute instead)."""
         if self.removed:
-            raise MetadataNotIncludedError(
-                f"metadata handler {self.ref} has been removed"
-            )
+            raise self._removed_error()
+        self.access_count += 1
+        with self._lock.read():
+            value = self._value
+        if value is _UNSET:
+            raise HandlerError(f"metadata {self.ref} has no value yet")
+        return value
 
     # -- dependency plumbing ---------------------------------------------------
 
@@ -408,11 +389,9 @@ class MetadataHandler:
         """
         with self._dependents_mutex:
             dependents = self._dependents
-            if id(dependent) in dependents:
+            if dependent in dependents:
                 return False
-            if dependents is _NO_DEPENDENTS:
-                dependents = self._dependents = {}
-            dependents[id(dependent)] = dependent
+            self._dependents = dependents + (dependent,)
         # Outside the dependents mutex (the engine mutex is a leaf lock):
         # the dependent graph changed, so cached wave plans are stale.
         self.registry.propagation.bump_topology()
@@ -420,13 +399,15 @@ class MetadataHandler:
 
     def detach_dependent(self, dependent: "MetadataHandler") -> None:
         with self._dependents_mutex:
-            detached = self._dependents.pop(id(dependent), None) is not None
-        if detached:
-            self.registry.propagation.bump_topology()
+            dependents = self._dependents
+            if dependent not in dependents:
+                return
+            i = dependents.index(dependent)
+            self._dependents = dependents[:i] + dependents[i + 1:]
+        self.registry.propagation.bump_topology()
 
     def dependents(self) -> Sequence["MetadataHandler"]:
-        with self._dependents_mutex:
-            return tuple(self._dependents.values())
+        return self._dependents
 
     def on_dependency_changed(self, dependency: "MetadataHandler") -> bool:
         """React to a change of a dependency.
@@ -458,16 +439,13 @@ class StaticHandler(MetadataHandler):
     mechanism = Mechanism.STATIC
 
     def on_included(self) -> None:
+        if self.definition.compute is not None:
+            self._update()
+            return
         with self._lock.write():
-            if self.definition.compute is not None:
-                self._store(self._compute())
-            else:
-                self._store(self.definition.value)
-
-    def get(self) -> Any:
-        self._ensure_included()
-        self.access_count += 1
-        return self.peek()
+            self._value = self.definition.value
+            self.update_count += 1
+            self.last_update_time = self.registry.now()
 
 
 class OnDemandHandler(MetadataHandler):
@@ -483,13 +461,25 @@ class OnDemandHandler(MetadataHandler):
     mechanism = Mechanism.ON_DEMAND
 
     def get(self) -> Any:
-        self._ensure_included()
+        if self.removed:
+            raise self._removed_error()
         self.access_count += 1
         if self.breaker is None:
+            # The stored value only records the last read: nothing compares
+            # it, and no dependent is told (notify_changed does that).
             with self._lock.write():
-                value = self._compute()
-                self._store(value)
-                return value
+                self.compute_count += 1
+                try:
+                    value = self.definition.compute(self)
+                except MetadataNotIncludedError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - wrap provider failures
+                    raise HandlerError(
+                        f"computing metadata {self.ref} failed: {exc}") from exc
+                self._value = value
+                self.update_count += 1
+                self.last_update_time = self.registry.now()
+            return value
         # Policy-governed access: retry immediately (a consumer read cannot
         # sleep), and while quarantined — or when the retry budget is spent —
         # serve the last-good value flagged stale instead of raising.
@@ -531,8 +521,7 @@ class PeriodicHandler(MetadataHandler):
     def on_included(self) -> None:
         # Seed the value so consumers never observe an empty handler, then
         # hand the refresh cadence to the scheduler.
-        with self._lock.write():
-            self._store(self._compute())
+        self._update()
         self._task = self.registry.scheduler.register(self)
 
     def on_removed(self) -> None:
@@ -549,13 +538,11 @@ class PeriodicHandler(MetadataHandler):
         the elapsed window; return whether the new value is published.  The
         tick's wave calls this when its pass reaches the handler, so the
         publication needs no wave of its own."""
-        if self.removed:
-            return False
         try:
-            return self._refresh_value()
+            return self._attempt(wave=False) is True
         except MetadataNotIncludedError:
-            # Removed concurrently between the check above and the refresh —
-            # a clean cancellation, not an error the scheduler should count.
+            # Removed (perhaps concurrently) — a clean cancellation, not an
+            # error the scheduler should count.
             return False
 
     def reschedule_delay(self) -> float | None:
@@ -573,11 +560,6 @@ class PeriodicHandler(MetadataHandler):
             return None
         return breaker.reschedule_delay()
 
-    def get(self) -> Any:
-        self._ensure_included()
-        self.access_count += 1
-        return self.peek()
-
 
 class TriggeredHandler(MetadataHandler):
     """Pre-computed value refreshed on events (Section 3.2.3).
@@ -591,16 +573,10 @@ class TriggeredHandler(MetadataHandler):
     mechanism = Mechanism.TRIGGERED
 
     def on_included(self) -> None:
-        with self._lock.write():
-            self._store(self._compute())
+        self._update()
 
     def on_dependency_changed(self, dependency: MetadataHandler) -> bool:
         return not self.removed
-
-    def get(self) -> Any:
-        self._ensure_included()
-        self.access_count += 1
-        return self.peek()
 
 
 _HANDLER_TYPES: dict[Mechanism, type[MetadataHandler]] = {

@@ -56,35 +56,39 @@ class MetadataKey:
     ``name`` uses dotted namespaces (``"stream.input_rate"``); ``qualifier``
     distinguishes per-port variants, e.g. the input rate of a join's left and
     right input are ``INPUT_RATE.q(0)`` and ``INPUT_RATE.q(1)``.
+
+    Keys are interned: constructing an equal key returns the one existing
+    instance (also across threads, ``pickle`` and ``copy``), so equality is
+    identity and every dict or set keyed by keys hashes in C.
     """
 
-    __slots__ = ("name", "qualifier", "_hash")
+    __slots__ = ("name", "qualifier")
 
-    def __init__(self, name: str, qualifier: tuple = ()) -> None:
-        if not name:
-            raise ValueError("metadata key name must be non-empty")
-        self.name = name
-        self.qualifier = tuple(qualifier)
-        self._hash = hash((name, self.qualifier))
+    def __new__(cls, name: str, qualifier: tuple = ()) -> "MetadataKey":
+        qualifier = tuple(qualifier)
+        key = _INTERNED.get((name, qualifier))
+        if key is None:
+            if not name:
+                raise ValueError("metadata key name must be non-empty")
+            key = object.__new__(cls)
+            key.name = name
+            key.qualifier = qualifier
+            # setdefault is atomic: of two threads building one new key,
+            # the one that inserts second gets the first one's instance.
+            key = _INTERNED.setdefault((name, qualifier), key)
+        return key
+
+    def __reduce__(self) -> tuple:
+        return MetadataKey, (self.name, self.qualifier)
 
     def q(self, *qualifier: Any) -> "MetadataKey":
         """Return a qualified variant of this key (e.g. per input port)."""
-        return MetadataKey(self.name, self.qualifier + tuple(qualifier))
+        return MetadataKey(self.name, self.qualifier + qualifier)
 
     @property
     def base(self) -> "MetadataKey":
         """The unqualified key (``name`` only)."""
         return self if not self.qualifier else MetadataKey(self.name)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MetadataKey)
-            and self.name == other.name
-            and self.qualifier == other.qualifier
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "MetadataKey") -> bool:
         return (self.name, self.qualifier) < (other.name, other.qualifier)
@@ -94,6 +98,11 @@ class MetadataKey:
             quals = ",".join(repr(q) for q in self.qualifier)
             return f"<{self.name}[{quals}]>"
         return f"<{self.name}>"
+
+
+#: ``(name, qualifier)`` -> its one :class:`MetadataKey`.  Keys name items
+#: a program defines, so the table is bounded by the program, not the run.
+_INTERNED: dict[tuple, MetadataKey] = {}
 
 
 class Mechanism(enum.Enum):
@@ -273,21 +282,31 @@ class MetadataDefinition:
 
 
 class ComputeContext:
-    """Execution context handed to a definition's ``compute`` callable.
+    """The read interface a definition's ``compute`` callable receives.
 
     Gives access to the owning node, the clock, and the *current values of
     the item's dependencies*.  Dependency values are addressed by key; when a
     key resolves to several nodes (e.g. ``UpstreamDep(OUTPUT_RATE)`` on a
-    binary join) :meth:`values` returns them in port order.
+    binary join) :meth:`values` returns them in port order.  Every
+    :class:`~repro.metadata.handler.MetadataHandler` is one and passes
+    *itself* as ``ctx``, so a compute allocates nothing.
     """
 
-    __slots__ = ("registry", "handler", "_dep_handlers")
+    __slots__ = ()
 
-    def __init__(self, registry: "MetadataRegistry", handler: Any) -> None:
-        self.registry = registry
-        self.handler = handler
-        # list of (spec, handler) in resolution order
-        self._dep_handlers = handler.dependency_handlers
+    registry: "MetadataRegistry"
+    dependency_handlers: list
+    dependencies_with_key: Callable[[MetadataKey], Sequence[Any]]
+
+    @property
+    def handler(self) -> Any:
+        """The handler whose value is being computed."""
+        return self
+
+    @property
+    def _dep_handlers(self) -> list:
+        # (spec, handler) pairs in resolution order.
+        return self.dependency_handlers
 
     @property
     def node(self) -> Any:
@@ -297,7 +316,7 @@ class ComputeContext:
     @property
     def now(self) -> float:
         """Current clock time."""
-        return self.registry.clock.now()
+        return self.registry.now()
 
     def value(self, key: MetadataKey) -> Any:
         """Value of the single dependency with ``key``.
@@ -305,22 +324,22 @@ class ComputeContext:
         Raises :class:`MetadataError` if the key matches no or several
         dependencies.
         """
-        matches = self.handler.dependencies_with_key(key)
+        matches = self.dependencies_with_key(key)
+        if len(matches) == 1:
+            return matches[0].get()
         if not matches:
             raise MetadataError(
                 f"{self.handler.ref} has no dependency with key {key!r}"
             )
-        if len(matches) > 1:
-            raise MetadataError(
-                f"{self.handler.ref} has {len(matches)} dependencies with key "
-                f"{key!r}; use values() for multi-port dependencies"
-            )
-        return matches[0].get()
+        raise MetadataError(
+            f"{self.handler.ref} has {len(matches)} dependencies with key "
+            f"{key!r}; use values() for multi-port dependencies"
+        )
 
     def values(self, key: MetadataKey) -> list:
         """Values of all dependencies with ``key``, in resolution order."""
-        return [h.get() for h in self.handler.dependencies_with_key(key)]
+        return [h.get() for h in self.dependencies_with_key(key)]
 
     def dependency_refs(self) -> list:
         """``(node, key)`` references of all resolved dependencies."""
-        return [h.ref for spec, h in self._dep_handlers]
+        return [h.ref for spec, h in self.dependency_handlers]

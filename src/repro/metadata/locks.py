@@ -35,8 +35,9 @@ See the "Concurrency model" section of docs/METADATA_GUIDE.md.
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.rwlock import LockStats, ReentrantRWLock
 
@@ -144,7 +145,7 @@ class FineGrainedLockPolicy(LockPolicy):
         self._locks: dict[ReentrantRWLock, None] = {}  # insertion-ordered set
         self._retired = LockStats()
 
-    def _new(self, name: str) -> ReentrantRWLock:
+    def _new(self, name: "str | Callable[[], str]") -> ReentrantRWLock:
         lock = ReentrantRWLock(name)
         with self._mutex:
             self._locks[lock] = None
@@ -157,19 +158,20 @@ class FineGrainedLockPolicy(LockPolicy):
         return self._new(f"node:{getattr(owner, 'name', owner)!s}")
 
     def item_lock(self, handler: Any) -> ReentrantRWLock:
-        return self._new(f"item:{handler.key!r}")
+        # Named from the key when a report first reads the name.
+        return self._new(functools.partial("item:{!r}".format, handler.key))
 
     def retire(self, lock: ReentrantRWLock) -> None:
         with self._mutex:
             if lock in self._locks:
                 del self._locks[lock]
-                self._retired = self._retired + lock.stats
+                self._retired.add(lock.stats)
 
     def aggregate_stats(self) -> LockStats:
         with self._mutex:
             total = self._retired.snapshot()
             for lock in self._locks:
-                total = total + lock.stats
+                total.add(lock.stats)
         return total
 
     def hot_locks(self, limit: int = 5) -> list[dict[str, Any]]:

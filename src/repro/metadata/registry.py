@@ -344,6 +344,8 @@ class MetadataRegistry:
         self._handlers: dict[MetadataKey, MetadataHandler] = {}
         self._probes: dict[str, Probe] = {}
         self.node_lock = system.lock_policy.node_lock(owner)
+        #: ``clock.now``, bound once: every store and ``ctx.now`` call it.
+        self.now = system.clock.now
         #: Guards every handler's dependents set (see ``MetadataHandler``).
         self.dependents_mutex = threading.Lock()
         system.register(self)

@@ -56,17 +56,6 @@ __all__ = ["PeriodicTask", "PeriodicScheduler", "VirtualTimeScheduler", "Threade
 log = logging.getLogger(__name__)
 
 
-def _reschedule_delay(handler: Any) -> Optional[float]:
-    """Failure-policy re-arm delay, or ``None`` for the period grid.
-
-    Schedulers accept any object with ``period`` and ``periodic_refresh``
-    (tests register bare fakes), so the reliability hook is looked up
-    leniently rather than demanded of every handler-shaped object.
-    """
-    method = getattr(handler, "reschedule_delay", None)
-    return None if method is None else method()
-
-
 class PeriodicTask:
     """Bookkeeping for one periodic handler registered with a scheduler.
 
@@ -76,12 +65,17 @@ class PeriodicTask:
     using :meth:`ThreadedScheduler.task_snapshot` observe consistent values.
     """
 
-    __slots__ = ("handler", "period", "cancelled", "fire_count", "total_lateness",
-                 "error_count", "_deadline", "_seq", "_running", "_runner")
+    __slots__ = ("handler", "period", "backend", "cancelled", "fire_count",
+                 "total_lateness", "error_count", "_deadline", "_seq", "_running",
+                 "_runner")
 
     def __init__(self, handler: "PeriodicHandler", period: float, seq: int) -> None:
         self.handler = handler
         self.period = period
+        #: The engine a tick hands this task to; ``None`` for a bare
+        #: handler-shaped object, which a tick refreshes directly.
+        self.backend = getattr(getattr(handler, "registry", None),
+                               "propagation", None)
         self.cancelled = False
         self.fire_count = 0
         self.total_lateness = 0.0
@@ -167,10 +161,9 @@ class PeriodicScheduler:
         ticks: dict[int, tuple[Any, list]] = {}
         for task, deadline in due:
             run = functools.partial(self._fire, task, deadline)
-            backend = getattr(getattr(task.handler, "registry", None),
-                              "propagation", None)
+            backend = task.backend
             if backend is None:
-                run()  # a bare handler-shaped object: nothing to propagate into
+                run()
             else:
                 ticks.setdefault(id(backend), (backend, []))[1].append(
                     (task.handler, run))
@@ -203,8 +196,10 @@ class PeriodicScheduler:
         finally:
             # A failure policy substitutes backoff / quarantine-rest delays
             # for the period grid (None without one or while the circuit is
-            # healthy, keeping the drift-free cadence exactly).
-            delay = _reschedule_delay(task.handler)
+            # healthy, keeping the drift-free cadence exactly); a bare
+            # handler-shaped object has no such hook.
+            reschedule = getattr(task.handler, "reschedule_delay", None)
+            delay = None if reschedule is None else reschedule()
             with self._lock:
                 if outcome is FAILED:
                     task.error_count += 1

@@ -42,6 +42,19 @@ class TestFineGrainedPolicy:
         item = policy.item_lock(FakeHandler())
         assert graph is not node is not item
         assert policy.lock_count == 3
+        assert (graph.name, node.name, item.name) == ("graph", "node:n", "item:<a>")
+
+    def test_item_lock_named_after_its_key_in_reports(self):
+        policy = FineGrainedLockPolicy()
+        _, registry = _system(policy)
+        key = A.q(0, "l")
+        registry.define(MetadataDefinition(key, Mechanism.STATIC, value=1))
+        subscription = registry.subscribe(key)
+        subscription.get()
+        names = [entry["name"] for entry in policy.hot_locks(limit=10)]
+        assert "item:<a[0,'l']>" in names
+        assert subscription.handler._lock.name == "item:<a[0,'l']>"
+        subscription.cancel()
 
     def test_aggregate_stats_sums_all_locks(self):
         policy = FineGrainedLockPolicy()
